@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -35,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CacheError, CalibrationError, EncodingError
-from .graph_ir import MAC_KINDS, GraphModel
+from .graph_ir import MAC_KINDS, GraphModel, write_json
 from .quantsim import QuantSimModel, _fill_avgpool_reuse, compute_param_encodings
 from .range_setting import compute_encodings_from_accumulator
 
@@ -49,19 +48,10 @@ __all__ = [
     "sensitivity_analysis",
     "build_pareto",
     "choose_mixed_precision",
-    "max_threads",
 ]
 
 ACCURACY_LIST_FORMAT = "fixquant-accuracy-list-v1"
 PARETO_LIST_FORMAT = "fixquant-pareto-list-v1"
-
-
-def max_threads() -> int:
-    """Worker cap for phase-1 evaluations, from FIXQUANT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("FIXQUANT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -292,10 +282,6 @@ def fingerprint(sim: QuantSimModel, candidates: list[CandidatePair]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
     if not path.exists():
         return None
@@ -325,11 +311,11 @@ def sensitivity_analysis(
 ) -> list[AccuracyEntry]:
     """Evaluate every (group, non-max candidate) combination.
 
-    Each combination runs on a clone of the otherwise all-max sim, so
-    evaluations are independent; FIXQUANT_THREADS of them run at a time.
-    Results append to accuracy_list.json after every evaluation and a
-    rerun with an intact cache performs no evaluations at all. A
-    sensitivity CSV for plotting is rewritten alongside.
+    Each combination runs in turn on a clone of the otherwise all-max sim,
+    so evaluations are independent. Results append to accuracy_list.json
+    after every evaluation and a rerun with an intact cache performs no
+    evaluations at all. A sensitivity CSV for plotting is rewritten
+    alongside.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -351,31 +337,17 @@ def sensitivity_analysis(
 
     if doc["baseline"] is None:
         doc["baseline"] = float(eval_phase1(at_max()))
-        _write_json(path, doc)
+        write_json(path, doc)
 
     cached = {(e["group"], tuple(e["candidate"])) for e in doc["entries"]}
-    wanted = [
-        (g, c)
-        for g in groups
-        for c in candidates
-        if c != max_cand and (g.group_id, (c.activation_bw, c.param_bw)) not in cached
-    ]
-
-    def run_one(pair):
-        g, c = pair
+    for g, c in itertools.product(groups, candidates):
+        if c == max_cand or (g.group_id, (c.activation_bw, c.param_bw)) in cached:
+            continue
         clone = at_max()
         _apply_candidate(clone, g, c)
-        return float(eval_phase1(clone))
-
-    if wanted:
-        with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            futures = [pool.submit(run_one, pair) for pair in wanted]
-            for (g, c), fut in zip(wanted, futures):
-                score = fut.result()
-                doc["entries"].append(
-                    {"group": g.group_id, "candidate": c.as_list(), "accuracy": score}
-                )
-                _write_json(path, doc)
+        score = float(eval_phase1(clone))
+        doc["entries"].append({"group": g.group_id, "candidate": c.as_list(), "accuracy": score})
+        write_json(path, doc)
 
     with open(cache_dir / "sensitivity.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -441,7 +413,7 @@ def build_pareto(
             "baseline": float(eval_phase2(sim)),
             "entries": [],
         }
-        _write_json(path, doc)
+        write_json(path, doc)
     baseline = doc["baseline"]
 
     # Replay the cache without re-evaluating.
@@ -496,7 +468,7 @@ def build_pareto(
                 "accuracy": accuracy,
             }
         )
-        _write_json(path, doc)
+        write_json(path, doc)
 
     with open(cache_dir / "pareto.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

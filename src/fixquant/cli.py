@@ -10,17 +10,14 @@ exit code: 2 usage, 3 data, 4 numeric.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .amp import CandidatePair, choose_mixed_precision
+from .amp import choose_mixed_precision
 from .datasets import Dataset, evaluate, iter_batches, load_dataset, metric_score
 from .debug import run_debug
 from .errors import FixquantError, NumericError
-from .graph_ir import load_model, model_paths, save_model
+from .graph_ir import load_model, save_model, write_json
 from .ptq import (
     AdaRoundParams,
     adaround,
@@ -118,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arg(p), _add_data_arg(p), _add_out_arg(p), _add_sim_args(p)
     p.add_argument(
         "--candidates",
+        type=_parse_candidates,
         default="16,16;16,8;8,16",
         help="semicolon-separated act,param bitwidth pairs (default '16,16;16,8;8,16')",
     )
@@ -174,10 +172,6 @@ def _build_sim(args, model, ds=None):
     return sim
 
 
-def _write_encodings(sim, path: Path) -> None:
-    path.write_text(json.dumps(encodings_to_dict(sim), indent=2, sort_keys=True) + "\n")
-
-
 def cmd_quantsim(args) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.data)
@@ -205,9 +199,7 @@ def cmd_equalize(args) -> int:
     out = _outdir(args)
     equalized, report = equalize_model(model)
     save_model(equalized, out / "equalized")
-    (out / "equalize_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "equalize_report.json", report.to_dict())
     print(f"equalized {len(report.pairs)} layer pair(s), absorbed bias on {len(report.absorbed)}")
     print(f"wrote {out}/equalized.model.json, .weights.bin, equalize_report.json")
     return EXIT_OK
@@ -218,7 +210,7 @@ def cmd_calibrate(args) -> int:
     ds = load_dataset(args.data)
     out = _outdir(args)
     sim = _build_sim(args, model, ds)
-    _write_encodings(sim, out / "encodings.json")
+    write_json(out / "encodings.json", encodings_to_dict(sim))
     print(f"wrote {out}/encodings.json")
     return EXIT_OK
 
@@ -265,7 +257,7 @@ def cmd_bias_correct(args) -> int:
     mode = "empirical" if args.mode == "empirical" else "analytic_then_empirical"
     bias_correct(sim, mode=mode, feed=iter_batches(ds.x))
     save_model(sim.graph, out / "bias_corrected")
-    _write_encodings(sim, out / "bias_corrected.encodings.json")
+    write_json(out / "bias_corrected.encodings.json", encodings_to_dict(sim))
     print(f"wrote {out}/bias_corrected.model.json, .weights.bin, .encodings.json")
     return EXIT_OK
 
@@ -291,14 +283,16 @@ def cmd_qat(args) -> int:
     return EXIT_OK
 
 
-def _parse_candidates(text: str) -> list[CandidatePair]:
+def _parse_candidates(text: str) -> list[tuple[int, int]]:
+    """argparse type of --candidates: 'act,param;act,param;...'. Malformed
+    text is a usage error; the bitwidth range is checked by amp.CandidatePair."""
     pairs = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        a, p = part.split(",")
-        pairs.append(CandidatePair(int(a), int(p)))
+    for part in filter(None, (s.strip() for s in text.split(";"))):
+        try:
+            act_bw, param_bw = (int(v) for v in part.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} is not an act,param bitwidth pair") from None
+        pairs.append((act_bw, param_bw))
     return pairs
 
 
@@ -318,7 +312,7 @@ def cmd_amp(args) -> int:
 
     sim, entries = choose_mixed_precision(
         sim,
-        _parse_candidates(args.candidates),
+        args.candidates,
         eval_phase1,
         eval_phase2,
         allowed_accuracy_drop=args.allowed_drop,
@@ -379,9 +373,7 @@ def cmd_debug(args) -> int:
         config=_config(args),
         out_dir=out,
     )
-    (out / "debug_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "debug_report.json", report.to_dict())
     print(f"fp32 sanity: {'ok' if report.fp32_sanity_ok else 'FAILED'}")
     if not report.stopped_early:
         print(f"fp32 score {report.fp32_score:.6f}  quantized {report.quantized_score:.6f}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelFormatError, ShapeError
-from .graph_ir import GraphModel
+from .graph_ir import write_json
 
 __all__ = [
     "Dataset",
@@ -71,7 +71,7 @@ def save_dataset(ds: Dataset, prefix) -> None:
             "y": {"offset": int(x32.size), "shape": list(ds.y.shape)},
         },
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
     blob_path.write_bytes(x32.tobytes() + y32.tobytes())
 
 

@@ -19,6 +19,7 @@ arithmetic), so save followed by load is an identity.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import tensor_core as tc
 from .errors import GraphError, ModelFormatError, ShapeError
 
-__all__ = ["Node", "GraphModel", "load_model", "save_model", "model_paths"]
+__all__ = ["Node", "GraphModel", "load_model", "save_model", "model_paths", "write_json"]
 
 NODE_KINDS = {
     "linear",
@@ -172,16 +173,24 @@ class GraphModel:
             return next(iter(outs.values()))
         return outs
 
-    def evaluate_all(self, inputs) -> dict[str, np.ndarray]:
-        """Run the graph and return every node's output tensor, keyed by node id."""
+    def evaluate_all(self, inputs, weights=None, activation=None) -> dict[str, np.ndarray]:
+        """Run the graph and return every node's output tensor, keyed by node id.
+
+        This is the only topological runner. ``weights(node)`` substitutes a
+        weighted node's tensors (the simulation passes its quantized weights)
+        and ``activation(nid, y)`` maps each node's output, input nodes
+        included, before consumers see it. The float path passes neither.
+        """
         feed = self._normalize_inputs(inputs)
         values: dict[str, np.ndarray] = {}
         for nid in self.topo_order():
             node = self.nodes[nid]
             if node.kind == "input":
-                values[nid] = feed[nid]
+                y = feed[nid]
             else:
-                values[nid] = eval_node(node, [values[s] for s in node.inputs])
+                w = weights(node) if weights is not None and node.weights else node.weights
+                y = eval_kind(node.kind, node.attrs, w, [values[s] for s in node.inputs])
+            values[nid] = y if activation is None else activation(nid, y)
         return values
 
     def _normalize_inputs(self, inputs) -> dict[str, np.ndarray]:
@@ -196,13 +205,8 @@ class GraphModel:
         return {ids[0]: np.asarray(inputs, dtype=np.float64)}
 
 
-def eval_node(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
-    """Apply one node's kernel to already-computed input tensors."""
-    return eval_kind(node.kind, node.attrs, node.weights, inputs)
-
-
 def eval_kind(k: str, attrs: dict, w: dict, inputs: list[np.ndarray]) -> np.ndarray:
-    """Kernel dispatch on raw fields (lets callers substitute weights)."""
+    """Apply one node kind's kernel; the single kernel dispatch for every runner."""
     if k == "linear":
         return tc.linear(inputs[0], w["weight"], w["bias"])
     if k == "conv2d":
@@ -225,6 +229,18 @@ def eval_kind(k: str, attrs: dict, w: dict, inputs: list[np.ndarray]) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # On-disk format
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented, key-sorted JSON; atomic, so an interrupted
+    write leaves the previous file (or none), never a truncated one."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def model_paths(prefix) -> tuple[Path, Path]:
@@ -250,7 +266,7 @@ def save_model(model: GraphModel, manifest_path, blob_path=None) -> None:
             entry["tensors"] = tensors
         manifest_nodes.append(entry)
     manifest = {"format": MANIFEST_FORMAT, "name": model.name, "nodes": manifest_nodes}
-    Path(manifest_path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
     blob = np.concatenate(chunks) if chunks else np.empty(0, dtype="<f4")
     Path(blob_path).write_bytes(blob.tobytes())
 

@@ -19,25 +19,24 @@ consume those statistics and skip (with a report entry) when they are gone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import tensor_core as tc
-from .errors import CalibrationError, EncodingError, GraphError
-from .graph_ir import MAC_KINDS, GraphModel, eval_kind
-from .quantizer import QuantizerSpec, qdq, round_half_away
+from .errors import CalibrationError, EncodingError
+from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json
+from .quantizer import qdq
 from .quantsim import (
+    ENCODINGS_FORMAT,
     QuantSimModel,
     SimConfig,
+    _encoding_from_json,
+    _encoding_to_json,
     compute_encodings,
     create_quantsim,
-    encodings_to_dict,
-    import_encodings,
+    import_encodings,  # unused; stays bound for profilers that patch ptq.import_encodings
 )
 from .range_setting import RangeAccumulator, RangeScheme, compute_encodings_from_accumulator
 
@@ -606,27 +605,15 @@ def adaround(
         h_final = (_rect_sigmoid(v) >= 0.5).astype(np.float64)
         w_int = np.clip(w_floor + zp + h_final, q_lo, q_hi)
         node.set_weight("weight", s * (w_int - zp))
-        param_encodings[f"{nid}.weight"] = [
-            {
-                "bitwidth": e.bitwidth,
-                "scale": e.scale,
-                "offset": e.zero_point,
-                "symmetric": e.symmetric,
-                "signed": e.signed,
-                "min": e.grid_min,
-                "max": e.grid_max,
-                "frozen": True,
-            }
-            for e in encs
-        ]
+        param_encodings[f"{nid}.weight"] = [_encoding_to_json(e, frozen=True) for e in encs]
 
     doc = {
-        "format": "fixquant-encodings-v1",
+        "format": ENCODINGS_FORMAT,
         "activation_encodings": {},
         "param_encodings": param_encodings,
     }
     if encodings_path is not None:
-        Path(encodings_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(encodings_path, doc)
     return out, doc
 
 
@@ -688,8 +675,6 @@ def run_ptq_pipeline(model: GraphModel, feed, options: PtqOptions | None = None)
         for key, entries in frozen_doc["param_encodings"].items():
             if key in sim.param_quantizers:
                 spec = sim.param_quantizers[key]
-                from .quantsim import _encoding_from_json
-
                 encs = [_encoding_from_json(d) for d in entries]
                 if len(encs) > 1 and not spec.per_channel:
                     spec.channel_axis = 0

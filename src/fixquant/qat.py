@@ -1,10 +1,15 @@
 """Quantization-aware training.
 
-A small reverse-mode tape over the graph kernels, with the quantizers in
-the forward pass and straight-through gradients in the backward pass: the
-round() inside quantize-dequantize passes gradients unchanged inside the
-grid and zero outside (see ``ste_mask``). Disabled quantizers are skipped
-entirely so the tape reproduces the float model bit for bit.
+The forward pass is the simulation's own, ``QuantSimModel.evaluate_all``,
+recorded on a ``Tape``: every node's output and every op's output before
+its activation quantizer. QAT therefore trains exactly the network that
+``sim.forward`` runs and ``export`` writes. ``backward`` walks the graph in
+reverse topological order and derives what each node needs from the tape
+and the node itself (relu masks, concat split sizes, maxpool argmax,
+quantized weights). Every quantize-dequantize passes gradients straight
+through inside its grid and blocks them where it clips (``ste_mask``).
+With every quantizer disabled the forward pass is the float model and the
+trainer is plain SGD, bit for bit.
 
 Only what the training loop needs is implemented: gradients for weights
 and biases of linear/conv2d layers and for everything on the path between
@@ -15,16 +20,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import CalibrationError, GraphError, NumericError, ShapeError
-from .graph_ir import MAC_KINDS, GraphModel
-from .quantizer import QuantizerSpec, qdq, ste_mask
+from .errors import CalibrationError, NumericError
+from .graph_ir import MAC_KINDS
+from .quantizer import qdq, ste_mask  # qdq unused; stays bound for profilers that patch qat.qdq
 from .quantsim import QuantSimModel, compute_encodings, compute_param_encodings
 
 __all__ = [
@@ -39,26 +43,19 @@ __all__ = [
 
 
 @dataclass
-class TapeEntry:
-    node_id: str
-    kind: str
-    inputs: list
-    saved: dict
-
-
-@dataclass
 class Tape:
-    """Recorded forward pass: per-node outputs plus what backward needs."""
+    """A recorded quantized forward pass: every node's output (``values``),
+    every node's output before its activation quantizer (``raw``), and the
+    id of the graph output that backward() starts from."""
 
-    entries: list = field(default_factory=list)
-    values: dict = field(default_factory=dict)
-    output_id: str = ""
+    values: dict
+    raw: dict
+    output_id: str
 
 
-def _qdq_with_mask(x: np.ndarray, spec: Optional[QuantizerSpec]) -> tuple[np.ndarray, np.ndarray]:
-    if spec is None or not spec.enabled:
-        return x, np.ones_like(x)
-    return qdq(x, spec), ste_mask(x, spec)
+def _ste(g: np.ndarray, x: np.ndarray, spec) -> np.ndarray:
+    """Gradient g through qdq(x, spec): unchanged inside the grid, zero where clipped."""
+    return g if spec is None or not spec.enabled else g * ste_mask(x, spec)
 
 
 def _pad2d(x: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
@@ -132,110 +129,85 @@ def conv2d_backward(
 
 
 def forward_with_tape(sim: QuantSimModel, inputs) -> Tape:
-    """Quantized forward pass recording everything backward() needs."""
-    graph = sim.graph
-    feed = graph._normalize_inputs(inputs)
-    tape = Tape()
-    values = tape.values
-    for nid in graph.topo_order():
+    """The simulation's quantized forward pass, recorded for backward()."""
+    values, raw = sim.evaluate_all(inputs, capture_raw=True)
+    return Tape(values=values, raw=raw, output_id=sim.graph.output_ids[0])
+
+
+def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
+    """Walk the graph in reverse; returns {node_id: {"weight": gW, "bias": gb}}."""
+    graph, values = sim.graph, tape.values
+    grads_y: dict[str, np.ndarray] = {tape.output_id: np.asarray(gy_out, dtype=np.float64)}
+    param_grads: dict[str, dict[str, np.ndarray]] = {}
+
+    def _accum(nid: str, g: np.ndarray) -> None:
+        grads_y[nid] = grads_y[nid] + g if nid in grads_y else g
+
+    for nid in reversed(graph.topo_order()):
         node = graph.nodes[nid]
-        saved: dict = {}
-        if node.kind == "input":
-            y = np.asarray(feed[nid], dtype=np.float64)
-        elif node.kind == "output":
-            y = values[node.inputs[0]]
-        else:
-            xs = [values[s] for s in node.inputs]
-            y, saved = _forward_node(sim, node, xs)
-        aq = sim.activation_quantizers.get(nid)
-        if aq is not None and aq.enabled and node.kind not in ("input", "output"):
-            if not aq.ready:
-                raise GraphError(f"activation quantizer for {nid} has no encodings")
-            y_q, mask = _qdq_with_mask(y, aq)
-            saved["act_mask"] = mask
-            y = y_q
-        values[nid] = y
-        tape.entries.append(TapeEntry(nid, node.kind, list(node.inputs), saved))
-    tape.output_id = graph.output_ids[0]
-    return tape
+        gy = grads_y.get(nid)
+        if gy is None or node.kind == "input":
+            continue
+        gy = _ste(gy, tape.raw[nid], sim.activation_quantizers.get(nid))
+        k, attrs, src = node.kind, node.attrs, node.inputs[0]
+        x = values[src]
+        if k == "output":
+            _accum(src, gy)
+        elif k in MAC_KINDS:
+            wq = sim.quantized_weights(node)["weight"]
+            if k == "linear":
+                gw, gb = gy.T @ x.reshape(len(gy), -1), gy.sum(axis=0)
+                gx = (gy @ wq).reshape(x.shape)
+            else:
+                gw, gx, gb = conv2d_backward(
+                    gy,
+                    x,
+                    wq,
+                    stride=attrs.get("stride", 1),
+                    padding=attrs.get("padding", 0),
+                    groups=attrs.get("groups", 1),
+                )
+            param_grads[nid] = {
+                "weight": _ste(gw, node.weights["weight"], sim.param_quantizer(nid, "weight")),
+                "bias": _ste(gb, node.weights["bias"], sim.param_quantizer(nid, "bias")),
+            }
+            _accum(src, gx)
+        elif k == "batchnorm":
+            # Inference-mode affine transform over the simulation's statistics.
+            qw = sim.quantized_weights(node)
+            scale = qw["gamma"] / np.sqrt(qw["var"] + attrs.get("eps", 1e-5))
+            _accum(src, gy * scale.reshape((1, -1) + (1,) * (gy.ndim - 2)))
+        elif k == "relu":
+            _accum(src, gy * (x > 0).astype(np.float64))
+        elif k == "relu6":
+            _accum(src, gy * ((x > 0) & (x < 6)).astype(np.float64))
+        elif k == "add":
+            for s in node.inputs:
+                _accum(s, gy)
+        elif k == "concat":
+            axis = attrs.get("axis", 1)
+            bounds = np.cumsum([values[s].shape[axis] for s in node.inputs])[:-1]
+            for s, g in zip(node.inputs, np.split(gy, bounds, axis=axis)):
+                _accum(s, g)
+        elif k == "maxpool":
+            _accum(src, _maxpool_grad(gy, x, attrs))
+        elif k == "avgpool":
+            _accum(src, _avgpool_grad(gy, x.shape, attrs))
+    return param_grads
 
 
-def _forward_node(sim: QuantSimModel, node, xs: list) -> tuple[np.ndarray, dict]:
-    saved: dict = {}
-    k = node.kind
-    if k == "linear":
-        w = node.weights["weight"]
-        spec = sim.param_quantizer(node.id, "weight")
-        wq, wmask = _qdq_with_mask(w, spec)
-        bq, bmask = _qdq_with_mask(node.weights["bias"], sim.param_quantizer(node.id, "bias"))
-        x = xs[0]
-        if x.ndim != 2:
-            saved["orig_shape"] = x.shape
-            x = x.reshape(x.shape[0], -1)
-        if x.shape[1] != wq.shape[1]:
-            raise ShapeError(f"linear {node.id}: input has {x.shape[1]} features, weight expects {wq.shape[1]}")
-        saved.update(x=x, wq=wq, wmask=wmask, bmask=bmask)
-        return x @ wq.T + bq, saved
-    if k == "conv2d":
-        w = node.weights["weight"]
-        spec = sim.param_quantizer(node.id, "weight")
-        wq, wmask = _qdq_with_mask(w, spec)
-        bq, bmask = _qdq_with_mask(node.weights["bias"], sim.param_quantizer(node.id, "bias"))
-        saved.update(x=xs[0], wq=wq, wmask=wmask, bmask=bmask)
-        y = tc.conv2d(
-            xs[0],
-            wq,
-            bq,
-            stride=node.attrs.get("stride", 1),
-            padding=node.attrs.get("padding", 0),
-            groups=node.attrs.get("groups", 1),
-        )
-        return y, saved
-    if k == "batchnorm":
-        # Inference-mode affine transform over the same (possibly quantized)
-        # statistics the plain simulation uses. Reusing the graph kernel
-        # keeps a quantizer-free tape bit-identical to the plain model.
-        qw = sim.quantized_weights(node)
-        eps = node.attrs.get("eps", 1e-5)
-        shape = (1, -1) + (1,) * (xs[0].ndim - 2)
-        saved["scale"] = (qw["gamma"] / np.sqrt(qw["var"] + eps)).reshape(shape)
-        y = tc.batchnorm(xs[0], qw["gamma"], qw["beta"], qw["mean"], qw["var"], eps=eps)
-        return y, saved
-    if k == "relu":
-        saved["mask"] = (xs[0] > 0).astype(np.float64)
-        return tc.relu(xs[0]), saved
-    if k == "relu6":
-        saved["mask"] = ((xs[0] > 0) & (xs[0] < 6)).astype(np.float64)
-        return tc.relu6(xs[0]), saved
-    if k == "add":
-        return tc.add(*xs), saved
-    if k == "concat":
-        saved["sizes"] = [x.shape[node.attrs.get("axis", 1)] for x in xs]
-        return tc.concat(xs, axis=node.attrs.get("axis", 1)), saved
-    if k == "maxpool":
-        y, argmax = _maxpool_with_argmax(
-            xs[0],
-            node.attrs["kernel"],
-            node.attrs.get("stride", node.attrs["kernel"]),
-            node.attrs.get("padding", 0),
-        )
-        saved.update(argmax=argmax, in_shape=xs[0].shape)
-        return y, saved
-    if k == "avgpool":
-        saved.update(in_shape=xs[0].shape)
-        return tc.avgpool(
-            xs[0],
-            node.attrs["kernel"],
-            stride=node.attrs.get("stride", node.attrs["kernel"]),
-            padding=node.attrs.get("padding", 0),
-        ), saved
-    raise GraphError(f"no training-mode forward for node kind {k!r}")
+def _pool_geometry(attrs) -> tuple:
+    """(kernel, stride, padding) pairs of a pooling node."""
+    kernel = attrs["kernel"]
+    return (
+        tc._pair(kernel, "kernel"),
+        tc._pair(attrs.get("stride", kernel), "stride"),
+        tc._pair(attrs.get("padding", 0), "padding"),
+    )
 
 
-def _maxpool_with_argmax(x, kernel, stride, padding):
-    kernel = tc._pair(kernel, "kernel")
-    stride = tc._pair(stride, "stride")
-    padding = tc._pair(padding, "padding")
+def _maxpool_argmax(x, kernel, stride, padding) -> np.ndarray:
+    """Flat in-window index of each maxpool output's maximum: (N, C, Ho, Wo)."""
     xp = np.pad(
         np.asarray(x, dtype=np.float64),
         ((0, 0), (0, 0), (padding[0], padding[0]), (padding[1], padding[1])),
@@ -243,88 +215,15 @@ def _maxpool_with_argmax(x, kernel, stride, padding):
     )
     patches = _conv2d_patches(xp, kernel[0], kernel[1], stride)
     n, c, ho, wo, kh, kw = patches.shape
-    flat = patches.reshape(n, c, ho, wo, kh * kw)
-    arg = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return y, arg
+    return patches.reshape(n, c, ho, wo, kh * kw).argmax(axis=-1)
 
 
-def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
-    """Walk the tape in reverse; returns {node_id: {"weight": gW, "bias": gb}}."""
-    graph = sim.graph
-    grads_y: dict[str, np.ndarray] = {tape.output_id: np.asarray(gy_out, dtype=np.float64)}
-    param_grads: dict[str, dict[str, np.ndarray]] = {}
-
-    def _accum(nid: str, g: np.ndarray) -> None:
-        if nid in grads_y:
-            grads_y[nid] = grads_y[nid] + g
-        else:
-            grads_y[nid] = g
-
-    for entry in reversed(tape.entries):
-        gy = grads_y.get(entry.node_id)
-        if gy is None:
-            continue
-        if "act_mask" in entry.saved:
-            gy = gy * entry.saved["act_mask"]
-        k, saved = entry.kind, entry.saved
-        node = graph.nodes[entry.node_id]
-        if k in ("input",):
-            continue
-        if k == "output":
-            _accum(entry.inputs[0], gy)
-        elif k == "linear":
-            x, wq, wmask = saved["x"], saved["wq"], saved["wmask"]
-            gw = (gy.T @ x) * wmask
-            gb = gy.sum(axis=0) * saved["bmask"]
-            param_grads[entry.node_id] = {"weight": gw, "bias": gb}
-            gx = gy @ wq
-            if "orig_shape" in saved:
-                gx = gx.reshape(saved["orig_shape"])
-            _accum(entry.inputs[0], gx)
-        elif k == "conv2d":
-            gw, gx, gb = conv2d_backward(
-                gy,
-                saved["x"],
-                saved["wq"],
-                stride=node.attrs.get("stride", 1),
-                padding=node.attrs.get("padding", 0),
-                groups=node.attrs.get("groups", 1),
-            )
-            param_grads[entry.node_id] = {"weight": gw * saved["wmask"], "bias": gb * saved["bmask"]}
-            _accum(entry.inputs[0], gx)
-        elif k == "batchnorm":
-            _accum(entry.inputs[0], gy * saved["scale"])
-        elif k in ("relu", "relu6"):
-            _accum(entry.inputs[0], gy * saved["mask"])
-        elif k == "add":
-            for src in entry.inputs:
-                _accum(src, gy)
-        elif k == "concat":
-            axis = node.attrs.get("axis", 1)
-            off = 0
-            for src, size in zip(entry.inputs, saved["sizes"]):
-                sl = [slice(None)] * gy.ndim
-                sl[axis] = slice(off, off + size)
-                _accum(src, gy[tuple(sl)])
-                off += size
-        elif k == "maxpool":
-            _accum(entry.inputs[0], _maxpool_grad(gy, saved, node.attrs))
-        elif k == "avgpool":
-            _accum(entry.inputs[0], _avgpool_grad(gy, saved, node.attrs))
-        else:
-            raise GraphError(f"no backward for node kind {k!r}")
-    return param_grads
-
-
-def _maxpool_grad(gy, saved, attrs):
-    kernel = tc._pair(attrs["kernel"], "kernel")
-    stride = tc._pair(attrs.get("stride", attrs["kernel"]), "stride")
-    padding = tc._pair(attrs.get("padding", 0), "padding")
-    n, c, h, w = saved["in_shape"]
+def _maxpool_grad(gy, x, attrs):
+    kernel, stride, padding = _pool_geometry(attrs)
+    arg = _maxpool_argmax(x, kernel, stride, padding)
+    n, c, h, w = x.shape
     hp, wp = h + 2 * padding[0], w + 2 * padding[1]
     gxp = np.zeros((n, c, hp, wp))
-    arg = saved["argmax"]
     ho, wo = arg.shape[2], arg.shape[3]
     ki = arg // kernel[1]
     kj = arg % kernel[1]
@@ -338,11 +237,9 @@ def _maxpool_grad(gy, saved, attrs):
     return gxp[:, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w]
 
 
-def _avgpool_grad(gy, saved, attrs):
-    kernel = tc._pair(attrs["kernel"], "kernel")
-    stride = tc._pair(attrs.get("stride", attrs["kernel"]), "stride")
-    padding = tc._pair(attrs.get("padding", 0), "padding")
-    n, c, h, w = saved["in_shape"]
+def _avgpool_grad(gy, in_shape, attrs):
+    kernel, stride, padding = _pool_geometry(attrs)
+    n, c, h, w = in_shape
     hp, wp = h + 2 * padding[0], w + 2 * padding[1]
     gxp = np.zeros((n, c, hp, wp))
     ho, wo = gy.shape[2], gy.shape[3]

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import graph_ir as gir
 from .errors import CalibrationError, EncodingError, ModelFormatError
-from .graph_ir import GraphModel, Node, eval_node
+from .graph_ir import GraphModel, Node
 from .quantizer import QuantEncoding, QuantizerSpec, qdq
 from .range_setting import (
     RangeAccumulator,
@@ -182,24 +182,15 @@ class QuantSimModel:
     def evaluate_all(self, inputs, capture_raw: bool = False):
         """Quantized forward returning every tensor; optionally also the raw
         (pre-output-quantizer) op outputs, as a second dict."""
-        feed = self.graph._normalize_inputs(inputs)
-        values: dict[str, np.ndarray] = {}
         raw: dict[str, np.ndarray] = {}
-        for nid in self.graph.topo_order():
-            node = self.graph.nodes[nid]
-            if node.kind == "input":
-                y = feed[nid]
-            elif node.weights:
-                qw = self.quantized_weights(node)
-                y = gir.eval_kind(node.kind, node.attrs, qw, [values[s] for s in node.inputs])
-            else:
-                y = eval_node(node, [values[s] for s in node.inputs])
+
+        def activation(nid: str, y: np.ndarray) -> np.ndarray:
             if capture_raw:
                 raw[nid] = y
             spec = self.activation_quantizers.get(nid)
-            if spec is not None:
-                y = qdq(y, spec)
-            values[nid] = y
+            return y if spec is None else qdq(y, spec)
+
+        values = self.graph.evaluate_all(inputs, self.quantized_weights, activation)
         return (values, raw) if capture_raw else values
 
     def forward(self, inputs):
@@ -445,7 +436,7 @@ def export(sim: QuantSimModel, prefix) -> dict[str, Path]:
     manifest, blob = gir.model_paths(prefix)
     gir.save_model(sim.graph, manifest, blob)
     enc_path = Path(f"{prefix}.encodings.json")
-    enc_path.write_text(json.dumps(encodings_to_dict(sim), indent=2, sort_keys=True) + "\n")
+    gir.write_json(enc_path, encodings_to_dict(sim))
     return {"manifest": manifest, "weights": blob, "encodings": enc_path}
 
 

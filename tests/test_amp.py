@@ -10,7 +10,6 @@ from fixquant.amp import (
     build_pareto,
     choose_mixed_precision,
     find_layer_groups,
-    max_threads,
     sensitivity_analysis,
 )
 from fixquant.errors import CacheError, EncodingError
@@ -211,21 +210,6 @@ class TestSensitivity:
         sim = calibrated_sim()
         with pytest.raises(EncodingError):
             sensitivity_analysis(sim, find_layer_groups(sim), [], make_eval(sim), tmp_path)
-
-    def test_multithreaded_run_matches_single_thread(self, tmp_path, monkeypatch):
-        sim = calibrated_sim()
-        groups = find_layer_groups(sim)
-        sensitivity_analysis(sim, groups, CANDS, make_eval(sim), tmp_path / "a")
-        monkeypatch.setenv("FIXQUANT_THREADS", "4")
-        assert max_threads() == 4
-        sensitivity_analysis(sim, groups, CANDS, make_eval(sim), tmp_path / "b")
-        assert (tmp_path / "a/accuracy_list.json").read_bytes() == (
-            tmp_path / "b/accuracy_list.json"
-        ).read_bytes()
-
-    def test_bad_thread_env_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setenv("FIXQUANT_THREADS", "lots")
-        assert max_threads() == 1
 
 
 class TestChooseMixedPrecision:

@@ -202,6 +202,14 @@ def test_amp_bad_candidate_string_is_data_error(capsys, model_prefix, data_prefi
     assert capsys.readouterr().err.startswith("error:encoding:")
 
 
+@pytest.mark.parametrize("candidates", ["16", "16,16;x,8", "16,16;8,8,8"])
+def test_amp_malformed_candidates_are_usage_errors(capsys, model_prefix, data_prefix, tmp_path, candidates):
+    argv = ["amp", "--model", model_prefix, "--data", data_prefix, "--out", str(tmp_path / "o")]
+    assert main(argv + ["--candidates", candidates]) == 2
+    assert "argument --candidates" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any work
+
+
 def test_export_round_trip(capsys, model_prefix, data_prefix, tmp_path):
     cal = tmp_path / "cal"
     main(["calibrate", "--model", model_prefix, "--data", data_prefix, "--out", str(cal)])

@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fixquant import toys
 from fixquant.errors import GraphError, ModelFormatError, ShapeError
-from fixquant.graph_ir import GraphModel, Node, load_model, model_paths, save_model
+from fixquant.graph_ir import GraphModel, Node, load_model, model_paths, save_model, write_json
 
 
 def tiny_graph():
@@ -170,6 +171,22 @@ class TestSaveLoad:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "nope")
+
+    def test_interrupted_json_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "doc.json"
+        write_json(p, {"a": 1})
+
+        def torn_write(path, text):
+            with open(path, "w") as fh:
+                fh.write(text[:3])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            write_json(p, {"a": 2})
+        monkeypatch.undo()
+        assert json.loads(p.read_text()) == {"a": 1}
+        assert [f.name for f in tmp_path.iterdir()] == ["doc.json"]
 
     def test_model_paths_derivation(self):
         m, b = model_paths("/tmp/x/net")

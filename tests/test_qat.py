@@ -14,7 +14,7 @@ from fixquant.qat import (
     qat_train,
     softmax_cross_entropy,
 )
-from fixquant.quantsim import compute_encodings, create_quantsim
+from fixquant.quantsim import SimConfig, compute_encodings, create_quantsim
 
 
 def mixed_graph(seed=0):
@@ -90,10 +90,11 @@ class TestTapeForward:
 
     def test_tape_matches_sim_forward_when_quantized(self):
         model = mixed_graph(seed=4)
-        sim = calibrated_sim(model, (2, 3, 6, 6), seed=5)
         x = np.random.default_rng(6).normal(size=(2, 3, 6, 6))
-        tape = forward_with_tape(sim, x)
-        assert np.array_equal(tape.values[tape.output_id], sim.forward(x))
+        for config in (None, SimConfig.from_dict({"model_input": {"is_input_quantized": True}})):
+            sim = calibrated_sim(model, (2, 3, 6, 6), seed=5, config=config)
+            tape = forward_with_tape(sim, x)
+            assert np.array_equal(tape.values[tape.output_id], sim.forward(x))
 
 
 class TestConvBackward:
