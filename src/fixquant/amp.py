@@ -207,9 +207,10 @@ def _max_candidate(candidates: list[CandidatePair]) -> CandidatePair:
 # Bit ops
 
 
-def _mac_count(node) -> int:
-    """MACs from the layer shape alone (batch/spatial extent not modeled)."""
-    return int(np.prod(node.weights["weight"].shape))
+def _mac_count(sim: QuantSimModel, node) -> int:
+    """MACs per sample: weight elements times output H x W, the spatial size
+    recorded by compute_encodings (1 for linear layers, or if never run)."""
+    return int(np.prod(node.weights["weight"].shape)) * sim.mac_spatial.get(node.id, 1)
 
 
 def _bit_ops_terms(sim: QuantSimModel, groups: list[QuantizerGroup]):
@@ -221,7 +222,7 @@ def _bit_ops_terms(sim: QuantSimModel, groups: list[QuantizerGroup]):
         node = sim.graph.nodes[nid]
         if node.kind not in MAC_KINDS:
             continue
-        macs = _mac_count(node)
+        macs = _mac_count(sim, node)
         gid = node_group.get(nid)
         if gid is not None:
             group_macs[gid] += macs

@@ -64,8 +64,17 @@ def _add_sim_args(p):
     p.add_argument("--config", default=None, help="quantizer placement config JSON")
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as one line; subparsers inherit this
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fixquant", description="fixed-point inference toolkit")
+    parser = _Parser(prog="fixquant", description="fixed-point inference toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("quantsim", help="build, calibrate, and export a quantized simulation")
@@ -394,9 +403,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return EXIT_USAGE if code not in (0,) else EXIT_OK
+    except _UsageError as exc:
+        print(f"error:usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SystemExit as exc:  # --help
+        return EXIT_OK if not exc.code else EXIT_USAGE
     try:
         return args.func(args)
     except NumericError as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelFormatError, ShapeError
-from .graph_ir import write_json
+from .graph_ir import write_atomic, write_json
 
 __all__ = [
     "Dataset",
@@ -72,7 +72,7 @@ def save_dataset(ds: Dataset, prefix) -> None:
         },
     }
     write_json(manifest_path, manifest)
-    blob_path.write_bytes(x32.tobytes() + y32.tobytes())
+    write_atomic(blob_path, x32.tobytes() + y32.tobytes())
 
 
 def load_dataset(prefix) -> Dataset:

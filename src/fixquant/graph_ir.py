@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor_core as tc
 from .errors import GraphError, ModelFormatError, ShapeError
 
-__all__ = ["Node", "GraphModel", "load_model", "save_model", "model_paths", "write_json"]
+__all__ = ["Node", "GraphModel", "load_model", "save_model", "model_paths", "write_atomic", "write_json"]
 
 NODE_KINDS = {
     "linear",
@@ -231,16 +231,25 @@ def eval_kind(k: str, attrs: dict, w: dict, inputs: list[np.ndarray]) -> np.ndar
 # On-disk format
 
 
-def write_json(path, doc) -> None:
-    """Write ``doc`` as indented, key-sorted JSON; atomic, so an interrupted
-    write leaves the previous file (or none), never a truncated one."""
+def write_atomic(path, data: str | bytes) -> None:
+    """Write text or bytes through a temp file beside ``path`` and
+    ``os.replace``, so an interrupted write leaves the previous file (or
+    none), never a truncated one."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        if isinstance(data, str):
+            tmp.write_text(data)
+        else:
+            tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented, key-sorted JSON, atomically."""
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def model_paths(prefix) -> tuple[Path, Path]:
@@ -268,7 +277,7 @@ def save_model(model: GraphModel, manifest_path, blob_path=None) -> None:
     manifest = {"format": MANIFEST_FORMAT, "name": model.name, "nodes": manifest_nodes}
     write_json(manifest_path, manifest)
     blob = np.concatenate(chunks) if chunks else np.empty(0, dtype="<f4")
-    Path(blob_path).write_bytes(blob.tobytes())
+    write_atomic(blob_path, blob.tobytes())
 
 
 def load_model(manifest_path, blob_path=None) -> GraphModel:

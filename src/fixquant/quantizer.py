@@ -17,6 +17,7 @@ same scale, which makes save/load round trips bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -60,7 +61,7 @@ class QuantEncoding:
         if not (2 <= int(self.bitwidth) <= 32):
             raise EncodingError(f"bitwidth must be in [2, 32], got {self.bitwidth}")
         s = float(np.float32(self.scale))
-        if not np.isfinite(s) or s <= 0.0:
+        if not math.isfinite(s) or s <= 0.0:
             raise EncodingError(f"scale must be finite and positive, got {self.scale!r}")
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "zero_point", int(self.zero_point))

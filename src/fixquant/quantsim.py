@@ -149,6 +149,9 @@ class QuantSimModel:
         # Populated by compute_encodings; kept so bitwidth changes (mixed
         # precision) can re-derive encodings without another data pass.
         self.activation_stats: dict[str, RangeAccumulator] = {}
+        # Output H x W (1 for linear) of every MAC node, also set by
+        # compute_encodings; MAC counts for bit-ops multiply by it.
+        self.mac_spatial: dict[str, int] = {}
 
     # -- helpers ---------------------------------------------------------
 
@@ -343,6 +346,11 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
         for nid, acc in accs.items():
             acc.observe(values[nid])
     sim.activation_stats = accs
+    sim.mac_spatial = {
+        nid: int(np.prod(values[nid].shape[2:]))
+        for nid, node in sim.graph.nodes.items()
+        if node.kind in gir.MAC_KINDS
+    }
 
     for nid, spec in sim.activation_quantizers.items():
         if spec.frozen or not spec.enabled:

@@ -6,6 +6,12 @@ expected squared reconstruction error estimated on a fixed-width histogram
 of the observed data; rounding noise and clipping error are weighted
 equally (the clip weight is a documented, overridable constant).
 
+The search scores candidates as arrays, a chunk of candidates x bins at a
+time, in ascending order of their clipping error alone (a lower bound on the
+score, from prefix sums over the bins); it stops once the next bound exceeds
+the best score, so the pruning is exact. Ties go to the first minimum in
+candidate order.
+
 Accumulators track running min/max plus a histogram. Observing more batches
 grows the histogram range as needed; old counts are redistributed
 proportionally over the new bins, so the histogram is an approximation of
@@ -16,13 +22,14 @@ rebinning approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import CalibrationError, EncodingError
-from .quantizer import QuantEncoding, qdq_tensor
+from .quantizer import QuantEncoding, qdq_tensor, round_half_away  # qdq_tensor unused; stays bound for profilers
 
 __all__ = [
     "RangeScheme",
@@ -42,6 +49,10 @@ SQNR_CLIP_WEIGHT = 1.0
 # Degenerate observed ranges (max == min) are widened by half their magnitude
 # plus this epsilon so the scale stays positive.
 DEGENERATE_RANGE_EPS = 1e-5
+# The sqnr search scores chunks of at most this many candidate x bin elements.
+_SCORE_CHUNK_ELEMS = 1 << 16
+# Its relative slack: far above float64 sum rounding, far below a real gap.
+_SCORE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,16 +116,8 @@ class _Hist:
             return out
         if out.mx > out.mn:
             for h in (self, other):
-                if not h.count:
-                    continue
-                if h.mx > h.mn:
+                if h.count:
                     out.counts += _rebin(h.counts, h.edges(), out.mn, out.mx, out.bins)
-                else:
-                    idx = min(
-                        out.bins - 1,
-                        int((h.mn - out.mn) / (out.mx - out.mn) * out.bins),
-                    )
-                    out.counts[idx] += h.count
         else:
             out.counts[0] = out.count
         return out
@@ -123,34 +126,19 @@ class _Hist:
 def _rebin(counts: np.ndarray, old_edges: np.ndarray, mn: float, mx: float, bins: int) -> np.ndarray:
     """Redistribute histogram counts onto new equal-width bins over [mn, mx].
 
-    Each old bin's count is split over the new bins it overlaps,
-    proportionally to overlap length. Preserves the total count.
+    Each old bin's count is spread uniformly over its width: the cumulative
+    count, linear within every old bin, is interpolated at the new edges and
+    differenced. Preserves the total count.
     """
-    new = np.zeros(bins, dtype=np.float64)
-    width = (mx - mn) / bins
-    old_w = old_edges[1] - old_edges[0]
-    if old_w <= 0:
+    if old_edges[1] - old_edges[0] <= 0:
         # Old histogram was a single spike at old_edges[0].
+        new = np.zeros(bins, dtype=np.float64)
+        width = (mx - mn) / bins
         idx = min(bins - 1, int((old_edges[0] - mn) / width)) if width > 0 else 0
-        new[idx] += counts.sum()
+        new[idx] = counts.sum()
         return new
-    for i, c in enumerate(counts):
-        if c == 0.0:
-            continue
-        lo = old_edges[i]
-        hi = old_edges[i + 1]
-        b0 = int(np.clip((lo - mn) / width, 0, bins - 1))
-        b1 = int(np.clip((hi - mn) / width, 0, bins - 1))
-        if b0 == b1:
-            new[b0] += c
-            continue
-        frac = c / (hi - lo)
-        for b in range(b0, b1 + 1):
-            seg_lo = max(lo, mn + b * width)
-            seg_hi = min(hi, mn + (b + 1) * width)
-            if seg_hi > seg_lo:
-                new[b] += frac * (seg_hi - seg_lo)
-    return new
+    cum = np.concatenate(([0.0], np.cumsum(counts)))
+    return np.diff(np.interp(np.linspace(mn, mx, bins + 1), old_edges, cum))
 
 
 class RangeAccumulator:
@@ -254,7 +242,7 @@ def encoding_from_range(mn: float, mx: float, bitwidth: int, symmetric: bool) ->
     integer zero-point; symmetric grids cover max(|mn|, |mx|) and use the
     signed grid when any negative value was seen.
     """
-    if not (np.isfinite(mn) and np.isfinite(mx)) or mn > mx:
+    if not (math.isfinite(mn) and math.isfinite(mx)) or mn > mx:
         raise CalibrationError(f"invalid observed range [{mn}, {mx}]")
     if symmetric:
         r = max(abs(mn), abs(mx))
@@ -273,12 +261,12 @@ def encoding_from_range(mn: float, mx: float, bitwidth: int, symmetric: bool) ->
     if float(np.float32(scale)) <= 0.0:
         lo, hi = lo - DEGENERATE_RANGE_EPS, hi + DEGENERATE_RANGE_EPS
         scale = (hi - lo) / (2**bitwidth - 1)
-    zp = int(np.clip(round_half_away_scalar(-lo / scale), 0, 2**bitwidth - 1))
+    zp = int(min(max(round_half_away_scalar(-lo / scale), 0.0), 2**bitwidth - 1))
     return QuantEncoding(scale=scale, zero_point=zp, bitwidth=bitwidth, signed=False, symmetric=False)
 
 
 def round_half_away_scalar(v: float) -> float:
-    return float(np.sign(v) * np.floor(abs(v) + 0.5))
+    return math.copysign(math.floor(abs(v) + 0.5), v)
 
 
 def compute_minmax(acc: RangeAccumulator, bitwidth: int, symmetric: bool):
@@ -291,14 +279,61 @@ def compute_minmax(acc: RangeAccumulator, bitwidth: int, symmetric: bool):
     return out
 
 
-def _estimated_mse(centers: np.ndarray, counts: np.ndarray, enc: QuantEncoding, clip_weight: float) -> float:
-    """Expected squared error of qdq over the histogram, error split by region."""
-    rec = qdq_tensor(centers, enc)
-    err = (rec - centers) ** 2
+def _errors(centers, scale, zp, q_lo, q_hi, clip_weight) -> np.ndarray:
+    """Squared qdq error per candidate x bin, elementwise as ``qdq_tensor``;
+    clipped bins count ``clip_weight`` times."""
+    s, z = scale[:, None], zp[:, None]
+    q = np.clip(round_half_away(centers / s) + z, q_lo, q_hi)
+    err = (s * (q - z) - centers) ** 2
     if clip_weight != 1.0:
-        outside = (centers < enc.grid_min) | (centers > enc.grid_max)
+        outside = (centers < s * (q_lo - z)) | (centers > s * (q_hi - z))
         err = np.where(outside, clip_weight * err, err)
-    return float(np.dot(err, counts) / counts.sum())
+    return err
+
+
+def _clip_lower_bounds(centers, counts, gmin, gmax) -> np.ndarray:
+    """Squared error of the bins outside each grid, from prefix (suffix) sums
+    of w, w*c and w*c^2, less _SCORE_RTOL of the terms' size to cover the
+    float cancellation: never above the true sum."""
+    terms = np.stack([counts, counts * centers, counts * centers * centers])
+    pre = np.concatenate([np.zeros((3, 1)), np.cumsum(terms, axis=1)], axis=1)
+    suf = np.concatenate([np.cumsum(terms[:, ::-1], axis=1)[:, ::-1], np.zeros((3, 1))], axis=1)
+    out = 0.0
+    for g, (w, wc, wcc) in (
+        (gmin, pre[:, np.searchsorted(centers, gmin, side="left")]),  # bins below the grid
+        (gmax, suf[:, np.searchsorted(centers, gmax, side="right")]),  # bins above it
+    ):
+        out = out + (g * g * w - 2.0 * g * wc + wcc) - _SCORE_RTOL * (g * g * w + wcc)
+    return out
+
+
+def _first_min(centers, counts, scale, zp, q_lo, q_hi, clip_weight) -> Optional[int]:
+    """Index of the first candidate with the least estimated mse; None if no
+    score is finite. Chunks are scored in ascending order of the clip-only
+    lower bound until the next bound exceeds the best score. Near-best
+    candidates are rescored one at a time with ``np.dot``, so neither the
+    argmin nor its tie break depends on how the matrix product sums."""
+    total = counts.sum()
+    gmin, gmax = scale * (q_lo - zp), scale * (q_hi - zp)
+    lower = _clip_lower_bounds(centers, counts, gmin, gmax) * clip_weight / total
+    order = np.argsort(lower, kind="stable")
+    rows = max(1, _SCORE_CHUNK_ELEMS // centers.size)
+    best, scored = np.inf, []
+    for start in range(0, order.size, rows):
+        if lower[order[start]] > best * (1.0 + _SCORE_RTOL):
+            break
+        idx = order[start : start + rows]
+        mse = _errors(centers, scale[idx], zp[idx], q_lo, q_hi, clip_weight) @ counts / total
+        best = min(best, float(mse.min()))
+        scored.append((idx, mse))
+    if not np.isfinite(best):
+        return None
+    near = np.sort(np.concatenate([idx[mse <= best * (1.0 + _SCORE_RTOL)] for idx, mse in scored]))
+    exact = [
+        float(np.dot(_errors(centers, scale[i : i + 1], zp[i : i + 1], q_lo, q_hi, clip_weight)[0], counts) / total)
+        for i in near
+    ]
+    return int(near[np.argmin(exact)])
 
 
 def _sqnr_single(hist: _Hist, bitwidth: int, symmetric: bool, steps: int, clip_weight: float) -> QuantEncoding:
@@ -311,34 +346,35 @@ def _sqnr_single(hist: _Hist, bitwidth: int, symmetric: bool, steps: int, clip_w
     centers = hist.centers()[nz]
     counts = hist.counts[nz]
 
-    best = None
-    best_mse = np.inf
-    if symmetric:
-        r_full = max(abs(mn), abs(mx))
-        for i in range(steps):
-            r = r_full * (1.0 - i / steps)
-            if r <= 0.0:
-                break
-            enc = encoding_from_range(-r if mn < 0 else 0.0, r, bitwidth, True)
-            mse = _estimated_mse(centers, counts, enc, clip_weight)
-            if mse < best_mse:
-                best, best_mse = enc, mse
-        return best
-    # Each side shrinks toward zero (the grid always contains zero); a side
-    # that is already at zero contributes a single candidate.
-    los = [mn * (1.0 - i / steps) for i in range(steps)] if mn < 0 else [min(0.0, mn)]
-    his = [mx * (1.0 - j / steps) for j in range(steps)] if mx > 0 else [max(0.0, mx)]
-    for lo in los:
-        for hi in his:
-            if hi - lo <= 0.0:
-                continue
-            enc = encoding_from_range(lo, hi, bitwidth, False)
-            mse = _estimated_mse(centers, counts, enc, clip_weight)
-            if mse < best_mse:
-                best, best_mse = enc, mse
+    # Candidate grids as encoding_from_range(lo, hi) would build them.
+    shrink = 1.0 - np.arange(steps) / steps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if symmetric:
+            his = max(abs(mn), abs(mx)) * shrink
+            his = his[his > 0.0]
+            los = -his if mn < 0 else np.zeros_like(his)
+            q_lo, q_hi = (-(2 ** (bitwidth - 1)), 2 ** (bitwidth - 1) - 1) if mn < 0 else (0, 2**bitwidth - 1)
+            raw, zp = his / q_hi, np.zeros_like(his)
+        else:
+            # Each side shrinks toward zero (the grid always contains zero); a
+            # side already at zero gives a single candidate. Pairs run lo-major.
+            lo_side = mn * shrink if mn < 0 else np.array([min(0.0, mn)])
+            hi_side = mx * shrink if mx > 0 else np.array([max(0.0, mx)])
+            los, his = np.repeat(lo_side, hi_side.size), np.tile(hi_side, lo_side.size)
+            keep = his - los > 0.0
+            los, his = los[keep], his[keep]
+            q_lo, q_hi = 0, 2**bitwidth - 1
+            raw = (his - los) / q_hi
+            zp = np.clip(round_half_away(-los / raw), q_lo, q_hi)
+        scale = raw.astype(np.float32).astype(np.float64)  # snapped as QuantEncoding does
+    # float32 underflow (or overflow) takes encoding_from_range's fix-ups
+    for i in np.flatnonzero(~(np.isfinite(scale) & (scale > 0.0))):
+        e = encoding_from_range(float(los[i]), float(his[i]), bitwidth, symmetric)
+        scale[i], zp[i] = e.scale, e.zero_point
+    best = _first_min(centers, counts, scale, zp, q_lo, q_hi, clip_weight)
     if best is None:
-        return encoding_from_range(mn, mx, bitwidth, False)
-    return best
+        return encoding_from_range(mn, mx, bitwidth, symmetric)
+    return encoding_from_range(float(los[best]), float(his[best]), bitwidth, symmetric)
 
 
 def compute_sqnr(
@@ -352,10 +388,14 @@ def compute_sqnr(
 
     The candidate grid shrinks each side of the observed range toward zero
     in ``steps`` equal fractions; for every candidate the expected squared
-    error of quantize-dequantize is estimated on the accumulated histogram
-    and the argmin candidate wins (first minimum on ties, so the result is
-    deterministic). Returns a list (one entry per channel).
+    error of quantize-dequantize (clipped bins times ``clip_weight``) is
+    estimated on the accumulated histogram, scored as arrays with exact
+    lower-bound pruning, and the argmin candidate wins (first minimum in
+    lo-major candidate order on ties, so the result is deterministic).
+    Returns a list (one entry per channel).
     """
+    if not (math.isfinite(clip_weight) and clip_weight >= 0.0):
+        raise CalibrationError(f"clip_weight must be finite and non-negative, got {clip_weight!r}")
     return [_sqnr_single(h, bitwidth, symmetric, steps, clip_weight) for h in acc.histograms()]
 
 

@@ -360,3 +360,59 @@ class TestBuildParetoDirect:
         groups = find_layer_groups(sim)
         with pytest.raises(CacheError):
             build_pareto(sim, groups, [(8, 8), (8, 4)], [], make_eval(sim), 10.0, tmp_path)
+
+
+class TestConvBitOps:
+    """MACs of a conv are weight elements times its output H x W."""
+
+    @staticmethod
+    def strided_sim():
+        # conv1 keeps 8x8, conv2 halves it to 4x4: conv1 has fewer weights
+        # (216 vs 576) but more MACs (216*64 = 13,824 vs 576*16 = 9,216)
+        rng = np.random.default_rng(0)
+        nodes = [
+            Node("in", "input"),
+            Node(
+                "conv1",
+                "conv2d",
+                inputs=["in"],
+                weights={"weight": rng.normal(size=(8, 3, 3, 3)), "bias": rng.normal(size=8)},
+                attrs={"stride": 1, "padding": 1},
+            ),
+            Node("relu1", "relu", inputs=["conv1"]),
+            Node(
+                "conv2",
+                "conv2d",
+                inputs=["relu1"],
+                weights={"weight": rng.normal(size=(8, 8, 3, 3)), "bias": rng.normal(size=8)},
+                attrs={"stride": 2, "padding": 1},
+            ),
+            Node("out", "output", inputs=["conv2"]),
+        ]
+        sim = create_quantsim(GraphModel(nodes, name="strided"))
+        compute_encodings(sim, toys.random_feed((2, 3, 8, 8), n_batches=1))
+        return sim
+
+    def test_bit_ops_count_output_positions(self):
+        sim = self.strided_sim()
+        groups = find_layer_groups(sim)
+        assert sim.mac_spatial == {"conv1": 64, "conv2": 16}
+        assignment = {g.group_id: (8, 4) for g in groups}
+        assert bit_ops(sim, assignment, groups) == (216 * 64 + 576 * 16) * 32
+
+    def test_first_pareto_move_lowers_the_most_macs(self, tmp_path):
+        from fixquant.amp import ACCURACY_LIST_FORMAT, AccuracyEntry, fingerprint
+
+        sim = self.strided_sim()
+        groups = find_layer_groups(sim)
+        by_node = {nid: g.group_id for g in groups for nid in g.node_ids}
+        cands = [(8, 8), (8, 4)]
+        # equal phase-1 drops, so the move saving the most bit-ops goes first
+        (tmp_path / "accuracy_list.json").write_text(
+            json.dumps({"format": ACCURACY_LIST_FORMAT, "fingerprint": fingerprint(sim, cands), "baseline": 1.0})
+        )
+        acc = [AccuracyEntry(g.group_id, CandidatePair(8, 4), 0.9) for g in groups]
+        x = toys.random_feed((2, 3, 8, 8), n_batches=1)[0]
+        entries = build_pareto(sim, groups, cands, acc, lambda s: -float(np.mean(s.forward(x) ** 2)), 1e9, tmp_path)
+        assert entries[0].group_id == by_node["conv1"]
+        assert entries[0].relative_bit_ops == pytest.approx(1 - 216 * 64 / (2 * (216 * 64 + 576 * 16)))

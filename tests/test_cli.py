@@ -267,3 +267,21 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "fixquant" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["quantsim", "--data", "d", "--out", "o"],
+        ["amp", "--model", "m", "--data", "d", "--out", "o", "--candidates", "16,16;x,8"],
+    ],
+    ids=["no-command", "unknown-command", "missing-model", "bad-candidates"],
+)
+def test_usage_errors_print_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:usage: ")
+    assert captured.out == ""

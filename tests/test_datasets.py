@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,3 +91,21 @@ def test_metric_score_orientation():
     # higher is better for both metrics once mapped through metric_score
     assert metric_score(0.9, "accuracy") > metric_score(0.5, "accuracy")
     assert metric_score(0.1, "mse") > metric_score(2.0, "mse")
+
+
+def test_interrupted_blob_write_keeps_previous_file(tmp_path, monkeypatch):
+    save_dataset(toys.spiral_dataset(n_per_class=10, seed=0), tmp_path / "d")
+    blob = dataset_paths(tmp_path / "d")[1].read_bytes()
+
+    def torn_write(path, data):
+        with open(path, "wb") as fh:
+            fh.write(data[:5])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(KeyboardInterrupt):
+        save_dataset(toys.spiral_dataset(n_per_class=10, seed=1), tmp_path / "d")
+    monkeypatch.undo()
+    assert dataset_paths(tmp_path / "d")[1].read_bytes() == blob
+    assert len(load_dataset(tmp_path / "d")) == 20
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.data.bin", "d.data.json"]

@@ -188,6 +188,23 @@ class TestSaveLoad:
         assert json.loads(p.read_text()) == {"a": 1}
         assert [f.name for f in tmp_path.iterdir()] == ["doc.json"]
 
+    def test_interrupted_blob_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        old = toys.mlp([3, 4, 2], seed=0)
+        save_model(old, tmp_path / "net")
+        blob = (tmp_path / "net.weights.bin").read_bytes()
+
+        def torn_write(path, data):
+            with open(path, "wb") as fh:
+                fh.write(data[:5])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            save_model(toys.mlp([3, 4, 2], seed=1), tmp_path / "net")
+        monkeypatch.undo()
+        assert (tmp_path / "net.weights.bin").read_bytes() == blob
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["net.model.json", "net.weights.bin"]
+
     def test_model_paths_derivation(self):
         m, b = model_paths("/tmp/x/net")
         assert str(m).endswith("net.model.json")

@@ -232,3 +232,222 @@ def test_minmax_encoding_independent_of_batch_split(chunks):
     (a,) = rs.compute_minmax(split, 8, False)
     (b,) = rs.compute_minmax(whole, 8, False)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the scalar sqnr search loop and the bin-by-bin rebinning loop. The
+# library scores candidates as arrays and rebins by interpolation; both must
+# reproduce these exactly (encodings) or to rounding (histogram counts).
+
+
+def _oracle_mse(centers, counts, enc, clip_weight):
+    rec = qdq_tensor(centers, enc)
+    err = (rec - centers) ** 2
+    if clip_weight != 1.0:
+        outside = (centers < enc.grid_min) | (centers > enc.grid_max)
+        err = np.where(outside, clip_weight * err, err)
+    return float(np.dot(err, counts) / counts.sum())
+
+
+def _oracle_sqnr(hist, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS, clip_weight=1.0):
+    mn, mx = hist.mn, hist.mx
+    if mx <= mn:
+        return rs.encoding_from_range(mn, mx, bitwidth, symmetric)
+    nz = hist.counts > 0
+    centers = hist.centers()[nz]
+    counts = hist.counts[nz]
+    best, best_mse = None, np.inf
+    if symmetric:
+        r_full = max(abs(mn), abs(mx))
+        for i in range(steps):
+            r = r_full * (1.0 - i / steps)
+            if r <= 0.0:
+                break
+            enc = rs.encoding_from_range(-r if mn < 0 else 0.0, r, bitwidth, True)
+            mse = _oracle_mse(centers, counts, enc, clip_weight)
+            if mse < best_mse:
+                best, best_mse = enc, mse
+        return best
+    los = [mn * (1.0 - i / steps) for i in range(steps)] if mn < 0 else [min(0.0, mn)]
+    his = [mx * (1.0 - j / steps) for j in range(steps)] if mx > 0 else [max(0.0, mx)]
+    for lo in los:
+        for hi in his:
+            if hi - lo <= 0.0:
+                continue
+            enc = rs.encoding_from_range(lo, hi, bitwidth, False)
+            mse = _oracle_mse(centers, counts, enc, clip_weight)
+            if mse < best_mse:
+                best, best_mse = enc, mse
+    return best if best is not None else rs.encoding_from_range(mn, mx, bitwidth, False)
+
+
+def _oracle_rebin(counts, old_edges, mn, mx, bins):
+    new = np.zeros(bins, dtype=np.float64)
+    width = (mx - mn) / bins
+    if old_edges[1] - old_edges[0] <= 0:
+        idx = min(bins - 1, int((old_edges[0] - mn) / width)) if width > 0 else 0
+        new[idx] += counts.sum()
+        return new
+    for i, c in enumerate(counts):
+        if c == 0.0:
+            continue
+        lo, hi = old_edges[i], old_edges[i + 1]
+        b0 = int(np.clip((lo - mn) / width, 0, bins - 1))
+        b1 = int(np.clip((hi - mn) / width, 0, bins - 1))
+        if b0 == b1:
+            new[b0] += c
+            continue
+        frac = c / (hi - lo)
+        for b in range(b0, b1 + 1):
+            seg_lo = max(lo, mn + b * width)
+            seg_hi = min(hi, mn + (b + 1) * width)
+            if seg_hi > seg_lo:
+                new[b] += frac * (seg_hi - seg_lo)
+    return new
+
+
+def _assert_same_encodings(acc, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS, clip_weight=1.0):
+    got = rs.compute_sqnr(acc, bitwidth, symmetric, steps=steps, clip_weight=clip_weight)
+    want = [_oracle_sqnr(h, bitwidth, symmetric, steps, clip_weight) for h in acc.histograms()]
+    for g, w in zip(got, want):
+        assert (g.scale, g.zero_point) == (w.scale, w.zero_point)
+        assert g == w
+    assert len(got) == len(want)
+
+
+class TestSqnrMatchesScalarOracle:
+    # 40 steps keep the oracle's 1,600-candidate loop cheap while still
+    # spanning many score chunks at ~1,000 nonzero bins.
+    @pytest.mark.parametrize("clip_weight", [1.0, 2.0])
+    @pytest.mark.parametrize("bitwidth", [2, 4, 8, 16])
+    @pytest.mark.parametrize("signed_data", [True, False])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_grid(self, symmetric, signed_data, bitwidth, clip_weight):
+        rng = np.random.default_rng(bitwidth + 10 * symmetric + 100 * signed_data)
+        x = rng.standard_t(df=4, size=3000)
+        if not signed_data:
+            x = np.abs(x)
+        acc = RangeAccumulator().observe(x)
+        _assert_same_encodings(acc, bitwidth, symmetric, steps=40, clip_weight=clip_weight)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("kind", ["nonnegative", "nonpositive", "outlier"])
+    def test_one_sided_and_outlier_ranges_at_full_steps(self, kind, symmetric):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=512)
+        if kind == "nonnegative":
+            x = np.abs(x) + 0.25  # mn > 0
+        elif kind == "nonpositive":
+            x = -np.abs(x)  # mx <= 0
+        else:
+            x[0] = 12.0  # 12 sigma
+        acc = RangeAccumulator().observe(x)
+        for bitwidth in (4, 8):
+            _assert_same_encodings(acc, bitwidth, symmetric)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("bitwidth", [8, 16])
+    def test_float32_snap_fallback(self, symmetric, bitwidth, monkeypatch):
+        # ranges so narrow that shrunk candidate scales underflow float32
+        x = np.random.default_rng(8).normal(size=200) * 1e-42
+        acc = RangeAccumulator().observe(x)
+        calls = []
+        real = rs.encoding_from_range
+        monkeypatch.setattr(rs, "encoding_from_range", lambda *a: calls.append(a) or real(*a))
+        rs.compute_sqnr(acc, bitwidth, symmetric, steps=40)
+        monkeypatch.undo()
+        assert len(calls) > 1  # fix-ups, besides building the winner
+        _assert_same_encodings(acc, bitwidth, symmetric, steps=40)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_per_channel_accumulator(self, symmetric):
+        rng = np.random.default_rng(9)
+        acc = RangeAccumulator(channel_axis=0)
+        scales = np.array([0.5, 1.0, 2.0, 4.0])[:, None, None]
+        acc.observe(rng.normal(size=(4, 8, 9)) * scales)
+        grown = rng.normal(size=(4, 8, 9)) * scales * 1.5  # re-bins every channel
+        grown[2, 0, 0] = 30.0
+        acc.observe(grown)
+        _assert_same_encodings(acc, 4, symmetric, steps=40)
+
+    def test_rejects_negative_clip_weight(self):
+        acc = RangeAccumulator().observe(np.array([-1.0, 2.0]))
+        with pytest.raises(CalibrationError):
+            rs.compute_sqnr(acc, 8, False, clip_weight=-1.0)
+
+
+class TestRebinMatchesOracle:
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize("grow", ["low", "high", "both", "none"])
+    @pytest.mark.parametrize("bins", [16, 64, 2048])
+    def test_per_bin(self, bins, grow, fractional):
+        rng = np.random.default_rng(bins + len(grow))
+        counts = rng.integers(0, 40, size=bins).astype(np.float64)
+        if fractional:
+            counts *= rng.random(bins)
+        old_edges = np.linspace(-1.3, 2.1, bins + 1)
+        mn = -1.3 - (0.7 if grow in ("low", "both") else 0.0)
+        mx = 2.1 + (5.2 if grow in ("high", "both") else 0.0)
+        got = rs._rebin(counts, old_edges, mn, mx, bins)
+        want = _oracle_rebin(counts, old_edges, mn, mx, bins)
+        total = counts.sum()
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * total)
+        assert got.sum() == pytest.approx(total, rel=1e-12)
+
+    def test_single_spike(self):
+        old_edges = np.full(9, 0.5)
+        got = rs._rebin(np.array([5.0] + [0.0] * 7), old_edges, -1.0, 1.0, 8)
+        np.testing.assert_array_equal(got, _oracle_rebin(np.array([5.0] + [0.0] * 7), old_edges, -1.0, 1.0, 8))
+
+    def test_merge_conserves_total(self):
+        rng = np.random.default_rng(11)
+        a = RangeAccumulator(bins=128).observe(rng.normal(size=500))
+        a.observe(rng.normal(size=300) * 3)  # grows, so a's counts are fractional
+        b = RangeAccumulator(bins=128).observe(rng.normal(size=200) + 6)
+        spike = RangeAccumulator(bins=128).observe(np.full(7, -4.0))
+        merged = a.merge(b).merge(spike)
+        h = merged.histograms()[0]
+        assert h.count == 1007
+        assert h.counts.sum() == pytest.approx(1007, rel=1e-12)
+        assert (h.mn, h.mx) == (min(a.histograms()[0].mn, -4.0), b.histograms()[0].mx)
+
+
+class TestSqnrSearchOrder:
+    def test_exact_tie_goes_to_first_lo_major_candidate(self):
+        # centers -0.125 and 0.125 sit exactly on several 2-bit grids (score
+        # 0); the first of them in lo-major order has zero point 2
+        acc = RangeAccumulator(bins=2).observe(np.array([-0.25, 0.25]))
+        (e,) = rs.compute_sqnr(acc, 2, symmetric=False, steps=4)
+        assert (e.scale, e.zero_point) == (0.125, 2)
+        _assert_same_encodings(acc, 2, False, steps=4)
+
+    def test_exact_tie_goes_to_widest_symmetric_candidate(self):
+        # the one center, -1.0, is on the signed 2-bit grids of radius 1.0 and
+        # 0.5 alike; the wider one comes first
+        acc = RangeAccumulator(bins=1).observe(np.array([-2.5, 0.5]))
+        (e,) = rs.compute_sqnr(acc, 2, symmetric=True, steps=5)
+        assert e.scale == 1.0
+        _assert_same_encodings(acc, 2, True, steps=5)
+
+    def test_clip_lower_bound_is_below_the_clipped_error(self):
+        rng = np.random.default_rng(12)
+        centers = np.sort(rng.standard_t(df=3, size=2048))
+        counts = rng.integers(1, 50, size=2048).astype(np.float64)
+        gmin = rng.uniform(-6.0, 0.0, size=500)
+        gmax = rng.uniform(0.0, 6.0, size=500)
+        got = rs._clip_lower_bounds(centers, counts, gmin, gmax)
+        below = np.clip(gmin[:, None] - centers, 0.0, None)
+        above = np.clip(centers - gmax[:, None], 0.0, None)
+        want = (below**2 + above**2) @ counts
+        assert np.all(got <= want)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * counts.sum())
+
+    def test_pruning_scores_a_winner_whose_error_is_all_clipping(self):
+        # 64 wide grids clip nothing (lower bound 0) but round coarsely; the
+        # 10-bit unit grid clips the top half of the centers and rounds
+        # nothing, so its lower bound equals its score, which is the best
+        centers = np.arange(2048.0)
+        counts = np.ones(2048)
+        scale = np.concatenate([np.linspace(1600.0, 1800.0, 64), [1.0]])
+        zp = np.zeros_like(scale)
+        assert rs._first_min(centers, counts, scale, zp, 0, 1023, 1.0) == 64
