@@ -23,7 +23,6 @@ moves everything else in the group.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
@@ -34,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CacheError, CalibrationError, EncodingError
-from .graph_ir import MAC_KINDS, GraphModel, write_json
+from .graph_ir import MAC_KINDS, GraphModel, write_csv, write_json
 from .quantsim import QuantSimModel, _fill_avgpool_reuse, compute_param_encodings
 from .range_setting import compute_encodings_from_accumulator
 
@@ -350,11 +349,8 @@ def sensitivity_analysis(
         doc["entries"].append({"group": g.group_id, "candidate": c.as_list(), "accuracy": score})
         write_json(path, doc)
 
-    with open(cache_dir / "sensitivity.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "candidate", "metric"])
-        for e in doc["entries"]:
-            writer.writerow([e["group"], f"{e['candidate'][0]}x{e['candidate'][1]}", e["accuracy"]])
+    rows = [[e["group"], f"{e['candidate'][0]}x{e['candidate'][1]}", e["accuracy"]] for e in doc["entries"]]
+    write_csv(cache_dir / "sensitivity.csv", ["group", "candidate", "metric"], rows)
 
     return [
         AccuracyEntry(e["group"], CandidatePair.of(e["candidate"]), e["accuracy"])
@@ -471,19 +467,11 @@ def build_pareto(
         )
         write_json(path, doc)
 
-    with open(cache_dir / "pareto.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "group", "candidate", "relative_bit_ops", "accuracy"])
-        for i, e in enumerate(doc["entries"]):
-            writer.writerow(
-                [
-                    i,
-                    e["group"],
-                    f"{e['candidate'][0]}x{e['candidate'][1]}",
-                    e["relative_bit_ops"],
-                    e["accuracy"],
-                ]
-            )
+    rows = [
+        [i, e["group"], f"{e['candidate'][0]}x{e['candidate'][1]}", e["relative_bit_ops"], e["accuracy"]]
+        for i, e in enumerate(doc["entries"])
+    ]
+    write_csv(cache_dir / "pareto.csv", ["index", "group", "candidate", "relative_bit_ops", "accuracy"], rows)
 
     return [
         ParetoEntry(e["group"], CandidatePair.of(e["candidate"]), e["relative_bit_ops"], e["accuracy"])

@@ -15,7 +15,6 @@ The flow, each stage narrowing the cause:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import Dataset, evaluate, iter_batches, metric_score
-from .graph_ir import GraphModel
+from .graph_ir import GraphModel, write_csv
 from .quantsim import QuantSimModel, SimConfig, compute_encodings, create_quantsim
 from .range_setting import RangeScheme
 
@@ -152,9 +151,7 @@ def run_debug(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "debug_layers.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "quantizer", "kind", "score", "drop"])
-            for i, row in enumerate(report.layer_table):
-                writer.writerow([i, row["quantizer"], row["kind"], row["score"], row["drop"]])
+        header = ["rank", "quantizer", "kind", "score", "drop"]
+        rows = [[i, *(row[k] for k in header[1:])] for i, row in enumerate(report.layer_table)]
+        write_csv(out_dir / "debug_layers.csv", header, rows)
     return report

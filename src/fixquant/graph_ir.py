@@ -18,6 +18,8 @@ arithmetic), so save followed by load is an identity.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -28,7 +30,9 @@ import numpy as np
 from . import tensor_core as tc
 from .errors import GraphError, ModelFormatError, ShapeError
 
-__all__ = ["Node", "GraphModel", "load_model", "save_model", "model_paths", "write_atomic", "write_json"]
+__all__ = [
+    "Node", "GraphModel", "load_model", "save_model", "model_paths", "write_atomic", "write_csv", "write_json"
+]
 
 NODE_KINDS = {
     "linear",
@@ -250,6 +254,16 @@ def write_atomic(path, data: str | bytes) -> None:
 def write_json(path, doc) -> None:
     """Write ``doc`` as indented, key-sorted JSON, atomically."""
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and ``rows`` as CSV, atomically. The ``csv``
+    module's default dialect ends lines with CRLF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue().encode())
 
 
 def model_paths(prefix) -> tuple[Path, Path]:

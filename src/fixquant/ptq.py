@@ -497,7 +497,8 @@ def _layer_weight_grad(node, x: np.ndarray, gy: np.ndarray) -> np.ndarray:
     if node.kind == "linear":
         xf = x.reshape(x.shape[0], -1) if x.ndim != 2 else x
         return gy.T @ xf
-    from .qat import conv2d_backward  # local import to avoid a module cycle
+    # Not a cycle: looked up per call so profilers that patch qat.conv2d_backward see these calls.
+    from .qat import conv2d_backward
 
     gw, _, _ = conv2d_backward(
         gy,

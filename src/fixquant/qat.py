@@ -18,7 +18,6 @@ them. There is no general autograd.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .errors import CalibrationError, NumericError
-from .graph_ir import MAC_KINDS
+from .graph_ir import MAC_KINDS, write_csv
 from .quantizer import qdq, ste_mask  # qdq unused; stays bound for profilers that patch qat.qdq
 from .quantsim import QuantSimModel, compute_encodings, compute_param_encodings
 
@@ -58,28 +57,6 @@ def _ste(g: np.ndarray, x: np.ndarray, spec) -> np.ndarray:
     return g if spec is None or not spec.enabled else g * ste_mask(x, spec)
 
 
-def _pad2d(x: np.ndarray, padding: tuple[int, int]) -> np.ndarray:
-    ph, pw = padding
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
-def _conv2d_patches(x: np.ndarray, kh: int, kw: int, stride: tuple[int, int]):
-    """View of all kh x kw patches: (N, C, Ho, Wo, kh, kw)."""
-    sh, sw = stride
-    n, c, h, w = x.shape
-    ho = (h - kh) // sh + 1
-    wo = (w - kw) // sw + 1
-    sn, sc, sy, sx = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, ho, wo, kh, kw),
-        strides=(sn, sc, sy * sh, sx * sw, sy, sx),
-        writeable=False,
-    )
-
-
 def conv2d_backward(
     gy: np.ndarray,
     x: np.ndarray,
@@ -90,42 +67,21 @@ def conv2d_backward(
     need_input_grad: bool = True,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Gradients of conv2d: (d/dw, d/dx, d/dbias)."""
-    stride = tc._pair(stride, "stride")
-    padding = tc._pair(padding, "padding")
     w = np.asarray(w, dtype=np.float64)
-    oc, icg, kh, kw = w.shape
-    xp = _pad2d(np.asarray(x, dtype=np.float64), padding)
     gy = np.asarray(gy, dtype=np.float64)
+    oc, icg, kh, kw = w.shape
     ocg = oc // groups
-
-    patches = _conv2d_patches(xp, kh, kw, stride)
+    patches = tc.windows(x, (kh, kw), stride, padding)
     gw = np.empty(w.shape, dtype=np.float64)
+    gx = np.empty(patches.shape[:2] + np.shape(x)[2:]) if need_input_grad else None
     for g in range(groups):
-        pg = patches[:, g * icg : (g + 1) * icg]
-        gg = gy[:, g * ocg : (g + 1) * ocg]
-        gw[g * ocg : (g + 1) * ocg] = np.einsum("nchwkl,nohw->ockl", pg, gg)
-
-    gb = gy.sum(axis=(0, 2, 3))
-
-    gx = None
-    if need_input_grad:
-        gxp = np.zeros_like(xp)
-        sh, sw = stride
-        ho, wo = gy.shape[2], gy.shape[3]
-        for g in range(groups):
-            wg = w[g * ocg : (g + 1) * ocg]  # (ocg, icg, kh, kw)
-            gg = gy[:, g * ocg : (g + 1) * ocg]  # (N, ocg, Ho, Wo)
-            # Scatter each output position's contribution back onto the pad.
-            contrib = np.einsum("nohw,ockl->nchwkl", gg, wg)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, g * icg : (g + 1) * icg, i : i + ho * sh : sh, j : j + wo * sw : sw] += (
-                        contrib[:, :, :, :, i, j]
-                    )
-        ph, pw = padding
-        h, wdt = x.shape[2], x.shape[3]
-        gx = gxp[:, :, ph : ph + h, pw : pw + wdt]
-    return gw, gx, gb
+        ci, co = slice(g * icg, (g + 1) * icg), slice(g * ocg, (g + 1) * ocg)
+        gw[co] = np.einsum("nchwkl,nohw->ockl", patches[:, ci], gy[:, co])
+        if need_input_grad:
+            # Each output position's contribution to its window, summed back.
+            contrib = np.einsum("nohw,ockl->nchwkl", gy[:, co], w[co])
+            gx[:, ci] = tc.windows_adjoint(contrib, gx.shape, stride, padding)
+    return gw, gx, gy.sum(axis=(0, 2, 3))
 
 
 def forward_with_tape(sim: QuantSimModel, inputs) -> Tape:
@@ -196,58 +152,24 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
     return param_grads
 
 
-def _pool_geometry(attrs) -> tuple:
-    """(kernel, stride, padding) pairs of a pooling node."""
-    kernel = attrs["kernel"]
-    return (
-        tc._pair(kernel, "kernel"),
-        tc._pair(attrs.get("stride", kernel), "stride"),
-        tc._pair(attrs.get("padding", 0), "padding"),
-    )
-
-
-def _maxpool_argmax(x, kernel, stride, padding) -> np.ndarray:
-    """Flat in-window index of each maxpool output's maximum: (N, C, Ho, Wo)."""
-    xp = np.pad(
-        np.asarray(x, dtype=np.float64),
-        ((0, 0), (0, 0), (padding[0], padding[0]), (padding[1], padding[1])),
-        constant_values=-np.inf,
-    )
-    patches = _conv2d_patches(xp, kernel[0], kernel[1], stride)
-    n, c, ho, wo, kh, kw = patches.shape
-    return patches.reshape(n, c, ho, wo, kh * kw).argmax(axis=-1)
-
-
 def _maxpool_grad(gy, x, attrs):
-    kernel, stride, padding = _pool_geometry(attrs)
-    arg = _maxpool_argmax(x, kernel, stride, padding)
-    n, c, h, w = x.shape
-    hp, wp = h + 2 * padding[0], w + 2 * padding[1]
-    gxp = np.zeros((n, c, hp, wp))
-    ho, wo = arg.shape[2], arg.shape[3]
-    ki = arg // kernel[1]
-    kj = arg % kernel[1]
-    oy = np.arange(ho)[None, None, :, None] * stride[0]
-    ox = np.arange(wo)[None, None, None, :] * stride[1]
-    rows = (oy + ki).ravel()
-    cols = (ox + kj).ravel()
-    ni = np.repeat(np.arange(n), c * ho * wo)
-    ci = np.tile(np.repeat(np.arange(c), ho * wo), n)
-    np.add.at(gxp, (ni, ci, rows, cols), gy.ravel())
-    return gxp[:, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w]
+    """Each output's gradient goes to the first maximum of its window."""
+    kernel, padding = attrs["kernel"], attrs.get("padding", 0)
+    stride = kernel if attrs.get("stride") is None else attrs["stride"]
+    flat = tc._flat_windows(x, kernel, stride, padding, fill=-np.inf)
+    onehot = np.arange(flat.shape[-1]) == flat.argmax(axis=-1)[..., None]
+    cols = (onehot * gy[..., None]).reshape(flat.shape[:4] + tc._pair(kernel, "kernel"))
+    return tc.windows_adjoint(cols, x.shape, stride, padding)
 
 
 def _avgpool_grad(gy, in_shape, attrs):
-    kernel, stride, padding = _pool_geometry(attrs)
-    n, c, h, w = in_shape
-    hp, wp = h + 2 * padding[0], w + 2 * padding[1]
-    gxp = np.zeros((n, c, hp, wp))
-    ho, wo = gy.shape[2], gy.shape[3]
-    share = gy / (kernel[0] * kernel[1])
-    for i in range(kernel[0]):
-        for j in range(kernel[1]):
-            gxp[:, :, i : i + ho * stride[0] : stride[0], j : j + wo * stride[1] : stride[1]] += share
-    return gxp[:, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w]
+    """Each output's gradient goes in equal shares to every position of its window."""
+    kernel, padding = attrs["kernel"], attrs.get("padding", 0)
+    stride = kernel if attrs.get("stride") is None else attrs["stride"]
+    kh, kw = tc._pair(kernel, "kernel")
+    share = gy / (kh * kw)
+    cols = np.broadcast_to(share[..., None, None], share.shape + (kh, kw))
+    return tc.windows_adjoint(cols, in_shape, stride, padding)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +266,8 @@ def qat_train(
         log.append({"epoch": epoch, "loss": epoch_loss / max(1, n_batches), "lr": lr})
 
     if options.log_path:
-        with open(options.log_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "lr"])
-            writer.writeheader()
-            for row in log:
-                writer.writerow(row)
+        fields = ["epoch", "loss", "lr"]
+        write_csv(options.log_path, fields, ([row[k] for k in fields] for row in log))
     return log
 
 

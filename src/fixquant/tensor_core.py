@@ -9,11 +9,18 @@ The kernels here are deliberately direct implementations: accumulation order
 is the natural row-major ascending order of numpy reductions, which makes
 results reproducible run to run. Kernels never let NaN or Inf propagate
 silently; they raise NumericError instead.
+
+Window geometry lives in one place. :func:`windows` pads an NCHW input once
+and returns every kernel window as a read-only view; convolution, both
+pools and their gradients read windows only through it, and the gradients
+sum back through its transpose :func:`windows_adjoint`. No kernel slices
+patches out of an input itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ShapeError
 
@@ -33,6 +40,8 @@ __all__ = [
     "maxpool",
     "avgpool",
     "elementwise",
+    "windows",
+    "windows_adjoint",
 ]
 
 
@@ -66,12 +75,50 @@ def ensure_finite(arr: np.ndarray, what: str = "result") -> np.ndarray:
 
 
 def _pair(v, name: str) -> tuple[int, int]:
-    """Normalize an int-or-pair attribute to a (h, w) tuple."""
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ShapeError(f"{name} must be an int or a pair, got {v!r}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
+    """Normalize an int-or-pair window attribute to a (h, w) tuple. A
+    padding must be at least 0, a kernel or stride at least 1."""
+    pair = tuple(v) if isinstance(v, (list, tuple)) else (v, v)
+    lo = 0 if name == "padding" else 1
+    if len(pair) != 2 or not all(
+        isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= lo for p in pair
+    ):
+        raise ShapeError(f"{name} must be an integer >= {lo} or a pair of them, got {v!r}")
+    return int(pair[0]), int(pair[1])
+
+
+def windows(x, kernel, stride, padding, fill=0.0) -> np.ndarray:
+    """Every kernel window of a 4-d NCHW input padded with ``fill``.
+
+    Returns a read-only (N, C, Ho, Wo, kh, kw) view of the padded input:
+    element [n, c, i, j, a, b] is padded input [n, c, i*sh + a, j*sw + b].
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ShapeError(f"windowed kernels expect 4-d NCHW input, got {x.shape}")
+    kh, kw = _pair(kernel, "kernel")
+    sh, sw = _pair(stride, "stride")
+    ph, pw = _pair(padding, "padding")
+    h, w = x.shape[2:]
+    if kh > h + 2 * ph or kw > w + 2 * pw:
+        raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} with padding {ph},{pw}")
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+
+
+def windows_adjoint(cols, in_shape, stride, padding) -> np.ndarray:
+    """Transpose of :func:`windows`: sum (N, C, Ho, Wo, kh, kw) window
+    values back onto the input positions they were read from, dropping
+    what lands on the padding. Returns an array of shape (N, C) + in_shape[2:].
+    """
+    n, c, ho, wo, kh, kw = cols.shape
+    sh, sw = _pair(stride, "stride")
+    ph, pw = _pair(padding, "padding")
+    h, w = in_shape[2:]
+    gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + ho * sh : sh, j : j + wo * sw : sw] += cols[:, :, :, :, i, j]
+    return gxp[:, :, ph : ph + h, pw : pw + w]
 
 
 # ---------------------------------------------------------------------------
@@ -121,30 +168,26 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     w = np.asarray(weight, dtype=np.float64)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and weight, got {x.shape}, {w.shape}")
-    n, c, h, wd = x.shape
+    n, c = x.shape[:2]
     o, cg, kh, kw = w.shape
     groups = int(groups)
     if groups < 1 or c % groups or o % groups:
         raise ShapeError(f"conv2d groups={groups} incompatible with C={c}, O={o}")
     if cg != c // groups:
         raise ShapeError(f"conv2d weight expects {cg} channels per group, input provides {c // groups}")
-    sh, sw = _pair(stride, "stride")
-    ph, pw = _pair(padding, "padding")
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (wd + 2 * pw - kw) // sw + 1
-    if oh < 1 or ow < 1 or kh > h + 2 * ph or kw > wd + 2 * pw:
-        raise ShapeError(f"conv2d kernel {kh}x{kw} does not fit input {h}x{wd} with padding {ph},{pw}")
-
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    p = windows(x, (kh, kw), stride, padding)
+    oh, ow = p.shape[2:4]
     out = np.empty((n, o, oh, ow), dtype=np.float64)
     og = o // groups
+    # One small einsum per output position. One einsum over all windows is
+    # several times slower, and neither it nor an im2col GEMM sums in this
+    # order, so either would change results in the last bits.
     for g in range(groups):
-        xg = xp[:, g * cg : (g + 1) * cg]
+        pg = p[:, g * cg : (g + 1) * cg]
         wg = w[g * og : (g + 1) * og]
         for i in range(oh):
             for j in range(ow):
-                patch = xg[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
-                out[:, g * og : (g + 1) * og, i, j] = np.einsum("ncij,ocij->no", patch, wg)
+                out[:, g * og : (g + 1) * og, i, j] = np.einsum("ncij,ocij->no", pg[:, :, i, j], wg)
     if bias is not None:
         b = np.asarray(bias, dtype=np.float64)
         if b.shape != (o,):
@@ -216,44 +259,25 @@ def concat(xs, axis=1) -> np.ndarray:
     return ensure_finite(out, "concat output")
 
 
-def _pool_prepare(x, kernel, stride, padding, fill):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"pooling expects 4-d NCHW input, got {x.shape}")
-    kh, kw = _pair(kernel, "kernel")
-    sh, sw = _pair(kernel if stride is None else stride, "stride")
-    ph, pw = _pair(padding, "padding")
-    n, c, h, w = x.shape
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"pool kernel {kh}x{kw} does not fit input {h}x{w}")
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    return xp, (kh, kw, sh, sw, oh, ow)
+def _flat_windows(x, kernel, stride, padding, fill) -> np.ndarray:
+    """Pool windows flattened to (N, C, Ho, Wo, kh*kw); stride None means kernel.
+
+    Reducing the flat last axis matches a per-window ``sum(axis=(2, 3))``
+    bit for bit; ``sum(axis=(4, 5))`` on the 6-d view does not.
+    """
+    p = windows(x, kernel, kernel if stride is None else stride, padding, fill)
+    return p.reshape(p.shape[:4] + (-1,))
 
 
 def maxpool(x, kernel, stride=None, padding=0) -> np.ndarray:
-    xp, (kh, kw, sh, sw, oh, ow) = _pool_prepare(x, kernel, stride, padding, fill=-np.inf)
-    n, c = xp.shape[:2]
-    out = np.empty((n, c, oh, ow), dtype=np.float64)
-    for i in range(oh):
-        for j in range(ow):
-            patch = xp[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
-            out[:, :, i, j] = patch.max(axis=(2, 3))
+    out = _flat_windows(x, kernel, stride, padding, fill=-np.inf).max(axis=-1)
     return ensure_finite(out, "maxpool output")
 
 
 def avgpool(x, kernel, stride=None, padding=0) -> np.ndarray:
     # Padded positions count toward the average (they contribute zeros).
-    xp, (kh, kw, sh, sw, oh, ow) = _pool_prepare(x, kernel, stride, padding, fill=0.0)
-    n, c = xp.shape[:2]
-    out = np.empty((n, c, oh, ow), dtype=np.float64)
-    inv = 1.0 / (kh * kw)
-    for i in range(oh):
-        for j in range(ow):
-            patch = xp[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
-            out[:, :, i, j] = patch.sum(axis=(2, 3)) * inv
-    return ensure_finite(out, "avgpool output")
+    flat = _flat_windows(x, kernel, stride, padding, fill=0.0)
+    return ensure_finite(flat.sum(axis=-1) * (1.0 / flat.shape[-1]), "avgpool output")
 
 
 _ELEMENTWISE = {

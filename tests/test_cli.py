@@ -202,6 +202,13 @@ def test_amp_bad_candidate_string_is_data_error(capsys, model_prefix, data_prefi
     assert capsys.readouterr().err.startswith("error:encoding:")
 
 
+def test_amp_out_of_range_candidate_is_rejected_before_any_work(capsys, model_prefix, data_prefix, tmp_path):
+    argv = ["amp", "--model", model_prefix, "--data", data_prefix, "--out", str(tmp_path / "o")]
+    assert main(argv + ["--candidates", "16,16;64,64"]) == 3
+    assert capsys.readouterr().err.startswith("error:encoding:")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("candidates", ["16", "16,16;x,8", "16,16;8,8,8"])
 def test_amp_malformed_candidates_are_usage_errors(capsys, model_prefix, data_prefix, tmp_path, candidates):
     argv = ["amp", "--model", model_prefix, "--data", data_prefix, "--out", str(tmp_path / "o")]
@@ -240,6 +247,19 @@ def test_debug_report(capsys, model_prefix, data_prefix, tmp_path):
     report = json.loads((out / "debug_report.json").read_text())
     assert report["fp32_sanity_ok"] is True
     assert (out / "debug_layers.csv").exists()
+
+
+def test_zero_stride_model_is_shape_error(capsys, tmp_path):
+    model = toys.conv_bn_relu_conv(seed=0)
+    model.nodes["conv1"].attrs["stride"] = 0
+    save_model(model, tmp_path / "bad")
+    ds = Dataset(np.random.default_rng(0).normal(size=(8, 3, 6, 6)), np.zeros(8), metric="mse")
+    save_dataset(ds, tmp_path / "imgs")
+    argv = ["calibrate", "--model", str(tmp_path / "bad"), "--data", str(tmp_path / "imgs")]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:shape:")
+    assert err.count("\n") == 1
 
 
 def test_numeric_failure_exits_four(capsys, data_prefix, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from fixquant import toys
 from fixquant.errors import GraphError, ModelFormatError, ShapeError
-from fixquant.graph_ir import GraphModel, Node, load_model, model_paths, save_model, write_json
+from fixquant.graph_ir import GraphModel, Node, load_model, model_paths, save_model, write_csv, write_json
 
 
 def tiny_graph():
@@ -187,6 +187,22 @@ class TestSaveLoad:
         monkeypatch.undo()
         assert json.loads(p.read_text()) == {"a": 1}
         assert [f.name for f in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_interrupted_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "rows.csv"
+        write_csv(p, ["a", "b"], [[1, 0.5]])
+
+        def torn_write(path, data):
+            with open(path, "wb") as fh:
+                fh.write(data[:3])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(p, ["a", "b"], [[2, 1.5], [3, 2.5]])
+        monkeypatch.undo()
+        assert p.read_bytes() == b"a,b\r\n1,0.5\r\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["rows.csv"]
 
     def test_interrupted_blob_write_keeps_previous_file(self, tmp_path, monkeypatch):
         old = toys.mlp([3, 4, 2], seed=0)

@@ -7,6 +7,8 @@ from fixquant.errors import CalibrationError, NumericError
 from fixquant.graph_ir import GraphModel, Node
 from fixquant.qat import (
     QatOptions,
+    _avgpool_grad,
+    _maxpool_grad,
     backward,
     conv2d_backward,
     forward_with_tape,
@@ -139,6 +141,155 @@ class TestConvBackward:
             return float(np.sum(tc.conv2d(xv, w, np.zeros(4), padding=1, groups=4) * gy))
 
         assert np.allclose(gx, numeric_weight_grad(in_sum, x), atol=1e-5)
+
+
+# The patch-slicing gradients that tc.windows / tc.windows_adjoint replaced,
+# kept as oracles.
+
+
+def _pad2d(x, padding):
+    ph, pw = padding
+    if ph == 0 and pw == 0:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+
+
+def _conv2d_patches(x, kh, kw, stride):
+    sh, sw = stride
+    n, c, h, w = x.shape
+    ho = (h - kh) // sh + 1
+    wo = (w - kw) // sw + 1
+    sn, sc, sy, sx = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, ho, wo, kh, kw), strides=(sn, sc, sy * sh, sx * sw, sy, sx), writeable=False
+    )
+
+
+def _conv2d_backward_loop(gy, x, w, stride, padding, groups):
+    stride = tc._pair(stride, "stride")
+    padding = tc._pair(padding, "padding")
+    oc, icg, kh, kw = w.shape
+    xp = _pad2d(x, padding)
+    ocg = oc // groups
+    patches = _conv2d_patches(xp, kh, kw, stride)
+    gw = np.empty(w.shape, dtype=np.float64)
+    for g in range(groups):
+        pg = patches[:, g * icg : (g + 1) * icg]
+        gg = gy[:, g * ocg : (g + 1) * ocg]
+        gw[g * ocg : (g + 1) * ocg] = np.einsum("nchwkl,nohw->ockl", pg, gg)
+    gb = gy.sum(axis=(0, 2, 3))
+    gxp = np.zeros_like(xp)
+    sh, sw = stride
+    ho, wo = gy.shape[2], gy.shape[3]
+    for g in range(groups):
+        wg = w[g * ocg : (g + 1) * ocg]
+        gg = gy[:, g * ocg : (g + 1) * ocg]
+        contrib = np.einsum("nohw,ockl->nchwkl", gg, wg)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, g * icg : (g + 1) * icg, i : i + ho * sh : sh, j : j + wo * sw : sw] += contrib[
+                    :, :, :, :, i, j
+                ]
+    ph, pw = padding
+    gx = gxp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]]
+    return gw, gx, gb
+
+
+def _pool_geometry(attrs):
+    kernel = attrs["kernel"]
+    return (
+        tc._pair(kernel, "kernel"),
+        tc._pair(attrs.get("stride", kernel), "stride"),
+        tc._pair(attrs.get("padding", 0), "padding"),
+    )
+
+
+def _maxpool_grad_loop(gy, x, attrs):
+    kernel, stride, padding = _pool_geometry(attrs)
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    patches = _conv2d_patches(xp, kernel[0], kernel[1], stride)
+    n, c, ho, wo, kh, kw = patches.shape
+    arg = patches.reshape(n, c, ho, wo, kh * kw).argmax(axis=-1)
+    h, w = x.shape[2], x.shape[3]
+    gxp = np.zeros((n, c, h + 2 * padding[0], w + 2 * padding[1]))
+    oy = np.arange(ho)[None, None, :, None] * stride[0]
+    ox = np.arange(wo)[None, None, None, :] * stride[1]
+    rows = (oy + arg // kernel[1]).ravel()
+    cols = (ox + arg % kernel[1]).ravel()
+    ni = np.repeat(np.arange(n), c * ho * wo)
+    ci = np.tile(np.repeat(np.arange(c), ho * wo), n)
+    np.add.at(gxp, (ni, ci, rows, cols), gy.ravel())
+    return gxp[:, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w]
+
+
+def _avgpool_grad_loop(gy, in_shape, attrs):
+    kernel, stride, padding = _pool_geometry(attrs)
+    n, c, h, w = in_shape
+    gxp = np.zeros((n, c, h + 2 * padding[0], w + 2 * padding[1]))
+    ho, wo = gy.shape[2], gy.shape[3]
+    share = gy / (kernel[0] * kernel[1])
+    for i in range(kernel[0]):
+        for j in range(kernel[1]):
+            gxp[:, :, i : i + ho * stride[0] : stride[0], j : j + wo * stride[1] : stride[1]] += share
+    return gxp[:, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w]
+
+
+class TestWindowedGradsEqualLoopOracles:
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("stride", [1, 2, (2, 1)])
+    @pytest.mark.parametrize("padding", [0, 1, (0, 1)])
+    def test_conv2d_backward(self, groups, stride, padding):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(2, 4, 7, 6))
+        for kh, kw in [(1, 1), (3, 3), (2, 3), (3, 1)]:
+            w = rng.normal(size=(6 if groups < 4 else 4, 4 // groups, kh, kw))
+            gy = rng.normal(size=tc.conv2d(x, w, stride=stride, padding=padding, groups=groups).shape)
+            got = conv2d_backward(gy, x, w, stride=stride, padding=padding, groups=groups)
+            want = _conv2d_backward_loop(gy, x, w, stride, padding, groups)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (kh, kw)
+            gw, gx, gb = conv2d_backward(gy, x, w, stride, padding, groups, need_input_grad=False)
+            assert gx is None and np.array_equal(gw, want[0]) and np.array_equal(gb, want[2])
+
+    @pytest.mark.parametrize("stride", [None, 1, 2, 3, (2, 1)])
+    @pytest.mark.parametrize("padding", [0, 1, (0, 1)])
+    def test_pool_grads(self, stride, padding):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(2, 3, 7, 6))
+        for kernel in [2, 3, (2, 3), (3, 2)]:
+            attrs = {"kernel": kernel, "padding": padding}
+            if stride is not None:
+                attrs["stride"] = stride
+            kh, kw = tc._pair(kernel, "kernel")
+            sh, sw = tc._pair(attrs.get("stride", kernel), "stride")
+            gy = rng.normal(size=tc.elementwise("maxpool", [x], **attrs).shape)
+            assert np.array_equal(_avgpool_grad(gy, x.shape, attrs), _avgpool_grad_loop(gy, x.shape, attrs))
+            got, want = _maxpool_grad(gy, x, attrs), _maxpool_grad_loop(gy, x, attrs)
+            if sh >= kh and sw >= kw:
+                assert np.array_equal(got, want), kernel
+            else:
+                # Overlapping windows: several gradients can land on one
+                # input, summed in kernel-offset order, not output order.
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(gy).max()), kernel
+            if stride is None:
+                # An explicit null stride means the kernel, as in the forward pass.
+                null = {**attrs, "stride": None}
+                assert np.array_equal(_maxpool_grad(gy, x, null), got)
+                assert np.array_equal(_avgpool_grad(gy, x.shape, null), _avgpool_grad(gy, x.shape, attrs))
+
+    @pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
+    def test_overlapping_padded_pool_grads_match_finite_differences(self, kind):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(2, 2, 5, 4))
+        attrs = {"kernel": 3, "stride": 1, "padding": 1}
+        gy = rng.normal(size=tc.elementwise(kind, [x], **attrs).shape)
+
+        def out_sum(xv):
+            return float(np.sum(tc.elementwise(kind, [xv], **attrs) * gy))
+
+        got = _maxpool_grad(gy, x, attrs) if kind == "maxpool" else _avgpool_grad(gy, x.shape, attrs)
+        assert np.allclose(got, numeric_weight_grad(out_sum, x), atol=1e-6)
 
 
 class TestBackwardThroughGraph:

@@ -152,3 +152,136 @@ def test_conv2d_linearity(n, cin, h, data):
     lhs = tc.conv2d(a * x1 + x2, w, zeros, padding=1)
     rhs = a * tc.conv2d(x1, w, zeros, padding=1) + tc.conv2d(x2, w, zeros, padding=1)
     assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Window helper. The loop kernels below are the implementations that
+# tc.windows replaced, kept as oracles: the windowed kernels must equal them
+# bit for bit.
+
+
+def _conv2d_loop(x, w, stride, padding, groups):
+    sh, sw = tc._pair(stride, "stride")
+    ph, pw = tc._pair(padding, "padding")
+    n, c, h, wd = x.shape
+    o, cg, kh, kw = w.shape
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (wd + 2 * pw - kw) // sw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out = np.empty((n, o, oh, ow), dtype=np.float64)
+    og = o // groups
+    for g in range(groups):
+        xg = xp[:, g * cg : (g + 1) * cg]
+        wg = w[g * og : (g + 1) * og]
+        for i in range(oh):
+            for j in range(ow):
+                patch = xg[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
+                out[:, g * og : (g + 1) * og, i, j] = np.einsum("ncij,ocij->no", patch, wg)
+    return out
+
+
+def _pool_loop(x, kernel, stride, padding, kind):
+    kh, kw = tc._pair(kernel, "kernel")
+    sh, sw = tc._pair(kernel if stride is None else stride, "stride")
+    ph, pw = tc._pair(padding, "padding")
+    n, c, h, w = x.shape
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    fill = -np.inf if kind == "max" else 0.0
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    out = np.empty((n, c, oh, ow), dtype=np.float64)
+    inv = 1.0 / (kh * kw)
+    for i in range(oh):
+        for j in range(ow):
+            patch = xp[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
+            out[:, :, i, j] = patch.max(axis=(2, 3)) if kind == "max" else patch.sum(axis=(2, 3)) * inv
+    return out
+
+
+WINDOW_KERNELS = [(1, 1), (3, 3), (2, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("groups", [1, 2, 4])
+@pytest.mark.parametrize("stride", [1, 2, (2, 1)])
+@pytest.mark.parametrize("padding", [0, 1, (0, 1)])
+def test_conv2d_equals_loop_oracle(groups, stride, padding):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, 4, 7, 6))
+    for kh, kw in WINDOW_KERNELS:
+        w = rng.normal(size=(6 if groups < 4 else 4, 4 // groups, kh, kw))
+        y = tc.conv2d(x, w, stride=stride, padding=padding, groups=groups)
+        assert np.array_equal(y, _conv2d_loop(x, w, stride, padding, groups)), (kh, kw)
+
+
+@pytest.mark.parametrize("kind", ["max", "avg"])
+@pytest.mark.parametrize("stride", [None, 1, 2, (2, 1)])
+@pytest.mark.parametrize("padding", [0, 1, (0, 1)])
+def test_pools_equal_loop_oracle(kind, stride, padding):
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(2, 3, 7, 6))
+    pool = tc.maxpool if kind == "max" else tc.avgpool
+    for kernel in [(2, 2), (3, 3), (2, 3), (3, 2), (4, 4)]:
+        y = pool(x, kernel, stride, padding)
+        assert np.array_equal(y, _pool_loop(x, kernel, stride, padding, kind)), kernel
+
+
+@pytest.mark.parametrize("stride", [1, 2, (2, 1), (1, 3)])
+@pytest.mark.parametrize("padding", [0, 1, (0, 2)])
+def test_windows_adjoint_is_the_transpose(stride, padding):
+    """<windows(x), c> == <x, windows_adjoint(c)> for zero-padded windows."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(2, 3, 8, 7))
+    for kernel in WINDOW_KERNELS:
+        win = tc.windows(x, kernel, stride, padding)
+        c = rng.normal(size=win.shape)
+        back = tc.windows_adjoint(c, x.shape, stride, padding)
+        assert back.shape == x.shape
+        lhs, rhs = float(np.sum(win * c)), float(np.sum(x * back))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), kernel
+
+
+def test_windows_layout_and_read_only():
+    x = np.arange(2 * 3 * 5 * 4, dtype=float).reshape(2, 3, 5, 4)
+    win = tc.windows(x, (3, 2), (2, 1), (1, 0), fill=-7.0)
+    assert win.shape == (2, 3, 3, 3, 3, 2)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (0, 0)), constant_values=-7.0)
+    assert np.array_equal(win[1, 2, 2, 1], xp[1, 2, 4:7, 1:3])
+    assert not win.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("stride", 0),
+        ("stride", (1, 0)),
+        ("kernel", 0),
+        ("padding", -1),
+        ("padding", (0, -1)),
+        ("stride", 1.5),
+        ("kernel", 2.0),
+        ("padding", "1"),
+        ("stride", True),
+        ("kernel", (2,)),
+        ("kernel", (2, 2, 2)),
+    ],
+)
+def test_bad_window_attributes_are_shape_errors(name, value):
+    x = np.ones((1, 2, 4, 4))
+    attrs = {"kernel": 2, "stride": 1, "padding": 0, name: value}
+    with pytest.raises(ShapeError, match=name):
+        tc.windows(x, attrs["kernel"], attrs["stride"], attrs["padding"])
+    with pytest.raises(ShapeError):
+        tc.elementwise("maxpool", [x], **attrs)
+    with pytest.raises(ShapeError):
+        tc.avgpool(x, attrs["kernel"], attrs["stride"], attrs["padding"])
+    if name != "kernel":
+        with pytest.raises(ShapeError):
+            tc.conv2d(x, np.ones((1, 2, 2, 2)), stride=attrs["stride"], padding=attrs["padding"])
+
+
+def test_windows_rejects_oversized_kernel_and_non_4d_input():
+    with pytest.raises(ShapeError, match="does not fit"):
+        tc.windows(np.ones((1, 1, 3, 3)), (4, 2), 1, 0)
+    assert tc.windows(np.ones((1, 1, 3, 3)), (4, 2), 1, (1, 0)).shape == (1, 1, 2, 2, 4, 2)
+    with pytest.raises(ShapeError, match="4-d"):
+        tc.windows(np.ones((3, 3)), 2, 1, 0)
