@@ -16,6 +16,8 @@ Three phases over a calibrated simulation:
 Both phases cache to JSON in the results directory (accuracy_list.json,
 pareto_list.json), each stamped with a fingerprint of the model structure
 and candidate set; a rerun replays the caches instead of re-evaluating.
+The pareto cache also records the move that stopped the search and its
+score, so a rerun does not evaluate that move again.
 Evaluation callbacks take a simulation and return a score where larger is
 better. Frozen quantizers keep their encodings and bitwidths; the search
 moves everything else in the group.
@@ -381,10 +383,14 @@ def build_pareto(
     constraint holds; the first violation reverts the move and stops, so
     the sim ends at the last assignment meeting the constraint.
 
-    With clean_start false the cached list is replayed without evaluation
-    (stopping early if a cached entry violates the current allowed drop, in
-    which case the file is left untouched) and the search continues past
-    the cache. Returns the full pareto list.
+    The move that violated the constraint is recorded in the cache as
+    ``rejected`` (group, candidate, accuracy). With clean_start false the
+    cached list is replayed without evaluation (stopping early if a cached
+    entry violates the current allowed drop, in which case the file is left
+    untouched) and the search continues past the cache; its first move, if
+    it is the recorded one, takes the recorded accuracy instead of an
+    evaluation, so a resume at the same allowed drop evaluates nothing.
+    Returns the full pareto list.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -424,6 +430,10 @@ def build_pareto(
         _apply_candidate(sim, by_id[gid], cand)
         assignment[gid] = cand
 
+    # The move that stopped the cached search, with its score: when the
+    # replay reaches it again, its score is reused instead of re-evaluated.
+    rejected = None if stopped else doc.get("rejected")
+
     def candidate_index(c: CandidatePair) -> int:
         return candidates.index(c)
 
@@ -451,11 +461,20 @@ def build_pareto(
         prev = assignment[gid]
         _apply_candidate(sim, g, cand)
         assignment[gid] = cand
-        accuracy = float(eval_phase2(sim))
+        if rejected is not None and [rejected["group"], rejected["candidate"]] == [gid, cand.as_list()]:
+            accuracy = rejected["accuracy"]
+        else:
+            accuracy = float(eval_phase2(sim))
+        rejected = None
         if accuracy < baseline - allowed_accuracy_drop:
             _apply_candidate(sim, g, prev)
             assignment[gid] = prev
+            move = {"group": gid, "candidate": cand.as_list(), "accuracy": accuracy}
+            if doc.get("rejected") != move:
+                doc["rejected"] = move
+                write_json(path, doc)
             break
+        doc.pop("rejected", None)
         rel = bit_ops(sim, assignment, groups) / denom
         doc["entries"].append(
             {

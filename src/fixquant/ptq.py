@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import tensor_core as tc
 from .errors import CalibrationError, EncodingError
 from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json
 from .quantizer import qdq
@@ -432,7 +433,7 @@ def bias_correct(
         for nid in remaining:
             q_means = []
             for batch in batches:
-                _, raw = sim.evaluate_all(batch, capture_raw=True)
+                _, raw, _ = sim.evaluate_all(batch, capture_raw=True)
                 q_means.append(_channel_means(raw[nid]))
             delta = fp_mean[nid] - np.mean(np.stack(q_means), axis=0)
             node = graph.nodes[nid]
@@ -465,6 +466,10 @@ class AdaRoundParams:
 
 _SIG_ZETA = 1.2  # rectified sigmoid stretch
 _SIG_GAMMA = -0.1  # rectified sigmoid lower shift
+# Bytes of patch matrices adaround keeps for one layer. A k x k conv's patches
+# are about k*k / stride**2 times its input; batches past this keep the input
+# and are laid out again on every iteration that draws them.
+_PATCH_BYTES = 256 << 20
 
 
 def _rect_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -492,24 +497,34 @@ def _layer_forward(node, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return eval_kind(node.kind, node.attrs, weights, [x])
 
 
-def _layer_weight_grad(node, x: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """d(loss)/dW given upstream gradient gy on the layer output."""
-    if node.kind == "linear":
-        xf = x.reshape(x.shape[0], -1) if x.ndim != 2 else x
-        return gy.T @ xf
-    # Not a cycle: looked up per call so profilers that patch qat.conv2d_backward see these calls.
-    from .qat import conv2d_backward
+def _layer_problem(model: GraphModel, node, batches: list) -> tuple:
+    """Per calibration batch, the layer input as a patch matrix P and the
+    float output as the target, both laid out per group: the output of
+    group g is P[g] @ W_g.T + b_g, with W_g that group's weight rows
+    flattened. A linear layer is one group of flattened samples. Inputs
+    come from ``model`` (the already-rounded predecessor chain) and are
+    dropped once patched. Returns (patch, targets): ``patch(i)`` is batch
+    i's P, kept while the layer's patches fit in ``_PATCH_BYTES`` and laid
+    out again from the kept input after that."""
+    w, a = node.weights["weight"], node.attrs
+    groups = int(a.get("groups", 1)) if node.kind == "conv2d" else 1
+    og = w.shape[0] // groups
 
-    gw, _, _ = conv2d_backward(
-        gy,
-        x,
-        node.weights["weight"],
-        stride=node.attrs.get("stride", 1),
-        padding=node.attrs.get("padding", 0),
-        groups=node.attrs.get("groups", 1),
-        need_input_grad=False,
-    )
-    return gw
+    def lay_out(x):
+        if node.kind == "linear":
+            return x.reshape(len(x), -1)[None]
+        return tc.conv_patches(x, w.shape, a.get("stride", 1), a.get("padding", 0), groups)
+
+    inputs, targets, size, laid = [], [], 0, 0
+    for batch in batches:
+        x = np.asarray(model.evaluate_all(batch)[node.inputs[0]], dtype=np.float64)
+        y = _layer_forward(node, w, x)  # also checks the layer's shapes
+        targets.append(y.reshape(len(y), groups, og, -1).transpose(1, 0, 3, 2).reshape(groups, -1, og))
+        size += y.size // w.shape[0] * groups * w[0].size * 8  # P's bytes
+        if size <= _PATCH_BYTES:
+            x, laid = lay_out(x), laid + 1
+        inputs.append(x)
+    return (lambda i: inputs[i] if i < laid else lay_out(inputs[i])), targets
 
 
 def adaround(
@@ -532,6 +547,17 @@ def adaround(
     already-rounded predecessor chain. Final weights snap to
     floor + {0, 1} on the grid and the frozen per-layer encodings are
     returned (and written to ``encodings_path`` when given).
+
+    A layer's inputs never change while its rounding is trained, so each
+    calibration batch is laid out once as a patch matrix P of shape
+    (groups, rows, fan_in) (``tc.conv_patches`` for conv2d, the flattened
+    samples for linear) and the targets in the same (groups, rows, out)
+    layout. Every iteration is then two batched GEMMs: the soft-weight
+    output ``P @ W.T + b`` and the weight gradient ``gy.T @ P``. Only the
+    current layer's patches are kept. A k x k conv's patch matrix is about
+    k*k / stride**2 times its input (9x for a 3x3 conv at stride 1), so a
+    layer keeps at most ``_PATCH_BYTES`` of them; later batches keep their
+    input and are laid out on each draw, with identical results.
 
     Returns (rounded model, encodings document).
     """
@@ -574,24 +600,21 @@ def adaround(
         rest = np.clip(w / s - w_floor, 1e-4, 1.0 - 1e-4)
         v = np.log((rest - _SIG_GAMMA) / (_SIG_ZETA - _SIG_GAMMA - rest + _SIG_GAMMA))
 
-        # Inputs from the already-rounded predecessor chain, targets from the
-        # original float weight applied to those same inputs.
-        xs = []
-        for batch in batches:
-            values = out.evaluate_all(batch)
-            xs.append(np.asarray(values[node.inputs[0]], dtype=np.float64))
-        targets_y = [_layer_forward(node, w, x) for x in xs]
+        patch, targets_y = _layer_problem(out, node, batches)
+        groups, og = targets_y[0].shape[0], targets_y[0].shape[2]
+        bias = node.weights["bias"].reshape(groups, 1, og)
 
         for it in range(params.num_iterations):
-            bi = int(rng.integers(0, len(xs)))
-            x, y_ref = xs[bi], targets_y[bi]
+            bi = int(rng.integers(0, len(targets_y)))
+            p, y_ref = patch(bi), targets_y[bi]
             h = _rect_sigmoid(v)
             w_int = np.clip(w_floor + zp + h, q_lo, q_hi)
             w_soft = s * (w_int - zp)
-            y = _layer_forward(node, w_soft, x)
+            y = p @ w_soft.reshape(groups, og, -1).transpose(0, 2, 1) + bias
+            tc.ensure_finite(y, "adaround layer output")
             diff = y - y_ref
             gy = (2.0 / diff.size) * diff
-            g_wsoft = _layer_weight_grad(node, x, gy)
+            g_wsoft = (gy.transpose(0, 2, 1) @ p).reshape(w.shape)
             inside = (w_floor + zp + h > q_lo) & (w_floor + zp + h < q_hi)
             g_h = g_wsoft * s * inside
 
@@ -607,6 +630,7 @@ def adaround(
         w_int = np.clip(w_floor + zp + h_final, q_lo, q_hi)
         node.set_weight("weight", s * (w_int - zp))
         param_encodings[f"{nid}.weight"] = [_encoding_to_json(e, frozen=True) for e in encs]
+        del patch, targets_y  # at most one layer's patches are alive
 
     doc = {
         "format": ENCODINGS_FORMAT,

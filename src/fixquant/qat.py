@@ -3,11 +3,13 @@
 The forward pass is the simulation's own, ``QuantSimModel.evaluate_all``,
 recorded on a ``Tape``: every node's output and every op's output before
 its activation quantizer. QAT therefore trains exactly the network that
-``sim.forward`` runs and ``export`` writes. ``backward`` walks the graph in
-reverse topological order and derives what each node needs from the tape
-and the node itself (relu masks, concat split sizes, maxpool argmax,
-quantized weights). Every quantize-dequantize passes gradients straight
-through inside its grid and blocks them where it clips (``ste_mask``).
+``sim.forward`` runs and ``export`` writes. The tape also keeps the
+quantized weights the forward pass ran with, so they are quantized once per
+step. ``backward`` walks the graph in reverse topological order and derives
+what each node needs from the tape and the node itself (relu masks, concat
+split sizes, maxpool argmax). Every quantize-dequantize passes gradients
+straight through inside its grid and blocks them where it clips
+(``ste_mask``).
 With every quantizer disabled the forward pass is the float model and the
 trainer is plain SGD, bit for bit.
 
@@ -44,12 +46,14 @@ __all__ = [
 @dataclass
 class Tape:
     """A recorded quantized forward pass: every node's output (``values``),
-    every node's output before its activation quantizer (``raw``), and the
-    id of the graph output that backward() starts from."""
+    every node's output before its activation quantizer (``raw``), the id
+    of the graph output that backward() starts from, and the quantized
+    tensors each weighted node ran with (``weights``)."""
 
     values: dict
     raw: dict
     output_id: str
+    weights: dict
 
 
 def _ste(g: np.ndarray, x: np.ndarray, spec) -> np.ndarray:
@@ -86,8 +90,8 @@ def conv2d_backward(
 
 def forward_with_tape(sim: QuantSimModel, inputs) -> Tape:
     """The simulation's quantized forward pass, recorded for backward()."""
-    values, raw = sim.evaluate_all(inputs, capture_raw=True)
-    return Tape(values=values, raw=raw, output_id=sim.graph.output_ids[0])
+    values, raw, weights = sim.evaluate_all(inputs, capture_raw=True)
+    return Tape(values=values, raw=raw, output_id=sim.graph.output_ids[0], weights=weights)
 
 
 def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
@@ -110,7 +114,7 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
         if k == "output":
             _accum(src, gy)
         elif k in MAC_KINDS:
-            wq = sim.quantized_weights(node)["weight"]
+            wq = tape.weights[nid]["weight"]
             if k == "linear":
                 gw, gb = gy.T @ x.reshape(len(gy), -1), gy.sum(axis=0)
                 gx = (gy @ wq).reshape(x.shape)
@@ -130,7 +134,7 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
             _accum(src, gx)
         elif k == "batchnorm":
             # Inference-mode affine transform over the simulation's statistics.
-            qw = sim.quantized_weights(node)
+            qw = tape.weights[nid]
             scale = qw["gamma"] / np.sqrt(qw["var"] + attrs.get("eps", 1e-5))
             _accum(src, gy * scale.reshape((1, -1) + (1,) * (gy.ndim - 2)))
         elif k == "relu":

@@ -183,9 +183,15 @@ class QuantSimModel:
     # -- forward ----------------------------------------------------------
 
     def evaluate_all(self, inputs, capture_raw: bool = False):
-        """Quantized forward returning every tensor; optionally also the raw
-        (pre-output-quantizer) op outputs, as a second dict."""
+        """Quantized forward returning every tensor. With ``capture_raw``
+        it returns three dicts: every tensor, the raw (pre-output-quantizer)
+        op outputs, and the quantized tensors each weighted node ran with."""
         raw: dict[str, np.ndarray] = {}
+        used: dict[str, dict] = {}
+
+        def weights(node: Node) -> dict[str, np.ndarray]:
+            used[node.id] = w = self.quantized_weights(node)
+            return w
 
         def activation(nid: str, y: np.ndarray) -> np.ndarray:
             if capture_raw:
@@ -193,8 +199,8 @@ class QuantSimModel:
             spec = self.activation_quantizers.get(nid)
             return y if spec is None else qdq(y, spec)
 
-        values = self.graph.evaluate_all(inputs, self.quantized_weights, activation)
-        return (values, raw) if capture_raw else values
+        values = self.graph.evaluate_all(inputs, weights, activation)
+        return (values, raw, used) if capture_raw else values
 
     def forward(self, inputs):
         values = self.evaluate_all(inputs)

@@ -68,6 +68,13 @@ class RangeScheme:
             raise EncodingError(f"unknown range scheme {self.kind!r}")
 
 
+def _binnable(mn: float, mx: float, bins: int) -> bool:
+    """Whether [mn, mx] splits into ``bins`` strictly increasing float edges,
+    as np.histogram needs. Narrower ranges (one value, or values a few
+    subnormals apart) are histogrammed as a spike in the first bin."""
+    return mx > mn and bool(np.all(np.diff(np.linspace(mn, mx, bins + 1)) > 0.0))
+
+
 class _Hist:
     """Running min/max and a fixed-width histogram for one tensor slice."""
 
@@ -99,11 +106,11 @@ class _Hist:
             if self.count:
                 self.counts = _rebin(self.counts, self.edges(), new_mn, new_mx, self.bins)
             self.mn, self.mx = new_mn, new_mx
-        if self.mx > self.mn:
+        if _binnable(self.mn, self.mx, self.bins):
             hist, _ = np.histogram(values, bins=self.bins, range=(self.mn, self.mx))
             self.counts += hist
         else:
-            # All values identical so far: everything lands in the first bin.
+            # All values (nearly) identical so far: everything lands in the first bin.
             self.counts[0] += values.size
         self.count += values.size
 
@@ -114,7 +121,7 @@ class _Hist:
         out.mx = max(self.mx, other.mx)
         if out.count == 0:
             return out
-        if out.mx > out.mn:
+        if _binnable(out.mn, out.mx, out.bins):
             for h in (self, other):
                 if h.count:
                     out.counts += _rebin(h.counts, h.edges(), out.mn, out.mx, out.bins)
@@ -130,11 +137,12 @@ def _rebin(counts: np.ndarray, old_edges: np.ndarray, mn: float, mx: float, bins
     count, linear within every old bin, is interpolated at the new edges and
     differenced. Preserves the total count.
     """
-    if old_edges[1] - old_edges[0] <= 0:
-        # Old histogram was a single spike at old_edges[0].
+    wide = _binnable(mn, mx, bins)
+    if not (wide and _binnable(old_edges[0], old_edges[-1], len(counts))):
+        # A spike: the old counts all sit at old_edges[0], or the new range
+        # is too narrow to split.
         new = np.zeros(bins, dtype=np.float64)
-        width = (mx - mn) / bins
-        idx = min(bins - 1, int((old_edges[0] - mn) / width)) if width > 0 else 0
+        idx = min(bins - 1, int((old_edges[0] - mn) / ((mx - mn) / bins))) if wide else 0
         new[idx] = counts.sum()
         return new
     cum = np.concatenate(([0.0], np.cumsum(counts)))

@@ -15,6 +15,13 @@ and returns every kernel window as a read-only view; convolution, both
 pools and their gradients read windows only through it, and the gradients
 sum back through its transpose :func:`windows_adjoint`. No kernel slices
 patches out of an input itself.
+
+conv2d sums each output in the order of one small einsum per output
+position. For 1x1 kernels, and for depthwise kernels (one input and one
+output channel per group) whose output is at least 2x2, a single einsum
+over the whole window view sums in that same order, so conv2d takes it
+there; elsewhere it loops over positions. :func:`conv_patches` lays the
+windows out as a patch matrix for callers that run a layer as a GEMM.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "elementwise",
     "windows",
     "windows_adjoint",
+    "conv_patches",
 ]
 
 
@@ -158,6 +166,19 @@ def linear(x, weight, bias=None) -> np.ndarray:
     return ensure_finite(y, "linear output")
 
 
+def _conv_groups(x_shape, w_shape, groups) -> int:
+    """Check conv2d input and weight shapes against ``groups``; returns it as an int."""
+    if len(x_shape) != 4 or len(w_shape) != 4:
+        raise ShapeError(f"conv2d expects 4-d input and weight, got {x_shape}, {w_shape}")
+    c, o, cg = x_shape[1], w_shape[0], w_shape[1]
+    groups = int(groups)
+    if groups < 1 or c % groups or o % groups:
+        raise ShapeError(f"conv2d groups={groups} incompatible with C={c}, O={o}")
+    if cg != c // groups:
+        raise ShapeError(f"conv2d weight expects {cg} channels per group, input provides {c // groups}")
+    return groups
+
+
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     """Direct 2-d cross-correlation, NCHW input and OIHW weight.
 
@@ -166,34 +187,49 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(weight, dtype=np.float64)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d input and weight, got {x.shape}, {w.shape}")
-    n, c = x.shape[:2]
+    groups = _conv_groups(x.shape, w.shape, groups)
+    n = x.shape[0]
     o, cg, kh, kw = w.shape
-    groups = int(groups)
-    if groups < 1 or c % groups or o % groups:
-        raise ShapeError(f"conv2d groups={groups} incompatible with C={c}, O={o}")
-    if cg != c // groups:
-        raise ShapeError(f"conv2d weight expects {cg} channels per group, input provides {c // groups}")
     p = windows(x, (kh, kw), stride, padding)
     oh, ow = p.shape[2:4]
-    out = np.empty((n, o, oh, ow), dtype=np.float64)
     og = o // groups
-    # One small einsum per output position. One einsum over all windows is
-    # several times slower, and neither it nor an im2col GEMM sums in this
-    # order, so either would change results in the last bits.
-    for g in range(groups):
-        pg = p[:, g * cg : (g + 1) * cg]
-        wg = w[g * og : (g + 1) * og]
-        for i in range(oh):
-            for j in range(ow):
-                out[:, g * og : (g + 1) * og, i, j] = np.einsum("ncij,ocij->no", pg[:, :, i, j], wg)
+    if (kh, kw) == (1, 1) or (cg == og == 1 and oh > 1 and ow > 1):
+        pg = p.reshape(n, groups, cg, oh, ow, kh, kw)
+        wg = w.reshape(groups, og, cg, kh, kw)
+        out = np.einsum("ngchwab,gocab->ngohw", pg, wg).reshape(n, o, oh, ow)
+    else:
+        # Per position: for these shapes no single einsum or GEMM sums in this order.
+        out = np.empty((n, o, oh, ow), dtype=np.float64)
+        for g in range(groups):
+            pg = p[:, g * cg : (g + 1) * cg]
+            wg = w[g * og : (g + 1) * og]
+            for i in range(oh):
+                for j in range(ow):
+                    out[:, g * og : (g + 1) * og, i, j] = np.einsum("ncij,ocij->no", pg[:, :, i, j], wg)
     if bias is not None:
         b = np.asarray(bias, dtype=np.float64)
         if b.shape != (o,):
             raise ShapeError(f"conv2d bias shape {b.shape} does not match {o} output channels")
         out += b[None, :, None, None]
     return ensure_finite(out, "conv2d output")
+
+
+def conv_patches(x, weight_shape, stride=1, padding=0, groups=1) -> np.ndarray:
+    """The conv2d input as one contiguous patch matrix per group.
+
+    Returns shape (groups, N*Ho*Wo, cg*kh*kw): row n*Ho*Wo + i*Wo + j of
+    group g is window (i, j) of sample n over that group's input channels,
+    so ``P[g] @ W[g*og:(g+1)*og].reshape(og, -1).T`` is conv2d's group g
+    output, summed in GEMM order rather than conv2d's.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    groups = _conv_groups(x.shape, weight_shape, groups)
+    n, c = x.shape[:2]
+    kh, kw = weight_shape[2:]
+    p = windows(x, (kh, kw), stride, padding)
+    oh, ow = p.shape[2:4]
+    p = p.reshape(n, groups, c // groups, oh, ow, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
+    return p.reshape(groups, n * oh * ow, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +298,14 @@ def concat(xs, axis=1) -> np.ndarray:
 def _flat_windows(x, kernel, stride, padding, fill) -> np.ndarray:
     """Pool windows flattened to (N, C, Ho, Wo, kh*kw); stride None means kernel.
 
+    A padding at least the kernel on either axis is a ShapeError: some
+    windows would hold only padding.
+
     Reducing the flat last axis matches a per-window ``sum(axis=(2, 3))``
     bit for bit; ``sum(axis=(4, 5))`` on the 6-d view does not.
     """
+    if any(pad >= k for pad, k in zip(_pair(padding, "padding"), _pair(kernel, "kernel"))):
+        raise ShapeError(f"pool padding {padding!r} must be below its kernel {kernel!r}")
     p = windows(x, kernel, kernel if stride is None else stride, padding, fill)
     return p.reshape(p.shape[:4] + (-1,))
 

@@ -252,6 +252,53 @@ class TestChooseMixedPrecision:
         bws = sorted(sim.param_quantizers[k].bitwidth for k in ("fc0.weight", "fc1.weight", "fc2.weight"))
         assert bws == [8, 8, 16]
 
+    @staticmethod
+    def stopped_search(tmp_path, cands):
+        """A search whose third phase-2 move scores 0.0 and violates the allowed drop of 0.5."""
+        sim = calibrated_sim()
+        calls = {"n": 0}
+
+        def p2(s):
+            calls["n"] += 1
+            return 1.0 if calls["n"] <= 3 else 0.0
+
+        return choose_mixed_precision(sim, cands, make_eval(sim), p2, 0.5, tmp_path)
+
+    def test_resume_after_a_violation_evaluates_nothing(self, tmp_path):
+        cands = [(16, 16), (8, 8)]
+        sim, first = self.stopped_search(tmp_path, cands)
+        doc = json.loads((tmp_path / "pareto_list.json").read_text())
+        assert doc["rejected"]["accuracy"] == 0.0
+        assert [doc["rejected"]["group"], doc["rejected"]["candidate"]] not in [
+            [e["group"], e["candidate"]] for e in doc["entries"]
+        ]
+        blob = (tmp_path / "pareto_list.json").read_bytes()
+
+        sim2 = calibrated_sim()
+        p1, p2 = Counting(make_eval(sim2)), Counting(lambda s: 1.0)
+        _, second = choose_mixed_precision(sim2, cands, p1, p2, 0.5, tmp_path, clean_start=False)
+        assert (p1.calls, p2.calls) == (0, 0)
+        assert second == first
+        assert (tmp_path / "pareto_list.json").read_bytes() == blob
+        for key, spec in sim.param_quantizers.items():
+            assert sim2.param_quantizers[key].bitwidth == spec.bitwidth
+
+    def test_looser_resume_takes_the_recorded_move_without_evaluating_it(self, tmp_path):
+        _, first = self.stopped_search(tmp_path, CANDS)
+        rejected = json.loads((tmp_path / "pareto_list.json").read_text())["rejected"]
+
+        sim2 = calibrated_sim()
+        p2 = Counting(lambda s: 0.5)
+        _, second = choose_mixed_precision(sim2, CANDS, make_eval(sim2), p2, 2.0, tmp_path, clean_start=False)
+        assert second[: len(first)] == first
+        moved = second[len(first)]
+        assert [moved.group_id, moved.candidate.as_list(), moved.accuracy] == [
+            rejected["group"], rejected["candidate"], 0.0
+        ]
+        # every later move is evaluated; nothing stops this search any more
+        assert p2.calls == len(second) - len(first) - 1 > 0
+        assert "rejected" not in json.loads((tmp_path / "pareto_list.json").read_text())
+
     def test_cached_rerun_skips_all_evaluations(self, tmp_path):
         sim = calibrated_sim()
         ev = make_eval(sim)

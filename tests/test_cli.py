@@ -8,7 +8,7 @@ import pytest
 from fixquant import toys
 from fixquant.cli import main
 from fixquant.datasets import Dataset, save_dataset
-from fixquant.graph_ir import save_model
+from fixquant.graph_ir import GraphModel, Node, save_model
 
 
 @pytest.fixture
@@ -305,3 +305,26 @@ def test_usage_errors_print_one_error_line(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:usage: ")
     assert captured.out == ""
+
+
+def test_pool_padding_reaching_its_kernel_is_shape_error(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    model = GraphModel(
+        [
+            Node("in", "input"),
+            Node(
+                "cv", "conv2d", inputs=["in"], attrs={"padding": 1},
+                weights={"weight": rng.normal(size=(2, 3, 3, 3)), "bias": np.zeros(2)},
+            ),
+            Node("pool", "maxpool", inputs=["cv"], attrs={"kernel": 1, "padding": 1}),
+            Node("out", "output", inputs=["pool"]),
+        ],
+        name="padded_pool",
+    )
+    save_model(model, tmp_path / "bad")
+    save_dataset(Dataset(rng.normal(size=(8, 3, 6, 6)), np.zeros(8), metric="mse"), tmp_path / "imgs")
+    argv = ["calibrate", "--model", str(tmp_path / "bad"), "--data", str(tmp_path / "imgs")]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:shape:")
+    assert err.count("\n") == 1

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from fixquant import toys
-from fixquant.errors import CalibrationError
+from fixquant.errors import CalibrationError, NumericError, ShapeError
 from fixquant.graph_ir import GraphModel, Node
 from fixquant.ptq import (
     AdaRoundParams,
@@ -243,7 +245,7 @@ class TestBiasCorrection:
             fp, q = [], []
             for batch in feed:
                 fp.append(float_model.evaluate_all(batch)[nid])
-                _, raw = sim.evaluate_all(batch, capture_raw=True)
+                _, raw, _ = sim.evaluate_all(batch, capture_raw=True)
                 q.append(raw[nid])
             fp_mean = np.concatenate(fp).mean(axis=0)
             q_mean = np.concatenate(q).mean(axis=0)
@@ -331,6 +333,149 @@ class TestAdaRound:
     def test_empty_feed_rejected(self):
         with pytest.raises(CalibrationError):
             adaround(toys.mlp([4, 8, 3], seed=0), [], self.small_params())
+
+
+# ---------------------------------------------------------------------------
+# AdaRound oracle: the per-iteration path that the patch GEMMs replaced. It
+# runs each layer through the graph kernel and takes the conv weight gradient
+# from qat.conv2d_backward; adaround must round to exactly the same weights.
+
+
+def _adaround_oracle(model, feed, params, param_bw, scheme, seed):
+    from fixquant import ptq
+    from fixquant.qat import conv2d_backward
+    from fixquant.quantsim import ENCODINGS_FORMAT, _encoding_to_json
+    from fixquant.range_setting import RangeAccumulator, compute_encodings_from_accumulator
+
+    def weight_grad(node, x, gy):
+        if node.kind == "linear":
+            return gy.T @ (x.reshape(x.shape[0], -1) if x.ndim != 2 else x)
+        a = node.attrs
+        gw, _, _ = conv2d_backward(
+            gy, x, node.weights["weight"], stride=a.get("stride", 1), padding=a.get("padding", 0),
+            groups=a.get("groups", 1),
+        )
+        return gw
+
+    batches = list(feed)
+    rng = np.random.default_rng(seed)
+    out = model.copy()
+    param_encodings = {}
+    for nid in [n for n in out.topo_order() if out.nodes[n].kind in ("linear", "conv2d")]:
+        node = out.nodes[nid]
+        w = node.weights["weight"]
+        acc = RangeAccumulator(channel_axis=scheme.channel_axis if scheme.per_channel else None)
+        acc.observe(w)
+        encs = compute_encodings_from_accumulator(acc, param_bw, symmetric=True, scheme=scheme)
+        shape = [len(encs)] + [1] * (w.ndim - 1) if scheme.per_channel else [1] * w.ndim
+        s, zp, q_lo, q_hi = (
+            np.array([float(getattr(e, a)) for e in encs]).reshape(shape)
+            for a in ("scale", "zero_point", "q_lo", "q_hi")
+        )
+        w_floor = np.floor(w / s)
+        rest = np.clip(w / s - w_floor, 1e-4, 1.0 - 1e-4)
+        v = np.log((rest - ptq._SIG_GAMMA) / (ptq._SIG_ZETA - ptq._SIG_GAMMA - rest + ptq._SIG_GAMMA))
+        xs = [np.asarray(out.evaluate_all(b)[node.inputs[0]], dtype=np.float64) for b in batches]
+        targets_y = [ptq._layer_forward(node, w, x) for x in xs]
+        for it in range(params.num_iterations):
+            bi = int(rng.integers(0, len(xs)))
+            x, y_ref = xs[bi], targets_y[bi]
+            h = ptq._rect_sigmoid(v)
+            w_soft = s * (np.clip(w_floor + zp + h, q_lo, q_hi) - zp)
+            diff = ptq._layer_forward(node, w_soft, x) - y_ref
+            g_h = weight_grad(node, x, (2.0 / diff.size) * diff) * s
+            g_h = g_h * ((w_floor + zp + h > q_lo) & (w_floor + zp + h < q_hi))
+            beta = ptq._beta_at(it, params)
+            if it >= int(params.warm_start * params.num_iterations):
+                t = np.abs(2.0 * h - 1.0)
+                g_h = g_h - params.reg_param * beta * np.power(t, beta - 1.0) * 2.0 * np.sign(2.0 * h - 1.0)
+            v = v - params.step_size * g_h * ptq._rect_sigmoid_grad(v)
+        h_final = (ptq._rect_sigmoid(v) >= 0.5).astype(np.float64)
+        node.set_weight("weight", s * (np.clip(w_floor + zp + h_final, q_lo, q_hi) - zp))
+        param_encodings[f"{nid}.weight"] = [_encoding_to_json(e, frozen=True) for e in encs]
+    return out, {"format": ENCODINGS_FORMAT, "activation_encodings": {}, "param_encodings": param_encodings}
+
+
+def _conv_linear_net(groups, stride, padding, seed=0):
+    """conv2d (4 -> 4 channels, 3x3) -> relu -> linear on the flattened 4-d map."""
+    rng = np.random.default_rng(seed)
+    side = (6 + 2 * padding - 3) // stride + 1
+    return GraphModel(
+        [
+            Node("in", "input"),
+            Node(
+                "cv", "conv2d", inputs=["in"], attrs={"stride": stride, "padding": padding, "groups": groups},
+                weights={"weight": rng.normal(0, 0.5, size=(4, 4 // groups, 3, 3)), "bias": rng.normal(0, 0.1, 4)},
+            ),
+            Node("r", "relu", inputs=["cv"]),
+            Node(
+                "fc", "linear", inputs=["r"],
+                weights={"weight": rng.normal(0, 0.3, size=(3, 4 * side * side)), "bias": rng.normal(0, 0.1, 3)},
+            ),
+            Node("out", "output", inputs=["fc"]),
+        ],
+        name="conv_linear",
+    )
+
+
+def _assert_same_rounding(model, feed, params, bw, scheme, seed):
+    got, doc = adaround(model, feed, params, param_bw=bw, scheme=scheme, seed=seed)
+    want, want_doc = _adaround_oracle(model, feed, params, bw, scheme, seed)
+    assert json.dumps(doc, sort_keys=True) == json.dumps(want_doc, sort_keys=True)
+    for nid, node in want.nodes.items():
+        for name, arr in node.weights.items():
+            assert got.nodes[nid].weights[name].tobytes() == arr.tobytes(), (nid, name)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 4])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_adaround_equals_per_iteration_oracle(groups, stride, padding):
+    model = _conv_linear_net(groups, stride, padding)
+    rng = np.random.default_rng(7)
+    feed = [rng.normal(size=(4, 4, 6, 6)) for _ in range(2)]
+    params = AdaRoundParams(num_iterations=40, step_size=5e-2)
+    case = groups + stride + padding  # spreads the grid over bitwidths, schemes and seeds
+    for bw, per_channel, seed in [((3, 4, 8)[case % 3], case % 2 == 0, 0), ((8, 3, 4)[case % 3], case % 2 == 1, 1)]:
+        _assert_same_rounding(model, feed, params, bw, RangeScheme(kind="sqnr", per_channel=per_channel), seed)
+
+
+def test_adaround_equals_oracle_on_a_long_run_with_large_steps():
+    model = fold_batch_norms(toys.conv_bn_relu_conv(c_in=3, c_mid=4, c_out=4, seed=2))
+    rng = np.random.default_rng(8)
+    feed = [rng.normal(size=(4, 3, 6, 6)) for _ in range(3)]
+    params = AdaRoundParams(num_iterations=300, step_size=0.5)
+    _assert_same_rounding(model, feed, params, 4, RangeScheme(kind="min_max", per_channel=True), 3)
+
+
+@pytest.mark.parametrize("budget", [0, 60_000])  # no batch laid out once; only the first
+def test_adaround_past_the_patch_budget_equals_oracle(monkeypatch, budget):
+    from fixquant import ptq
+
+    model = _conv_linear_net(2, 1, 1, seed=3)
+    rng = np.random.default_rng(9)
+    feed = [rng.normal(size=(4, 4, 6, 6)) for _ in range(3)]  # 41,472 patch bytes per conv batch
+    monkeypatch.setattr(ptq, "_PATCH_BYTES", budget)
+    _assert_same_rounding(model, feed, AdaRoundParams(num_iterations=40, step_size=5e-2), 4, RangeScheme(), 2)
+
+
+def test_adaround_rejects_bad_layer_shapes_before_iterating():
+    model = _conv_linear_net(2, 1, 1)
+    model.nodes["cv"].attrs["groups"] = 3  # 4 channels do not split into 3 groups
+    feed = [np.ones((2, 4, 6, 6))]
+    with pytest.raises(ShapeError, match="groups"):
+        adaround(model, feed, AdaRoundParams(num_iterations=1))
+
+
+def test_adaround_non_finite_layer_output_is_numeric_error():
+    # the first weight gradient overflows, so the second forward pass is NaN
+    model = toys.mlp([4, 8, 3], seed=0)
+    feed = [np.full((4, 4), 1e300)]
+    params = AdaRoundParams(num_iterations=3)
+    with np.errstate(all="ignore"):
+        for run in (adaround, _adaround_oracle):
+            with pytest.raises(NumericError):
+                run(model, feed, params, 8, RangeScheme(kind="sqnr"), 0)
 
 
 def test_run_ptq_pipeline_produces_ready_sim():

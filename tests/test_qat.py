@@ -98,6 +98,38 @@ class TestTapeForward:
             tape = forward_with_tape(sim, x)
             assert np.array_equal(tape.values[tape.output_id], sim.forward(x))
 
+    def test_weights_are_quantized_once_per_step(self, monkeypatch):
+        from fixquant.quantsim import QuantSimModel
+
+        model = mixed_graph(seed=7)
+        sim = calibrated_sim(model, (8, 3, 6, 6), seed=8)
+        calls = []
+        original = QuantSimModel.quantized_weights
+        monkeypatch.setattr(
+            QuantSimModel, "quantized_weights", lambda self, node: calls.append(node.id) or original(self, node)
+        )
+        x = np.random.default_rng(9).normal(size=(8, 3, 6, 6))
+        qat_train(sim, x, model.forward(x), loss_fn=mse_loss, options=QatOptions(epochs=2, batch_size=4))
+        weighted = sorted(nid for nid, n in model.nodes.items() if n.weights)
+        assert sorted(calls) == sorted(weighted * 4)  # 2 epochs x 2 steps
+
+    def test_backward_uses_the_weights_the_forward_ran_with(self):
+        model = mixed_graph(seed=10)
+        sim = calibrated_sim(model, (2, 3, 6, 6), seed=11, default_param_bw=4)
+        x = np.random.default_rng(12).normal(size=(2, 3, 6, 6))
+        tape = forward_with_tape(sim, x)
+        gy = np.random.default_rng(13).normal(size=tape.values[tape.output_id].shape)
+        fresh = {nid: sim.quantized_weights(n) for nid, n in sim.graph.nodes.items() if n.weights}
+        assert sorted(tape.weights) == sorted(fresh)
+        for nid, w in fresh.items():
+            assert all(np.array_equal(w[k], tape.weights[nid][k]) for k in w)
+        requantized = type(tape)(tape.values, tape.raw, tape.output_id, fresh)
+        got, want = backward(sim, tape, gy), backward(sim, requantized, gy)
+        assert sorted(got) == sorted(want)
+        for nid in want:
+            for k in ("weight", "bias"):
+                assert np.array_equal(got[nid][k], want[nid][k])
+
 
 class TestConvBackward:
     def test_weight_grad_matches_finite_differences(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixquant import range_setting as rs
@@ -223,6 +223,7 @@ def test_encoding_from_range_grid_spans_zero(lo, hi, bitwidth, symmetric):
         max_size=5,
     )
 )
+@example(chunks=[[0.0], [5e-324]])
 def test_minmax_encoding_independent_of_batch_split(chunks):
     """min/max range setting sees only extrema, so batching cannot change it."""
     split = RangeAccumulator()
@@ -232,6 +233,29 @@ def test_minmax_encoding_independent_of_batch_split(chunks):
     (a,) = rs.compute_minmax(split, 8, False)
     (b,) = rs.compute_minmax(whole, 8, False)
     assert a == b
+
+
+@pytest.mark.parametrize("channel_axis", [None, 0])
+@pytest.mark.parametrize("split", [False, True])
+def test_subnormal_wide_ranges_histogram_as_a_spike(channel_axis, split):
+    """A range too narrow for 2048 increasing bin edges counts like a constant."""
+    x = np.array([[0.0, 5e-324], [1e-323, 0.0]])
+    acc = RangeAccumulator(channel_axis=channel_axis)
+    for chunk in ([x[:, :1], x[:, 1:]] if split else [x]):
+        acc.observe(chunk)
+    for h in acc.histograms():
+        assert h.counts[0] == h.count == x.size // len(acc.histograms())
+        assert h.mx > h.mn
+    for symmetric in (False, True):
+        for enc in rs.compute_minmax(acc, 8, symmetric) + rs.compute_sqnr(acc, 8, symmetric):
+            assert enc.scale > 0
+    merged = acc.merge(RangeAccumulator(channel_axis=channel_axis).observe(x * 2))
+    assert all(h.counts[0] == h.count for h in merged.histograms())
+    # the range then grows past the spike: its counts move into a real bin
+    acc.observe(np.array([[1.0, -1.0], [2.0, 3.0]]))
+    for h in acc.histograms():
+        assert h.counts.sum() == h.count
+        assert np.count_nonzero(h.counts) >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -285,3 +285,56 @@ def test_windows_rejects_oversized_kernel_and_non_4d_input():
     assert tc.windows(np.ones((1, 1, 3, 3)), (4, 2), 1, (1, 0)).shape == (1, 1, 2, 2, 4, 2)
     with pytest.raises(ShapeError, match="4-d"):
         tc.windows(np.ones((3, 3)), 2, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "shape, out_channels, groups, kernel, stride, padding",
+    [
+        ((32, 16, 16, 16), 16, 16, 3, 1, 1),  # depthwise, benchmark shape
+        ((32, 16, 16, 16), 16, 16, 3, 2, 1),
+        ((32, 16, 16, 16), 16, 1, 1, 1, 0),  # 1x1, 16 -> 16 channels
+        ((32, 16, 16, 16), 16, 1, 1, 2, 0),
+        ((3, 5, 1, 7), 6, 1, 1, 1, 0),  # 1x1 with a 1-high output
+        ((3, 5, 9, 1), 6, 1, 1, 2, 0),  # 1x1 with a 1-wide output
+        ((2, 6, 5, 7), 9, 3, 1, 1, 1),  # grouped 1x1, two in and three out per group
+        ((4, 12, 1, 1), 8, 2, 1, 1, 0),  # grouped 1x1 on a 1x1 map
+        ((1, 7, 8, 5), 7, 7, 4, 2, 0),  # depthwise with a 1-wide output: loop
+        ((2, 4, 7, 6), 8, 4, 3, 1, 1),  # two output channels per group: loop
+    ],
+)
+def test_conv2d_single_einsum_shapes_equal_loop_oracle(shape, out_channels, groups, kernel, stride, padding):
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=shape)
+    kh, kw = tc._pair(kernel, "kernel")
+    w = rng.normal(size=(out_channels, shape[1] // groups, kh, kw))
+    y = tc.conv2d(x, w, stride=stride, padding=padding, groups=groups)
+    assert np.array_equal(y, _conv2d_loop(x, w, stride, padding, groups))
+
+
+@pytest.mark.parametrize("groups", [1, 2, 4])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_patches_gemm_is_conv2d(groups, stride, padding):
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(3, 4, 7, 6))
+    w = rng.normal(size=(8, 4 // groups, 3, 2))
+    p = tc.conv_patches(x, w.shape, stride, padding, groups)
+    y = tc.conv2d(x, w, stride=stride, padding=padding, groups=groups)
+    n, o, oh, ow = y.shape
+    assert p.shape == (groups, n * oh * ow, (4 // groups) * 6)
+    assert p.flags.c_contiguous
+    gemm = p @ w.reshape(groups, o // groups, -1).transpose(0, 2, 1)
+    back = gemm.reshape(groups, n, oh, ow, o // groups).transpose(1, 0, 4, 2, 3).reshape(y.shape)
+    assert np.allclose(back, y, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError, match="groups"):
+        tc.conv_patches(x, (8, 4, 3, 3), stride, padding, 3)
+
+
+@pytest.mark.parametrize("kernel, padding", [((1, 1), (1, 1)), (2, 2), ((3, 2), (0, 2)), ((2, 3), (3, 1))])
+def test_pool_padding_reaching_the_kernel_is_shape_error(kernel, padding):
+    x = np.ones((1, 2, 5, 5))
+    for pool in (tc.maxpool, tc.avgpool):
+        with pytest.raises(ShapeError, match="padding"):
+            pool(x, kernel, 1, padding)
+    with pytest.raises(ShapeError, match="padding"):
+        tc.elementwise("avgpool", [x], kernel=kernel, padding=padding)
