@@ -63,7 +63,6 @@ from .quantsim import (
     export,
     import_encodings,
     load_encodings_file,
-    simulate_forward,
 )
 from .range_setting import (
     RangeAccumulator,

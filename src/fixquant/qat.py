@@ -103,7 +103,15 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
     def _accum(nid: str, g: np.ndarray) -> None:
         grads_y[nid] = grads_y[nid] + g if nid in grads_y else g
 
-    for nid in reversed(graph.topo_order()):
+    # Nodes at or after a MAC node: only their gradients reach a parameter,
+    # so a MAC node whose input is not one skips its input gradient.
+    order, after_mac = graph.topo_order(), set()
+    for nid in order:
+        node = graph.nodes[nid]
+        if node.kind in MAC_KINDS or not after_mac.isdisjoint(node.inputs):
+            after_mac.add(nid)
+
+    for nid in reversed(order):
         node = graph.nodes[nid]
         gy = grads_y.get(nid)
         if gy is None or node.kind == "input":
@@ -114,10 +122,10 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
         if k == "output":
             _accum(src, gy)
         elif k in MAC_KINDS:
-            wq = tape.weights[nid]["weight"]
+            wq, need_gx = tape.weights[nid]["weight"], src in after_mac
             if k == "linear":
                 gw, gb = gy.T @ x.reshape(len(gy), -1), gy.sum(axis=0)
-                gx = (gy @ wq).reshape(x.shape)
+                gx = (gy @ wq).reshape(x.shape) if need_gx else None
             else:
                 gw, gx, gb = conv2d_backward(
                     gy,
@@ -126,12 +134,14 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
                     stride=attrs.get("stride", 1),
                     padding=attrs.get("padding", 0),
                     groups=attrs.get("groups", 1),
+                    need_input_grad=need_gx,
                 )
             param_grads[nid] = {
                 "weight": _ste(gw, node.weights["weight"], sim.param_quantizer(nid, "weight")),
                 "bias": _ste(gb, node.weights["bias"], sim.param_quantizer(nid, "bias")),
             }
-            _accum(src, gx)
+            if need_gx:
+                _accum(src, gx)
         elif k == "batchnorm":
             # Inference-mode affine transform over the simulation's statistics.
             qw = tape.weights[nid]

@@ -118,9 +118,30 @@ def dequantize(xi, e: QuantEncoding) -> np.ndarray:
     return e.scale * (xi.astype(np.float64) - e.zero_point)
 
 
+def _fake_quant(x: np.ndarray, scale, zp, lo, hi) -> np.ndarray:
+    """scale * (clip(round_half_away(x / scale) + zp, lo, hi) - zp) as a fresh
+    array, the arguments after ``x`` scalars or broadcast against it. The
+    IEEE operations of ``quantize_int`` then ``dequantize``, in their order,
+    so bit-identical to that pair (sign of zero included) without the int64
+    round trip. Non-finite ``x`` raises; a finite ``x`` whose quotient
+    overflows clips to the grid edge."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError("qdq got non-finite input")
+    t = np.divide(x, scale)
+    r = np.abs(t, out=np.empty(np.shape(t)))  # an array even for 0-d input
+    r += 0.5
+    np.floor(r, out=r)
+    np.copysign(r, t, out=r)
+    r += zp
+    np.clip(r, lo, hi, out=r)
+    r -= zp
+    r *= scale
+    return r
+
+
 def qdq_tensor(x, e: QuantEncoding) -> np.ndarray:
     """Quantize-dequantize through a single encoding."""
-    return dequantize(quantize_int(x, e), e)
+    return _fake_quant(np.asarray(x, dtype=np.float64), e.scale, e.zero_point, e.q_lo, e.q_hi)
 
 
 @dataclass
@@ -165,21 +186,25 @@ class QuantizerSpec:
         return replace(self, encodings=None if self.encodings is None else list(self.encodings))
 
 
-def _per_channel_arrays(spec: QuantizerSpec, x: np.ndarray):
-    """Broadcastable (scale, zero_point, q_lo, q_hi) arrays for per-channel qdq."""
+def _grid(spec: QuantizerSpec, x: np.ndarray):
+    """(scale, zero_point, q_lo, q_hi) of an enabled quantizer: scalars per
+    tensor, arrays broadcastable against ``x`` per channel."""
+    if not spec.encodings:
+        raise EncodingError("quantizer has no encodings; run range calibration first")
+    if not spec.per_channel:
+        e = spec.encodings[0]
+        return e.scale, e.zero_point, e.q_lo, e.q_hi
     axis = spec.channel_axis
-    c = x.shape[axis]
-    if len(spec.encodings) != c:
+    if not (0 <= axis < x.ndim):
+        raise ShapeError(f"channel_axis {axis} out of range for shape {x.shape}")
+    if len(spec.encodings) != x.shape[axis]:
         raise EncodingError(
-            f"per-channel quantizer has {len(spec.encodings)} encodings for {c} channels"
+            f"per-channel quantizer has {len(spec.encodings)} encodings for {x.shape[axis]} channels"
         )
     shape = [1] * x.ndim
-    shape[axis] = c
-    scale = np.array([e.scale for e in spec.encodings]).reshape(shape)
-    zp = np.array([e.zero_point for e in spec.encodings], dtype=np.float64).reshape(shape)
-    lo = np.array([e.q_lo for e in spec.encodings], dtype=np.float64).reshape(shape)
-    hi = np.array([e.q_hi for e in spec.encodings], dtype=np.float64).reshape(shape)
-    return scale, zp, lo, hi
+    shape[axis] = x.shape[axis]
+    cols = np.array([(e.scale, e.zero_point, e.q_lo, e.q_hi) for e in spec.encodings], dtype=np.float64)
+    return tuple(col.reshape(shape) for col in cols.T)
 
 
 def qdq(x, spec: QuantizerSpec) -> np.ndarray:
@@ -189,17 +214,7 @@ def qdq(x, spec: QuantizerSpec) -> np.ndarray:
     computed encodings.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not spec.enabled:
-        return x
-    if not spec.encodings:
-        raise EncodingError("quantizer has no encodings; run range calibration first")
-    if not spec.per_channel:
-        return qdq_tensor(x, spec.encodings[0])
-    if not (0 <= spec.channel_axis < x.ndim):
-        raise ShapeError(f"channel_axis {spec.channel_axis} out of range for shape {x.shape}")
-    scale, zp, lo, hi = _per_channel_arrays(spec, x)
-    q = np.clip(round_half_away(x / scale) + zp, lo, hi)
-    return scale * (q - zp)
+    return _fake_quant(x, *_grid(spec, x)) if spec.enabled else x
 
 
 def ste_mask(x, spec: QuantizerSpec) -> np.ndarray:
@@ -207,15 +222,8 @@ def ste_mask(x, spec: QuantizerSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not spec.enabled:
         return np.ones_like(x)
-    if not spec.encodings:
-        raise EncodingError("quantizer has no encodings; run range calibration first")
-    if not spec.per_channel:
-        e = spec.encodings[0]
-        return ((x >= e.grid_min) & (x <= e.grid_max)).astype(np.float64)
-    scale, zp, lo, hi = _per_channel_arrays(spec, x)
-    gmin = scale * (lo - zp)
-    gmax = scale * (hi - zp)
-    return ((x >= gmin) & (x <= gmax)).astype(np.float64)
+    scale, zp, lo, hi = _grid(spec, x)
+    return ((x >= scale * (lo - zp)) & (x <= scale * (hi - zp))).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

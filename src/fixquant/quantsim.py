@@ -45,7 +45,6 @@ __all__ = [
     "QuantSimModel",
     "create_quantsim",
     "compute_encodings",
-    "simulate_forward",
     "export",
     "import_encodings",
     "load_encodings_file",
@@ -383,12 +382,6 @@ def _fill_avgpool_reuse(sim: QuantSimModel) -> None:
         else:
             # Nothing to reuse (input tensor is unquantized): disable.
             spec.enabled = False
-
-
-def simulate_forward(sim: QuantSimModel, inputs):
-    """Quantized forward pass. Requires encodings on every enabled quantizer."""
-    sim.check_ready()
-    return sim.forward(inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CalibrationError, EncodingError
-from .quantizer import QuantEncoding, qdq_tensor, round_half_away  # qdq_tensor unused; stays bound for profilers
+from .quantizer import QuantEncoding, _fake_quant, qdq_tensor, round_half_away  # qdq_tensor unused; stays bound for profilers
 
 __all__ = [
     "RangeScheme",
@@ -288,11 +288,12 @@ def compute_minmax(acc: RangeAccumulator, bitwidth: int, symmetric: bool):
 
 
 def _errors(centers, scale, zp, q_lo, q_hi, clip_weight) -> np.ndarray:
-    """Squared qdq error per candidate x bin, elementwise as ``qdq_tensor``;
+    """Squared qdq error per candidate x bin, through ``qdq_tensor``'s kernel;
     clipped bins count ``clip_weight`` times."""
     s, z = scale[:, None], zp[:, None]
-    q = np.clip(round_half_away(centers / s) + z, q_lo, q_hi)
-    err = (s * (q - z) - centers) ** 2
+    err = _fake_quant(centers, s, z, q_lo, q_hi)
+    err -= centers
+    err *= err
     if clip_weight != 1.0:
         outside = (centers < s * (q_lo - z)) | (centers > s * (q_hi - z))
         err = np.where(outside, clip_weight * err, err)

@@ -32,8 +32,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "as_tensor",
-    "as_int_tensor",
     "f32",
     "ensure_finite",
     "matmul",
@@ -51,18 +49,6 @@ __all__ = [
     "windows_adjoint",
     "conv_patches",
 ]
-
-
-def as_tensor(data) -> np.ndarray:
-    """Coerce to a finite, C-contiguous float64 array."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    ensure_finite(arr, "tensor data")
-    return arr
-
-
-def as_int_tensor(data) -> np.ndarray:
-    """Coerce to a C-contiguous int64 array."""
-    return np.ascontiguousarray(data, dtype=np.int64)
 
 
 def f32(data) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fixquant import qat
 from fixquant import tensor_core as tc
 from fixquant import toys
 from fixquant.errors import CalibrationError, NumericError
@@ -370,6 +371,31 @@ class TestBackwardThroughGraph:
             return mse_loss(g2.forward(x), target)[0]
 
         assert np.allclose(grads["fc"]["bias"], numeric_weight_grad(loss_at, b, eps=1e-6), atol=1e-6)
+
+    def test_skipping_unused_input_gradients_keeps_parameter_gradients(self, monkeypatch):
+        # conv1 reads the graph input: nothing upstream of it has parameters
+        sim = calibrated_sim(toys.conv_bn_relu_conv(seed=21), (4, 3, 8, 8), seed=22)
+        x = np.random.default_rng(23).normal(size=(4, 3, 8, 8))
+        tape = forward_with_tape(sim, x)
+        gy = np.random.default_rng(24).normal(size=tape.values[tape.output_id].shape)
+        asked = []
+
+        def counting(*args, need_input_grad=True, **kw):
+            asked.append(need_input_grad)
+            return conv2d_backward(*args, need_input_grad=need_input_grad, **kw)
+
+        def always_full(*args, need_input_grad=True, **kw):
+            return conv2d_backward(*args, need_input_grad=True, **kw)
+
+        monkeypatch.setattr(qat, "conv2d_backward", counting)
+        skipped = backward(sim, tape, gy)
+        assert asked == [True, False]  # conv2, then conv1
+        monkeypatch.setattr(qat, "conv2d_backward", always_full)
+        full = backward(sim, tape, gy)
+        assert skipped.keys() == full.keys() == {"conv1", "conv2"}
+        for nid, grads in full.items():
+            for name, g in grads.items():
+                assert np.array_equal(skipped[nid][name], g), (nid, name)
 
     def test_ste_blocks_gradient_for_clipped_weights(self):
         # one weight far outside the quantization grid gets zero gradient

@@ -112,6 +112,35 @@ def test_quantize_rejects_nan():
         q.quantize_int(np.array([np.nan]), asym(0.1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qdq_rejects_non_finite_input_per_tensor_and_per_channel(bad):
+    x = np.array([[bad, 1.0], [2.0, 3.0]])
+    per_tensor = QuantizerSpec()
+    per_tensor.set_encodings(asym(0.1))
+    per_channel = QuantizerSpec(channel_axis=0)
+    per_channel.set_encodings([asym(0.1), asym(0.2)])
+    for spec in (per_tensor, per_channel):
+        with pytest.raises(NumericError):
+            q.qdq(x, spec)
+        with pytest.raises(NumericError):
+            q.qdq(x[::-1], spec)  # the bad value in the other channel
+
+
+def test_qdq_clips_finite_input_whose_quotient_overflows():
+    e = sym(1e-30, bitwidth=8)
+    y = q.qdq_tensor(np.array([1e300, -1e300]), e)
+    assert y.tolist() == [e.grid_max, e.grid_min]
+
+
+def test_qdq_returns_a_fresh_array():
+    x = np.array([0.25, -0.5])
+    spec = QuantizerSpec()
+    spec.set_encodings(asym(0.25, zero_point=2))
+    y = q.qdq(x, spec)
+    assert y is not x and not np.shares_memory(y, x)
+    assert np.array_equal(x, [0.25, -0.5])
+
+
 class TestQuantizerSpec:
     def test_disabled_spec_is_identity(self):
         spec = QuantizerSpec(enabled=False)
@@ -180,7 +209,7 @@ class TestPerChannel:
         spec = self.row_spec(w)
         y = q.qdq(w, spec)
         for i, e in enumerate(spec.encodings):
-            assert np.allclose(y[i], q.qdq_tensor(w[i], e), atol=1e-12)
+            assert np.array_equal(y[i], q.qdq_tensor(w[i], e))
 
     def test_channel_count_checked(self):
         spec = self.row_spec(np.ones((3, 5)))
@@ -335,3 +364,50 @@ def test_qdq_lands_on_grid(x):
     y = q.qdq_tensor(np.array(x), e)
     k = y / e.scale + e.zero_point
     assert np.allclose(k, np.round(k), atol=1e-6)
+
+
+@st.composite
+def _encodings(d):
+    """Unsigned, signed-symmetric and asymmetric (any zero-point) encodings,
+    at every bitwidth, on float32 scales from tiny to huge."""
+    bitwidth = d(st.integers(2, 32))
+    scale = d(
+        st.one_of(
+            st.floats(1e-38, 1e38),
+            st.integers(2**23, 2**24 - 1).map(lambda m: m * 2.0**-30),  # full float32 mantissas
+            st.integers(-40, 40).map(lambda k: 2.0**k),  # exact ties
+        )
+    )
+    kind = d(st.sampled_from(["unsigned", "signed", "asymmetric"]))
+    if kind == "asymmetric":
+        return QuantEncoding(scale=scale, zero_point=d(st.integers(0, 2**bitwidth - 1)), bitwidth=bitwidth)
+    return QuantEncoding(scale=scale, bitwidth=bitwidth, signed=kind == "signed", symmetric=True)
+
+
+@st.composite
+def _inputs(d, e):
+    """Inputs that stress the kernel: exact and near ties, signed zeros,
+    subnormals, values past the grid and quotients that overflow."""
+    span = e.q_hi - e.q_lo
+    k = st.integers(e.q_lo - e.zero_point - span, e.q_hi - e.zero_point + span)
+    value = st.one_of(
+        k.map(lambda k: (k + 0.5) * e.scale),
+        k.map(lambda k: k * e.scale),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308, 1.7976931348623157e308]),
+        st.floats(-1e-300, 1e-300),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    return np.array(d(st.lists(value, min_size=1, max_size=48)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fake_quant_kernel_matches_the_integer_pair_bit_for_bit(data):
+    e = data.draw(_encodings())
+    x = data.draw(_inputs(e))
+    want = q.dequantize(q.quantize_int(x, e), e)
+    spec = QuantizerSpec(bitwidth=e.bitwidth, symmetric=e.symmetric)
+    spec.set_encodings(e)
+    for got in (q.qdq_tensor(x, e), q.qdq(x, spec)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -12,7 +12,6 @@ from fixquant.quantsim import (
     create_quantsim,
     export,
     import_encodings,
-    simulate_forward,
 )
 from fixquant.range_setting import RangeScheme
 
@@ -162,7 +161,7 @@ class TestCalibration:
     def test_forward_before_calibration_rejected(self):
         sim = create_quantsim(toys.mlp([4, 8, 3], seed=0))
         with pytest.raises(EncodingError):
-            simulate_forward(sim, np.zeros((1, 4)))
+            sim.forward(np.zeros((1, 4)))
 
     def test_activation_stats_retained(self):
         _, sim = calibrated_mlp()
@@ -200,7 +199,7 @@ class TestSimulatedForward:
 
     def test_8bit_output_lands_on_output_grid(self):
         _, sim = calibrated_mlp()
-        y = simulate_forward(sim, np.random.default_rng(5).normal(size=(8, 4)))
+        y = sim.forward(np.random.default_rng(5).normal(size=(8, 4)))
         (e,) = sim.activation_quantizers["fc1"].encodings
         k = y / e.scale + e.zero_point
         assert np.allclose(k, np.round(k), atol=1e-6)
@@ -252,13 +251,13 @@ class TestEncodingsFile:
 
         _, sim = calibrated_mlp()
         x = np.random.default_rng(7).normal(size=(16, 4))
-        y = simulate_forward(sim, x)
+        y = sim.forward(x)
         paths = export(sim, tmp_path / "m")
 
         model2 = load_model(tmp_path / "m")
         sim2 = create_quantsim(model2)
         import_encodings(sim2, paths["encodings"])
-        assert np.array_equal(simulate_forward(sim2, x), y)
+        assert np.array_equal(sim2.forward(x), y)
 
     def test_import_restores_disabled_state(self, tmp_path):
         _, sim = calibrated_mlp()
