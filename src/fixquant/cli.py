@@ -219,7 +219,7 @@ def cmd_calibrate(args) -> int:
     ds = load_dataset(args.data)
     out = _outdir(args)
     sim = _build_sim(args, model, ds)
-    write_json(out / "encodings.json", encodings_to_dict(sim))
+    write_json(out / "encodings.json", encodings_to_dict(sim.activation_quantizers, sim.param_quantizers))
     print(f"wrote {out}/encodings.json")
     return EXIT_OK
 
@@ -265,8 +265,7 @@ def cmd_bias_correct(args) -> int:
     sim = _build_sim(args, model, ds)
     mode = "empirical" if args.mode == "empirical" else "analytic_then_empirical"
     bias_correct(sim, mode=mode, feed=iter_batches(ds.x))
-    save_model(sim.graph, out / "bias_corrected")
-    write_json(out / "bias_corrected.encodings.json", encodings_to_dict(sim))
+    export(sim, out / "bias_corrected")
     print(f"wrote {out}/bias_corrected.model.json, .weights.bin, .encodings.json")
     return EXIT_OK
 

@@ -9,14 +9,13 @@ float32 and cast back on load.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ModelFormatError, ShapeError
-from .graph_ir import write_atomic, write_json
+from .graph_ir import load_pair, read_json, save_pair
 
 __all__ = [
     "Dataset",
@@ -46,10 +45,8 @@ class Dataset:
             self.y = np.asarray(self.y, dtype=np.int64)
         else:
             self.y = np.asarray(self.y, dtype=np.float64)
-        if self.x.shape[0] != self.y.shape[0]:
-            raise ShapeError(
-                f"dataset has {self.x.shape[0]} inputs but {self.y.shape[0]} targets"
-            )
+        if self.x.ndim == 0 or self.y.ndim == 0 or self.x.shape[0] != self.y.shape[0]:
+            raise ShapeError(f"dataset needs one target per input, got shapes {self.x.shape} and {self.y.shape}")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -60,48 +57,18 @@ def dataset_paths(prefix) -> tuple[Path, Path]:
 
 
 def save_dataset(ds: Dataset, prefix) -> None:
-    manifest_path, blob_path = dataset_paths(prefix)
-    x32 = np.ascontiguousarray(ds.x, dtype="<f4")
-    y32 = np.ascontiguousarray(ds.y, dtype="<f4")
-    manifest = {
-        "format": DATASET_FORMAT,
-        "metric": ds.metric,
-        "tensors": {
-            "x": {"offset": 0, "shape": list(ds.x.shape)},
-            "y": {"offset": int(x32.size), "shape": list(ds.y.shape)},
-        },
-    }
-    write_json(manifest_path, manifest)
-    write_atomic(blob_path, x32.tobytes() + y32.tobytes())
+    tensors = {"x": ds.x, "y": ds.y}
+    manifest = {"format": DATASET_FORMAT, "metric": ds.metric, "tensors": tensors}
+    save_pair(*dataset_paths(prefix), manifest, [tensors])
 
 
 def load_dataset(prefix) -> Dataset:
     manifest_path, blob_path = dataset_paths(prefix)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format") != DATASET_FORMAT:
-        raise ModelFormatError(
-            f"unsupported dataset format {manifest.get('format')!r}, expected {DATASET_FORMAT!r}"
-        )
-    blob = np.frombuffer(blob_path.read_bytes(), dtype="<f4")
-    tensors = {}
-    total = 0
-    for name in ("x", "y"):
-        entry = manifest["tensors"][name]
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        off = int(entry["offset"])
-        if off + size > blob.size:
-            raise ModelFormatError(f"dataset tensor {name!r} extends past the blob")
-        tensors[name] = blob[off : off + size].reshape(shape).astype(np.float64)
-        total += size
-    if total != blob.size:
-        raise ModelFormatError(
-            f"dataset blob holds {blob.size} values, manifest declares {total}"
-        )
-    return Dataset(tensors["x"], tensors["y"], metric=manifest["metric"])
+    manifest = read_json(manifest_path, DATASET_FORMAT, "dataset manifest")
+    (tensors,) = load_pair(blob_path, [("dataset", manifest.get("tensors"))])
+    if set(tensors) != {"x", "y"}:
+        raise ModelFormatError(f"dataset tensors must be x and y, got {sorted(tensors)}")
+    return Dataset(tensors["x"], tensors["y"], metric=manifest.get("metric"))
 
 
 def iter_batches(x: np.ndarray, batch_size: int = 256):

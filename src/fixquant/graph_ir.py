@@ -12,6 +12,10 @@ On disk a model is two files:
 * ``<prefix>.weights.bin`` - all weight tensors, concatenated contiguously
   in manifest order, raw little-endian float32.
 
+Datasets use the same manifest + blob layout; ``save_pair`` and
+``load_pair`` are the one writer and reader of it, and ``read_json`` the
+one reader of every tagged JSON document.
+
 Weights are float32-valued in memory too (stored as float64 for
 arithmetic), so save followed by load is an identity.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +36,8 @@ from . import tensor_core as tc
 from .errors import GraphError, ModelFormatError, ShapeError
 
 __all__ = [
-    "Node", "GraphModel", "load_model", "save_model", "model_paths", "write_atomic", "write_csv", "write_json"
+    "Node", "GraphModel", "load_model", "save_model", "model_paths", "read_json", "save_pair", "load_pair",
+    "write_atomic", "write_csv", "write_json",
 ]
 
 NODE_KINDS = {
@@ -271,77 +277,104 @@ def model_paths(prefix) -> tuple[Path, Path]:
     return Path(f"{prefix}.model.json"), Path(f"{prefix}.weights.bin")
 
 
+def read_json(path, fmt: str, what: str) -> dict:
+    """Read a JSON object tagged ``"format": fmt``. Any failure (unreadable
+    file, bad JSON, not an object, wrong tag) is a ModelFormatError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise ModelFormatError(f"cannot read {what} {path}: {e}") from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ModelFormatError(f"{path} is not a {fmt} {what}")
+    return doc
+
+
+def save_pair(manifest_path, blob_path, doc: dict, tensor_maps: list[dict]) -> None:
+    """Write the manifest ``doc``, then its blob. Each dict in ``tensor_maps``
+    lies inside ``doc`` and maps names to arrays; every array is replaced by
+    its ``{shape, offset}`` entry, offsets assigned in order, and laid into
+    the blob as little-endian float32."""
+    chunks: list[np.ndarray] = []
+    offset = 0
+    for tensors in tensor_maps:
+        for name, arr in tensors.items():
+            tensors[name] = {"shape": list(arr.shape), "offset": offset}
+            chunks.append(np.asarray(arr, dtype="<f4").ravel())
+            offset += arr.size
+    write_json(manifest_path, doc)
+    write_atomic(blob_path, np.concatenate(chunks).tobytes() if chunks else b"")
+
+
+def load_pair(blob_path, tensor_maps: list[tuple[str, object]]) -> list[dict[str, np.ndarray]]:
+    """Read the blob of a manifest + blob pair. ``tensor_maps`` holds, per
+    owner name, the manifest's ``{name: {shape, offset}}`` map; returns each
+    map with its entries sliced out of the blob as float64 arrays. Every
+    entry must lie inside the blob and every float of the blob must belong
+    to an entry."""
+    try:
+        blob = np.frombuffer(Path(blob_path).read_bytes(), dtype="<f4")
+    except (OSError, ValueError) as e:
+        raise ModelFormatError(f"cannot read blob {blob_path}: {e}") from None
+    out, used = [], 0
+    for owner, specs in tensor_maps:
+        if not isinstance(specs, dict):
+            raise ModelFormatError(f"{owner}: tensors must be an object, got {specs!r}")
+        arrays = {}
+        for name, spec in specs.items():
+            shape = spec.get("shape") if isinstance(spec, dict) else None
+            off = spec.get("offset") if isinstance(spec, dict) else None
+            if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+                raise ModelFormatError(f"tensor {owner}.{name}: shape must be a list of ints >= 0")
+            if type(off) is not int or off < 0:
+                raise ModelFormatError(f"tensor {owner}.{name}: offset must be an int >= 0")
+            size = math.prod(shape)
+            if off + size > blob.size:
+                raise ModelFormatError(
+                    f"tensor {owner}.{name} (offset {off}, size {size}) exceeds blob "
+                    f"of {blob.size} floats"
+                )
+            arrays[name] = blob[off : off + size].reshape(shape).astype(np.float64)
+            used += size
+        out.append(arrays)
+    if used != blob.size:
+        raise ModelFormatError(
+            f"blob {blob_path} holds {blob.size} floats but the manifest declares {used}"
+        )
+    return out
+
+
 def save_model(model: GraphModel, manifest_path, blob_path=None) -> None:
     """Write the manifest + blob pair; a single argument is taken as a prefix."""
     if blob_path is None:
         manifest_path, blob_path = model_paths(manifest_path)
-    manifest_nodes = []
-    chunks: list[np.ndarray] = []
-    offset = 0
+    entries = []
     for node in model.nodes.values():
-        tensors = {}
-        for name, arr in node.weights.items():
-            tensors[name] = {"shape": list(arr.shape), "offset": offset}
-            chunks.append(arr.astype("<f4").ravel())
-            offset += arr.size
         entry = {"id": node.id, "kind": node.kind, "inputs": node.inputs, "attrs": node.attrs}
-        if tensors:
-            entry["tensors"] = tensors
-        manifest_nodes.append(entry)
-    manifest = {"format": MANIFEST_FORMAT, "name": model.name, "nodes": manifest_nodes}
-    write_json(manifest_path, manifest)
-    blob = np.concatenate(chunks) if chunks else np.empty(0, dtype="<f4")
-    write_atomic(blob_path, blob.tobytes())
+        if node.weights:
+            entry["tensors"] = dict(node.weights)
+        entries.append(entry)
+    manifest = {"format": MANIFEST_FORMAT, "name": model.name, "nodes": entries}
+    save_pair(manifest_path, blob_path, manifest, [e["tensors"] for e in entries if "tensors" in e])
 
 
 def load_model(manifest_path, blob_path=None) -> GraphModel:
     """Inverse of :func:`save_model`; a single argument is taken as a prefix."""
     if blob_path is None:
         manifest_path, blob_path = model_paths(manifest_path)
-    try:
-        manifest = json.loads(Path(manifest_path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ModelFormatError(f"cannot read model manifest {manifest_path}: {e}") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
-        raise ModelFormatError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
+    manifest = read_json(manifest_path, MANIFEST_FORMAT, "model manifest")
     if not isinstance(manifest.get("nodes"), list):
         raise ModelFormatError("manifest has no node list")
-    try:
-        blob = np.frombuffer(Path(blob_path).read_bytes(), dtype="<f4")
-    except OSError as e:
-        raise ModelFormatError(f"cannot read weight blob {blob_path}: {e}") from None
-
-    nodes = []
-    expected = 0
+    fields, specs = [], []
     for entry in manifest["nodes"]:
         try:
-            nid, kind = entry["id"], entry["kind"]
-            inputs = list(entry.get("inputs", []))
-            attrs = dict(entry.get("attrs", {}))
-            tspecs = dict(entry.get("tensors", {}))
+            inputs, attrs = list(entry.get("inputs", [])), dict(entry.get("attrs", {}))
+            fields.append((entry["id"], entry["kind"], inputs, attrs))
+            specs.append((entry["id"], entry.get("tensors", {})))
         except (TypeError, KeyError) as e:
             raise ModelFormatError(f"malformed node entry {entry!r}: {e}") from None
-        weights = {}
-        for name, spec in tspecs.items():
-            shape = tuple(int(d) for d in spec["shape"])
-            off = int(spec["offset"])
-            size = int(np.prod(shape)) if shape else 1
-            if off < 0 or off + size > blob.size:
-                raise ModelFormatError(
-                    f"tensor {nid}.{name} (offset {off}, size {size}) exceeds blob "
-                    f"of {blob.size} floats"
-                )
-            weights[name] = blob[off : off + size].reshape(shape).astype(np.float64)
-            expected += size
-        try:
-            nodes.append(Node(id=nid, kind=kind, inputs=inputs, attrs=attrs, weights=weights))
-        except GraphError as e:
-            raise ModelFormatError(str(e)) from None
-    if expected != blob.size:
-        raise ModelFormatError(
-            f"weight blob holds {blob.size} floats but the manifest declares {expected}"
-        )
+    weights = load_pair(blob_path, specs)
     try:
+        nodes = [Node(*f, weights=w) for f, w in zip(fields, weights)]
         return GraphModel(nodes, name=str(manifest.get("name", "model")))
     except GraphError as e:
         raise ModelFormatError(str(e)) from None

@@ -28,16 +28,14 @@ import numpy as np
 from . import tensor_core as tc
 from .errors import CalibrationError, EncodingError
 from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json
-from .quantizer import qdq
+from .quantizer import QuantizerSpec, qdq
 from .quantsim import (
-    ENCODINGS_FORMAT,
     QuantSimModel,
     SimConfig,
-    _encoding_from_json,
-    _encoding_to_json,
     compute_encodings,
     create_quantsim,
-    import_encodings,  # unused; stays bound for profilers that patch ptq.import_encodings
+    encodings_to_dict,
+    import_encodings,
 )
 from .range_setting import RangeAccumulator, RangeScheme, compute_encodings_from_accumulator
 
@@ -249,6 +247,22 @@ def cross_layer_scale(model: GraphModel, report: CLEReport) -> GraphModel:
     return out
 
 
+def _input_channel_sum(node, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per output channel of a MAC node, its weights ``w`` (kernel taps
+    summed) times the per-input-channel values ``x``, over the input
+    channels of that output's own group: the output shift that a constant
+    per-channel input ``x`` causes."""
+    if node.kind == "linear":
+        return w @ x
+    groups = node.attrs.get("groups", 1)
+    og, ig = w.shape[0] // groups, w.shape[1]
+    if groups > 1 and ig == 1:  # depthwise, any channel multiplier og
+        return w.sum(axis=(1, 2, 3)) * np.repeat(x, og)
+    return np.concatenate(
+        [np.einsum("oikl,i->o", w[g * og : (g + 1) * og], x[g * ig : (g + 1) * ig]) for g in range(groups)]
+    )
+
+
 def absorb_high_bias(model: GraphModel, report: CLEReport) -> GraphModel:
     """Move large positive biases across a relu into the next layer.
 
@@ -279,14 +293,7 @@ def absorb_high_bias(model: GraphModel, report: CLEReport) -> GraphModel:
             continue
         a.set_weight("bias", a.weights["bias"] - c)
         st["beta"] = [float(v) for v in beta - c]
-        w2 = b.weights["weight"]
-        if b.kind == "linear":
-            shift = w2 @ c
-        elif b.attrs.get("groups", 1) == 1:
-            shift = np.einsum("oikl,i->o", w2, c)
-        else:  # depthwise
-            shift = w2.sum(axis=(1, 2, 3)) * c
-        b.set_weight("bias", b.weights["bias"] + shift)
+        b.set_weight("bias", b.weights["bias"] + _input_channel_sum(b, b.weights["weight"], c))
         report.absorbed.append({"layer1": a_id, "layer2": b_id, "absorbed": [float(v) for v in c]})
     return out
 
@@ -368,14 +375,6 @@ def _analytic_input_mean(sim: QuantSimModel, node) -> Optional[np.ndarray]:
     return _rectified_gaussian_mean(beta, gamma) if through_relu else beta
 
 
-def _apply_weight_error_correction(node, err_w: np.ndarray, ex: np.ndarray) -> np.ndarray:
-    if node.kind == "linear":
-        return err_w @ ex
-    if node.attrs.get("groups", 1) == 1:
-        return np.einsum("oikl,i->o", err_w, ex)
-    return err_w.sum(axis=(1, 2, 3)) * ex
-
-
 def bias_correct(
     sim: QuantSimModel,
     mode: str = "empirical",
@@ -406,7 +405,7 @@ def bias_correct(
             if ex is None:
                 analytic_done[nid] = False
                 continue
-            err = _apply_weight_error_correction(node, _weight_quant_error(sim, node), ex)
+            err = _input_channel_sum(node, _weight_quant_error(sim, node), ex)
             node.set_weight("bias", node.weights["bias"] - err)
             analytic_done[nid] = True
         remaining = [nid for nid in targets if not analytic_done[nid]]
@@ -573,7 +572,7 @@ def adaround(
     rng = np.random.default_rng(seed)
 
     out = model.copy()
-    param_encodings: dict[str, list] = {}
+    frozen: dict[str, QuantizerSpec] = {}
     targets = [nid for nid in out.topo_order() if out.nodes[nid].kind in MAC_KINDS]
 
     for nid in targets:
@@ -629,14 +628,10 @@ def adaround(
         h_final = (_rect_sigmoid(v) >= 0.5).astype(np.float64)
         w_int = np.clip(w_floor + zp + h_final, q_lo, q_hi)
         node.set_weight("weight", s * (w_int - zp))
-        param_encodings[f"{nid}.weight"] = [_encoding_to_json(e, frozen=True) for e in encs]
+        frozen[f"{nid}.weight"] = QuantizerSpec(param_bw, symmetric=True, encodings=encs, frozen=True)
         del patch, targets_y  # at most one layer's patches are alive
 
-    doc = {
-        "format": ENCODINGS_FORMAT,
-        "activation_encodings": {},
-        "param_encodings": param_encodings,
-    }
+    doc = encodings_to_dict({}, frozen)
     if encodings_path is not None:
         write_json(encodings_path, doc)
     return out, doc
@@ -667,10 +662,11 @@ def run_ptq_pipeline(model: GraphModel, feed, options: PtqOptions | None = None)
     """Equalize, round, calibrate: the standard post-training recipe.
 
     Steps, each optional through ``options``: cross-layer equalization;
-    adaround on the calibration feed (writing frozen weight encodings);
-    simulation construction at the requested bitwidths; weight and
-    activation range calibration; bias correction against the calibrated
-    simulation. Returns the ready-to-run simulation.
+    adaround on the calibration feed; simulation construction at the
+    requested bitwidths; weight and activation range calibration, then the
+    import of adaround's frozen encodings for the weights the simulation
+    quantizes; bias correction against the calibrated simulation. Returns
+    the ready-to-run simulation.
     """
     options = options or PtqOptions()
     feed = list(feed)
@@ -696,18 +692,10 @@ def run_ptq_pipeline(model: GraphModel, feed, options: PtqOptions | None = None)
         scheme=options.scheme,
         config=options.config,
     )
-    if frozen_doc is not None:
-        for key, entries in frozen_doc["param_encodings"].items():
-            if key in sim.param_quantizers:
-                spec = sim.param_quantizers[key]
-                encs = [_encoding_from_json(d) for d in entries]
-                if len(encs) > 1 and not spec.per_channel:
-                    spec.channel_axis = 0
-                elif len(encs) == 1 and spec.per_channel:
-                    spec.channel_axis = None
-                spec.symmetric = encs[0].symmetric
-                spec.set_encodings(encs, frozen=True)
     compute_encodings(sim, feed)
+    if frozen_doc is not None:  # after calibration, so no unnamed quantizer is disabled
+        params = {k: v for k, v in frozen_doc["param_encodings"].items() if k in sim.param_quantizers}
+        import_encodings(sim, {**frozen_doc, "param_encodings": params}, freeze=True)
     if options.use_bias_correction:
         bias_correct(
             sim,

@@ -30,7 +30,7 @@ from . import tensor_core as tc
 from .errors import CalibrationError, NumericError
 from .graph_ir import MAC_KINDS, write_csv
 from .quantizer import qdq, ste_mask  # qdq unused; stays bound for profilers that patch qat.qdq
-from .quantsim import QuantSimModel, compute_encodings, compute_param_encodings
+from .quantsim import QuantSimModel, compute_encodings
 
 __all__ = [
     "Tape",
@@ -275,19 +275,11 @@ def qat_train(
                 node.set_weight("bias", node.weights["bias"] - lr * g["bias"])
             epoch_loss += loss
             n_batches += 1
-        if options.refresh_ranges:
-            _refresh_ranges(sim, x)
+        if options.refresh_ranges:  # non-frozen encodings from the current weights and data
+            compute_encodings(sim, [x])
         log.append({"epoch": epoch, "loss": epoch_loss / max(1, n_batches), "lr": lr})
 
     if options.log_path:
         fields = ["epoch", "loss", "lr"]
         write_csv(options.log_path, fields, ([row[k] for k in fields] for row in log))
     return log
-
-
-def _refresh_ranges(sim: QuantSimModel, x: np.ndarray) -> None:
-    """Recompute non-frozen encodings from the current weights and data."""
-    compute_param_encodings(
-        sim, keys=[k for k, s in sim.param_quantizers.items() if s.enabled and not s.frozen]
-    )
-    compute_encodings(sim, [x])

@@ -39,6 +39,9 @@ __all__ = [
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+# Below this magnitude x / scale cannot overflow: float32 snapping keeps
+# every scale at or above 1.4e-45, and 1e250 / 1.4e-45 < 1.8e308.
+_QUOTIENT_SAFE = 1e250
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -100,7 +103,8 @@ def quantize_int(x, e: QuantEncoding) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericError("quantize_int got non-finite input")
-    q = round_half_away(x / e.scale) + e.zero_point
+    with np.errstate(over="ignore"):  # an overflowing quotient clips to the grid edge
+        q = round_half_away(x / e.scale) + e.zero_point
     return np.clip(q, e.q_lo, e.q_hi).astype(np.int64)
 
 
@@ -124,10 +128,14 @@ def _fake_quant(x: np.ndarray, scale, zp, lo, hi) -> np.ndarray:
     IEEE operations of ``quantize_int`` then ``dequantize``, in their order,
     so bit-identical to that pair (sign of zero included) without the int64
     round trip. Non-finite ``x`` raises; a finite ``x`` whose quotient
-    overflows clips to the grid edge."""
-    if not np.all(np.isfinite(x)):
-        raise NumericError("qdq got non-finite input")
-    t = np.divide(x, scale)
+    overflows clips to the grid edge, without a numpy overflow warning."""
+    if max(x.max(initial=0.0), -x.min(initial=0.0)) < _QUOTIENT_SAFE:  # False for NaN too
+        t = np.divide(x, scale)
+    else:
+        if not np.all(np.isfinite(x)):
+            raise NumericError("qdq got non-finite input")
+        with np.errstate(over="ignore"):
+            t = np.divide(x, scale)
     r = np.abs(t, out=np.empty(np.shape(t)))  # an array even for 0-d input
     r += 0.5
     np.floor(r, out=r)

@@ -403,20 +403,24 @@ def _encoding_to_json(e: QuantEncoding, frozen: bool) -> dict:
     return d
 
 
-def _encoding_from_json(d: dict) -> QuantEncoding:
-    try:
-        return QuantEncoding(
-            scale=float(d["scale"]),
-            zero_point=int(d["offset"]),
-            bitwidth=int(d["bitwidth"]),
-            signed=bool(d.get("signed", False)),
-            symmetric=bool(d.get("symmetric", False)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ModelFormatError(f"malformed encoding entry {d!r}: {e}") from None
+def _encoding_from_json(d) -> QuantEncoding:
+    if not isinstance(d, dict):
+        raise ModelFormatError(f"encoding entry {d!r} is not an object")
+    scale, offset, bitwidth = d.get("scale"), d.get("offset"), d.get("bitwidth")
+    if type(scale) not in (int, float) or type(offset) is not int or type(bitwidth) is not int:
+        raise ModelFormatError(f"encoding entry {d!r} needs a numeric scale, integer offset and bitwidth")
+    return QuantEncoding(
+        scale=float(scale),
+        zero_point=offset,
+        bitwidth=bitwidth,
+        signed=bool(d.get("signed", False)),
+        symmetric=bool(d.get("symmetric", False)),
+    )
 
 
-def encodings_to_dict(sim: QuantSimModel) -> dict:
+def encodings_to_dict(activation_quantizers: dict, param_quantizers: dict) -> dict:
+    """The encodings document of two quantizer maps, tensor name -> spec."""
+
     def dump(qmap: dict[str, QuantizerSpec]) -> dict:
         out = {}
         for key in sorted(qmap):
@@ -428,8 +432,8 @@ def encodings_to_dict(sim: QuantSimModel) -> dict:
 
     return {
         "format": ENCODINGS_FORMAT,
-        "activation_encodings": dump(sim.activation_quantizers),
-        "param_encodings": dump(sim.param_quantizers),
+        "activation_encodings": dump(activation_quantizers),
+        "param_encodings": dump(param_quantizers),
     }
 
 
@@ -443,36 +447,36 @@ def export(sim: QuantSimModel, prefix) -> dict[str, Path]:
     manifest, blob = gir.model_paths(prefix)
     gir.save_model(sim.graph, manifest, blob)
     enc_path = Path(f"{prefix}.encodings.json")
-    gir.write_json(enc_path, encodings_to_dict(sim))
+    gir.write_json(enc_path, encodings_to_dict(sim.activation_quantizers, sim.param_quantizers))
     return {"manifest": manifest, "weights": blob, "encodings": enc_path}
 
 
 def load_encodings_file(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ModelFormatError(f"cannot read encodings file {path}: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format") != ENCODINGS_FORMAT:
-        raise ModelFormatError(f"{path} is not a {ENCODINGS_FORMAT} file")
-    return doc
+    return gir.read_json(path, ENCODINGS_FORMAT, "encodings file")
 
 
-def import_encodings(sim: QuantSimModel, path, freeze: bool = False) -> QuantSimModel:
-    """Load encodings from a file written by :func:`export` (or adaround).
+def import_encodings(sim: QuantSimModel, source, freeze: bool = False) -> QuantSimModel:
+    """Load encodings written by :func:`export` or adaround, from a file path
+    or an already-loaded document; the entries of both get the same checks.
 
     Unknown tensor names and bitwidth mismatches are errors. ``freeze=True``
     (or a ``frozen`` flag on a file entry) pins the encoding so later
     calibration cannot overwrite it.
     """
-    doc = load_encodings_file(path)
+    doc = source if isinstance(source, dict) else load_encodings_file(source)
     for section, qmap in (
         ("activation_encodings", sim.activation_quantizers),
         ("param_encodings", sim.param_quantizers),
     ):
+        entries_by_key = doc.get(section, {})
+        if not isinstance(entries_by_key, dict):
+            raise ModelFormatError(f"{section} must be an object")
         seen = set()
-        for key, entries in doc.get(section, {}).items():
+        for key, entries in entries_by_key.items():
             if key not in qmap:
                 raise EncodingError(f"encodings file names unknown tensor {key!r}")
+            if not isinstance(entries, list) or not entries:
+                raise ModelFormatError(f"{section}[{key!r}] must be a non-empty list of encodings")
             spec = qmap[key]
             encs = [_encoding_from_json(d) for d in entries]
             for e in encs:

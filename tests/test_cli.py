@@ -328,3 +328,59 @@ def test_pool_padding_reaching_its_kernel_is_shape_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error:shape:")
     assert err.count("\n") == 1
+
+
+def _set(*path, value=None, drop=False):
+    """A one-field mutation of a JSON document: set (or delete) the field at ``path``."""
+
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if drop:
+            del doc[last]
+        else:
+            doc[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "target, mutate",
+    [
+        ("encodings", _set("param_encodings", "fc0.weight", value=[])),
+        ("encodings", _set("param_encodings", "fc0.weight", value=True)),
+        ("encodings", _set("activation_encodings", value=[])),
+        ("encodings", _set("param_encodings", "fc0.weight", 0, "bitwidth", value=8.9)),
+        ("dataset", lambda doc: [doc]),
+        ("dataset", _set("tensors", drop=True)),
+        ("dataset", _set("metric", drop=True)),
+        ("dataset", _set("tensors", "x", "offset", value=-1)),
+        ("dataset", _set("tensors", "x", "offset", drop=True)),
+        ("dataset", _set("tensors", "x", "shape", value="a")),
+        ("model", _set("nodes", 1, "tensors", "weight", "offset", drop=True)),
+        ("model", _set("nodes", 1, "tensors", "weight", "offset", value="x")),
+        ("model", _set("nodes", 1, "tensors", "weight", "shape", value="a")),
+        ("model", _set("nodes", 1, "tensors", "weight", value=-1)),
+    ],
+    ids=[
+        "encodings-entries-empty", "encodings-entries-true", "encodings-section-list",
+        "encodings-fractional-bitwidth", "dataset-list", "dataset-no-tensors", "dataset-no-metric",
+        "dataset-negative-offset", "dataset-no-offset", "dataset-shape-string", "model-no-offset",
+        "model-offset-string", "model-shape-string", "model-spec-int",
+    ],
+)
+def test_malformed_file_is_one_format_error_line(capsys, model_prefix, data_prefix, tmp_path, target, mutate):
+    main(["calibrate", "--model", model_prefix, "--data", data_prefix, "--out", str(tmp_path / "cal")])
+    path = {
+        "encodings": tmp_path / "cal" / "encodings.json",
+        "dataset": tmp_path / "spiral.data.json",
+        "model": tmp_path / "net.model.json",
+    }[target]
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(mutate(doc) or doc))
+    capsys.readouterr()
+    encodings = str(tmp_path / "cal" / "encodings.json")
+    assert main(["eval", "--model", model_prefix, "--data", data_prefix, "--encodings", encodings]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:format: ")

@@ -14,7 +14,7 @@ from fixquant.datasets import (
     metric_score,
     save_dataset,
 )
-from fixquant.errors import ModelFormatError
+from fixquant.errors import ModelFormatError, ShapeError
 
 
 def test_dataset_validates_lengths():
@@ -30,6 +30,14 @@ def test_dataset_validates_metric():
 def test_accuracy_labels_cast_to_int64():
     ds = Dataset(np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0]), metric="accuracy")
     assert ds.y.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "x, y", [(np.zeros(()), np.zeros(1)), (np.zeros((1, 2)), np.zeros(())), (np.zeros((3, 2)), np.zeros(2))]
+)
+def test_inputs_and_targets_must_pair_up(x, y):
+    with pytest.raises(ShapeError):
+        Dataset(x, y, metric="mse")
 
 
 def test_round_trip(tmp_path):

@@ -26,6 +26,7 @@ from fixquant.ptq import (
 from fixquant.quantizer import qdq
 from fixquant.quantsim import compute_encodings, create_quantsim
 from fixquant.range_setting import RangeScheme
+from fixquant.tensor_core import f32
 
 
 class TestBatchNormFolding:
@@ -265,6 +266,43 @@ class TestBiasCorrection:
         bias_correct(sim, mode="analytic_then_empirical", feed=feed)
         # conv2 sits behind relu(conv1 with stats): handled in closed form
         assert not np.allclose(sim.graph.nodes["conv2"].weights["bias"], b_before)
+
+    @pytest.mark.parametrize("c_out, groups", [(4, 1), (4, 2), (4, 4), (8, 4)])
+    def test_analytic_correction_sums_each_group_of_input_channels(self, c_out, groups):
+        rng = np.random.default_rng(c_out + groups)
+        stats = {"beta": list(rng.uniform(-1, 1, 4)), "gamma": list(rng.uniform(0.5, 2, 4))}
+        w2, b2 = rng.normal(0, 0.5, (c_out, 4 // groups, 3, 3)), rng.normal(0, 0.1, c_out)
+        g = GraphModel(
+            [
+                Node("in", "input"),
+                Node(
+                    "conv1", "conv2d", ["in"], attrs={"padding": 1, "folded_bn": stats},
+                    weights={"weight": rng.normal(0, 0.5, (4, 3, 3, 3)), "bias": rng.normal(0, 0.1, 4)},
+                ),
+                Node("relu1", "relu", ["conv1"]),
+                Node(
+                    "conv2", "conv2d", ["relu1"], attrs={"padding": 1, "groups": groups},
+                    weights={"weight": w2, "bias": b2},
+                ),
+                Node("out", "output", ["conv2"]),
+            ]
+        )
+        sim = create_quantsim(g, default_param_bw=4)
+        feed = toys.random_feed((8, 3, 6, 6), n_batches=2, seed=16)
+        compute_encodings(sim, feed)
+        conv2 = sim.graph.nodes["conv2"]
+        w, before = conv2.weights["weight"], conv2.weights["bias"].copy()
+        err = qdq(w, sim.param_quantizers["conv2.weight"]) - w
+        ex = _rectified_gaussian_mean(np.array(stats["beta"]), np.array(stats["gamma"]))
+        bias_correct(sim, mode="analytic_then_empirical", feed=feed)
+
+        og, ig = c_out // groups, 4 // groups
+        exact = [sum(err[o, i].sum() * ex[o // og * ig + i] for i in range(ig)) for o in range(c_out)]
+        assert np.allclose(before - conv2.weights["bias"], exact, rtol=0, atol=1e-6)
+        if groups == 1:  # the dense and the plain depthwise formula keep their bits
+            assert np.array_equal(conv2.weights["bias"], f32(before - np.einsum("oikl,i->o", err, ex)))
+        elif c_out == groups:
+            assert np.array_equal(conv2.weights["bias"], f32(before - err.sum(axis=(1, 2, 3)) * ex))
 
     def test_unknown_mode_rejected(self):
         _, sim, feed = self.quantized_sim()

@@ -505,6 +505,19 @@ class TestQatTrain:
         # non-frozen weight quantizers were re-derived
         assert sim.param_quantizers["fc1.weight"].encodings is not None
 
+    def test_range_refresh_computes_each_weight_encoding_once_per_epoch(self, monkeypatch):
+        sim, ds = self.spiral_sim()
+        calls = dict.fromkeys(sim.param_quantizers, 0)
+        for key, spec in sim.param_quantizers.items():
+
+            def counted(*args, _key=key, _set=spec.set_encodings, **kwargs):
+                calls[_key] += 1
+                return _set(*args, **kwargs)
+
+            monkeypatch.setattr(spec, "set_encodings", counted)
+        qat_train(sim, ds.x, ds.y, options=QatOptions(epochs=3, refresh_ranges=True), seed=0)
+        assert calls == dict.fromkeys(sim.param_quantizers, 3)
+
     def test_deterministic_given_seed(self):
         sim1, ds = self.spiral_sim()
         sim2, _ = self.spiral_sim()

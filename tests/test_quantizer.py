@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,8 +130,14 @@ def test_qdq_rejects_non_finite_input_per_tensor_and_per_channel(bad):
 
 def test_qdq_clips_finite_input_whose_quotient_overflows():
     e = sym(1e-30, bitwidth=8)
-    y = q.qdq_tensor(np.array([1e300, -1e300]), e)
-    assert y.tolist() == [e.grid_max, e.grid_min]
+    spec = QuantizerSpec(symmetric=True)
+    spec.set_encodings(e)
+    x = np.array([1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing division stays silent
+        y = q.qdq_tensor(x, e)
+        assert q.qdq(x, spec).tolist() == y.tolist() == [e.grid_max, e.grid_min]
+        assert q.quantize_int(x, e).tolist() == [e.q_hi, e.q_lo]
 
 
 def test_qdq_returns_a_fresh_array():

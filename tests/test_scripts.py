@@ -1,5 +1,7 @@
-"""Smoke test: every example script runs to completion from a clean directory."""
+"""Smoke tests of the tooling: every example script runs to completion from a
+clean directory, and every function the benchmark tracer wraps still exists."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +25,14 @@ def test_script_exits_zero(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_benchmark_tracer_finds_and_restores_every_patch_point():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = [site for layer in tracer.TRACED.values() for site in layer]
+    before = [owner.__dict__[attr] for owner, attr in sites]
+    with tracer.Tracer():  # raises unless each layer's bindings are one and the same function
+        assert all(owner.__dict__[attr] is not fn for (owner, attr), fn in zip(sites, before))
+    assert all(owner.__dict__[attr] is fn for (owner, attr), fn in zip(sites, before))
