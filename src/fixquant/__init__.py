@@ -56,13 +56,13 @@ from .quantizer import (
 from .quantsim import (
     QuantSimModel,
     SimConfig,
+    compute_activation_encodings,
     compute_encodings,
     compute_param_encodings,
     create_quantsim,
     encodings_to_dict,
     export,
     import_encodings,
-    load_encodings_file,
 )
 from .range_setting import (
     RangeAccumulator,

@@ -28,16 +28,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CacheError, CalibrationError, EncodingError
-from .graph_ir import MAC_KINDS, GraphModel, write_csv, write_json
-from .quantsim import QuantSimModel, _fill_avgpool_reuse, compute_param_encodings
-from .range_setting import compute_encodings_from_accumulator
+from .errors import CacheError, EncodingError, ModelFormatError
+from .graph_ir import MAC_KINDS, GraphModel, field, read_json, write_csv, write_json
+from .quantsim import QuantSimModel, compute_activation_encodings, compute_param_encodings
 
 __all__ = [
     "CandidatePair",
@@ -62,15 +62,15 @@ class CandidatePair:
 
     def __post_init__(self):
         for bw in (self.activation_bw, self.param_bw):
-            if not (2 <= int(bw) <= 32):
-                raise EncodingError(f"candidate bitwidth {bw} outside [2, 32]")
+            if type(bw) is not int or not 2 <= bw <= 32:
+                raise EncodingError(f"candidate bitwidth {bw!r} is not an integer in [2, 32]")
 
     @staticmethod
     def of(value) -> "CandidatePair":
         if isinstance(value, CandidatePair):
             return value
         a, p = value
-        return CandidatePair(int(a), int(p))
+        return CandidatePair(a, p)
 
     def as_list(self) -> list:
         return [self.activation_bw, self.param_bw]
@@ -177,26 +177,14 @@ def _apply_candidate(sim: QuantSimModel, group: QuantizerGroup, cand: CandidateP
     """Move one group to a candidate, re-deriving encodings from stored stats."""
     for key in group.param_keys:
         spec = sim.param_quantizers[key]
-        if spec.frozen or not spec.enabled:
-            continue
-        spec.bitwidth = cand.param_bw
-    compute_param_encodings(sim, keys=list(group.param_keys))
+        if not spec.frozen and spec.enabled:
+            spec.bitwidth = cand.param_bw
+    compute_param_encodings(sim, keys=group.param_keys)
     for nid in group.activation_keys:
         spec = sim.activation_quantizers[nid]
-        if spec.frozen or not spec.enabled:
-            continue
-        spec.bitwidth = cand.activation_bw
-        if nid in sim.avgpool_reuse:
-            continue  # synced from its producer below
-        acc = sim.activation_stats.get(nid)
-        if acc is None:
-            raise CalibrationError(
-                f"no stored activation statistics for {nid}; run compute_encodings first"
-            )
-        spec.set_encodings(
-            compute_encodings_from_accumulator(acc, cand.activation_bw, spec.symmetric, sim.scheme)
-        )
-    _fill_avgpool_reuse(sim)
+        if not spec.frozen and spec.enabled:
+            spec.bitwidth = cand.activation_bw
+    compute_activation_encodings(sim, keys=group.activation_keys)
 
 
 def _max_candidate(candidates: list[CandidatePair]) -> CandidatePair:
@@ -285,18 +273,33 @@ def fingerprint(sim: QuantSimModel, candidates: list[CandidatePair]) -> str:
 
 
 def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
+    """The cache at ``path``, or None if there is none. An unreadable file,
+    a field of the wrong type or range, or another fingerprint is a
+    CacheError. A missing ``entries`` list reads as empty."""
     if not path.exists():
         return None
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CacheError(f"cannot read cache {path}: {exc}") from exc
-    if doc.get("format") != expected_format:
-        raise CacheError(f"cache {path} has format {doc.get('format')!r}, expected {expected_format!r}")
-    if doc.get("fingerprint") != fp:
-        raise CacheError(
-            f"cache {path} was built for a different model or candidate set; rerun with a clean start"
-        )
+        doc = read_json(path, expected_format, "cache")
+        where = str(path)
+        if field(doc, "fingerprint", str, where) != fp:
+            raise CacheError(
+                f"cache {path} was built for a different model or candidate set; rerun with a clean start"
+            )
+        field(doc, "baseline", (int, float), where, check=math.isfinite)
+        doc["entries"] = field(doc, "entries", list, where, [])
+        scores = ("relative_bit_ops", "accuracy") if expected_format == PARETO_LIST_FORMAT else ("accuracy",)
+        moves = [(f"{where} entry {i}", e, scores) for i, e in enumerate(doc["entries"])]
+        if "rejected" in doc:
+            moves.append((f"{where} rejected move", doc["rejected"], ("accuracy",)))
+        for at, move, names in moves:
+            field(move, "group", str, at)
+            CandidatePair.of(field(move, "candidate", list, at))
+            for name in names:
+                field(move, name, (int, float), at, check=math.isfinite)
+    except ModelFormatError as exc:
+        raise CacheError(str(exc)) from None
+    except (EncodingError, ValueError, TypeError) as exc:  # from CandidatePair.of
+        raise CacheError(f"{at}: field 'candidate': {exc}") from None
     return doc
 
 
@@ -327,9 +330,6 @@ def sensitivity_analysis(
     max_cand = _max_candidate(candidates)
     fp = fingerprint(sim, candidates)
     path = cache_dir / "accuracy_list.json"
-    doc = _load_cache(path, ACCURACY_LIST_FORMAT, fp)
-    if doc is None:
-        doc = {"format": ACCURACY_LIST_FORMAT, "fingerprint": fp, "baseline": None, "entries": []}
 
     def at_max() -> QuantSimModel:
         clone = sim.clone()
@@ -337,8 +337,10 @@ def sensitivity_analysis(
             _apply_candidate(clone, g, max_cand)
         return clone
 
-    if doc["baseline"] is None:
-        doc["baseline"] = float(eval_phase1(at_max()))
+    doc = _load_cache(path, ACCURACY_LIST_FORMAT, fp)
+    if doc is None:
+        baseline = float(eval_phase1(at_max()))
+        doc = {"format": ACCURACY_LIST_FORMAT, "fingerprint": fp, "baseline": baseline, "entries": []}
         write_json(path, doc)
 
     cached = {(e["group"], tuple(e["candidate"])) for e in doc["entries"]}
@@ -426,6 +428,8 @@ def build_pareto(
             stopped = True
             break
         gid = e["group"]
+        if gid not in by_id:
+            raise CacheError(f"pareto cache {path} names unknown group {gid!r}")
         cand = CandidatePair.of(e["candidate"])
         _apply_candidate(sim, by_id[gid], cand)
         assignment[gid] = cand
@@ -433,9 +437,6 @@ def build_pareto(
     # The move that stopped the cached search, with its score: when the
     # replay reaches it again, its score is reused instead of re-evaluated.
     rejected = None if stopped else doc.get("rejected")
-
-    def candidate_index(c: CandidatePair) -> int:
-        return candidates.index(c)
 
     while not stopped:
         moves = []
@@ -453,7 +454,7 @@ def build_pareto(
                         f"phase-1 accuracy missing for group {g.group_id} candidate {c.as_list()}"
                     )
                 drop = max(0.0, p1_baseline - phase1[key])
-                moves.append((drop / saved, g.group_id, candidate_index(c), g, c))
+                moves.append((drop / saved, g.group_id, candidates.index(c), g, c))
         if not moves:
             break
         moves.sort(key=lambda m: (m[0], m[1], m[2]))
@@ -502,7 +503,7 @@ def _phase1_baseline(cache_dir: Path, fp: str, acc_list: list[AccuracyEntry]) ->
     """All-max phase-1 score from the accuracy cache; falls back to the best
     entry when build_pareto is driven with a hand-made list and no cache."""
     doc = _load_cache(Path(cache_dir) / "accuracy_list.json", ACCURACY_LIST_FORMAT, fp)
-    if doc is not None and doc.get("baseline") is not None:
+    if doc is not None:
         return float(doc["baseline"])
     if not acc_list:
         raise CacheError("phase-1 accuracy list is empty")

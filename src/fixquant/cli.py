@@ -186,8 +186,8 @@ def cmd_quantsim(args) -> int:
     ds = load_dataset(args.data)
     out = _outdir(args)
     sim = _build_sim(args, model, ds)
+    value = evaluate(sim, ds)  # a model that does not fit the dataset fails before any write
     export(sim, out / "quantsim")
-    value = evaluate(sim, ds)
     print(f"wrote {out}/quantsim.model.json, .weights.bin, .encodings.json")
     print(f"metric {ds.metric} {value:.6f}")
     return EXIT_OK
@@ -405,12 +405,9 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
         return args.func(args)
-    except NumericError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except FixquantError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_DATA
     except FileNotFoundError as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return EXIT_DATA

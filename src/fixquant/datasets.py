@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelFormatError, ShapeError
-from .graph_ir import load_pair, read_json, save_pair
+from .graph_ir import field, load_pair, read_json, save_pair
 
 __all__ = [
     "Dataset",
@@ -65,10 +65,11 @@ def save_dataset(ds: Dataset, prefix) -> None:
 def load_dataset(prefix) -> Dataset:
     manifest_path, blob_path = dataset_paths(prefix)
     manifest = read_json(manifest_path, DATASET_FORMAT, "dataset manifest")
-    (tensors,) = load_pair(blob_path, [("dataset", manifest.get("tensors"))])
-    if set(tensors) != {"x", "y"}:
-        raise ModelFormatError(f"dataset tensors must be x and y, got {sorted(tensors)}")
-    return Dataset(tensors["x"], tensors["y"], metric=manifest.get("metric"))
+    where = str(manifest_path)
+    specs = field(manifest, "tensors", dict, where, check=lambda t: set(t) == {"x", "y"})
+    metric = field(manifest, "metric", str, where, check=lambda m: m in METRICS)
+    (tensors,) = load_pair(blob_path, [("dataset", specs)])
+    return Dataset(tensors["x"], tensors["y"], metric=metric)
 
 
 def iter_batches(x: np.ndarray, batch_size: int = 256):
@@ -80,12 +81,17 @@ def iter_batches(x: np.ndarray, batch_size: int = 256):
 def evaluate(model, ds: Dataset, batch_size: int = 256) -> float:
     """Raw metric of a GraphModel or QuantSimModel on the dataset.
 
-    Accuracy is the fraction of argmax matches; mse the mean squared error
-    over all outputs. Use ``metric_score`` for a higher-is-better view.
+    Accuracy is the fraction of argmax matches over the rows of a 2-d
+    output; mse the mean squared error of an output shaped like the
+    targets. Any other output shape is a ShapeError. Use ``metric_score``
+    for a higher-is-better view.
     """
     outs = [model.forward(xb) for xb in iter_batches(ds.x, batch_size)]
     y_hat = np.concatenate(outs, axis=0)
-    if ds.metric == "accuracy":
+    accuracy = ds.metric == "accuracy"
+    if ds.y.shape != (y_hat.shape[:1] if accuracy else y_hat.shape) or (accuracy and y_hat.ndim != 2):
+        raise ShapeError(f"model output {y_hat.shape} does not fit {ds.metric} targets {ds.y.shape}")
+    if accuracy:
         return float(np.mean(y_hat.argmax(axis=1) == ds.y))
     diff = y_hat - ds.y
     return float(np.mean(diff * diff))

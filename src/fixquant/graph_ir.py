@@ -13,8 +13,9 @@ On disk a model is two files:
   in manifest order, raw little-endian float32.
 
 Datasets use the same manifest + blob layout; ``save_pair`` and
-``load_pair`` are the one writer and reader of it, and ``read_json`` the
-one reader of every tagged JSON document.
+``load_pair`` are the one writer and reader of it. ``read_json`` is the
+one reader of every JSON file and ``field`` the one checker of a field
+in it, so a malformed file is a ModelFormatError naming the field.
 
 Weights are float32-valued in memory too (stored as float64 for
 arithmetic), so save followed by load is an identity.
@@ -27,7 +28,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,8 @@ from . import tensor_core as tc
 from .errors import GraphError, ModelFormatError, ShapeError
 
 __all__ = [
-    "Node", "GraphModel", "load_model", "save_model", "model_paths", "read_json", "save_pair", "load_pair",
-    "write_atomic", "write_csv", "write_json",
+    "Node", "GraphModel", "load_model", "save_model", "model_paths", "read_json", "field", "save_pair",
+    "load_pair", "write_atomic", "write_csv", "write_json",
 ]
 
 NODE_KINDS = {
@@ -65,13 +66,13 @@ _REQUIRED_WEIGHTS = {
 MANIFEST_FORMAT = "fixquant-model-v1"
 
 
-@dataclass
+@dataclasses.dataclass
 class Node:
     id: str
     kind: str
-    inputs: list[str] = field(default_factory=list)
-    attrs: dict = field(default_factory=dict)
-    weights: dict[str, np.ndarray] = field(default_factory=dict)
+    inputs: list[str] = dataclasses.field(default_factory=list)
+    attrs: dict = dataclasses.field(default_factory=dict)
+    weights: dict[str, np.ndarray] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
@@ -177,11 +178,12 @@ class GraphModel:
 
     def forward(self, inputs):
         """Run the graph in float. Returns one array, or a dict for multi-output."""
-        values = self.evaluate_all(inputs)
+        return self.outputs(self.evaluate_all(inputs))
+
+    def outputs(self, values: dict):
+        """The output tensors among ``values``: one array, or a dict for multi-output."""
         outs = {oid: values[oid] for oid in self.output_ids}
-        if len(outs) == 1:
-            return next(iter(outs.values()))
-        return outs
+        return next(iter(outs.values())) if len(outs) == 1 else outs
 
     def evaluate_all(self, inputs, weights=None, activation=None) -> dict[str, np.ndarray]:
         """Run the graph and return every node's output tensor, keyed by node id.
@@ -277,16 +279,39 @@ def model_paths(prefix) -> tuple[Path, Path]:
     return Path(f"{prefix}.model.json"), Path(f"{prefix}.weights.bin")
 
 
-def read_json(path, fmt: str, what: str) -> dict:
-    """Read a JSON object tagged ``"format": fmt``. Any failure (unreadable
-    file, bad JSON, not an object, wrong tag) is a ModelFormatError."""
+def read_json(path, fmt: str | None, what: str) -> dict:
+    """Read a JSON object tagged ``"format": fmt`` (any object if ``fmt`` is
+    None). Any failure (unreadable file, bad JSON, not an object, wrong
+    tag) is a ModelFormatError."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as e:
         raise ModelFormatError(f"cannot read {what} {path}: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise ModelFormatError(f"{path} is not a {fmt} {what}")
+    if not isinstance(doc, dict) or (fmt is not None and doc.get("format") != fmt):
+        raise ModelFormatError(f"{path} is not a {fmt or 'JSON object'} {what}")
     return doc
+
+
+_REQUIRED = object()
+
+
+def field(doc, key: str, kind, where: str, default=_REQUIRED, check=None):
+    """``doc[key]`` if it is an instance of ``kind`` (a type or a tuple of
+    them; a bool never counts as a number) and passes ``check``. A missing
+    key gives ``default`` when one is passed. Anything else, ``doc`` not
+    being an object included, is one ModelFormatError naming ``where``."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{where} must be an object, got {doc!r:.80}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ModelFormatError(f"{where} has no field {key!r}")
+        return default
+    value, kinds = doc[key], kind if isinstance(kind, tuple) else (kind,)
+    wrong = not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds)
+    if wrong or not (check is None or check(value)):
+        want = " or ".join(k.__name__ for k in kinds)
+        raise ModelFormatError(f"{where}: field {key!r} = {value!r:.80} is not a valid {want}")
+    return value
 
 
 def save_pair(manifest_path, blob_path, doc: dict, tensor_maps: list[dict]) -> None:
@@ -305,7 +330,7 @@ def save_pair(manifest_path, blob_path, doc: dict, tensor_maps: list[dict]) -> N
     write_atomic(blob_path, np.concatenate(chunks).tobytes() if chunks else b"")
 
 
-def load_pair(blob_path, tensor_maps: list[tuple[str, object]]) -> list[dict[str, np.ndarray]]:
+def load_pair(blob_path, tensor_maps: list[tuple[str, dict]]) -> list[dict[str, np.ndarray]]:
     """Read the blob of a manifest + blob pair. ``tensor_maps`` holds, per
     owner name, the manifest's ``{name: {shape, offset}}`` map; returns each
     map with its entries sliced out of the blob as float64 arrays. Every
@@ -317,21 +342,16 @@ def load_pair(blob_path, tensor_maps: list[tuple[str, object]]) -> list[dict[str
         raise ModelFormatError(f"cannot read blob {blob_path}: {e}") from None
     out, used = [], 0
     for owner, specs in tensor_maps:
-        if not isinstance(specs, dict):
-            raise ModelFormatError(f"{owner}: tensors must be an object, got {specs!r}")
         arrays = {}
-        for name, spec in specs.items():
-            shape = spec.get("shape") if isinstance(spec, dict) else None
-            off = spec.get("offset") if isinstance(spec, dict) else None
-            if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-                raise ModelFormatError(f"tensor {owner}.{name}: shape must be a list of ints >= 0")
-            if type(off) is not int or off < 0:
-                raise ModelFormatError(f"tensor {owner}.{name}: offset must be an int >= 0")
+        for name in specs:
+            where = f"tensor {owner}.{name}"
+            spec = field(specs, name, dict, f"tensors of {owner}")
+            shape = field(spec, "shape", list, where, check=lambda s: all(type(d) is int and d >= 0 for d in s))
+            off = field(spec, "offset", int, where, check=lambda o: o >= 0)
             size = math.prod(shape)
             if off + size > blob.size:
                 raise ModelFormatError(
-                    f"tensor {owner}.{name} (offset {off}, size {size}) exceeds blob "
-                    f"of {blob.size} floats"
+                    f"{where} (offset {off}, size {size}) exceeds blob of {blob.size} floats"
                 )
             arrays[name] = blob[off : off + size].reshape(shape).astype(np.float64)
             used += size
@@ -362,19 +382,16 @@ def load_model(manifest_path, blob_path=None) -> GraphModel:
     if blob_path is None:
         manifest_path, blob_path = model_paths(manifest_path)
     manifest = read_json(manifest_path, MANIFEST_FORMAT, "model manifest")
-    if not isinstance(manifest.get("nodes"), list):
-        raise ModelFormatError("manifest has no node list")
     fields, specs = [], []
-    for entry in manifest["nodes"]:
-        try:
-            inputs, attrs = list(entry.get("inputs", [])), dict(entry.get("attrs", {}))
-            fields.append((entry["id"], entry["kind"], inputs, attrs))
-            specs.append((entry["id"], entry.get("tensors", {})))
-        except (TypeError, KeyError) as e:
-            raise ModelFormatError(f"malformed node entry {entry!r}: {e}") from None
+    for i, entry in enumerate(field(manifest, "nodes", list, str(manifest_path))):
+        where = f"{manifest_path} node {i}"
+        nid = field(entry, "id", str, where)
+        inputs = field(entry, "inputs", list, where, [], lambda v: all(isinstance(s, str) for s in v))
+        fields.append((nid, field(entry, "kind", str, where), inputs, field(entry, "attrs", dict, where, {})))
+        specs.append((nid, field(entry, "tensors", dict, where, {})))
     weights = load_pair(blob_path, specs)
     try:
         nodes = [Node(*f, weights=w) for f, w in zip(fields, weights)]
-        return GraphModel(nodes, name=str(manifest.get("name", "model")))
+        return GraphModel(nodes, name=field(manifest, "name", str, str(manifest_path), "model"))
     except GraphError as e:
         raise ModelFormatError(str(e)) from None

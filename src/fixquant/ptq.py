@@ -25,10 +25,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import graph_ir as gir
 from . import tensor_core as tc
-from .errors import CalibrationError, EncodingError
+from .errors import CalibrationError, EncodingError, ShapeError
 from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json
-from .quantizer import QuantizerSpec, qdq
+from .quantizer import QuantizerSpec, grid, qdq
 from .quantsim import (
     QuantSimModel,
     SimConfig,
@@ -64,8 +65,7 @@ def _fold_into(layer, bn) -> None:
     beta = bn.weights["beta"]
     mean = bn.weights["mean"]
     var = bn.weights["var"]
-    eps = bn.attrs.get("eps", BN_DEFAULT_EPS)
-    inv_std = gamma / np.sqrt(var + eps)
+    inv_std = gamma / tc.batchnorm_std(var, bn.attrs.get("eps", BN_DEFAULT_EPS))
 
     w = layer.weights["weight"]
     b = layer.weights["bias"]
@@ -79,6 +79,21 @@ def _fold_into(layer, bn) -> None:
         "beta": [float(v) for v in beta],
         "gamma": [float(abs(v)) for v in gamma],
     }
+
+
+def _folded_bn(layer) -> Optional[dict]:
+    """The layer's folded batch-norm statistics, or None. A record that is
+    not one finite ``beta`` and ``gamma`` per output channel is a
+    ModelFormatError."""
+    st = gir.field(layer.attrs, "folded_bn", dict, f"node {layer.id} attrs", None)
+    c = layer.weights["weight"].shape[0]
+
+    def per_channel(v):
+        return len(v) == c and all(type(x) in (int, float) and math.isfinite(x) for x in v)
+
+    for key in () if st is None else ("beta", "gamma"):
+        gir.field(st, key, list, f"node {layer.id} folded_bn", check=per_channel)
+    return st
 
 
 def fold_batch_norms(model: GraphModel) -> GraphModel:
@@ -157,6 +172,8 @@ def _in_channel_ranges(node) -> Optional[np.ndarray]:
     w = node.weights["weight"]
     if node.kind == "linear":
         return np.abs(w).max(axis=0)
+    if w.ndim != 4:
+        raise ShapeError(f"conv2d {node.id} expects a 4-d weight, got {w.shape}")
     groups = node.attrs.get("groups", 1)
     if groups == 1:
         return np.abs(w).max(axis=(0, 2, 3))
@@ -181,7 +198,7 @@ def _scale_output_channels(node, s: np.ndarray) -> None:
     w = node.weights["weight"]
     node.set_weight("weight", w / s.reshape((-1,) + (1,) * (w.ndim - 1)))
     node.set_weight("bias", node.weights["bias"] / s)
-    st = node.attrs.get("folded_bn")
+    st = _folded_bn(node)
     if st is not None:
         st["beta"] = [float(b / si) for b, si in zip(st["beta"], s)]
         st["gamma"] = [float(g / si) for g, si in zip(st["gamma"], s)]
@@ -279,7 +296,7 @@ def absorb_high_bias(model: GraphModel, report: CLEReport) -> GraphModel:
         if mid is None:
             report.absorption_skipped.append({"layer1": a_id, "reason": "no relu between layers"})
             continue
-        st = a.attrs.get("folded_bn")
+        st = _folded_bn(a)
         if st is None:
             report.absorption_skipped.append(
                 {"layer1": a_id, "reason": "no batch-norm statistics available"}
@@ -367,7 +384,7 @@ def _analytic_input_mean(sim: QuantSimModel, node) -> Optional[np.ndarray]:
     if src.kind == "relu":
         through_relu = True
         src = graph.nodes[src.inputs[0]]
-    st = src.attrs.get("folded_bn") if src.kind in MAC_KINDS else None
+    st = _folded_bn(src) if src.kind in MAC_KINDS else None
     if st is None:
         return None
     beta = np.asarray(st["beta"], dtype=np.float64)
@@ -579,20 +596,13 @@ def adaround(
         node = out.nodes[nid]
         w = node.weights["weight"]
 
-        acc = RangeAccumulator(channel_axis=scheme.channel_axis if scheme.per_channel else None)
+        axis = scheme.channel_axis if scheme.per_channel else None
+        acc = RangeAccumulator(channel_axis=axis)
         acc.observe(w)
         encs = compute_encodings_from_accumulator(acc, param_bw, symmetric=True, scheme=scheme)
-        if scheme.per_channel:
-            shape = [1] * w.ndim
-            shape[scheme.channel_axis] = len(encs)
-            s = np.array([e.scale for e in encs]).reshape(shape)
-            zp = np.array([float(e.zero_point) for e in encs]).reshape(shape)
-            q_lo = np.array([float(e.q_lo) for e in encs]).reshape(shape)
-            q_hi = np.array([float(e.q_hi) for e in encs]).reshape(shape)
-        else:
-            e = encs[0]
-            s, zp = e.scale, float(e.zero_point)
-            q_lo, q_hi = float(e.q_lo), float(e.q_hi)
+        spec = QuantizerSpec(param_bw, symmetric=True, channel_axis=axis, encodings=encs, frozen=True)
+        frozen[f"{nid}.weight"] = spec
+        s, zp, q_lo, q_hi = grid(spec, w)
 
         w_floor = np.floor(w / s)
         # Start the soft offset at the plain rounding residual.
@@ -628,7 +638,6 @@ def adaround(
         h_final = (_rect_sigmoid(v) >= 0.5).astype(np.float64)
         w_int = np.clip(w_floor + zp + h_final, q_lo, q_hi)
         node.set_weight("weight", s * (w_int - zp))
-        frozen[f"{nid}.weight"] = QuantizerSpec(param_bw, symmetric=True, encodings=encs, frozen=True)
         del patch, targets_y  # at most one layer's patches are alive
 
     doc = encodings_to_dict({}, frozen)

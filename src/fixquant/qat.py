@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import CalibrationError, NumericError
+from .errors import CalibrationError, NumericError, ShapeError
 from .graph_ir import MAC_KINDS, write_csv
 from .quantizer import qdq, ste_mask  # qdq unused; stays bound for profilers that patch qat.qdq
 from .quantsim import QuantSimModel, compute_encodings
@@ -145,7 +145,7 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
         elif k == "batchnorm":
             # Inference-mode affine transform over the simulation's statistics.
             qw = tape.weights[nid]
-            scale = qw["gamma"] / np.sqrt(qw["var"] + attrs.get("eps", 1e-5))
+            scale = qw["gamma"] / tc.batchnorm_std(qw["var"], attrs.get("eps", 1e-5))
             _accum(src, gy * scale.reshape((1, -1) + (1,) * (gy.ndim - 2)))
         elif k == "relu":
             _accum(src, gy * (x > 0).astype(np.float64))
@@ -168,8 +168,7 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
 
 def _maxpool_grad(gy, x, attrs):
     """Each output's gradient goes to the first maximum of its window."""
-    kernel, padding = attrs["kernel"], attrs.get("padding", 0)
-    stride = kernel if attrs.get("stride") is None else attrs["stride"]
+    kernel, stride, padding = tc.pool_window(attrs)
     flat = tc._flat_windows(x, kernel, stride, padding, fill=-np.inf)
     onehot = np.arange(flat.shape[-1]) == flat.argmax(axis=-1)[..., None]
     cols = (onehot * gy[..., None]).reshape(flat.shape[:4] + tc._pair(kernel, "kernel"))
@@ -178,8 +177,7 @@ def _maxpool_grad(gy, x, attrs):
 
 def _avgpool_grad(gy, in_shape, attrs):
     """Each output's gradient goes in equal shares to every position of its window."""
-    kernel, padding = attrs["kernel"], attrs.get("padding", 0)
-    stride = kernel if attrs.get("stride") is None else attrs["stride"]
+    kernel, stride, padding = tc.pool_window(attrs)
     kh, kw = tc._pair(kernel, "kernel")
     share = gy / (kh * kw)
     cols = np.broadcast_to(share[..., None, None], share.shape + (kh, kw))
@@ -193,6 +191,8 @@ def _avgpool_grad(gy, in_shape, attrs):
 def mse_loss(y: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
+    if y.shape != target.shape:
+        raise ShapeError(f"mse output {y.shape} does not fit targets {target.shape}")
     diff = y - target
     return float(np.mean(diff * diff)), (2.0 / diff.size) * diff
 
@@ -201,6 +201,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     """Mean cross entropy over the batch; labels are integer class ids."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1] or np.any((labels < 0) | (labels >= logits.shape[1])):
+        raise ShapeError(f"cross entropy needs a label in [0, C) per row of (N, C) logits, got {logits.shape}")
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
     p = ez / ez.sum(axis=1, keepdims=True)

@@ -33,6 +33,7 @@ __all__ = [
     "dequantize",
     "qdq",
     "qdq_tensor",
+    "grid",
     "integer_matmul_asymmetric",
     "integer_mac",
 ]
@@ -194,7 +195,7 @@ class QuantizerSpec:
         return replace(self, encodings=None if self.encodings is None else list(self.encodings))
 
 
-def _grid(spec: QuantizerSpec, x: np.ndarray):
+def grid(spec: QuantizerSpec, x: np.ndarray):
     """(scale, zero_point, q_lo, q_hi) of an enabled quantizer: scalars per
     tensor, arrays broadcastable against ``x`` per channel."""
     if not spec.encodings:
@@ -222,7 +223,7 @@ def qdq(x, spec: QuantizerSpec) -> np.ndarray:
     computed encodings.
     """
     x = np.asarray(x, dtype=np.float64)
-    return _fake_quant(x, *_grid(spec, x)) if spec.enabled else x
+    return _fake_quant(x, *grid(spec, x)) if spec.enabled else x
 
 
 def ste_mask(x, spec: QuantizerSpec) -> np.ndarray:
@@ -230,7 +231,7 @@ def ste_mask(x, spec: QuantizerSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not spec.enabled:
         return np.ones_like(x)
-    scale, zp, lo, hi = _grid(spec, x)
+    scale, zp, lo, hi = grid(spec, x)
     return ((x >= scale * (lo - zp)) & (x <= scale * (hi - zp))).astype(np.float64)
 
 

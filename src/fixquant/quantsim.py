@@ -24,8 +24,7 @@ after which calibration leaves them untouched.
 from __future__ import annotations
 
 import copy
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +44,9 @@ __all__ = [
     "QuantSimModel",
     "create_quantsim",
     "compute_encodings",
+    "compute_activation_encodings",
     "export",
     "import_encodings",
-    "load_encodings_file",
 ]
 
 ENCODINGS_FORMAT = "fixquant-encodings-v1"
@@ -70,57 +69,76 @@ DEFAULT_CONFIG_DICT = {
 }
 
 
+# The shape of a placement config. A dict is an object whose keys must
+# appear in it ("*" stands for any key); a leaf is the (kind, check) of
+# graph_ir.field. Every rule is an object of bool flags.
+_FLAG = (bool, None)
+_RULE = {"*": _FLAG}
+_CONFIG_SCHEMA = {
+    "defaults": {"*": _RULE},
+    "params": {"*": _RULE},
+    "op_type": {"*": {"params": {"*": _RULE}, "*": _FLAG}},
+    "supergroups": (list, lambda v: all(isinstance(p, list) and all(isinstance(k, str) for k in p) for p in v)),
+    "model_input": _RULE,
+    "model_output": _RULE,
+}
+
+
+def _conform(doc: dict, schema: dict, where: str) -> None:
+    for key in doc:
+        want = schema.get(key, schema.get("*"))
+        if want is None:
+            raise ModelFormatError(f"{where}: unknown field {key!r}")
+        if isinstance(want, dict):
+            _conform(gir.field(doc, key, dict, where), want, f"{where}.{key}")
+        else:
+            gir.field(doc, key, want[0], where, check=want[1])
+
+
 @dataclass
 class SimConfig:
     """Quantizer placement policy, resolved per node / per parameter."""
 
-    defaults: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG_DICT["defaults"]))
-    params: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG_DICT["params"]))
-    op_type: dict = field(default_factory=dict)
-    supergroups: list = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG_DICT["supergroups"]))
-    model_input: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG_DICT["model_input"]))
-    model_output: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG_DICT["model_output"]))
+    defaults: dict
+    params: dict
+    op_type: dict
+    supergroups: list
+    model_input: dict
+    model_output: dict
 
     @classmethod
     def default(cls) -> "SimConfig":
-        return cls()
+        return cls.from_dict({})
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        base = copy.deepcopy(DEFAULT_CONFIG_DICT)
-        unknown = set(d) - set(base)
-        if unknown:
-            raise ModelFormatError(f"unknown config sections: {sorted(unknown)}")
-        merged = {**base, **copy.deepcopy(d)}
-        return cls(**merged)
+    def from_dict(cls, d: dict, where: str = "sim config") -> "SimConfig":
+        """Sections given in ``d`` replace the default ones. Every field is
+        checked against ``_CONFIG_SCHEMA``; a misfit is a ModelFormatError
+        naming it."""
+        if not isinstance(d, dict):
+            raise ModelFormatError(f"{where} must be an object, got {d!r:.80}")
+        _conform(d, _CONFIG_SCHEMA, where)
+        return cls(**{**copy.deepcopy(DEFAULT_CONFIG_DICT), **copy.deepcopy(d)})
 
     @classmethod
     def from_file(cls, path) -> "SimConfig":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (OSError, json.JSONDecodeError) as e:
-            raise ModelFormatError(f"cannot read sim config {path}: {e}") from None
+        return cls.from_dict(gir.read_json(path, None, "sim config"), where=str(path))
 
     # -- resolution ------------------------------------------------------
 
     def resolve_param(self, kind: str, param: str) -> dict:
         """Effective (is_quantized, is_symmetric, per_channel) for one parameter."""
-        out = dict(self.defaults.get("params", {}))
-        out.setdefault("is_quantized", True)
-        out.setdefault("is_symmetric", True)
-        out.setdefault("per_channel", False)
-        out.update(self.params.get(param, {}))
-        out.update(self.op_type.get(kind, {}).get("params", {}).get(param, {}))
-        return out
+        return {
+            "is_quantized": True, "is_symmetric": True, "per_channel": False,
+            **self.defaults.get("params", {}),
+            **self.params.get(param, {}),
+            **self.op_type.get(kind, {}).get("params", {}).get(param, {}),
+        }
 
     def resolve_output(self, kind: str) -> dict:
         """Effective (is_output_quantized, is_symmetric) for one op's output."""
-        out = dict(self.defaults.get("ops", {}))
-        out.setdefault("is_output_quantized", True)
-        out.setdefault("is_symmetric", False)
         section = {k: v for k, v in self.op_type.get(kind, {}).items() if k != "params"}
-        out.update(section)
-        return out
+        return {"is_output_quantized": True, "is_symmetric": False, **self.defaults.get("ops", {}), **section}
 
 
 class QuantSimModel:
@@ -202,11 +220,7 @@ class QuantSimModel:
         return (values, raw, used) if capture_raw else values
 
     def forward(self, inputs):
-        values = self.evaluate_all(inputs)
-        outs = {oid: values[oid] for oid in self.graph.output_ids}
-        if len(outs) == 1:
-            return next(iter(outs.values()))
-        return outs
+        return self.graph.outputs(self.evaluate_all(inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +261,6 @@ def create_quantsim(
     scheme = scheme or RangeScheme()
     config = config or SimConfig.default()
     graph = model.copy()
-    consumers = graph.consumers()
     suppressed = _supergroup_suppressed(graph, config)
     feeds_output = {
         src for node in graph.nodes.values() if node.kind == "output" for src in node.inputs
@@ -262,40 +275,27 @@ def create_quantsim(
 
         for pname in node.weights:
             rule = config.resolve_param(node.kind, pname)
-            if not rule.get("is_quantized", False):
-                continue
-            per_channel = bool(rule.get("per_channel", False)) and pname == "weight" and (
-                node.kind in gir.MAC_KINDS
-            )
-            param_q[f"{nid}.{pname}"] = QuantizerSpec(
-                bitwidth=default_param_bw,
-                symmetric=bool(rule.get("is_symmetric", True)),
-                channel_axis=scheme.channel_axis if per_channel else None,
-            )
+            if rule["is_quantized"]:
+                per_channel = rule["per_channel"] and pname == "weight" and node.kind in gir.MAC_KINDS
+                param_q[f"{nid}.{pname}"] = QuantizerSpec(
+                    bitwidth=default_param_bw,
+                    symmetric=bool(rule["is_symmetric"]),
+                    channel_axis=scheme.channel_axis if per_channel else None,
+                )
 
-        if node.kind == "output":
-            continue
-        if node.kind == "maxpool":
-            continue  # output stays on the input grid; no new encoding
+        if node.kind in ("output", "maxpool"):
+            continue  # a maxpool output stays on its input grid; no new encoding
         if node.kind == "input":
-            if not config.model_input.get("is_input_quantized", False):
-                continue
-            act_q[nid] = QuantizerSpec(bitwidth=default_output_bw, symmetric=False)
+            if config.model_input.get("is_input_quantized", False):
+                act_q[nid] = QuantizerSpec(bitwidth=default_output_bw, symmetric=False)
             continue
 
         rule = config.resolve_output(node.kind)
-        quantized = bool(rule.get("is_output_quantized", True))
-        if nid in suppressed:
-            quantized = False
-        if nid in feeds_output and config.model_output.get("is_output_quantized", True):
-            quantized = True
-        if not quantized:
-            continue
-        act_q[nid] = QuantizerSpec(
-            bitwidth=default_output_bw, symmetric=bool(rule.get("is_symmetric", False))
-        )
-        if node.kind == "avgpool":
-            avgpool_reuse[nid] = node.inputs[0]
+        quantized = rule["is_output_quantized"] and nid not in suppressed
+        if quantized or (nid in feeds_output and config.model_output.get("is_output_quantized", True)):
+            act_q[nid] = QuantizerSpec(bitwidth=default_output_bw, symmetric=bool(rule["is_symmetric"]))
+            if node.kind == "avgpool":
+                avgpool_reuse[nid] = node.inputs[0]
 
     return QuantSimModel(
         graph=graph,
@@ -356,20 +356,21 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
         for nid, node in sim.graph.nodes.items()
         if node.kind in gir.MAC_KINDS
     }
-
-    for nid, spec in sim.activation_quantizers.items():
-        if spec.frozen or not spec.enabled:
-            continue
-        if nid in sim.avgpool_reuse:
-            continue  # filled below from the input tensor's encoding
-        spec.set_encodings(
-            compute_encodings_from_accumulator(accs[nid], spec.bitwidth, spec.symmetric, sim.scheme)
-        )
-    _fill_avgpool_reuse(sim)
+    compute_activation_encodings(sim)
     return sim
 
 
-def _fill_avgpool_reuse(sim: QuantSimModel) -> None:
+def compute_activation_encodings(sim: QuantSimModel, keys=None) -> None:
+    """(Re)derive activation encodings at their quantizers' bitwidths from
+    the statistics stored by compute_encodings. An avgpool output takes
+    its input's encoding, or is disabled if that input is unquantized."""
+    for nid, spec in sim.activation_quantizers.items():
+        if (keys is not None and nid not in keys) or spec.frozen or not spec.enabled or nid in sim.avgpool_reuse:
+            continue
+        acc = sim.activation_stats.get(nid)
+        if acc is None:
+            raise CalibrationError(f"no stored activation statistics for {nid}; run compute_encodings first")
+        spec.set_encodings(compute_encodings_from_accumulator(acc, spec.bitwidth, spec.symmetric, sim.scheme))
     for nid, src in sim.avgpool_reuse.items():
         spec = sim.activation_quantizers.get(nid)
         if spec is None or spec.frozen:
@@ -380,7 +381,6 @@ def _fill_avgpool_reuse(sim: QuantSimModel) -> None:
             spec.symmetric = src_spec.symmetric
             spec.set_encodings(list(src_spec.encodings))
         else:
-            # Nothing to reuse (input tensor is unquantized): disable.
             spec.enabled = False
 
 
@@ -403,18 +403,13 @@ def _encoding_to_json(e: QuantEncoding, frozen: bool) -> dict:
     return d
 
 
-def _encoding_from_json(d) -> QuantEncoding:
-    if not isinstance(d, dict):
-        raise ModelFormatError(f"encoding entry {d!r} is not an object")
-    scale, offset, bitwidth = d.get("scale"), d.get("offset"), d.get("bitwidth")
-    if type(scale) not in (int, float) or type(offset) is not int or type(bitwidth) is not int:
-        raise ModelFormatError(f"encoding entry {d!r} needs a numeric scale, integer offset and bitwidth")
+def _encoding_from_json(d, where: str = "encoding entry") -> QuantEncoding:
     return QuantEncoding(
-        scale=float(scale),
-        zero_point=offset,
-        bitwidth=bitwidth,
-        signed=bool(d.get("signed", False)),
-        symmetric=bool(d.get("symmetric", False)),
+        scale=float(gir.field(d, "scale", (int, float), where)),
+        zero_point=gir.field(d, "offset", int, where),
+        bitwidth=gir.field(d, "bitwidth", int, where),
+        signed=gir.field(d, "signed", bool, where, False),
+        symmetric=gir.field(d, "symmetric", bool, where, False),
     )
 
 
@@ -451,10 +446,6 @@ def export(sim: QuantSimModel, prefix) -> dict[str, Path]:
     return {"manifest": manifest, "weights": blob, "encodings": enc_path}
 
 
-def load_encodings_file(path) -> dict:
-    return gir.read_json(path, ENCODINGS_FORMAT, "encodings file")
-
-
 def import_encodings(sim: QuantSimModel, source, freeze: bool = False) -> QuantSimModel:
     """Load encodings written by :func:`export` or adaround, from a file path
     or an already-loaded document; the entries of both get the same checks.
@@ -463,28 +454,26 @@ def import_encodings(sim: QuantSimModel, source, freeze: bool = False) -> QuantS
     (or a ``frozen`` flag on a file entry) pins the encoding so later
     calibration cannot overwrite it.
     """
-    doc = source if isinstance(source, dict) else load_encodings_file(source)
+    doc = source if isinstance(source, dict) else gir.read_json(source, ENCODINGS_FORMAT, "encodings file")
     for section, qmap in (
         ("activation_encodings", sim.activation_quantizers),
         ("param_encodings", sim.param_quantizers),
     ):
-        entries_by_key = doc.get(section, {})
-        if not isinstance(entries_by_key, dict):
-            raise ModelFormatError(f"{section} must be an object")
+        entries_by_key = gir.field(doc, section, dict, "encodings", {})
         seen = set()
-        for key, entries in entries_by_key.items():
+        for key in entries_by_key:
             if key not in qmap:
                 raise EncodingError(f"encodings file names unknown tensor {key!r}")
-            if not isinstance(entries, list) or not entries:
-                raise ModelFormatError(f"{section}[{key!r}] must be a non-empty list of encodings")
+            entries = gir.field(entries_by_key, key, list, section, check=len)
             spec = qmap[key]
-            encs = [_encoding_from_json(d) for d in entries]
+            where = f"{section}[{key!r}]"
+            encs = [_encoding_from_json(d, where) for d in entries]
             for e in encs:
                 if e.bitwidth != spec.bitwidth:
                     raise EncodingError(
                         f"{key}: file bitwidth {e.bitwidth} != quantizer bitwidth {spec.bitwidth}"
                     )
-            entry_frozen = any(d.get("frozen", False) for d in entries)
+            entry_frozen = any(gir.field(d, "frozen", bool, where, False) for d in entries)
             spec.enabled = True
             spec.symmetric = encs[0].symmetric
             if spec.per_channel and len(encs) == 1:

@@ -48,6 +48,8 @@ __all__ = [
     "windows",
     "windows_adjoint",
     "conv_patches",
+    "pool_window",
+    "batchnorm_std",
 ]
 
 
@@ -68,16 +70,24 @@ def ensure_finite(arr: np.ndarray, what: str = "result") -> np.ndarray:
     return arr
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _pair(v, name: str) -> tuple[int, int]:
     """Normalize an int-or-pair window attribute to a (h, w) tuple. A
     padding must be at least 0, a kernel or stride at least 1."""
     pair = tuple(v) if isinstance(v, (list, tuple)) else (v, v)
     lo = 0 if name == "padding" else 1
-    if len(pair) != 2 or not all(
-        isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= lo for p in pair
-    ):
+    if len(pair) != 2 or not all(_is_int(p) and p >= lo for p in pair):
         raise ShapeError(f"{name} must be an integer >= {lo} or a pair of them, got {v!r}")
     return int(pair[0]), int(pair[1])
+
+
+def pool_window(attrs: dict) -> tuple:
+    """(kernel, stride, padding) of pool attributes; the stride defaults to the kernel."""
+    kernel, stride = attrs.get("kernel"), attrs.get("stride")
+    return kernel, kernel if stride is None else stride, attrs.get("padding", 0)
 
 
 def windows(x, kernel, stride, padding, fill=0.0) -> np.ndarray:
@@ -157,12 +167,11 @@ def _conv_groups(x_shape, w_shape, groups) -> int:
     if len(x_shape) != 4 or len(w_shape) != 4:
         raise ShapeError(f"conv2d expects 4-d input and weight, got {x_shape}, {w_shape}")
     c, o, cg = x_shape[1], w_shape[0], w_shape[1]
-    groups = int(groups)
-    if groups < 1 or c % groups or o % groups:
-        raise ShapeError(f"conv2d groups={groups} incompatible with C={c}, O={o}")
+    if not _is_int(groups) or groups < 1 or c % groups or o % groups:
+        raise ShapeError(f"conv2d groups={groups!r} incompatible with C={c}, O={o}")
     if cg != c // groups:
         raise ShapeError(f"conv2d weight expects {cg} channels per group, input provides {c // groups}")
-    return groups
+    return int(groups)
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
@@ -241,11 +250,19 @@ def batchnorm(x, gamma, beta, mean, var, eps=1e-5) -> np.ndarray:
     g = _channel_view(gamma, c, x.ndim)
     b = _channel_view(beta, c, x.ndim)
     m = _channel_view(mean, c, x.ndim)
-    v = _channel_view(var, c, x.ndim)
-    if np.any(np.asarray(var) < 0):
-        raise NumericError("batchnorm variance must be non-negative")
-    y = g * (x - m) / np.sqrt(v + eps) + b
+    y = g * (x - m) / _channel_view(batchnorm_std(var, eps), c, x.ndim) + b
     return ensure_finite(y, "batchnorm output")
+
+
+def batchnorm_std(var, eps) -> np.ndarray:
+    """``sqrt(var + eps)``. A non-number ``eps`` is a ShapeError and a
+    ``var + eps`` that is not positive a NumericError."""
+    if not isinstance(eps, (int, float, np.integer, np.floating)) or isinstance(eps, bool):
+        raise ShapeError(f"batchnorm eps must be a number, got {eps!r}")
+    v = np.asarray(var, dtype=np.float64) + eps
+    if not np.all(v > 0):
+        raise NumericError("batchnorm variance plus eps must be positive")
+    return np.sqrt(v)
 
 
 def relu(x) -> np.ndarray:
@@ -274,8 +291,10 @@ def concat(xs, axis=1) -> np.ndarray:
     arrs = [np.asarray(v, dtype=np.float64) for v in xs]
     if not arrs:
         raise ShapeError("concat needs at least one input")
+    if not _is_int(axis):
+        raise ShapeError(f"concat axis must be an integer, got {axis!r}")
     try:
-        out = np.concatenate(arrs, axis=int(axis))
+        out = np.concatenate(arrs, axis=axis)
     except ValueError as e:
         raise ShapeError(f"concat failed: {e}") from None
     return ensure_finite(out, "concat output")
@@ -312,12 +331,8 @@ _ELEMENTWISE = {
     "relu6": lambda inputs, attrs: relu6(inputs[0]),
     "add": lambda inputs, attrs: add(*inputs),
     "concat": lambda inputs, attrs: concat(inputs, axis=attrs.get("axis", 1)),
-    "maxpool": lambda inputs, attrs: maxpool(
-        inputs[0], attrs["kernel"], attrs.get("stride"), attrs.get("padding", 0)
-    ),
-    "avgpool": lambda inputs, attrs: avgpool(
-        inputs[0], attrs["kernel"], attrs.get("stride"), attrs.get("padding", 0)
-    ),
+    "maxpool": lambda inputs, attrs: maxpool(inputs[0], *pool_window(attrs)),
+    "avgpool": lambda inputs, attrs: avgpool(inputs[0], *pool_window(attrs)),
 }
 
 

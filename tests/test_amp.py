@@ -65,6 +65,11 @@ class TestCandidatePair:
         with pytest.raises(EncodingError):
             CandidatePair(8, 33)
 
+    @pytest.mark.parametrize("value", [(8.9, 8), (8, "8"), (True, 8), (8.0, 8)])
+    def test_bitwidths_must_be_integers(self, value):
+        with pytest.raises(EncodingError):
+            CandidatePair.of(value)
+
 
 class TestGrouping:
     def test_mlp_splits_into_three_groups(self):
@@ -401,6 +406,33 @@ class TestBuildParetoDirect:
         acc = [AccuracyEntry(groups[0].group_id, CandidatePair(8, 4), 0.9)]
         with pytest.raises(CacheError):
             build_pareto(sim, groups, [(8, 8), (8, 4)], acc, make_eval(sim), 10.0, tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, mutate",
+        [
+            ("accuracy_list.json", lambda doc: doc.update(baseline=None)),
+            ("pareto_list.json", lambda doc: doc.update(baseline=float("nan"))),
+            ("accuracy_list.json", lambda doc: doc["entries"][0].update(candidate=[8, 64])),
+            ("accuracy_list.json", lambda doc: doc["entries"][0].update(candidate=[8, 4.5])),
+            ("accuracy_list.json", lambda doc: doc["entries"][0].update(candidate=[8, 4, 4])),
+            ("accuracy_list.json", lambda doc: doc["entries"].append(3)),
+            ("pareto_list.json", lambda doc: doc.update(entries={})),
+            ("pareto_list.json", lambda doc: doc["entries"][0].update(group="nowhere")),
+            ("pareto_list.json", lambda doc: doc["entries"][0].pop("relative_bit_ops")),
+            ("pareto_list.json", lambda doc: doc.update(rejected=[1])),
+        ],
+        ids=["null-baseline", "nan-baseline", "candidate-range", "candidate-float", "candidate-triple", "entry-int", "entries-object", "unknown-group",
+             "no-bit-ops", "rejected-list"],
+    )
+    def test_malformed_cache_field_is_cache_error(self, tmp_path, name, mutate):
+        sim = calibrated_sim()
+        ev = make_eval(sim)
+        choose_mixed_precision(sim, CANDS, ev, ev, 10.0, tmp_path)
+        doc = json.loads((tmp_path / name).read_text())
+        mutate(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+        with pytest.raises(CacheError):
+            choose_mixed_precision(calibrated_sim(), CANDS, ev, ev, 10.0, tmp_path, clean_start=False)
 
     def test_empty_accuracy_list_raises(self, tmp_path):
         sim = calibrated_sim()

@@ -362,25 +362,63 @@ def _set(*path, value=None, drop=False):
         ("model", _set("nodes", 1, "tensors", "weight", "offset", value="x")),
         ("model", _set("nodes", 1, "tensors", "weight", "shape", value="a")),
         ("model", _set("nodes", 1, "tensors", "weight", value=-1)),
+        ("model", _set("nodes", 1, "id", value={})),
+        ("model", _set("nodes", 1, "attrs", value="x")),
+        ("config", lambda doc: [{"a": 1}]),
+        ("config", _set("defaults", value="x")),
+        ("config", _set("supergroups", value=[1])),
     ],
     ids=[
         "encodings-entries-empty", "encodings-entries-true", "encodings-section-list",
         "encodings-fractional-bitwidth", "dataset-list", "dataset-no-tensors", "dataset-no-metric",
         "dataset-negative-offset", "dataset-no-offset", "dataset-shape-string", "model-no-offset",
-        "model-offset-string", "model-shape-string", "model-spec-int",
+        "model-offset-string", "model-shape-string", "model-spec-int", "model-id-object",
+        "model-attrs-string", "config-list", "config-defaults-string", "config-supergroup-int",
     ],
 )
 def test_malformed_file_is_one_format_error_line(capsys, model_prefix, data_prefix, tmp_path, target, mutate):
     main(["calibrate", "--model", model_prefix, "--data", data_prefix, "--out", str(tmp_path / "cal")])
+    (tmp_path / "config.json").write_text("{}")
     path = {
         "encodings": tmp_path / "cal" / "encodings.json",
         "dataset": tmp_path / "spiral.data.json",
         "model": tmp_path / "net.model.json",
+        "config": tmp_path / "config.json",
     }[target]
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(mutate(doc) or doc))
     capsys.readouterr()
     encodings = str(tmp_path / "cal" / "encodings.json")
-    assert main(["eval", "--model", model_prefix, "--data", data_prefix, "--encodings", encodings]) == 3
+    argv = ["eval", "--model", model_prefix, "--data", data_prefix, "--encodings", encodings]
+    assert main(argv + ["--config", str(tmp_path / "config.json")]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:format: ")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda doc: [1], _set("entries", 0, "accuracy", value="x")],
+    ids=["cache-list", "cache-accuracy-string"],
+)
+def test_malformed_amp_cache_is_one_cache_error_line(capsys, model_prefix, data_prefix, tmp_path, mutate):
+    argv = ["amp", "--model", model_prefix, "--data", data_prefix, "--out", str(tmp_path / "amp")]
+    assert main(argv + ["--candidates", "8,8;8,4"]) == 0
+    path = tmp_path / "amp" / "accuracy_list.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(mutate(doc) or doc))
+    capsys.readouterr()
+    assert main(argv + ["--candidates", "8,8;8,4", "--resume"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:cache: ")
+
+
+def test_output_not_shaped_like_mse_targets_is_shape_error(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    save_model(toys.mlp([2, 8, 3], seed=0), tmp_path / "net")
+    save_dataset(Dataset(rng.normal(size=(16, 2)), rng.normal(size=16), metric="mse"), tmp_path / "reg")
+    argv = ["--model", str(tmp_path / "net"), "--data", str(tmp_path / "reg")]
+    for cmd in (["eval"], ["quantsim", "--out", str(tmp_path / "qs")]):
+        assert main(cmd + argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:shape: ")
+    assert not (tmp_path / "qs" / "quantsim.encodings.json").exists()

@@ -95,6 +95,26 @@ def test_evaluate_mse():
     assert evaluate(model, ds) == pytest.approx(float(np.mean((model.forward(x) - y) ** 2)))
 
 
+@pytest.mark.parametrize(
+    "sizes, y_shape, metric",
+    [([2, 8, 3], (16,), "mse"), ([2, 8, 1], (16,), "mse"), ([2, 8, 1], (16, 2), "mse"), ([2, 8, 2], (16, 1), "accuracy")],
+    ids=["mse-3-outputs", "mse-column-vs-vector", "mse-narrower", "accuracy-2d-labels"],
+)
+def test_evaluate_rejects_output_not_fitting_targets(sizes, y_shape, metric):
+    # (16, 1) against (16,) would broadcast to (16, 16) and give a wrong mse
+    x = np.random.default_rng(3).normal(size=(16, 2))
+    ds = Dataset(x, np.zeros(y_shape), metric=metric)
+    with pytest.raises(ShapeError, match="does not fit"):
+        evaluate(toys.mlp(sizes, seed=0), ds)
+
+
+def test_evaluate_accuracy_needs_2d_output():
+    model = toys.conv_bn_relu_conv(seed=0)  # 4-d output
+    ds = Dataset(np.random.default_rng(0).normal(size=(4, 3, 6, 6)), np.zeros(4))
+    with pytest.raises(ShapeError, match="does not fit"):
+        evaluate(model, ds)
+
+
 def test_metric_score_orientation():
     # higher is better for both metrics once mapped through metric_score
     assert metric_score(0.9, "accuracy") > metric_score(0.5, "accuracy")

@@ -6,7 +6,17 @@ import pytest
 
 from fixquant import toys
 from fixquant.errors import GraphError, ModelFormatError, ShapeError
-from fixquant.graph_ir import GraphModel, Node, load_model, model_paths, save_model, write_csv, write_json
+from fixquant.graph_ir import (
+    GraphModel,
+    Node,
+    field,
+    load_model,
+    model_paths,
+    read_json,
+    save_model,
+    write_csv,
+    write_json,
+)
 
 
 def tiny_graph():
@@ -235,3 +245,37 @@ def test_toy_models_run():
     dw = toys.depthwise_net(seed=0)
     y = dw.forward(np.random.default_rng(2).normal(size=(1, 3, 6, 6)))
     assert np.isfinite(y).all()
+
+
+class TestField:
+    def test_returns_a_value_of_the_kind(self):
+        assert field({"a": 3}, "a", int, "doc") == 3
+        assert field({"a": 3}, "a", (int, float), "doc", check=lambda v: v > 0) == 3
+        assert field({"a": True}, "a", bool, "doc") is True
+
+    @pytest.mark.parametrize("value", [True, "3", None, [3], 3.5])
+    def test_rejects_other_kinds_and_bools_as_numbers(self, value):
+        with pytest.raises(ModelFormatError, match=r"doc: field 'a'"):
+            field({"a": value}, "a", int, "doc")
+
+    def test_check_and_missing_and_default(self):
+        with pytest.raises(ModelFormatError, match="-1"):
+            field({"a": -1}, "a", int, "doc", check=lambda v: v >= 0)
+        with pytest.raises(ModelFormatError, match="doc has no field 'a'"):
+            field({}, "a", int, "doc")
+        assert field({}, "a", int, "doc", default=None) is None
+
+    def test_doc_must_be_an_object(self):
+        with pytest.raises(ModelFormatError, match="node 2 must be an object"):
+            field([1], "id", str, "node 2")
+
+
+def test_read_json_accepts_an_untagged_object_only_without_a_format(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text('{"a": 1}')
+    assert read_json(p, None, "config") == {"a": 1}
+    with pytest.raises(ModelFormatError):
+        read_json(p, "fixquant-model-v1", "model manifest")
+    p.write_text("[1]")
+    with pytest.raises(ModelFormatError):
+        read_json(p, None, "config")

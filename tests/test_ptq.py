@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from fixquant import toys
-from fixquant.errors import CalibrationError, NumericError, ShapeError
+from fixquant.errors import CalibrationError, ModelFormatError, NumericError, ShapeError
 from fixquant.graph_ir import GraphModel, Node
 from fixquant.ptq import (
     AdaRoundParams,
@@ -55,6 +56,15 @@ class TestBatchNormFolding:
 
         json.dumps(st)
 
+    @pytest.mark.parametrize("eps, error", [("x", ShapeError), (None, ShapeError), (-10.0, NumericError)])
+    def test_bad_eps_is_an_error_without_a_warning(self, eps, error):
+        g = toys.conv_bn_relu_conv(seed=3)
+        g.nodes["bn1"].attrs["eps"] = eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="eps"):
+                fold_batch_norms(g)
+
     def test_bn_after_nonmac_layer_skipped(self):
         rng = np.random.default_rng(1)
         bn_w = {
@@ -102,6 +112,37 @@ class TestBatchNormFolding:
         assert rep["skipped"] == ["bn"]
         x = rng.normal(size=(1, 3, 5, 5))
         assert np.allclose(folded.forward(x), g.forward(x))
+
+
+@pytest.mark.parametrize(
+    "folded_bn",
+    [
+        lambda c: "x",
+        lambda c: None,
+        lambda c: {"beta": [0.0] * c},
+        lambda c: {"beta": [0.0] * c, "gamma": [1.0] * (c - 1)},
+        lambda c: {"beta": [0.0] * c, "gamma": ["x"] * c},
+        lambda c: {"beta": [float("nan")] * c, "gamma": [1.0] * c},
+    ],
+    ids=["string", "null", "no-gamma", "short-gamma", "gamma-strings", "nan-beta"],
+)
+def test_malformed_folded_bn_is_format_error(folded_bn):
+    g = fold_batch_norms(toys.conv_bn_relu_conv(seed=3))
+    g.nodes["conv1"].attrs["folded_bn"] = folded_bn(g.nodes["conv1"].weights["weight"].shape[0])
+    with pytest.raises(ModelFormatError, match="folded_bn"):
+        equalize_model(g)
+    sim = create_quantsim(g)
+    compute_encodings(sim, [np.random.default_rng(0).normal(size=(4, 3, 6, 6))])
+    with pytest.raises(ModelFormatError, match="folded_bn"):
+        bias_correct(sim, mode="analytic_then_empirical", feed=[np.ones((2, 3, 6, 6))])
+
+
+def test_equalize_rejects_a_conv_weight_that_is_not_4d():
+    g = fold_batch_norms(toys.conv_bn_relu_conv(seed=3))
+    w = g.nodes["conv2"].weights["weight"]
+    g.nodes["conv2"].weights["weight"] = w.reshape(w.shape[:2] + (-1,))
+    with pytest.raises(ShapeError, match="4-d"):
+        cross_layer_scale(g, CLEReport())
 
 
 def test_relu6_replacement():

@@ -4,7 +4,7 @@ import pytest
 from fixquant import qat
 from fixquant import tensor_core as tc
 from fixquant import toys
-from fixquant.errors import CalibrationError, NumericError
+from fixquant.errors import CalibrationError, NumericError, ShapeError
 from fixquant.graph_ir import GraphModel, Node
 from fixquant.qat import (
     QatOptions,
@@ -437,6 +437,19 @@ class TestLosses:
         onehot = np.zeros_like(p)
         onehot[0, 0] = onehot[1, 2] = 1
         assert np.allclose(gy, (p - onehot) / 2)
+
+    def test_mse_loss_rejects_targets_of_another_shape(self):
+        # (4, 1) against (4,) would broadcast to (4, 4)
+        with pytest.raises(ShapeError, match="does not fit"):
+            mse_loss(np.zeros((4, 1)), np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "logits, labels",
+        [(np.zeros((2, 3)), [0, 3]), (np.zeros((2, 3)), [-1, 0]), (np.zeros(3), [0]), (np.zeros((2, 3)), [[0], [1]])],
+    )
+    def test_softmax_cross_entropy_rejects_labels_off_the_logits(self, logits, labels):
+        with pytest.raises(ShapeError, match="label"):
+            softmax_cross_entropy(logits, np.array(labels))
 
     def test_softmax_stable_for_large_logits(self):
         loss, gy = softmax_cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))

@@ -7,7 +7,9 @@ from fixquant import toys
 from fixquant.errors import CalibrationError, EncodingError, ModelFormatError
 from fixquant.graph_ir import GraphModel, Node
 from fixquant.quantsim import (
+    DEFAULT_CONFIG_DICT,
     SimConfig,
+    compute_activation_encodings,
     compute_encodings,
     create_quantsim,
     export,
@@ -70,6 +72,26 @@ class TestSimConfig:
         with pytest.raises(ModelFormatError):
             SimConfig.from_dict({"quantizers": {}})
 
+    def test_default_dict_passes_its_own_checks(self):
+        assert SimConfig.from_dict(DEFAULT_CONFIG_DICT) == SimConfig.default()
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ([{"a": 1}], "must be an object"),
+            ({"defaults": "x"}, "'defaults'"),
+            ({"defaults": {"ops": {"is_symmetric": 1}}}, "defaults.ops: field 'is_symmetric'"),
+            ({"params": {"bias": True}}, "params: field 'bias'"),
+            ({"op_type": {"relu": {"params": {"weight": []}}}}, "op_type.relu.params: field 'weight'"),
+            ({"supergroups": [1]}, "'supergroups'"),
+            ({"supergroups": [["conv2d", 2]]}, "'supergroups'"),
+            ({"model_input": {"is_input_quantized": None}}, "model_input: field"),
+        ],
+    )
+    def test_every_field_is_type_checked(self, doc, where):
+        with pytest.raises(ModelFormatError, match=where):
+            SimConfig.from_dict(doc)
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model_input": {"is_input_quantized": True}}))
@@ -130,6 +152,17 @@ class TestPlacement:
         sim = create_quantsim(g)
         compute_encodings(sim, toys.random_feed((2, 3, 8, 8), n_batches=2, seed=2))
         assert sim.activation_quantizers["ap"].encodings == sim.activation_quantizers["conv"].encodings
+        # re-deriving one tensor at another bitwidth carries the avgpool along
+        sim.activation_quantizers["conv"].bitwidth = 4
+        compute_activation_encodings(sim, keys=["conv"])
+        assert sim.activation_quantizers["ap"].bitwidth == 4
+        assert sim.activation_quantizers["ap"].encodings == sim.activation_quantizers["conv"].encodings
+        assert sim.activation_quantizers["conv"].encodings[0].bitwidth == 4
+
+    def test_activation_encodings_need_stored_statistics(self):
+        sim = create_quantsim(toys.mlp([2, 4, 2], seed=0))
+        with pytest.raises(CalibrationError, match="statistics"):
+            compute_activation_encodings(sim)
 
     def test_per_channel_weights_when_configured(self):
         cfg = SimConfig.from_dict(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,3 +340,35 @@ def test_pool_padding_reaching_the_kernel_is_shape_error(kernel, padding):
             pool(x, kernel, 1, padding)
     with pytest.raises(ShapeError, match="padding"):
         tc.elementwise("avgpool", [x], kernel=kernel, padding=padding)
+
+
+@pytest.mark.parametrize("groups", ["x", 1.5, True, None])
+def test_conv2d_groups_must_be_an_integer(groups):
+    with pytest.raises(ShapeError, match="groups"):
+        tc.conv2d(np.ones((1, 2, 4, 4)), np.ones((2, 2, 3, 3)), groups=groups)
+
+
+@pytest.mark.parametrize("eps", ["x", None, [1e-5], True])
+def test_batchnorm_eps_must_be_a_number(eps):
+    with pytest.raises(ShapeError, match="eps"):
+        tc.batchnorm(np.ones((1, 2)), [1, 1], [0, 0], [0, 0], [1, 1], eps=eps)
+
+
+@pytest.mark.parametrize("var, eps", [([1.0, 1.0], -10.0), ([0.0, 1.0], 0.0), ([1.0, -2.0], 1.0)])
+def test_batchnorm_needs_positive_variance_plus_eps_without_a_warning(var, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="variance plus eps"):
+            tc.batchnorm(np.ones((1, 2)), [1, 1], [0, 0], [0, 0], var, eps=eps)
+
+
+@pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
+def test_pool_without_a_kernel_is_shape_error(kind):
+    with pytest.raises(ShapeError, match="kernel"):
+        tc.elementwise(kind, [np.ones((1, 2, 4, 4))], stride=1)
+
+
+@pytest.mark.parametrize("axis", ["x", None, {}, [], 1.5, True])
+def test_concat_axis_must_be_an_integer(axis):
+    with pytest.raises(ShapeError, match="axis"):
+        tc.elementwise("concat", [np.ones((1, 2)), np.ones((1, 3))], axis=axis)
