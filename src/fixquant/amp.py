@@ -316,11 +316,11 @@ def sensitivity_analysis(
 ) -> list[AccuracyEntry]:
     """Evaluate every (group, non-max candidate) combination.
 
-    Each combination runs in turn on a clone of the otherwise all-max sim,
-    so evaluations are independent. Results append to accuracy_list.json
-    after every evaluation and a rerun with an intact cache performs no
-    evaluations at all. A sensitivity CSV for plotting is rewritten
-    alongside.
+    The all-max sim is built once; each evaluation, the baseline included,
+    runs on its own clone of it, so evaluations are independent. Results
+    append to accuracy_list.json after every evaluation and a rerun with an
+    intact cache performs no evaluations at all. A sensitivity CSV for
+    plotting is rewritten alongside.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -331,15 +331,13 @@ def sensitivity_analysis(
     fp = fingerprint(sim, candidates)
     path = cache_dir / "accuracy_list.json"
 
-    def at_max() -> QuantSimModel:
-        clone = sim.clone()
-        for g in groups:
-            _apply_candidate(clone, g, max_cand)
-        return clone
+    at_max = sim.clone()
+    for g in groups:
+        _apply_candidate(at_max, g, max_cand)
 
     doc = _load_cache(path, ACCURACY_LIST_FORMAT, fp)
     if doc is None:
-        baseline = float(eval_phase1(at_max()))
+        baseline = float(eval_phase1(at_max.clone()))
         doc = {"format": ACCURACY_LIST_FORMAT, "fingerprint": fp, "baseline": baseline, "entries": []}
         write_json(path, doc)
 
@@ -347,7 +345,7 @@ def sensitivity_analysis(
     for g, c in itertools.product(groups, candidates):
         if c == max_cand or (g.group_id, (c.activation_bw, c.param_bw)) in cached:
             continue
-        clone = at_max()
+        clone = at_max.clone()
         _apply_candidate(clone, g, c)
         score = float(eval_phase1(clone))
         doc["entries"].append({"group": g.group_id, "candidate": c.as_list(), "accuracy": score})

@@ -82,9 +82,9 @@ def evaluate(model, ds: Dataset, batch_size: int = 256) -> float:
     """Raw metric of a GraphModel or QuantSimModel on the dataset.
 
     Accuracy is the fraction of argmax matches over the rows of a 2-d
-    output; mse the mean squared error of an output shaped like the
-    targets. Any other output shape is a ShapeError. Use ``metric_score``
-    for a higher-is-better view.
+    (N, C) output, with every label in [0, C); mse the mean squared error
+    of an output shaped like the targets. Any other output shape or label
+    is a ShapeError. Use ``metric_score`` for a higher-is-better view.
     """
     outs = [model.forward(xb) for xb in iter_batches(ds.x, batch_size)]
     y_hat = np.concatenate(outs, axis=0)
@@ -92,6 +92,8 @@ def evaluate(model, ds: Dataset, batch_size: int = 256) -> float:
     if ds.y.shape != (y_hat.shape[:1] if accuracy else y_hat.shape) or (accuracy and y_hat.ndim != 2):
         raise ShapeError(f"model output {y_hat.shape} does not fit {ds.metric} targets {ds.y.shape}")
     if accuracy:
+        if np.any((ds.y < 0) | (ds.y >= y_hat.shape[1])):
+            raise ShapeError(f"accuracy labels must lie in [0, {y_hat.shape[1]}) for model output {y_hat.shape}")
         return float(np.mean(y_hat.argmax(axis=1) == ds.y))
     diff = y_hat - ds.y
     return float(np.mean(diff * diff))

@@ -44,18 +44,6 @@ class DebugReport:
     layer_table: list = field(default_factory=list)
     stopped_early: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "fp32_sanity_ok": self.fp32_sanity_ok,
-            "fp32_score": self.fp32_score,
-            "quantized_score": self.quantized_score,
-            "weights_only_score": self.weights_only_score,
-            "activations_only_score": self.activations_only_score,
-            "suggestions": self.suggestions,
-            "layer_table": self.layer_table,
-            "stopped_early": self.stopped_early,
-        }
-
 
 def _set_enabled(sim: QuantSimModel, pred) -> None:
     for key, spec in sim.param_quantizers.items():

@@ -151,15 +151,6 @@ class CLEReport:
     absorbed: list = field(default_factory=list)
     absorption_skipped: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "folded": self.folded,
-            "skipped_batchnorms": self.skipped_batchnorms,
-            "pairs": self.pairs,
-            "absorbed": self.absorbed,
-            "absorption_skipped": self.absorption_skipped,
-        }
-
 
 def _out_channel_ranges(node) -> np.ndarray:
     """Per-output-channel max |w|."""

@@ -152,7 +152,6 @@ class QuantSimModel:
         default_param_bw: int,
         default_output_bw: int,
         scheme: RangeScheme,
-        config: SimConfig,
         avgpool_reuse: dict[str, str],
     ):
         self.graph = graph
@@ -161,7 +160,6 @@ class QuantSimModel:
         self.default_param_bw = default_param_bw
         self.default_output_bw = default_output_bw
         self.scheme = scheme
-        self.config = config
         self.avgpool_reuse = avgpool_reuse
         # Populated by compute_encodings; kept so bitwidth changes (mixed
         # precision) can re-derive encodings without another data pass.
@@ -304,7 +302,6 @@ def create_quantsim(
         default_param_bw=default_param_bw,
         default_output_bw=default_output_bw,
         scheme=scheme,
-        config=config,
         avgpool_reuse=avgpool_reuse,
     )
 

@@ -162,10 +162,6 @@ class RangeAccumulator:
         return self.channel_axis is not None
 
     @property
-    def num_channels(self) -> Optional[int]:
-        return None if self._hists is None or not self.per_channel else len(self._hists)
-
-    @property
     def count(self) -> float:
         return 0.0 if self._hists is None else sum(h.count for h in self._hists)
 

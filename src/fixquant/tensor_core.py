@@ -336,7 +336,7 @@ _ELEMENTWISE = {
 }
 
 
-def elementwise(kind: str, inputs, **attrs) -> np.ndarray:
+def elementwise(kind: str, inputs, /, **attrs) -> np.ndarray:
     """Dispatch an elementwise or pooling kernel by kind name."""
     try:
         fn = _ELEMENTWISE[kind]

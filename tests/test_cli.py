@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from fixquant import toys
-from fixquant.cli import main
+from fixquant.cli import build_parser, main
 from fixquant.datasets import Dataset, save_dataset
 from fixquant.graph_ir import GraphModel, Node, save_model
 
@@ -422,3 +423,68 @@ def test_output_not_shaped_like_mse_targets_is_shape_error(capsys, tmp_path):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:shape: ")
     assert not (tmp_path / "qs" / "quantsim.encodings.json").exists()
+
+
+def test_attributes_named_like_kernel_parameters_do_not_break_the_forward(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    model = GraphModel(
+        [
+            Node("in", "input"),
+            Node(
+                "cv", "conv2d", inputs=["in"], attrs={"padding": 1},
+                weights={"weight": rng.normal(size=(2, 3, 3, 3)), "bias": np.zeros(2)},
+            ),
+            Node("act", "relu", inputs=["cv"], attrs={"kind": 1}),
+            Node("pool", "maxpool", inputs=["act"], attrs={"kernel": 2, "inputs": 3}),
+            Node("out", "output", inputs=["pool"]),
+        ],
+        name="odd_attrs",
+    )
+    x = rng.normal(size=(8, 3, 6, 6))
+    y = model.forward(x)
+    plain = model.copy()
+    del plain.nodes["act"].attrs["kind"], plain.nodes["pool"].attrs["inputs"]
+    assert np.array_equal(y, plain.forward(x))
+    save_model(model, tmp_path / "odd")
+    save_dataset(Dataset(x, np.zeros_like(y), metric="mse"), tmp_path / "imgs")
+    assert main(["eval", "--model", str(tmp_path / "odd"), "--data", str(tmp_path / "imgs")]) == 0
+    assert capsys.readouterr().out.startswith("metric mse ")
+
+
+def test_accuracy_label_out_of_range_is_shape_error(capsys, model_prefix, tmp_path):
+    x = np.random.default_rng(0).normal(size=(20, 2))
+    save_dataset(Dataset(x, np.arange(20) % 5), tmp_path / "five")  # labels 0..4 for a 2-output mlp
+    argv = ["--model", model_prefix, "--data", str(tmp_path / "five")]
+    for cmd in (["eval"], ["quantsim", "--out", str(tmp_path / "qs")]):
+        assert main(cmd + argv) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:shape: ")
+        assert captured.out == ""
+    assert list((tmp_path / "qs").iterdir()) == []  # quantsim evaluates before it exports
+
+
+@pytest.mark.parametrize("command", ["fold-bn", "quantsim"])
+def test_out_naming_an_existing_file_is_one_data_error_line(capsys, model_prefix, data_prefix, tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    argv = [command, "--model", model_prefix, "--out", str(taken)]
+    assert main(argv + (["--data", data_prefix] if command == "quantsim" else [])) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:data: ")
+    assert captured.out == ""
+    assert taken.read_text() == "not a directory"
+
+
+def _subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_subcommand_help_exits_zero(capsys, command):
+    assert main([command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: fixquant {command} ")
+    assert captured.err == ""

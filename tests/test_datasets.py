@@ -137,3 +137,12 @@ def test_interrupted_blob_write_keeps_previous_file(tmp_path, monkeypatch):
     assert dataset_paths(tmp_path / "d")[1].read_bytes() == blob
     assert len(load_dataset(tmp_path / "d")) == 20
     assert sorted(f.name for f in tmp_path.iterdir()) == ["d.data.bin", "d.data.json"]
+
+
+@pytest.mark.parametrize("label", [-1, 2, 5])
+def test_evaluate_rejects_accuracy_label_outside_the_classes(label):
+    # softmax_cross_entropy rejects such labels too; counting them as misses would hide them
+    x = np.random.default_rng(3).normal(size=(6, 2))
+    ds = Dataset(x, [0, 1, 0, 1, 0, label])
+    with pytest.raises(ShapeError, match=r"\[0, 2\)"):
+        evaluate(toys.mlp([2, 8, 2], seed=0), ds)
