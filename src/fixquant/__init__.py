@@ -71,8 +71,6 @@ from .range_setting import (
     compute_minmax,
     compute_sqnr,
     encoding_from_range,
-    merge,
-    observe,
 )
 
 __version__ = "0.1.0"

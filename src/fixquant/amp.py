@@ -313,14 +313,14 @@ def sensitivity_analysis(
     candidates: list,
     eval_phase1: Callable[[QuantSimModel], float],
     cache_dir,
-) -> list[AccuracyEntry]:
+) -> tuple[float, list[AccuracyEntry]]:
     """Evaluate every (group, non-max candidate) combination.
 
     The all-max sim is built once; each evaluation, the baseline included,
     runs on its own clone of it, so evaluations are independent. Results
     append to accuracy_list.json after every evaluation and a rerun with an
     intact cache performs no evaluations at all. A sensitivity CSV for
-    plotting is rewritten alongside.
+    plotting is rewritten alongside. Returns (all-max baseline, entries).
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -354,7 +354,7 @@ def sensitivity_analysis(
     rows = [[e["group"], f"{e['candidate'][0]}x{e['candidate'][1]}", e["accuracy"]] for e in doc["entries"]]
     write_csv(cache_dir / "sensitivity.csv", ["group", "candidate", "metric"], rows)
 
-    return [
+    return float(doc["baseline"]), [
         AccuracyEntry(e["group"], CandidatePair.of(e["candidate"]), e["accuracy"])
         for e in doc["entries"]
     ]
@@ -369,6 +369,7 @@ def build_pareto(
     groups: list[QuantizerGroup],
     candidates: list,
     acc_list: list[AccuracyEntry],
+    p1_baseline: float,
     eval_phase2: Callable[[QuantSimModel], float],
     allowed_accuracy_drop: float,
     cache_dir,
@@ -378,10 +379,11 @@ def build_pareto(
 
     The sim must already hold the all-max assignment. Each iteration picks,
     among candidates that strictly reduce a group's bit-ops, the one whose
-    phase-1 accuracy drop per unit of relative bit-ops saved is smallest,
-    applies it, and re-evaluates. An entry is appended only while the
-    constraint holds; the first violation reverts the move and stops, so
-    the sim ends at the last assignment meeting the constraint.
+    phase-1 accuracy drop below ``p1_baseline`` (the all-max phase-1 score)
+    per unit of relative bit-ops saved is smallest, applies it, and
+    re-evaluates. An entry is appended only while the constraint holds; the
+    first violation reverts the move and stops, so the sim ends at the last
+    assignment meeting the constraint.
 
     The move that violated the constraint is recorded in the cache as
     ``rejected`` (group, candidate, accuracy). With clean_start false the
@@ -403,7 +405,6 @@ def build_pareto(
         raise CacheError(f"pareto cache {path} is missing and clean_start is false")
 
     phase1 = {(e.group_id, e.candidate): e.accuracy for e in acc_list}
-    p1_baseline = _phase1_baseline(cache_dir, fp, acc_list)
     group_macs, _ = _bit_ops_terms(sim, groups)
     assignment: dict[str, CandidatePair] = {g.group_id: max_cand for g in groups}
     denom = bit_ops(sim, assignment, groups)
@@ -497,17 +498,6 @@ def build_pareto(
     ]
 
 
-def _phase1_baseline(cache_dir: Path, fp: str, acc_list: list[AccuracyEntry]) -> float:
-    """All-max phase-1 score from the accuracy cache; falls back to the best
-    entry when build_pareto is driven with a hand-made list and no cache."""
-    doc = _load_cache(Path(cache_dir) / "accuracy_list.json", ACCURACY_LIST_FORMAT, fp)
-    if doc is not None:
-        return float(doc["baseline"])
-    if not acc_list:
-        raise CacheError("phase-1 accuracy list is empty")
-    return max(e.accuracy for e in acc_list)
-
-
 # ---------------------------------------------------------------------------
 # Driver
 
@@ -543,12 +533,13 @@ def choose_mixed_precision(
     max_cand = _max_candidate(candidates)
     for g in groups:
         _apply_candidate(sim, g, max_cand)
-    acc_list = sensitivity_analysis(sim, groups, candidates, eval_phase1, results_dir)
+    p1_baseline, acc_list = sensitivity_analysis(sim, groups, candidates, eval_phase1, results_dir)
     entries = build_pareto(
         sim,
         groups,
         candidates,
         acc_list,
+        p1_baseline,
         eval_phase2,
         allowed_accuracy_drop,
         results_dir,

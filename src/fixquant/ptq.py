@@ -28,7 +28,7 @@ import numpy as np
 from . import graph_ir as gir
 from . import tensor_core as tc
 from .errors import CalibrationError, EncodingError, ShapeError
-from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json
+from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json  # eval_kind unused; stays bound for profilers
 from .quantizer import QuantizerSpec, grid, qdq
 from .quantsim import (
     QuantSimModel,
@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 BN_DEFAULT_EPS = 1e-5
+# Empirical bias correction measures on the leading feed batches that hold
+# this many samples.
+BIAS_CORRECT_SAMPLES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +386,13 @@ def _analytic_input_mean(sim: QuantSimModel, node) -> Optional[np.ndarray]:
     return _rectified_gaussian_mean(beta, gamma) if through_relu else beta
 
 
-def bias_correct(
-    sim: QuantSimModel,
-    mode: str = "empirical",
-    feed=None,
-    num_samples: int = 512,
-) -> GraphModel:
+def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> GraphModel:
     """Shift layer biases so quantization does not move mean pre-activations.
 
     ``empirical`` measures, for each MAC layer in topological order, the
     mean float pre-activation and the mean pre-activation of the running
-    quantized model (raw accumulator output, before the output quantizer),
+    quantized model (raw accumulator output, before the output quantizer)
+    on the leading feed batches that hold ``BIAS_CORRECT_SAMPLES`` samples,
     and adds the difference to the bias. ``analytic_then_empirical``
     removes the weight-quantization component in closed form for layers
     whose input mean follows from folded batch-norm statistics (rectified
@@ -425,7 +424,7 @@ def bias_correct(
             raise CalibrationError(
                 f"bias correction needs calibration data for layers {remaining}"
             )
-        batches = _limit_samples(list(feed), num_samples)
+        batches = _limit_samples(list(feed), BIAS_CORRECT_SAMPLES)
         if not batches:
             raise CalibrationError("bias correction feed is empty")
         fp_means: dict[str, list[np.ndarray]] = {nid: [] for nid in remaining}
@@ -498,21 +497,16 @@ def _beta_at(it: int, params: AdaRoundParams) -> float:
     return lo + 0.5 * (hi - lo) * (1.0 + math.cos(t * math.pi))
 
 
-def _layer_forward(node, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    weights = dict(node.weights)
-    weights["weight"] = w
-    return eval_kind(node.kind, node.attrs, weights, [x])
-
-
 def _layer_problem(model: GraphModel, node, batches: list) -> tuple:
     """Per calibration batch, the layer input as a patch matrix P and the
     float output as the target, both laid out per group: the output of
     group g is P[g] @ W_g.T + b_g, with W_g that group's weight rows
-    flattened. A linear layer is one group of flattened samples. Inputs
-    come from ``model`` (the already-rounded predecessor chain) and are
-    dropped once patched. Returns (patch, targets): ``patch(i)`` is batch
-    i's P, kept while the layer's patches fit in ``_PATCH_BYTES`` and laid
-    out again from the kept input after that."""
+    flattened. A linear layer is one group of flattened samples. Input and
+    target are the layer's input and output in one float pass of ``model``
+    (the already-rounded predecessor chain); inputs are dropped once
+    patched. Returns (patch, targets): ``patch(i)`` is batch i's P, kept
+    while the layer's patches fit in ``_PATCH_BYTES`` and laid out again
+    from the kept input after that."""
     w, a = node.weights["weight"], node.attrs
     groups = int(a.get("groups", 1)) if node.kind == "conv2d" else 1
     og = w.shape[0] // groups
@@ -524,8 +518,8 @@ def _layer_problem(model: GraphModel, node, batches: list) -> tuple:
 
     inputs, targets, size, laid = [], [], 0, 0
     for batch in batches:
-        x = np.asarray(model.evaluate_all(batch)[node.inputs[0]], dtype=np.float64)
-        y = _layer_forward(node, w, x)  # also checks the layer's shapes
+        values = model.evaluate_all(batch)  # also checks the layer's shapes
+        x, y = values[node.inputs[0]], values[node.id]
         targets.append(y.reshape(len(y), groups, og, -1).transpose(1, 0, 3, 2).reshape(groups, -1, og))
         size += y.size // w.shape[0] * groups * w[0].size * 8  # P's bytes
         if size <= _PATCH_BYTES:
@@ -653,7 +647,6 @@ class PtqOptions:
     use_adaround: bool = True
     use_bias_correction: bool = False
     bias_correction_mode: str = "empirical"
-    num_bias_correct_samples: int = 512
     adaround_params: AdaRoundParams = field(default_factory=AdaRoundParams)
     seed: int = 0
 
@@ -697,10 +690,5 @@ def run_ptq_pipeline(model: GraphModel, feed, options: PtqOptions | None = None)
         params = {k: v for k, v in frozen_doc["param_encodings"].items() if k in sim.param_quantizers}
         import_encodings(sim, {**frozen_doc, "param_encodings": params}, freeze=True)
     if options.use_bias_correction:
-        bias_correct(
-            sim,
-            mode=options.bias_correction_mode,
-            feed=feed,
-            num_samples=options.num_bias_correct_samples,
-        )
+        bias_correct(sim, mode=options.bias_correction_mode, feed=feed)
     return sim

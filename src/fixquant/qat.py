@@ -217,13 +217,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 # Training loop
 
 
+# The learning rate is multiplied by this every ``lr_decay_every`` epochs.
+LR_DECAY_FACTOR = 0.1
+
+
 @dataclass
 class QatOptions:
     epochs: int = 20
     batch_size: int = 32
     learning_rate: float = 1e-2
     lr_decay_every: int = 5
-    lr_decay_factor: float = 0.1
     refresh_ranges: bool = False
     log_path: Optional[str] = None
 
@@ -260,7 +263,7 @@ def qat_train(
 
     for epoch in range(options.epochs):
         if epoch > 0 and options.lr_decay_every > 0 and epoch % options.lr_decay_every == 0:
-            lr *= options.lr_decay_factor
+            lr *= LR_DECAY_FACTOR
         order = rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, n, options.batch_size):

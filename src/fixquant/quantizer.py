@@ -18,7 +18,7 @@ same scale, which makes save/load round trips bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -190,9 +190,6 @@ class QuantizerSpec:
         self.encodings = list(encodings)
         if frozen is not None:
             self.frozen = bool(frozen)
-
-    def clone(self) -> "QuantizerSpec":
-        return replace(self, encodings=None if self.encodings is None else list(self.encodings))
 
 
 def grid(spec: QuantizerSpec, x: np.ndarray):

@@ -181,9 +181,7 @@ class QuantSimModel:
         return out
 
     def all_quantizers(self) -> dict[str, QuantizerSpec]:
-        merged = dict(self.param_quantizers)
-        merged.update(self.activation_quantizers)
-        return merged
+        return {**self.param_quantizers, **self.activation_quantizers}
 
     def check_ready(self) -> None:
         missing = [k for k, s in self.all_quantizers().items() if not s.ready]

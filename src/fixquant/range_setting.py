@@ -15,9 +15,7 @@ candidate order.
 Accumulators track running min/max plus a histogram. Observing more batches
 grows the histogram range as needed; old counts are redistributed
 proportionally over the new bins, so the histogram is an approximation of
-the full data distribution (exact while the range does not grow). Merging
-two accumulators is commutative; associativity holds up to that same
-rebinning approximation.
+the full data distribution (exact while the range does not grow).
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .quantizer import QuantEncoding, _fake_quant, qdq_tensor, round_half_away  
 __all__ = [
     "RangeScheme",
     "RangeAccumulator",
-    "observe",
-    "merge",
     "compute_minmax",
     "compute_sqnr",
     "compute_encodings_from_accumulator",
@@ -114,21 +110,6 @@ class _Hist:
             self.counts[0] += values.size
         self.count += values.size
 
-    def merge(self, other: "_Hist") -> "_Hist":
-        out = _Hist(self.bins)
-        out.count = self.count + other.count
-        out.mn = min(self.mn, other.mn)
-        out.mx = max(self.mx, other.mx)
-        if out.count == 0:
-            return out
-        if _binnable(out.mn, out.mx, out.bins):
-            for h in (self, other):
-                if h.count:
-                    out.counts += _rebin(h.counts, h.edges(), out.mn, out.mx, out.bins)
-        else:
-            out.counts[0] = out.count
-        return out
-
 
 def _rebin(counts: np.ndarray, old_edges: np.ndarray, mn: float, mx: float, bins: int) -> np.ndarray:
     """Redistribute histogram counts onto new equal-width bins over [mn, mx].
@@ -200,31 +181,6 @@ class RangeAccumulator:
         for i in range(c):
             self._hists[i].observe(per_channel[i])
         return self
-
-    def merge(self, other: "RangeAccumulator") -> "RangeAccumulator":
-        if self.channel_axis != other.channel_axis or self.bins != other.bins:
-            raise CalibrationError("cannot merge accumulators with different layouts")
-        out = RangeAccumulator(self.channel_axis, self.bins)
-        if self._hists is None:
-            out._hists = None if other._hists is None else [h.merge(_Hist(self.bins)) for h in other._hists]
-            return out
-        if other._hists is None:
-            out._hists = [h.merge(_Hist(self.bins)) for h in self._hists]
-            return out
-        if len(self._hists) != len(other._hists):
-            raise CalibrationError("cannot merge accumulators with different channel counts")
-        out._hists = [a.merge(b) for a, b in zip(self._hists, other._hists)]
-        return out
-
-
-def observe(acc: RangeAccumulator, x) -> RangeAccumulator:
-    """Accumulate one batch of values into the accumulator."""
-    return acc.observe(x)
-
-
-def merge(a: RangeAccumulator, b: RangeAccumulator) -> RangeAccumulator:
-    """Combine two accumulators observed on disjoint batches."""
-    return a.merge(b)
 
 
 # ---------------------------------------------------------------------------

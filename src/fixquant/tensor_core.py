@@ -34,7 +34,6 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "f32",
     "ensure_finite",
-    "matmul",
     "linear",
     "conv2d",
     "batchnorm",
@@ -127,16 +126,6 @@ def windows_adjoint(cols, in_shape, stride, padding) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # MAC kernels
-
-
-def matmul(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects a 2-d by 1-d/2-d product, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    return ensure_finite(a @ b, "matmul output")
 
 
 def linear(x, weight, bias=None) -> np.ndarray:

@@ -147,14 +147,14 @@ class TestSensitivity:
         sim = calibrated_sim()
         groups = find_layer_groups(sim)
         ev = Counting(make_eval(sim))
-        entries = sensitivity_analysis(sim, groups, CANDS, ev, tmp_path)
+        baseline, entries = sensitivity_analysis(sim, groups, CANDS, ev, tmp_path)
         assert len(entries) == 3 * 3
         assert ev.calls == 9 + 1  # all-max baseline evaluated once, kept out of the list
         seen = {(e.group_id, (e.candidate.activation_bw, e.candidate.param_bw)) for e in entries}
         assert all(cand != (16, 16) for _, cand in seen)
         assert len(seen) == 9
         doc = json.loads((tmp_path / "accuracy_list.json").read_text())
-        assert doc["baseline"] is not None
+        assert doc["baseline"] == baseline
         assert len(doc["entries"]) == 9
 
     def test_cached_rerun_performs_no_evaluations(self, tmp_path):
@@ -198,7 +198,7 @@ class TestSensitivity:
         assert 0 < n_cached < 9
 
         ev = Counting(base)
-        entries = sensitivity_analysis(sim, groups, CANDS, ev, tmp_path)
+        _, entries = sensitivity_analysis(sim, groups, CANDS, ev, tmp_path)
         assert ev.calls == 9 - n_cached
         assert len(entries) == 9
 
@@ -320,6 +320,22 @@ class TestChooseMixedPrecision:
         assert (tmp_path / "pareto_list.json").read_bytes() == pareto_blob
         assert sim2.param_quantizers["fc0.weight"].bitwidth == 8
 
+    def test_cached_rerun_reads_each_cache_once(self, tmp_path, monkeypatch):
+        from fixquant import amp
+
+        sim = calibrated_sim()
+        ev = make_eval(sim)
+        choose_mixed_precision(sim, CANDS, ev, ev, 10.0, tmp_path)
+        read, real = [], amp.read_json
+
+        def counted(path, *args):
+            read.append(path.name)
+            return real(path, *args)
+
+        monkeypatch.setattr(amp, "read_json", counted)
+        choose_mixed_precision(calibrated_sim(), CANDS, ev, ev, 10.0, tmp_path, clean_start=False)
+        assert read == ["accuracy_list.json", "pareto_list.json"]
+
     def test_tighter_budget_replays_a_prefix_without_touching_the_cache(self, tmp_path):
         sim = calibrated_sim()
         ev = make_eval(sim)
@@ -395,7 +411,7 @@ class TestBuildParetoDirect:
         cands = [(8, 8), (8, 4)]
         acc = [AccuracyEntry(g.group_id, CandidatePair(8, 4), 0.9) for g in groups]
         ev = make_eval(sim)
-        entries = build_pareto(sim, groups, cands, acc, ev, 10.0, tmp_path)
+        entries = build_pareto(sim, groups, cands, acc, 0.9, ev, 10.0, tmp_path)
         assert [e.candidate.as_list() for e in entries] == [[8, 4]] * 3
 
     def test_missing_phase1_entry_raises(self, tmp_path):
@@ -405,7 +421,7 @@ class TestBuildParetoDirect:
         groups = find_layer_groups(sim)
         acc = [AccuracyEntry(groups[0].group_id, CandidatePair(8, 4), 0.9)]
         with pytest.raises(CacheError):
-            build_pareto(sim, groups, [(8, 8), (8, 4)], acc, make_eval(sim), 10.0, tmp_path)
+            build_pareto(sim, groups, [(8, 8), (8, 4)], acc, 0.9, make_eval(sim), 10.0, tmp_path)
 
     @pytest.mark.parametrize(
         "name, mutate",
@@ -438,7 +454,7 @@ class TestBuildParetoDirect:
         sim = calibrated_sim()
         groups = find_layer_groups(sim)
         with pytest.raises(CacheError):
-            build_pareto(sim, groups, [(8, 8), (8, 4)], [], make_eval(sim), 10.0, tmp_path)
+            build_pareto(sim, groups, [(8, 8), (8, 4)], [], 0.9, make_eval(sim), 10.0, tmp_path)
 
 
 class TestConvBitOps:
@@ -480,18 +496,15 @@ class TestConvBitOps:
         assert bit_ops(sim, assignment, groups) == (216 * 64 + 576 * 16) * 32
 
     def test_first_pareto_move_lowers_the_most_macs(self, tmp_path):
-        from fixquant.amp import ACCURACY_LIST_FORMAT, AccuracyEntry, fingerprint
+        from fixquant.amp import AccuracyEntry
 
         sim = self.strided_sim()
         groups = find_layer_groups(sim)
         by_node = {nid: g.group_id for g in groups for nid in g.node_ids}
         cands = [(8, 8), (8, 4)]
         # equal phase-1 drops, so the move saving the most bit-ops goes first
-        (tmp_path / "accuracy_list.json").write_text(
-            json.dumps({"format": ACCURACY_LIST_FORMAT, "fingerprint": fingerprint(sim, cands), "baseline": 1.0})
-        )
         acc = [AccuracyEntry(g.group_id, CandidatePair(8, 4), 0.9) for g in groups]
         x = toys.random_feed((2, 3, 8, 8), n_batches=1)[0]
-        entries = build_pareto(sim, groups, cands, acc, lambda s: -float(np.mean(s.forward(x) ** 2)), 1e9, tmp_path)
+        entries = build_pareto(sim, groups, cands, acc, 1.0, lambda s: -float(np.mean(s.forward(x) ** 2)), 1e9, tmp_path)
         assert entries[0].group_id == by_node["conv1"]
         assert entries[0].relative_bit_ops == pytest.approx(1 - 216 * 64 / (2 * (216 * 64 + 576 * 16)))

@@ -6,7 +6,7 @@ import pytest
 
 from fixquant import toys
 from fixquant.errors import CalibrationError, ModelFormatError, NumericError, ShapeError
-from fixquant.graph_ir import GraphModel, Node
+from fixquant.graph_ir import GraphModel, Node, eval_kind
 from fixquant.ptq import (
     AdaRoundParams,
     CLEReport,
@@ -426,6 +426,9 @@ def _adaround_oracle(model, feed, params, param_bw, scheme, seed):
     from fixquant.quantsim import ENCODINGS_FORMAT, _encoding_to_json
     from fixquant.range_setting import RangeAccumulator, compute_encodings_from_accumulator
 
+    def layer_forward(node, w, x):
+        return eval_kind(node.kind, node.attrs, {**node.weights, "weight": w}, [x])
+
     def weight_grad(node, x, gy):
         if node.kind == "linear":
             return gy.T @ (x.reshape(x.shape[0], -1) if x.ndim != 2 else x)
@@ -455,13 +458,13 @@ def _adaround_oracle(model, feed, params, param_bw, scheme, seed):
         rest = np.clip(w / s - w_floor, 1e-4, 1.0 - 1e-4)
         v = np.log((rest - ptq._SIG_GAMMA) / (ptq._SIG_ZETA - ptq._SIG_GAMMA - rest + ptq._SIG_GAMMA))
         xs = [np.asarray(out.evaluate_all(b)[node.inputs[0]], dtype=np.float64) for b in batches]
-        targets_y = [ptq._layer_forward(node, w, x) for x in xs]
+        targets_y = [layer_forward(node, w, x) for x in xs]
         for it in range(params.num_iterations):
             bi = int(rng.integers(0, len(xs)))
             x, y_ref = xs[bi], targets_y[bi]
             h = ptq._rect_sigmoid(v)
             w_soft = s * (np.clip(w_floor + zp + h, q_lo, q_hi) - zp)
-            diff = ptq._layer_forward(node, w_soft, x) - y_ref
+            diff = layer_forward(node, w_soft, x) - y_ref
             g_h = weight_grad(node, x, (2.0 / diff.size) * diff) * s
             g_h = g_h * ((w_floor + zp + h > q_lo) & (w_floor + zp + h < q_hi))
             beta = ptq._beta_at(it, params)
@@ -536,6 +539,18 @@ def test_adaround_past_the_patch_budget_equals_oracle(monkeypatch, budget):
     feed = [rng.normal(size=(4, 4, 6, 6)) for _ in range(3)]  # 41,472 patch bytes per conv batch
     monkeypatch.setattr(ptq, "_PATCH_BYTES", budget)
     _assert_same_rounding(model, feed, AdaRoundParams(num_iterations=40, step_size=5e-2), 4, RangeScheme(), 2)
+
+
+def test_adaround_takes_each_layer_target_from_its_input_pass(monkeypatch):
+    from fixquant import tensor_core as tc
+
+    model = fold_batch_norms(toys.conv_bn_relu_conv(seed=3))
+    feed = toys.random_feed((2, 3, 8, 8), n_batches=2)
+    calls = []
+    real = tc.conv2d
+    monkeypatch.setattr(tc, "conv2d", lambda *a, **k: calls.append(1) or real(*a, **k))
+    adaround(model, feed, AdaRoundParams(num_iterations=1))
+    assert len(calls) == 2 * 2 * 2  # per layer and batch, one float pass of both convs
 
 
 def test_adaround_rejects_bad_layer_shapes_before_iterating():

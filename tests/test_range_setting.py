@@ -69,36 +69,6 @@ def test_per_channel_count_change_rejected():
         acc.observe(np.ones((3, 4)))
 
 
-class TestMerge:
-    def test_merge_equals_single_stream_on_extrema(self):
-        rng = np.random.default_rng(0)
-        xs = [rng.normal(size=50) for _ in range(4)]
-        a = RangeAccumulator()
-        b = RangeAccumulator()
-        for x in xs[:2]:
-            a.observe(x)
-        for x in xs[2:]:
-            b.observe(x)
-        whole = RangeAccumulator()
-        for x in xs:
-            whole.observe(x)
-        merged = a.merge(b)
-        assert merged.channel_stats() == whole.channel_stats()
-
-    def test_merge_commutes(self):
-        rng = np.random.default_rng(1)
-        a = RangeAccumulator(bins=32).observe(rng.normal(size=100))
-        b = RangeAccumulator(bins=32).observe(rng.normal(size=100) + 3)
-        ab = a.merge(b).histograms()[0]
-        ba = b.merge(a).histograms()[0]
-        assert np.allclose(ab.counts, ba.counts)
-        assert (ab.mn, ab.mx) == (ba.mn, ba.mx)
-
-    def test_layout_mismatch_rejected(self):
-        with pytest.raises(CalibrationError):
-            RangeAccumulator(channel_axis=0).merge(RangeAccumulator())
-
-
 class TestEncodingFromRange:
     def test_worked_asymmetric_example(self):
         e = rs.encoding_from_range(-1.0, 2.0, 8, symmetric=False)
@@ -249,8 +219,8 @@ def test_subnormal_wide_ranges_histogram_as_a_spike(channel_axis, split):
     for symmetric in (False, True):
         for enc in rs.compute_minmax(acc, 8, symmetric) + rs.compute_sqnr(acc, 8, symmetric):
             assert enc.scale > 0
-    merged = acc.merge(RangeAccumulator(channel_axis=channel_axis).observe(x * 2))
-    assert all(h.counts[0] == h.count for h in merged.histograms())
+    acc.observe(x * 2)
+    assert all(h.counts[0] == h.count for h in acc.histograms())
     # the range then grows past the spike: its counts move into a real bin
     acc.observe(np.array([[1.0, -1.0], [2.0, 3.0]]))
     for h in acc.histograms():
@@ -422,18 +392,6 @@ class TestRebinMatchesOracle:
         old_edges = np.full(9, 0.5)
         got = rs._rebin(np.array([5.0] + [0.0] * 7), old_edges, -1.0, 1.0, 8)
         np.testing.assert_array_equal(got, _oracle_rebin(np.array([5.0] + [0.0] * 7), old_edges, -1.0, 1.0, 8))
-
-    def test_merge_conserves_total(self):
-        rng = np.random.default_rng(11)
-        a = RangeAccumulator(bins=128).observe(rng.normal(size=500))
-        a.observe(rng.normal(size=300) * 3)  # grows, so a's counts are fractional
-        b = RangeAccumulator(bins=128).observe(rng.normal(size=200) + 6)
-        spike = RangeAccumulator(bins=128).observe(np.full(7, -4.0))
-        merged = a.merge(b).merge(spike)
-        h = merged.histograms()[0]
-        assert h.count == 1007
-        assert h.counts.sum() == pytest.approx(1007, rel=1e-12)
-        assert (h.mn, h.mx) == (min(a.histograms()[0].mn, -4.0), b.histograms()[0].mx)
 
 
 class TestSqnrSearchOrder:

@@ -9,15 +9,6 @@ from fixquant import tensor_core as tc
 from fixquant.errors import NumericError, ShapeError
 
 
-def test_matmul_worked_example():
-    assert np.array_equal(tc.matmul([[1, 2], [3, 4]], [1, 1]), [3, 7])
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        tc.matmul([[1, 2]], [1, 2, 3])
-
-
 def test_f32_snaps_to_float32_grid():
     x = tc.f32(0.1)
     assert x.dtype == np.float64
