@@ -15,9 +15,12 @@ Three phases over a calibrated simulation:
 
 Both phases cache to JSON in the results directory (accuracy_list.json,
 pareto_list.json), each stamped with a fingerprint of the model structure
-and candidate set; a rerun replays the caches instead of re-evaluating.
-The pareto cache also records the move that stopped the search and its
-score, so a rerun does not evaluate that move again.
+and candidate set, and written after every evaluation. A rerun evaluates
+only what its caches lack: phase 1 skips the cached combinations, and
+phase 2 walks its greedy loop with each cached move's score, the move
+that stopped the search included, evaluating once they run out. So a run
+interrupted anywhere resumes (``clean_start=False``) as long as the
+phase-1 baseline was cached.
 Evaluation callbacks take a simulation and return a score where larger is
 better. Frozen quantizers keep their encodings and bitwidths; the search
 moves everything else in the group.
@@ -37,6 +40,7 @@ import numpy as np
 
 from .errors import CacheError, EncodingError, ModelFormatError
 from .graph_ir import MAC_KINDS, GraphModel, field, read_json, write_csv, write_json
+from .quantizer import check_bitwidth
 from .quantsim import QuantSimModel, compute_activation_encodings, compute_param_encodings
 
 __all__ = [
@@ -61,9 +65,8 @@ class CandidatePair:
     param_bw: int
 
     def __post_init__(self):
-        for bw in (self.activation_bw, self.param_bw):
-            if type(bw) is not int or not 2 <= bw <= 32:
-                raise EncodingError(f"candidate bitwidth {bw!r} is not an integer in [2, 32]")
+        for name in ("activation_bw", "param_bw"):
+            object.__setattr__(self, name, check_bitwidth(getattr(self, name), "candidate bitwidth"))
 
     @staticmethod
     def of(value) -> "CandidatePair":
@@ -303,6 +306,17 @@ def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
     return doc
 
 
+def _prepare(candidates: list, cache_dir) -> tuple[list[CandidatePair], CandidatePair, Path]:
+    """The candidates as pairs, the all-max one among them, and the cache
+    directory, created. An empty candidate list is an EncodingError."""
+    candidates = [CandidatePair.of(c) for c in candidates]
+    if not candidates:
+        raise EncodingError("candidate list is empty")
+    cache_dir = Path(cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    return candidates, _max_candidate(candidates), cache_dir
+
+
 # ---------------------------------------------------------------------------
 # Phase 1: sensitivity
 
@@ -322,12 +336,7 @@ def sensitivity_analysis(
     intact cache performs no evaluations at all. A sensitivity CSV for
     plotting is rewritten alongside. Returns (all-max baseline, entries).
     """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    candidates = [CandidatePair.of(c) for c in candidates]
-    if not candidates:
-        raise EncodingError("candidate list is empty")
-    max_cand = _max_candidate(candidates)
+    candidates, max_cand, cache_dir = _prepare(candidates, cache_dir)
     fp = fingerprint(sim, candidates)
     path = cache_dir / "accuracy_list.json"
 
@@ -373,43 +382,29 @@ def build_pareto(
     eval_phase2: Callable[[QuantSimModel], float],
     allowed_accuracy_drop: float,
     cache_dir,
-    clean_start: bool = True,
 ) -> list[ParetoEntry]:
     """Greedy bit-ops descent from the all-max assignment.
 
     The sim must already hold the all-max assignment. Each iteration picks,
     among candidates that strictly reduce a group's bit-ops, the one whose
     phase-1 accuracy drop below ``p1_baseline`` (the all-max phase-1 score)
-    per unit of relative bit-ops saved is smallest, applies it, and
-    re-evaluates. An entry is appended only while the constraint holds; the
-    first violation reverts the move and stops, so the sim ends at the last
-    assignment meeting the constraint.
+    per unit of relative bit-ops saved is smallest, applies it, and scores
+    it. An entry is appended only while the constraint holds; the first
+    violation reverts the move and stops, so the sim ends at the last
+    assignment meeting the constraint. Returns the full pareto list.
 
-    The move that violated the constraint is recorded in the cache as
-    ``rejected`` (group, candidate, accuracy). With clean_start false the
-    cached list is replayed without evaluation (stopping early if a cached
-    entry violates the current allowed drop, in which case the file is left
-    untouched) and the search continues past the cache; its first move, if
-    it is the recorded one, takes the recorded accuracy instead of an
-    evaluation, so a resume at the same allowed drop evaluates nothing.
-    Returns the full pareto list.
+    pareto_list.json holds the accepted moves and, as ``rejected``, the
+    move that stopped the search. A rerun walks the same loop: each move
+    takes its score from the cached entries, then from the rejected move,
+    and is evaluated once they run out. A cached move the loop would not
+    make is a CacheError. A cached entry that violates the current allowed
+    drop stops the search and leaves the file untouched, so a resume at the
+    same allowed drop evaluates nothing.
     """
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    candidates = [CandidatePair.of(c) for c in candidates]
-    max_cand = _max_candidate(candidates)
+    candidates, max_cand, cache_dir = _prepare(candidates, cache_dir)
     fp = fingerprint(sim, candidates)
     path = cache_dir / "pareto_list.json"
     doc = _load_cache(path, PARETO_LIST_FORMAT, fp)
-    if doc is None and not clean_start:
-        raise CacheError(f"pareto cache {path} is missing and clean_start is false")
-
-    phase1 = {(e.group_id, e.candidate): e.accuracy for e in acc_list}
-    group_macs, _ = _bit_ops_terms(sim, groups)
-    assignment: dict[str, CandidatePair] = {g.group_id: max_cand for g in groups}
-    denom = bit_ops(sim, assignment, groups)
-    by_id = {g.group_id: g for g in groups}
-
     if doc is None:
         doc = {
             "format": PARETO_LIST_FORMAT,
@@ -418,26 +413,15 @@ def build_pareto(
             "entries": [],
         }
         write_json(path, doc)
-    baseline = doc["baseline"]
+    limit = doc["baseline"] - allowed_accuracy_drop
+    cached = doc["entries"] + ([doc["rejected"]] if "rejected" in doc else [])
 
-    # Replay the cache without re-evaluating.
-    stopped = False
-    for e in doc["entries"]:
-        if e["accuracy"] < baseline - allowed_accuracy_drop:
-            stopped = True
-            break
-        gid = e["group"]
-        if gid not in by_id:
-            raise CacheError(f"pareto cache {path} names unknown group {gid!r}")
-        cand = CandidatePair.of(e["candidate"])
-        _apply_candidate(sim, by_id[gid], cand)
-        assignment[gid] = cand
+    phase1 = {(e.group_id, e.candidate): e.accuracy for e in acc_list}
+    group_macs, _ = _bit_ops_terms(sim, groups)
+    assignment: dict[str, CandidatePair] = {g.group_id: max_cand for g in groups}
+    denom = bit_ops(sim, assignment, groups)
 
-    # The move that stopped the cached search, with its score: when the
-    # replay reaches it again, its score is reused instead of re-evaluated.
-    rejected = None if stopped else doc.get("rejected")
-
-    while not stopped:
+    for step in itertools.count():
         moves = []
         for g in groups:
             cur = assignment[g.group_id]
@@ -454,37 +438,32 @@ def build_pareto(
                     )
                 drop = max(0.0, p1_baseline - phase1[key])
                 moves.append((drop / saved, g.group_id, candidates.index(c), g, c))
-        if not moves:
+        best = min(moves, key=lambda m: m[:3], default=None)
+        made = best and [best[1], best[4].as_list()]
+        if step < len(cached) and made != [cached[step]["group"], cached[step]["candidate"]]:
+            raise CacheError(
+                f"pareto cache {path} move {step} is not the move the search makes; rerun with a clean start"
+            )
+        if best is None:
             break
-        moves.sort(key=lambda m: (m[0], m[1], m[2]))
-        _, gid, _, g, cand = moves[0]
+        _, gid, _, g, cand = best
         prev = assignment[gid]
         _apply_candidate(sim, g, cand)
         assignment[gid] = cand
-        if rejected is not None and [rejected["group"], rejected["candidate"]] == [gid, cand.as_list()]:
-            accuracy = rejected["accuracy"]
-        else:
-            accuracy = float(eval_phase2(sim))
-        rejected = None
-        if accuracy < baseline - allowed_accuracy_drop:
+        fresh = step >= len(cached)
+        accuracy = float(eval_phase2(sim)) if fresh else cached[step]["accuracy"]
+        move = {"group": gid, "candidate": cand.as_list(), "accuracy": accuracy}
+        if accuracy < limit:
             _apply_candidate(sim, g, prev)
             assignment[gid] = prev
-            move = {"group": gid, "candidate": cand.as_list(), "accuracy": accuracy}
-            if doc.get("rejected") != move:
+            if fresh:
                 doc["rejected"] = move
                 write_json(path, doc)
             break
-        doc.pop("rejected", None)
-        rel = bit_ops(sim, assignment, groups) / denom
-        doc["entries"].append(
-            {
-                "group": gid,
-                "candidate": cand.as_list(),
-                "relative_bit_ops": rel,
-                "accuracy": accuracy,
-            }
-        )
-        write_json(path, doc)
+        if step == len(doc["entries"]):
+            doc.pop("rejected", None)
+            doc["entries"].append({**move, "relative_bit_ops": bit_ops(sim, assignment, groups) / denom})
+            write_json(path, doc)
 
     rows = [
         [i, e["group"], f"{e['candidate'][0]}x{e['candidate'][1]}", e["relative_bit_ops"], e["accuracy"]]
@@ -513,36 +492,26 @@ def choose_mixed_precision(
 ) -> tuple[QuantSimModel, list[ParetoEntry]]:
     """Run grouping, sensitivity, and pareto search; mutates sim in place.
 
-    With clean_start both caches in results_dir are wiped first; otherwise
-    they are validated against the model fingerprint and reused.
+    With clean_start both caches in results_dir are wiped first. Otherwise
+    they are validated against the model fingerprint and reused: resuming
+    needs accuracy_list.json, and without it raises a CacheError before any
+    evaluation or write; a missing pareto_list.json starts phase 2 afresh.
     """
-    candidates = [CandidatePair.of(c) for c in candidates]
-    if not candidates:
-        raise EncodingError("candidate list is empty")
-    if allowed_accuracy_drop < 0:
-        raise EncodingError("allowed accuracy drop must be nonnegative")
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
+    if not allowed_accuracy_drop >= 0:
+        raise EncodingError(f"allowed accuracy drop must be a nonnegative number, got {allowed_accuracy_drop}")
+    candidates, max_cand, results_dir = _prepare(candidates, results_dir)
+    caches = [results_dir / "accuracy_list.json", results_dir / "pareto_list.json"]
     if clean_start:
-        for name in ("accuracy_list.json", "pareto_list.json"):
-            p = results_dir / name
-            if p.exists():
-                p.unlink()
+        for p in caches:
+            p.unlink(missing_ok=True)
+    elif not caches[0].exists():
+        raise CacheError(f"no sensitivity cache {caches[0]} to resume from; rerun with a clean start")
 
     groups = find_layer_groups(sim)
-    max_cand = _max_candidate(candidates)
     for g in groups:
         _apply_candidate(sim, g, max_cand)
     p1_baseline, acc_list = sensitivity_analysis(sim, groups, candidates, eval_phase1, results_dir)
     entries = build_pareto(
-        sim,
-        groups,
-        candidates,
-        acc_list,
-        p1_baseline,
-        eval_phase2,
-        allowed_accuracy_drop,
-        results_dir,
-        clean_start=clean_start,
+        sim, groups, candidates, acc_list, p1_baseline, eval_phase2, allowed_accuracy_drop, results_dir
     )
     return sim, entries

@@ -57,6 +57,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(minimum: int):
+    """argparse type of an integer option that must be at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid <__name__> value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is less than {minimum}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fixquant", description="fixed-point inference toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,19 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encodings", default=None, help="encodings JSON to import before evaluating")
 
     p = command("adaround", cmd_adaround, "optimize weight rounding against layer outputs")
-    p.add_argument("--seed", type=int, required=True, help="rng seed (required, results are stochastic)")
+    p.add_argument("--seed", type=_at_least(0), required=True, help="rng seed (required, results are stochastic)")
     p.add_argument("--iterations", type=int, default=10_000)
     p.add_argument("--reg", type=float, default=0.01, help="rounding regularizer weight")
-    p.add_argument("--batches", type=int, default=None, help="calibration batches to use (default all)")
+    p.add_argument("--batches", type=_at_least(1), default=None, help="calibration batches to use (default all)")
 
     p = command("bias-correct", cmd_bias_correct, "correct biases for quantization-induced mean shift")
     p.add_argument("--mode", choices=["empirical", "analytic"], default="empirical")
 
     p = command("qat", cmd_qat, "fine-tune weights through the quantized forward pass")
-    p.add_argument("--seed", type=int, required=True, help="rng seed (required, shuffling is stochastic)")
+    p.add_argument("--seed", type=_at_least(0), required=True, help="rng seed (required, shuffling is stochastic)")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_at_least(1), default=32)
     p.add_argument("--refresh-ranges", action="store_true", help="recompute ranges after each epoch")
 
     p = command("amp", cmd_amp, "mixed-precision search over layer groups")
@@ -111,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--allowed-drop", type=float, default=0.5, help="allowed score drop from baseline")
     p.add_argument("--resume", action="store_true", help="reuse caches in --out (default wipes them)")
-    p.add_argument("--phase1-samples", type=int, default=256, help="samples for the fast phase-1 eval")
+    p.add_argument("--phase1-samples", type=_at_least(1), default=256, help="samples for the fast phase-1 eval")
 
     p = command("export", cmd_export, "re-emit model + encodings as canonical artifact files", data=False)
     p.add_argument("--encodings", required=True, help="encodings JSON to import (frozen)")

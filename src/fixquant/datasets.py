@@ -78,15 +78,19 @@ def iter_batches(x: np.ndarray, batch_size: int = 256):
         yield x[start : start + batch_size]
 
 
-def evaluate(model, ds: Dataset, batch_size: int = 256) -> float:
+def evaluate(model, ds: Dataset) -> float:
     """Raw metric of a GraphModel or QuantSimModel on the dataset.
 
     Accuracy is the fraction of argmax matches over the rows of a 2-d
     (N, C) output, with every label in [0, C); mse the mean squared error
-    of an output shaped like the targets. Any other output shape or label
-    is a ShapeError. Use ``metric_score`` for a higher-is-better view.
+    of an output shaped like the targets. An empty dataset, a model with
+    other than one output, any other output shape or label is a
+    ShapeError. Use ``metric_score`` for a higher-is-better view.
     """
-    outs = [model.forward(xb) for xb in iter_batches(ds.x, batch_size)]
+    outputs = getattr(model, "graph", model).output_ids
+    if len(ds) == 0 or len(outputs) != 1:
+        raise ShapeError(f"evaluation needs rows and one model output, got {len(ds)} rows and outputs {outputs}")
+    outs = [model.forward(xb) for xb in iter_batches(ds.x)]
     y_hat = np.concatenate(outs, axis=0)
     accuracy = ds.metric == "accuracy"
     if ds.y.shape != (y_hat.shape[:1] if accuracy else y_hat.shape) or (accuracy and y_hat.ndim != 2):

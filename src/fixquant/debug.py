@@ -59,11 +59,10 @@ def run_debug(
     scheme: Optional[RangeScheme] = None,
     config: Optional[SimConfig] = None,
     out_dir=None,
-    calib_batch_size: int = 256,
 ) -> DebugReport:
     """Run the full flow; optionally writes the ranked sweep CSV to out_dir."""
     report = DebugReport()
-    feed = list(iter_batches(ds.x, calib_batch_size))
+    feed = list(iter_batches(ds.x))
     sim = create_quantsim(
         model, default_param_bw=target_bw, default_output_bw=target_bw, scheme=scheme, config=config
     )

@@ -32,7 +32,6 @@ from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json  # eval_kind 
 from .quantizer import QuantizerSpec, grid, qdq
 from .quantsim import (
     QuantSimModel,
-    SimConfig,
     compute_encodings,
     create_quantsim,
     encodings_to_dict,
@@ -567,9 +566,11 @@ def adaround(
     batches = list(feed)
     if not batches:
         raise CalibrationError("adaround feed is empty")
-    n_batches = params.num_batches or len(batches)
-    if len(batches) < n_batches:
+    n_batches = len(batches) if params.num_batches is None else params.num_batches
+    if not 1 <= n_batches <= len(batches):
         raise CalibrationError(f"adaround needs {n_batches} batches, feed provides {len(batches)}")
+    if not 0 <= params.reg_param < math.inf:
+        raise CalibrationError(f"adaround reg_param must be finite and nonnegative, got {params.reg_param}")
     batches = batches[:n_batches]
     rng = np.random.default_rng(seed)
 
@@ -584,8 +585,8 @@ def adaround(
         axis = scheme.channel_axis if scheme.per_channel else None
         acc = RangeAccumulator(channel_axis=axis)
         acc.observe(w)
-        encs = compute_encodings_from_accumulator(acc, param_bw, symmetric=True, scheme=scheme)
-        spec = QuantizerSpec(param_bw, symmetric=True, channel_axis=axis, encodings=encs, frozen=True)
+        spec = QuantizerSpec(param_bw, symmetric=True, channel_axis=axis, frozen=True)
+        spec.encodings = compute_encodings_from_accumulator(acc, param_bw, symmetric=True, scheme=scheme)
         frozen[f"{nid}.weight"] = spec
         s, zp, q_lo, q_hi = grid(spec, w)
 
@@ -642,11 +643,7 @@ class PtqOptions:
     param_bw: int = 8
     output_bw: int = 8
     scheme: RangeScheme = field(default_factory=lambda: RangeScheme(kind="sqnr"))
-    config: Optional[SimConfig] = None
-    use_cle: bool = True
-    use_adaround: bool = True
     use_bias_correction: bool = False
-    bias_correction_mode: str = "empirical"
     adaround_params: AdaRoundParams = field(default_factory=AdaRoundParams)
     seed: int = 0
 
@@ -654,41 +651,31 @@ class PtqOptions:
 def run_ptq_pipeline(model: GraphModel, feed, options: PtqOptions | None = None) -> QuantSimModel:
     """Equalize, round, calibrate: the standard post-training recipe.
 
-    Steps, each optional through ``options``: cross-layer equalization;
-    adaround on the calibration feed; simulation construction at the
-    requested bitwidths; weight and activation range calibration, then the
+    Steps: cross-layer equalization; adaround on the calibration feed;
+    simulation construction at the requested bitwidths with the default
+    placement config; weight and activation range calibration, then the
     import of adaround's frozen encodings for the weights the simulation
-    quantizes; bias correction against the calibrated simulation. Returns
-    the ready-to-run simulation.
+    quantizes; with ``use_bias_correction``, empirical bias correction
+    against the calibrated simulation. Returns the ready-to-run simulation.
     """
     options = options or PtqOptions()
     feed = list(feed)
-    work = model
-    if options.use_cle:
-        work, _ = equalize_model(work)
-
-    frozen_doc = None
-    if options.use_adaround:
-        work, frozen_doc = adaround(
-            work,
-            feed,
-            params=options.adaround_params,
-            param_bw=options.param_bw,
-            scheme=options.scheme,
-            seed=options.seed,
-        )
-
-    sim = create_quantsim(
+    work, _ = equalize_model(model)
+    work, frozen_doc = adaround(
         work,
-        default_param_bw=options.param_bw,
-        default_output_bw=options.output_bw,
+        feed,
+        params=options.adaround_params,
+        param_bw=options.param_bw,
         scheme=options.scheme,
-        config=options.config,
+        seed=options.seed,
+    )
+    sim = create_quantsim(
+        work, default_param_bw=options.param_bw, default_output_bw=options.output_bw, scheme=options.scheme
     )
     compute_encodings(sim, feed)
-    if frozen_doc is not None:  # after calibration, so no unnamed quantizer is disabled
-        params = {k: v for k, v in frozen_doc["param_encodings"].items() if k in sim.param_quantizers}
-        import_encodings(sim, {**frozen_doc, "param_encodings": params}, freeze=True)
+    # after calibration, so no unnamed quantizer is disabled
+    params = {k: v for k, v in frozen_doc["param_encodings"].items() if k in sim.param_quantizers}
+    import_encodings(sim, {**frozen_doc, "param_encodings": params}, freeze=True)
     if options.use_bias_correction:
-        bias_correct(sim, mode=options.bias_correction_mode, feed=feed)
+        bias_correct(sim, feed=feed)
     return sim

@@ -256,6 +256,8 @@ def qat_train(
     n = x.shape[0]
     if n == 0:
         raise CalibrationError("training data is empty")
+    if len(sim.graph.output_ids) != 1:  # the tape follows one output
+        raise ShapeError(f"training needs a model with one output, got {sim.graph.output_ids}")
     rng = np.random.default_rng(seed)
     graph = sim.graph
     lr = options.learning_rate

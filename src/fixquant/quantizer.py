@@ -28,6 +28,7 @@ from .errors import EncodingError, NumericError, ShapeError
 __all__ = [
     "QuantEncoding",
     "QuantizerSpec",
+    "check_bitwidth",
     "round_half_away",
     "quantize_int",
     "dequantize",
@@ -43,6 +44,13 @@ INT32_MAX = 2**31 - 1
 # Below this magnitude x / scale cannot overflow: float32 snapping keeps
 # every scale at or above 1.4e-45, and 1e250 / 1.4e-45 < 1.8e308.
 _QUOTIENT_SAFE = 1e250
+
+
+def check_bitwidth(bw, what: str = "bitwidth") -> int:
+    """``bw`` as an int if it is an integer (not a bool) in [2, 32], else an EncodingError."""
+    if isinstance(bw, bool) or not isinstance(bw, (int, np.integer)) or not 2 <= bw <= 32:
+        raise EncodingError(f"{what} {bw!r} is not an integer in [2, 32]")
+    return int(bw)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -62,14 +70,12 @@ class QuantEncoding:
     symmetric: bool = False
 
     def __post_init__(self):
-        if not (2 <= int(self.bitwidth) <= 32):
-            raise EncodingError(f"bitwidth must be in [2, 32], got {self.bitwidth}")
+        object.__setattr__(self, "bitwidth", check_bitwidth(self.bitwidth))
         s = float(np.float32(self.scale))
         if not math.isfinite(s) or s <= 0.0:
             raise EncodingError(f"scale must be finite and positive, got {self.scale!r}")
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "zero_point", int(self.zero_point))
-        object.__setattr__(self, "bitwidth", int(self.bitwidth))
         if self.signed and not self.symmetric:
             raise EncodingError("signed grids are only defined for symmetric encodings")
         if self.symmetric and self.zero_point != 0:
@@ -168,6 +174,9 @@ class QuantizerSpec:
     enabled: bool = True
     encodings: Optional[list[QuantEncoding]] = None
     frozen: bool = False
+
+    def __post_init__(self):
+        self.bitwidth = check_bitwidth(self.bitwidth)
 
     @property
     def per_channel(self) -> bool:

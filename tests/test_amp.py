@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -356,9 +357,59 @@ class TestChooseMixedPrecision:
 
     def test_missing_cache_with_clean_start_false(self, tmp_path):
         sim = calibrated_sim()
-        ev = make_eval(sim)
+        ev = Counting(make_eval(sim))
         with pytest.raises(CacheError):
             choose_mixed_precision(sim, CANDS, ev, ev, 1.0, tmp_path, clean_start=False)
+        assert ev.calls == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("drop, n_evals", [(10.0, 17), (1e-5, 15)])
+    def test_a_run_interrupted_at_any_evaluation_resumes_to_the_same_files(self, tmp_path, drop, n_evals):
+        """The evaluation after the first k raises; a resume then completes
+        the search with the remaining evaluations and writes what an
+        uninterrupted run writes. With k = 0 nothing is cached to resume."""
+        names = ("accuracy_list.json", "pareto_list.json", "sensitivity.csv", "pareto.csv")
+
+        def run(out, budget=None, clean_start=True):
+            sim = calibrated_sim()
+            ev = Counting(make_eval(sim))
+
+            def interrupted(s):
+                if ev.calls == budget:
+                    raise KeyboardInterrupt
+                return ev(s)
+
+            with contextlib.suppress(KeyboardInterrupt):
+                choose_mixed_precision(sim, CANDS, interrupted, interrupted, drop, out, clean_start=clean_start)
+            return ev.calls
+
+        assert run(tmp_path / "whole") == n_evals
+        expected = {n: (tmp_path / "whole" / n).read_bytes() for n in names}
+        assert run(tmp_path / "0", budget=0) == 0
+        with pytest.raises(CacheError):
+            run(tmp_path / "0", clean_start=False)
+        assert list((tmp_path / "0").iterdir()) == []
+        for k in range(1, n_evals + 1):
+            out = tmp_path / str(k)
+            assert run(out, budget=k) + run(out, clean_start=False) == n_evals, k
+            assert {n: (out / n).read_bytes() for n in names} == expected, k
+
+    def test_a_reordered_pareto_cache_is_cache_error(self, tmp_path):
+        sim = calibrated_sim()
+        ev = make_eval(sim)
+        choose_mixed_precision(sim, CANDS, ev, ev, 10.0, tmp_path)
+        path = tmp_path / "pareto_list.json"
+        doc = json.loads(path.read_text())
+        first, second = doc["entries"][:2]
+        assert [first["group"], first["candidate"]] != [second["group"], second["candidate"]]
+        doc["entries"][:2] = [second, first]
+        path.write_text(json.dumps(doc))
+        blob = path.read_bytes()
+        p2 = Counting(ev)
+        with pytest.raises(CacheError):
+            choose_mixed_precision(calibrated_sim(), CANDS, ev, p2, 10.0, tmp_path, clean_start=False)
+        assert p2.calls == 0
+        assert path.read_bytes() == blob
 
     def test_candidate_change_rejects_stale_pareto_cache(self, tmp_path):
         sim = calibrated_sim()
