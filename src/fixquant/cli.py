@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -70,6 +71,17 @@ def _at_least(minimum: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a float option that must be positive and finite."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fixquant", description="fixed-point inference toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("adaround", cmd_adaround, "optimize weight rounding against layer outputs")
     p.add_argument("--seed", type=_at_least(0), required=True, help="rng seed (required, results are stochastic)")
-    p.add_argument("--iterations", type=int, default=10_000)
+    p.add_argument("--iterations", type=_at_least(1), default=10_000)
     p.add_argument("--reg", type=float, default=0.01, help="rounding regularizer weight")
     p.add_argument("--batches", type=_at_least(1), default=None, help="calibration batches to use (default all)")
 
@@ -110,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("qat", cmd_qat, "fine-tune weights through the quantized forward pass")
     p.add_argument("--seed", type=_at_least(0), required=True, help="rng seed (required, shuffling is stochastic)")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-2)
+    p.add_argument("--epochs", type=_at_least(1), default=20)
+    p.add_argument("--lr", type=_positive_float, default=1e-2)
     p.add_argument("--batch-size", type=_at_least(1), default=32)
     p.add_argument("--refresh-ranges", action="store_true", help="recompute ranges after each epoch")
 

@@ -185,17 +185,36 @@ class GraphModel:
         outs = {oid: values[oid] for oid in self.output_ids}
         return next(iter(outs.values())) if len(outs) == 1 else outs
 
-    def evaluate_all(self, inputs, weights=None, activation=None) -> dict[str, np.ndarray]:
+    def evaluate_all(self, inputs, weights=None, activation=None, known=None, stop=None) -> dict[str, np.ndarray]:
         """Run the graph and return every node's output tensor, keyed by node id.
 
         This is the only topological runner. ``weights(node)`` substitutes a
         weighted node's tensors (the simulation passes its quantized weights)
         and ``activation(nid, y)`` maps each node's output, input nodes
         included, before consumers see it. The float path passes neither.
+
+        A node found in ``known`` takes that value as it is: its kernel does
+        not run and ``activation`` is not applied again. With ``stop`` the
+        pass computes only ``stop`` and the nodes it depends on that
+        ``known`` lacks, so nothing downstream of ``stop`` runs. The returned
+        dict holds the known values and every value computed; a caller
+        reusing it in a later pass drops each value whose node has since
+        changed.
         """
         feed = self._normalize_inputs(inputs)
-        values: dict[str, np.ndarray] = {}
-        for nid in self.topo_order():
+        values: dict[str, np.ndarray] = dict(known or {})
+        order = self.topo_order()
+        if stop is not None:
+            if stop not in self.nodes:
+                raise GraphError(f"cannot stop at {stop!r}: no such node")
+            need = {stop}
+            for nid in reversed(order):
+                if nid in need and nid not in values:
+                    need.update(self.nodes[nid].inputs)
+            order = [nid for nid in order if nid in need]
+        for nid in order:
+            if nid in values:
+                continue
             node = self.nodes[nid]
             if node.kind == "input":
                 y = feed[nid]

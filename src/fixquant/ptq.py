@@ -385,6 +385,15 @@ def _analytic_input_mean(sim: QuantSimModel, node) -> Optional[np.ndarray]:
     return _rectified_gaussian_mean(beta, gamma) if through_relu else beta
 
 
+def _forget(values: dict, layer: str, consumers: dict) -> None:
+    """Drop from the values of a pass that stopped at ``layer`` the layer's
+    own value, which goes stale once its tensors change, and every value
+    whose consumers all hold one, which no later pass reads."""
+    del values[layer]
+    for nid in [n for n in values if all(c in values for c in consumers[n])]:
+        del values[nid]
+
+
 def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> GraphModel:
     """Shift layer biases so quantization does not move mean pre-activations.
 
@@ -392,7 +401,11 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
     mean float pre-activation and the mean pre-activation of the running
     quantized model (raw accumulator output, before the output quantizer)
     on the leading feed batches that hold ``BIAS_CORRECT_SAMPLES`` samples,
-    and adds the difference to the bias. ``analytic_then_empirical``
+    and adds the difference to the bias. The float means come from one full
+    pass per batch. The quantized pass for a layer stops at that layer and
+    resumes from the values earlier passes left that are still current, so
+    a chain of L layers costs 2L - 1 layer evaluations per batch, not L * L,
+    with the same numbers. ``analytic_then_empirical``
     removes the weight-quantization component in closed form for layers
     whose input mean follows from folded batch-norm statistics (rectified
     Gaussian mean through a relu) and falls back to the empirical estimate
@@ -435,11 +448,16 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
 
         # Correct in topological order against the running quantized model:
         # earlier corrections are in place before later layers are measured.
+        # A pass computes nothing downstream of its layer, so once the bias
+        # moves that layer's value is the only stale one.
+        known: list[dict] = [{} for _ in batches]
+        consumers = graph.consumers()
         for nid in remaining:
             q_means = []
-            for batch in batches:
-                _, raw, _ = sim.evaluate_all(batch, capture_raw=True)
+            for i, batch in enumerate(batches):
+                known[i], raw, _ = sim.evaluate_all(batch, capture_raw=True, known=known[i], stop=nid)
                 q_means.append(_channel_means(raw[nid]))
+                _forget(known[i], nid, consumers)
             delta = fp_mean[nid] - np.mean(np.stack(q_means), axis=0)
             node = graph.nodes[nid]
             node.set_weight("bias", node.weights["bias"] + delta)
@@ -496,14 +514,17 @@ def _beta_at(it: int, params: AdaRoundParams) -> float:
     return lo + 0.5 * (hi - lo) * (1.0 + math.cos(t * math.pi))
 
 
-def _layer_problem(model: GraphModel, node, batches: list) -> tuple:
+def _layer_problem(model: GraphModel, node, batches: list, known: list) -> tuple:
     """Per calibration batch, the layer input as a patch matrix P and the
     float output as the target, both laid out per group: the output of
     group g is P[g] @ W_g.T + b_g, with W_g that group's weight rows
     flattened. A linear layer is one group of flattened samples. Input and
-    target are the layer's input and output in one float pass of ``model``
-    (the already-rounded predecessor chain); inputs are dropped once
-    patched. Returns (patch, targets): ``patch(i)`` is batch i's P, kept
+    target are the layer's input and output in a float pass of ``model``
+    (the already-rounded predecessor chain) that stops at the layer and
+    starts from ``known[i]``, the values earlier passes left for batch i.
+    ``known[i]`` becomes this pass's values less what ``_forget`` drops:
+    the layer's own, which the rounding makes stale, and those no later
+    pass reads. Returns (patch, targets): ``patch(i)`` is batch i's P, kept
     while the layer's patches fit in ``_PATCH_BYTES`` and laid out again
     from the kept input after that."""
     w, a = node.weights["weight"], node.attrs
@@ -516,9 +537,12 @@ def _layer_problem(model: GraphModel, node, batches: list) -> tuple:
         return tc.conv_patches(x, w.shape, a.get("stride", 1), a.get("padding", 0), groups)
 
     inputs, targets, size, laid = [], [], 0, 0
-    for batch in batches:
-        values = model.evaluate_all(batch)  # also checks the layer's shapes
+    consumers = model.consumers()
+    for i, batch in enumerate(batches):
+        # the layer's kernel always runs, so this also checks its shapes
+        known[i] = values = model.evaluate_all(batch, known=known[i], stop=node.id)
         x, y = values[node.inputs[0]], values[node.id]
+        _forget(values, node.id, consumers)
         targets.append(y.reshape(len(y), groups, og, -1).transpose(1, 0, 3, 2).reshape(groups, -1, og))
         size += y.size // w.shape[0] * groups * w[0].size * 8  # P's bytes
         if size <= _PATCH_BYTES:
@@ -544,7 +568,10 @@ def adaround(
     parameterized by a rectified sigmoid, and the offset is trained to
     minimize reconstruction error of the layer's output plus a regularizer
     that pushes every offset to a hard 0 or 1. Layer inputs come from the
-    already-rounded predecessor chain. Final weights snap to
+    already-rounded predecessor chain: each layer's float pass stops at the
+    layer and resumes from the values earlier passes left that are still
+    current, so a chain of L layers costs 2L - 1 layer evaluations per
+    batch, with the same numbers as a full pass. Final weights snap to
     floor + {0, 1} on the grid and the frozen per-layer encodings are
     returned (and written to ``encodings_path`` when given).
 
@@ -569,6 +596,8 @@ def adaround(
     n_batches = len(batches) if params.num_batches is None else params.num_batches
     if not 1 <= n_batches <= len(batches):
         raise CalibrationError(f"adaround needs {n_batches} batches, feed provides {len(batches)}")
+    if params.num_iterations < 1:
+        raise CalibrationError(f"adaround needs at least one iteration, got {params.num_iterations}")
     if not 0 <= params.reg_param < math.inf:
         raise CalibrationError(f"adaround reg_param must be finite and nonnegative, got {params.reg_param}")
     batches = batches[:n_batches]
@@ -577,6 +606,7 @@ def adaround(
     out = model.copy()
     frozen: dict[str, QuantizerSpec] = {}
     targets = [nid for nid in out.topo_order() if out.nodes[nid].kind in MAC_KINDS]
+    known: list[dict] = [{} for _ in batches]  # per batch, the float values later passes read
 
     for nid in targets:
         node = out.nodes[nid]
@@ -595,7 +625,7 @@ def adaround(
         rest = np.clip(w / s - w_floor, 1e-4, 1.0 - 1e-4)
         v = np.log((rest - _SIG_GAMMA) / (_SIG_ZETA - _SIG_GAMMA - rest + _SIG_GAMMA))
 
-        patch, targets_y = _layer_problem(out, node, batches)
+        patch, targets_y = _layer_problem(out, node, batches, known)
         groups, og = targets_y[0].shape[0], targets_y[0].shape[2]
         bias = node.weights["bias"].reshape(groups, 1, og)
 

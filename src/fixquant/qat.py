@@ -250,6 +250,13 @@ def qat_train(
     Returns the per-epoch log (also written as CSV when requested).
     """
     options = options or QatOptions()
+    if not 0 < options.learning_rate < math.inf:
+        raise CalibrationError(f"learning rate must be positive and finite, got {options.learning_rate}")
+    if options.epochs < 1 or options.batch_size < 1:
+        raise CalibrationError(
+            f"training needs at least one epoch and one sample per batch, "
+            f"got epochs {options.epochs}, batch size {options.batch_size}"
+        )
     sim.check_ready()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -284,7 +291,7 @@ def qat_train(
             n_batches += 1
         if options.refresh_ranges:  # non-frozen encodings from the current weights and data
             compute_encodings(sim, [x])
-        log.append({"epoch": epoch, "loss": epoch_loss / max(1, n_batches), "lr": lr})
+        log.append({"epoch": epoch, "loss": epoch_loss / n_batches, "lr": lr})
 
     if options.log_path:
         fields = ["epoch", "loss", "lr"]

@@ -195,10 +195,12 @@ class QuantSimModel:
 
     # -- forward ----------------------------------------------------------
 
-    def evaluate_all(self, inputs, capture_raw: bool = False):
+    def evaluate_all(self, inputs, capture_raw: bool = False, known=None, stop=None):
         """Quantized forward returning every tensor. With ``capture_raw``
         it returns three dicts: every tensor, the raw (pre-output-quantizer)
-        op outputs, and the quantized tensors each weighted node ran with."""
+        op outputs, and the quantized tensors each weighted node ran with.
+        ``known`` and ``stop`` are ``GraphModel.evaluate_all``'s; ``raw``
+        and ``used`` then hold only the nodes that were recomputed."""
         raw: dict[str, np.ndarray] = {}
         used: dict[str, dict] = {}
 
@@ -212,7 +214,7 @@ class QuantSimModel:
             spec = self.activation_quantizers.get(nid)
             return y if spec is None else qdq(y, spec)
 
-        values = self.graph.evaluate_all(inputs, weights, activation)
+        values = self.graph.evaluate_all(inputs, weights, activation, known, stop)
         return (values, raw, used) if capture_raw else values
 
     def forward(self, inputs):

@@ -69,6 +69,23 @@ def test_one_option_mutation_ends_in_one_error_line(inputs, command, option, val
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
+TRAINING_CASES = [("qat", "--lr", v) for v in ("-1", "0", "nan", "inf")] + [
+    (c, opt, v) for c, opt in (("qat", "--epochs"), ("adaround", "--iterations")) for v in ("0", "-1")
+]
+
+
+@pytest.mark.parametrize("command, option, value", TRAINING_CASES, ids=[" ".join(c) for c in TRAINING_CASES])
+def test_a_training_option_that_runs_no_descent_is_a_usage_error(inputs, command, option, value):
+    """A learning rate that is not positive and finite, or fewer than one
+    epoch or iteration, is rejected while parsing, before anything is written."""
+    args = {**dict(zip(BASE[command][::2], BASE[command][1::2])), option: value}
+    out = inputs / f"training{command}{option}{value}"
+    argv = [command, "--model", str(inputs / "net"), "--data", str(inputs / "data"), "--out", str(out)]
+    rc, lines = _run(argv + [s for kv in args.items() for s in kv])
+    assert rc == 2 and len(lines) == 1 and lines[0].startswith("error:usage:"), (rc, lines)
+    assert not out.exists()
+
+
 def test_one_output_and_rows_required_before_any_write(inputs, tmp_path):
     """A model with two outputs, or an empty dataset, is one shape error
     before any file is written."""

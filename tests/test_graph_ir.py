@@ -124,6 +124,78 @@ def test_evaluate_all_returns_every_node():
     assert np.allclose(values["fc"], [[3.5]])
 
 
+def branching_graph(seed=0):
+    """Two convs on one input, joined by an add, concatenated with the input,
+    then both pools and a linear head. Topological order: in, a, ra, b, s, c,
+    mp, ap, fc, out."""
+    rng = np.random.default_rng(seed)
+    return GraphModel(
+        [
+            Node("in", "input"),
+            Node(
+                "a", "conv2d", ["in"], attrs={"padding": 1},
+                weights={"weight": rng.normal(0, 0.5, (4, 3, 3, 3)), "bias": rng.normal(0, 0.1, 4)},
+            ),
+            Node("ra", "relu", ["a"]),
+            Node("b", "conv2d", ["in"], weights={"weight": rng.normal(0, 0.5, (4, 3, 1, 1)), "bias": rng.normal(0, 0.1, 4)}),
+            Node("s", "add", ["ra", "b"]),
+            Node("c", "concat", ["s", "in"], attrs={"axis": 1}),
+            Node("mp", "maxpool", ["c"], attrs={"kernel": 2, "stride": 2}),
+            Node("ap", "avgpool", ["mp"], attrs={"kernel": 3}),
+            Node("fc", "linear", ["ap"], weights={"weight": rng.normal(0, 0.5, (2, 7)), "bias": rng.normal(0, 0.1, 2)}),
+            Node("out", "output", ["fc"]),
+        ],
+        name="branching",
+    )
+
+
+class TestResumedPasses:
+    x = np.random.default_rng(1).normal(size=(2, 3, 6, 6))
+
+    def test_a_stop_computes_only_what_it_depends_on_as_the_full_pass_does(self):
+        g = branching_graph()
+        full = g.evaluate_all(self.x)
+        order = g.topo_order()
+        assert order == ["in", "a", "ra", "b", "s", "c", "mp", "ap", "fc", "out"]
+
+        def upstream(nid):
+            return {nid}.union(*(upstream(src) for src in g.nodes[nid].inputs))
+
+        assert upstream("b") == {"in", "b"}
+        known = {}
+        for i, stop in enumerate(order):
+            alone = g.evaluate_all(self.x, stop=stop)
+            known = g.evaluate_all(self.x, known=known, stop=stop)
+            assert list(alone) == [nid for nid in order if nid in upstream(stop)]
+            assert list(known) == order[: i + 1]
+            for values in (alone, known):
+                assert all(values[nid].tobytes() == full[nid].tobytes() for nid in values)
+
+    def test_known_nodes_are_taken_as_they_are(self, monkeypatch):
+        from fixquant import graph_ir
+
+        g = branching_graph()
+        full = g.evaluate_all(self.x)
+        known = {nid: v for nid, v in full.items() if nid != "b"}
+        ran, mapped = [], []
+        real = graph_ir.eval_kind
+        monkeypatch.setattr(graph_ir, "eval_kind", lambda k, *a: ran.append(k) or real(k, *a))
+        values = g.evaluate_all(self.x, activation=lambda nid, y: mapped.append(nid) or y + 1.0, known=known)
+        assert ran == ["conv2d"] and mapped == ["b"]  # only b runs, and only b is mapped
+        assert all(values[nid] is v for nid, v in known.items())
+        assert np.array_equal(values["b"], full["b"] + 1.0)
+
+    def test_known_is_not_modified(self):
+        g = branching_graph()
+        known = g.evaluate_all(self.x, stop="a")
+        values = g.evaluate_all(self.x, known=known, stop="s")
+        assert list(known) == ["in", "a"] and list(values) == ["in", "a", "ra", "b", "s"]
+
+    def test_stop_must_name_a_node(self):
+        with pytest.raises(GraphError, match="nope"):
+            branching_graph().evaluate_all(self.x, stop="nope")
+
+
 def test_copy_is_deep():
     g = tiny_graph()
     g2 = g.copy()

@@ -413,6 +413,58 @@ class TestAdaRound:
         with pytest.raises(CalibrationError):
             adaround(toys.mlp([4, 8, 3], seed=0), [], self.small_params())
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_fewer_than_one_iteration_rejected(self, iterations):
+        feed = toys.random_feed((4, 4), n_batches=1)
+        with pytest.raises(CalibrationError, match="iteration"):
+            adaround(toys.mlp([4, 8, 3], seed=0), feed, AdaRoundParams(num_iterations=iterations))
+
+
+# ---------------------------------------------------------------------------
+# Bias-correction oracle: the sweep that resumed passes replaced, one full
+# quantized pass per layer and batch; bias_correct must set the same biases.
+
+
+def _bias_correct_oracle(sim, mode, feed):
+    from fixquant import ptq
+
+    graph = sim.graph
+    remaining = [nid for nid in graph.topo_order() if graph.nodes[nid].kind in ("linear", "conv2d")]
+    for nid in list(remaining) if mode == "analytic_then_empirical" else []:
+        node = graph.nodes[nid]
+        ex = ptq._analytic_input_mean(sim, node)
+        if ex is not None:
+            err = ptq._input_channel_sum(node, ptq._weight_quant_error(sim, node), ex)
+            node.set_weight("bias", node.weights["bias"] - err)
+            remaining.remove(nid)
+    batches = ptq._limit_samples(list(feed), ptq.BIAS_CORRECT_SAMPLES)
+    fp_mean = {
+        nid: np.mean(np.stack([ptq._channel_means(graph.evaluate_all(b)[nid]) for b in batches]), axis=0)
+        for nid in remaining
+    }
+    for nid in remaining:
+        q = [ptq._channel_means(sim.evaluate_all(b, capture_raw=True)[1][nid]) for b in batches]
+        node = graph.nodes[nid]
+        node.set_weight("bias", node.weights["bias"] + (fp_mean[nid] - np.mean(np.stack(q), axis=0)))
+    return graph
+
+
+@pytest.mark.parametrize("mode", ["empirical", "analytic_then_empirical"])
+@pytest.mark.parametrize("make", ["_folded_conv_bn_relu_conv", "_conv_chain", "_branching_net"])
+def test_bias_correct_equals_full_pass_oracle(make, mode):
+    model = globals()[make]()
+    feed = toys.random_feed((4, 3, 6, 6), n_batches=3, seed=12)
+    got, want = (create_quantsim(model.copy(), default_param_bw=4) for _ in range(2))
+    for sim in (got, want):
+        compute_encodings(sim, feed)
+    bias_correct(got, mode=mode, feed=feed)
+    _bias_correct_oracle(want, mode, feed)
+    for nid, node in want.graph.nodes.items():
+        for name, arr in node.weights.items():
+            assert got.graph.nodes[nid].weights[name].tobytes() == arr.tobytes(), (nid, name)
+    layers = [nid for nid, node in model.nodes.items() if node.kind in ("linear", "conv2d")]
+    assert all(not np.array_equal(got.graph.nodes[nid].weights["bias"], model.nodes[nid].weights["bias"]) for nid in layers)
+
 
 # ---------------------------------------------------------------------------
 # AdaRound oracle: the per-iteration path that the patch GEMMs replaced. It
@@ -550,7 +602,76 @@ def test_adaround_takes_each_layer_target_from_its_input_pass(monkeypatch):
     real = tc.conv2d
     monkeypatch.setattr(tc, "conv2d", lambda *a, **k: calls.append(1) or real(*a, **k))
     adaround(model, feed, AdaRoundParams(num_iterations=1))
-    assert len(calls) == 2 * 2 * 2  # per layer and batch, one float pass of both convs
+    # per batch, conv1 for the first layer's pass, then the rounded conv1 and conv2
+    assert len(calls) == 2 * 3
+
+
+def _conv_chain(n=6, seed=0):
+    """n padded 3x3 convs (3 -> 4 -> ... -> 4 channels), a relu after each
+    but the last. Every even conv carries folded batch-norm statistics, so
+    analytic bias correction handles the odd convs behind them in closed
+    form and leaves the even ones to the empirical sweep."""
+    rng = np.random.default_rng(seed)
+    nodes, src = [Node("in", "input")], "in"
+    for i in range(n):
+        attrs = {"padding": 1}
+        if i % 2 == 0:
+            attrs["folded_bn"] = {"beta": rng.uniform(-1, 1, 4).tolist(), "gamma": rng.uniform(0.5, 2, 4).tolist()}
+        weights = {"weight": rng.normal(0, 0.2, (4, 3 if i == 0 else 4, 3, 3)), "bias": rng.normal(0, 0.1, 4)}
+        nodes.append(Node(f"conv{i}", "conv2d", [src], attrs=attrs, weights=weights))
+        src = f"conv{i}"
+        if i < n - 1:
+            nodes.append(Node(f"relu{i}", "relu", [src]))
+            src = f"relu{i}"
+    nodes.append(Node("out", "output", [src]))
+    return GraphModel(nodes, name="conv_chain")
+
+
+def _branching_net():
+    from test_graph_ir import branching_graph
+
+    return branching_graph(seed=4)
+
+
+def _folded_conv_bn_relu_conv():
+    return fold_batch_norms(toys.conv_bn_relu_conv(seed=15))
+
+
+@pytest.mark.parametrize("make", [_conv_chain, _branching_net])
+def test_adaround_on_deep_and_branching_models_equals_oracle(make):
+    rng = np.random.default_rng(10)
+    feed = [rng.normal(size=(3, 3, 6, 6)) for _ in range(2)]
+    # 2 bits and long steps, so a later layer fed unrounded inputs rounds differently
+    params = AdaRoundParams(num_iterations=100, step_size=0.2)
+    _assert_same_rounding(make(), feed, params, 2, RangeScheme(kind="sqnr", per_channel=True), 1)
+
+
+def test_each_sweep_runs_every_conv_but_the_last_twice_per_batch(monkeypatch):
+    from fixquant import tensor_core as tc
+
+    feed = toys.random_feed((2, 3, 6, 6), n_batches=2, seed=11)
+    sim = create_quantsim(_conv_chain(), default_param_bw=4)
+    compute_encodings(sim, feed)
+    calls = []
+    real = tc.conv2d
+    monkeypatch.setattr(tc, "conv2d", lambda *a, **k: calls.append(1) or real(*a, **k))
+    # per batch, layer k's pass runs conv k and, from k = 1 on, the rounded conv k - 1: 6 + 5
+    adaround(_conv_chain(), feed, AdaRoundParams(num_iterations=1))
+    assert len(calls) == 2 * 11
+    calls.clear()
+    bias_correct(sim, mode="empirical", feed=feed)
+    assert len(calls) == 2 * (6 + 11)  # per batch, one float pass of all six, then the quantized sweep
+
+
+def test_a_resumed_sweep_keeps_only_the_values_a_later_pass_reads():
+    from fixquant.ptq import _forget
+
+    g = _branching_net()
+    values = g.evaluate_all(np.ones((1, 3, 6, 6)), stop="s")
+    assert list(values) == ["in", "a", "ra", "b", "s"]
+    _forget(values, "s", g.consumers())
+    # s is stale; a feeds only ra, which is held; in still feeds c, ra and b feed s
+    assert list(values) == ["in", "ra", "b"]
 
 
 def test_adaround_rejects_bad_layer_shapes_before_iterating():

@@ -483,6 +483,28 @@ class TestQatTrain:
         with pytest.raises(CalibrationError):
             qat_train(sim, ds.x[:0], ds.y[:0], options=QatOptions(epochs=1))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"learning_rate": -1.0},
+            {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"epochs": 0},
+            {"epochs": -1},
+            {"batch_size": 0},
+            {"batch_size": -1},
+        ],
+        ids=str,
+    )
+    def test_bad_options_rejected_before_any_step(self, bad):
+        sim, ds = self.spiral_sim()
+        before = {nid: dict(n.weights) for nid, n in sim.graph.nodes.items()}
+        with pytest.raises(CalibrationError):
+            qat_train(sim, ds.x, ds.y, options=QatOptions(**{"epochs": 1, **bad}), seed=0)
+        for nid, node in sim.graph.nodes.items():
+            assert all(node.weights[k] is w for k, w in before[nid].items())
+
     def test_divergence_raises_numeric_error(self):
         # mse against an overflowing target: loss hits inf on the first batch
         sim, ds = self.spiral_sim()
