@@ -421,52 +421,6 @@ class TestAdaRound:
 
 
 # ---------------------------------------------------------------------------
-# Bias-correction oracle: the sweep that resumed passes replaced, one full
-# quantized pass per layer and batch; bias_correct must set the same biases.
-
-
-def _bias_correct_oracle(sim, mode, feed):
-    from fixquant import ptq
-
-    graph = sim.graph
-    remaining = [nid for nid in graph.topo_order() if graph.nodes[nid].kind in ("linear", "conv2d")]
-    for nid in list(remaining) if mode == "analytic_then_empirical" else []:
-        node = graph.nodes[nid]
-        ex = ptq._analytic_input_mean(sim, node)
-        if ex is not None:
-            err = ptq._input_channel_sum(node, ptq._weight_quant_error(sim, node), ex)
-            node.set_weight("bias", node.weights["bias"] - err)
-            remaining.remove(nid)
-    batches = ptq._limit_samples(list(feed), ptq.BIAS_CORRECT_SAMPLES)
-    fp_mean = {
-        nid: np.mean(np.stack([ptq._channel_means(graph.evaluate_all(b)[nid]) for b in batches]), axis=0)
-        for nid in remaining
-    }
-    for nid in remaining:
-        q = [ptq._channel_means(sim.evaluate_all(b, capture_raw=True)[1][nid]) for b in batches]
-        node = graph.nodes[nid]
-        node.set_weight("bias", node.weights["bias"] + (fp_mean[nid] - np.mean(np.stack(q), axis=0)))
-    return graph
-
-
-@pytest.mark.parametrize("mode", ["empirical", "analytic_then_empirical"])
-@pytest.mark.parametrize("make", ["_folded_conv_bn_relu_conv", "_conv_chain", "_branching_net"])
-def test_bias_correct_equals_full_pass_oracle(make, mode):
-    model = globals()[make]()
-    feed = toys.random_feed((4, 3, 6, 6), n_batches=3, seed=12)
-    got, want = (create_quantsim(model.copy(), default_param_bw=4) for _ in range(2))
-    for sim in (got, want):
-        compute_encodings(sim, feed)
-    bias_correct(got, mode=mode, feed=feed)
-    _bias_correct_oracle(want, mode, feed)
-    for nid, node in want.graph.nodes.items():
-        for name, arr in node.weights.items():
-            assert got.graph.nodes[nid].weights[name].tobytes() == arr.tobytes(), (nid, name)
-    layers = [nid for nid, node in model.nodes.items() if node.kind in ("linear", "conv2d")]
-    assert all(not np.array_equal(got.graph.nodes[nid].weights["bias"], model.nodes[nid].weights["bias"]) for nid in layers)
-
-
-# ---------------------------------------------------------------------------
 # AdaRound oracle: the per-iteration path that the patch GEMMs replaced. It
 # runs each layer through the graph kernel and takes the conv weight gradient
 # from qat.conv2d_backward; adaround must round to exactly the same weights.
@@ -672,6 +626,52 @@ def test_a_resumed_sweep_keeps_only_the_values_a_later_pass_reads():
     _forget(values, "s", g.consumers())
     # s is stale; a feeds only ra, which is held; in still feeds c, ra and b feed s
     assert list(values) == ["in", "ra", "b"]
+
+
+# ---------------------------------------------------------------------------
+# Bias-correction oracle: the sweep that resumed passes replaced, one full
+# quantized pass per layer and batch; bias_correct must set the same biases.
+
+
+def _bias_correct_oracle(sim, mode, feed):
+    from fixquant import ptq
+
+    graph = sim.graph
+    remaining = [nid for nid in graph.topo_order() if graph.nodes[nid].kind in ("linear", "conv2d")]
+    for nid in list(remaining) if mode == "analytic_then_empirical" else []:
+        node = graph.nodes[nid]
+        ex = ptq._analytic_input_mean(sim, node)
+        if ex is not None:
+            err = ptq._input_channel_sum(node, ptq._weight_quant_error(sim, node), ex)
+            node.set_weight("bias", node.weights["bias"] - err)
+            remaining.remove(nid)
+    batches = ptq._limit_samples(list(feed), ptq.BIAS_CORRECT_SAMPLES)
+    fp_mean = {
+        nid: np.mean(np.stack([ptq._channel_means(graph.evaluate_all(b)[nid]) for b in batches]), axis=0)
+        for nid in remaining
+    }
+    for nid in remaining:
+        q = [ptq._channel_means(sim.evaluate_all(b, capture_raw=True)[1][nid]) for b in batches]
+        node = graph.nodes[nid]
+        node.set_weight("bias", node.weights["bias"] + (fp_mean[nid] - np.mean(np.stack(q), axis=0)))
+    return graph
+
+
+@pytest.mark.parametrize("mode", ["empirical", "analytic_then_empirical"])
+@pytest.mark.parametrize("make", [_folded_conv_bn_relu_conv, _conv_chain, _branching_net])
+def test_bias_correct_equals_full_pass_oracle(make, mode):
+    model = make()
+    feed = toys.random_feed((4, 3, 6, 6), n_batches=3, seed=12)
+    got, want = (create_quantsim(model.copy(), default_param_bw=4) for _ in range(2))
+    for sim in (got, want):
+        compute_encodings(sim, feed)
+    bias_correct(got, mode=mode, feed=feed)
+    _bias_correct_oracle(want, mode, feed)
+    for nid, node in want.graph.nodes.items():
+        for name, arr in node.weights.items():
+            assert got.graph.nodes[nid].weights[name].tobytes() == arr.tobytes(), (nid, name)
+    layers = [nid for nid, node in model.nodes.items() if node.kind in ("linear", "conv2d")]
+    assert all(not np.array_equal(got.graph.nodes[nid].weights["bias"], model.nodes[nid].weights["bias"]) for nid in layers)
 
 
 def test_adaround_rejects_bad_layer_shapes_before_iterating():
