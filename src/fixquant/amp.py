@@ -28,6 +28,7 @@ moves everything else in the group.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -317,10 +318,22 @@ def _prepare(candidates: list, cache_dir) -> tuple[list[CandidatePair], Candidat
     return candidates, _max_candidate(candidates), cache_dir
 
 
+def _resuming(search):
+    """Run ``search(sim, ...)`` inside ``sim.resuming()``."""
+
+    @functools.wraps(search)
+    def run(sim: QuantSimModel, *args, **kwargs):
+        with sim.resuming():
+            return search(sim, *args, **kwargs)
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Phase 1: sensitivity
 
 
+@_resuming
 def sensitivity_analysis(
     sim: QuantSimModel,
     groups: list[QuantizerGroup],
@@ -331,7 +344,11 @@ def sensitivity_analysis(
     """Evaluate every (group, non-max candidate) combination.
 
     The all-max sim is built once; each evaluation, the baseline included,
-    runs on its own clone of it, so evaluations are independent. Results
+    runs on its own clone of it, so evaluations are independent. The clones
+    share ``sim.resuming()``'s slot: a forward reuses every node whose
+    input batch, weights and quantizers are bit-identical to the previous
+    evaluation's, so it reruns only the nodes at or below the groups that
+    differ. Results
     append to accuracy_list.json after every evaluation and a rerun with an
     intact cache performs no evaluations at all. A sensitivity CSV for
     plotting is rewritten alongside. Returns (all-max baseline, entries).
@@ -373,6 +390,7 @@ def sensitivity_analysis(
 # Phase 2: pareto front
 
 
+@_resuming
 def build_pareto(
     sim: QuantSimModel,
     groups: list[QuantizerGroup],
@@ -400,6 +418,10 @@ def build_pareto(
     make is a CacheError. A cached entry that violates the current allowed
     drop stops the search and leaves the file untouched, so a resume at the
     same allowed drop evaluates nothing.
+
+    Inside ``sim.resuming()`` each evaluation after a move reruns only the
+    moved group and what lies below it; everything above keeps the values
+    of the previous evaluation.
     """
     candidates, max_cand, cache_dir = _prepare(candidates, cache_dir)
     fp = fingerprint(sim, candidates)
@@ -481,6 +503,7 @@ def build_pareto(
 # Driver
 
 
+@_resuming
 def choose_mixed_precision(
     sim: QuantSimModel,
     candidates: list,

@@ -11,6 +11,10 @@ The flow, each stage narrowing the cause:
 4. per-layer sweep: enable one quantizer at a time at the target
    bitwidth, everything else disabled, and rank layers by the score drop
    they cause alone.
+
+Stages 2-4 run inside ``sim.resuming()``: on a dataset of one evaluation
+batch, each evaluation reruns only the nodes at or below the quantizers
+that changed since the previous one.
 """
 
 from __future__ import annotations
@@ -87,52 +91,53 @@ def run_debug(
         _set_enabled(sim, lambda kind, key: (kind, key) in active)
         return report
 
-    # Stage 2: one side at a time.
-    _set_enabled(sim, lambda kind, key: (kind, key) in active)
-    report.quantized_score = metric_score(evaluate(sim, ds), ds.metric)
-    _set_enabled(sim, lambda kind, key: kind == "param" and (kind, key) in active)
-    report.weights_only_score = metric_score(evaluate(sim, ds), ds.metric)
-    _set_enabled(sim, lambda kind, key: kind == "activation" and (kind, key) in active)
-    report.activations_only_score = metric_score(evaluate(sim, ds), ds.metric)
+    with sim.resuming():
+        # Stage 2: one side at a time.
+        _set_enabled(sim, lambda kind, key: (kind, key) in active)
+        report.quantized_score = metric_score(evaluate(sim, ds), ds.metric)
+        _set_enabled(sim, lambda kind, key: kind == "param" and (kind, key) in active)
+        report.weights_only_score = metric_score(evaluate(sim, ds), ds.metric)
+        _set_enabled(sim, lambda kind, key: kind == "activation" and (kind, key) in active)
+        report.activations_only_score = metric_score(evaluate(sim, ds), ds.metric)
 
-    drop_w = report.fp32_score - report.weights_only_score
-    drop_a = report.fp32_score - report.activations_only_score
+        drop_w = report.fp32_score - report.weights_only_score
+        drop_a = report.fp32_score - report.activations_only_score
 
-    # Stage 3: where to aim the global fixes.
-    if max(drop_w, drop_a) <= ROBUST_SCORE_DROP:
-        report.suggestions.append(
-            f"model is robust at {target_bw}-bit; proceed with the current settings"
-        )
-    else:
-        if drop_w >= drop_a:
+        # Stage 3: where to aim the global fixes.
+        if max(drop_w, drop_a) <= ROBUST_SCORE_DROP:
             report.suggestions.append(
-                "weight quantization dominates the loss: try cross-layer equalization, "
-                "bias correction, adaround, or per-channel weight grids"
+                f"model is robust at {target_bw}-bit; proceed with the current settings"
             )
-        if drop_a >= drop_w:
-            report.suggestions.append(
-                "activation quantization dominates the loss: try the sqnr range setting, "
-                "a wider activation bitwidth, or quantization-aware fine-tuning"
-            )
+        else:
+            if drop_w >= drop_a:
+                report.suggestions.append(
+                    "weight quantization dominates the loss: try cross-layer equalization, "
+                    "bias correction, adaround, or per-channel weight grids"
+                )
+            if drop_a >= drop_w:
+                report.suggestions.append(
+                    "activation quantization dominates the loss: try the sqnr range setting, "
+                    "a wider activation bitwidth, or quantization-aware fine-tuning"
+                )
 
-    # Stage 4: one quantizer on, the rest off (equivalent to 32-bit them).
-    keys = [("param", k) for k in sorted(sim.param_quantizers)] + [
-        ("activation", k) for k in sorted(sim.activation_quantizers)
-    ]
-    for kind, key in keys:
-        if (kind, key) not in active:
-            continue
-        _set_enabled(sim, lambda k2, key2: (k2, key2) == (kind, key))
-        score = metric_score(evaluate(sim, ds), ds.metric)
-        report.layer_table.append(
-            {
-                "quantizer": key,
-                "kind": kind,
-                "score": score,
-                "drop": report.fp32_score - score,
-            }
-        )
-    report.layer_table.sort(key=lambda row: (-row["drop"], row["quantizer"]))
+        # Stage 4: one quantizer on, the rest off (equivalent to 32-bit them).
+        keys = [("param", k) for k in sorted(sim.param_quantizers)] + [
+            ("activation", k) for k in sorted(sim.activation_quantizers)
+        ]
+        for kind, key in keys:
+            if (kind, key) not in active:
+                continue
+            _set_enabled(sim, lambda k2, key2: (k2, key2) == (kind, key))
+            score = metric_score(evaluate(sim, ds), ds.metric)
+            report.layer_table.append(
+                {
+                    "quantizer": key,
+                    "kind": kind,
+                    "score": score,
+                    "drop": report.fp32_score - score,
+                }
+            )
+        report.layer_table.sort(key=lambda row: (-row["drop"], row["quantizer"]))
     _set_enabled(sim, lambda kind, key: (kind, key) in active)
 
     if out_dir is not None:

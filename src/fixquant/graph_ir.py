@@ -201,7 +201,7 @@ class GraphModel:
         reusing it in a later pass drops each value whose node has since
         changed.
         """
-        feed = self._normalize_inputs(inputs)
+        feed = self.normalize_inputs(inputs)
         values: dict[str, np.ndarray] = dict(known or {})
         order = self.topo_order()
         if stop is not None:
@@ -224,7 +224,9 @@ class GraphModel:
             values[nid] = y if activation is None else activation(nid, y)
         return values
 
-    def _normalize_inputs(self, inputs) -> dict[str, np.ndarray]:
+    def normalize_inputs(self, inputs) -> dict[str, np.ndarray]:
+        """``inputs`` (an array, or a dict for several inputs) as float64
+        arrays keyed by input node id."""
         ids = self.input_ids
         if isinstance(inputs, dict):
             missing = set(ids) - set(inputs)

@@ -409,28 +409,25 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
     removes the weight-quantization component in closed form for layers
     whose input mean follows from folded batch-norm statistics (rectified
     Gaussian mean through a relu) and falls back to the empirical estimate
-    elsewhere. Mutates the sim's graph and returns it.
+    elsewhere; the float means are those of the model before any bias
+    moves. Mutates the sim's graph and returns it.
     """
     if mode not in ("empirical", "analytic_then_empirical"):
         raise EncodingError(f"unknown bias correction mode {mode!r}")
     graph = sim.graph
     targets = [nid for nid in graph.topo_order() if graph.nodes[nid].kind in MAC_KINDS]
 
-    analytic_done: dict[str, bool] = {}
+    # Analytic shifts wait until the float pass has run.
+    shifts: dict[str, np.ndarray] = {}
     if mode == "analytic_then_empirical":
         for nid in targets:
             node = graph.nodes[nid]
             ex = _analytic_input_mean(sim, node)
-            if ex is None:
-                analytic_done[nid] = False
-                continue
-            err = _input_channel_sum(node, _weight_quant_error(sim, node), ex)
-            node.set_weight("bias", node.weights["bias"] - err)
-            analytic_done[nid] = True
-        remaining = [nid for nid in targets if not analytic_done[nid]]
-    else:
-        remaining = list(targets)
+            if ex is not None:
+                shifts[nid] = _input_channel_sum(node, _weight_quant_error(sim, node), ex)
+    remaining = [nid for nid in targets if nid not in shifts]
 
+    batches = []
     if remaining:
         if feed is None:
             raise CalibrationError(
@@ -439,28 +436,31 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
         batches = _limit_samples(list(feed), BIAS_CORRECT_SAMPLES)
         if not batches:
             raise CalibrationError("bias correction feed is empty")
-        fp_means: dict[str, list[np.ndarray]] = {nid: [] for nid in remaining}
-        for batch in batches:
-            values = graph.evaluate_all(batch)
-            for nid in remaining:
-                fp_means[nid].append(_channel_means(values[nid]))
-        fp_mean = {nid: np.mean(np.stack(v), axis=0) for nid, v in fp_means.items()}
-
-        # Correct in topological order against the running quantized model:
-        # earlier corrections are in place before later layers are measured.
-        # A pass computes nothing downstream of its layer, so once the bias
-        # moves that layer's value is the only stale one.
-        known: list[dict] = [{} for _ in batches]
-        consumers = graph.consumers()
+    fp_means: dict[str, list[np.ndarray]] = {nid: [] for nid in remaining}
+    for batch in batches:
+        values = graph.evaluate_all(batch)
         for nid in remaining:
-            q_means = []
-            for i, batch in enumerate(batches):
-                known[i], raw, _ = sim.evaluate_all(batch, capture_raw=True, known=known[i], stop=nid)
-                q_means.append(_channel_means(raw[nid]))
-                _forget(known[i], nid, consumers)
-            delta = fp_mean[nid] - np.mean(np.stack(q_means), axis=0)
-            node = graph.nodes[nid]
-            node.set_weight("bias", node.weights["bias"] + delta)
+            fp_means[nid].append(_channel_means(values[nid]))
+    fp_mean = {nid: np.mean(np.stack(v), axis=0) for nid, v in fp_means.items()}
+    for nid, err in shifts.items():
+        node = graph.nodes[nid]
+        node.set_weight("bias", node.weights["bias"] - err)
+
+    # Correct in topological order against the running quantized model:
+    # earlier corrections are in place before later layers are measured.
+    # A pass computes nothing downstream of its layer, so once the bias
+    # moves that layer's value is the only stale one.
+    known: list[dict] = [{} for _ in batches]
+    consumers = graph.consumers()
+    for nid in remaining:
+        q_means = []
+        for i, batch in enumerate(batches):
+            known[i], raw, _ = sim.evaluate_all(batch, capture_raw=True, known=known[i], stop=nid)
+            q_means.append(_channel_means(raw[nid]))
+            _forget(known[i], nid, consumers)
+        delta = fp_mean[nid] - np.mean(np.stack(q_means), axis=0)
+        node = graph.nodes[nid]
+        node.set_weight("bias", node.weights["bias"] + delta)
     return graph
 
 

@@ -23,7 +23,10 @@ after which calibration leaves them untouched.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,6 +170,8 @@ class QuantSimModel:
         # Output H x W (1 for linear) of every MAC node, also set by
         # compute_encodings; MAC counts for bit-ops multiply by it.
         self.mac_spatial: dict[str, int] = {}
+        # The slot of the open ``resuming`` scope, shared with clones.
+        self._resume: _ResumeSlot | None = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -191,7 +196,8 @@ class QuantSimModel:
             )
 
     def clone(self) -> "QuantSimModel":
-        return copy.deepcopy(self)
+        """A deep copy that shares the slot of an open ``resuming`` scope."""
+        return copy.deepcopy(self, {id(self._resume): self._resume})
 
     # -- forward ----------------------------------------------------------
 
@@ -218,7 +224,87 @@ class QuantSimModel:
         return (values, raw, used) if capture_raw else values
 
     def forward(self, inputs):
-        return self.graph.outputs(self.evaluate_all(inputs))
+        """The quantized output tensor(s), arrays the caller owns. Inside a
+        ``resuming`` scope the pass resumes from the scope's last forward."""
+        slot = self._resume
+        if slot is None or not slot.open:
+            return self.graph.outputs(self.evaluate_all(inputs))
+        feed = {nid: np.array(x, order="C") for nid, x in self.graph.normalize_inputs(inputs).items()}
+        keys, known = {}, {}
+        for nid in self.graph.topo_order():
+            node = self.graph.nodes[nid]
+            keys[nid] = key = self._node_key(node)
+            if (
+                nid in slot.values
+                and slot.keys[nid] == key
+                and all(src in known for src in node.inputs)
+                and (nid not in feed or _same_bits(feed[nid], slot.feed[nid]))
+            ):
+                known[nid] = slot.values[nid]
+        slot.clear()  # the stale values go before the pass allocates new ones
+        values = self.evaluate_all(feed, known=known)
+        slot.keys, slot.values, slot.feed = keys, values, feed
+        outs = self.graph.outputs(values)
+        return {k: v.copy() for k, v in outs.items()} if isinstance(outs, dict) else outs.copy()
+
+    def _node_key(self, node: Node) -> tuple:
+        """What ``node``'s kernel and output quantizer read, beside the
+        values of its inputs: kind, attrs, input ids, and each weight's
+        bytes and quantizer state."""
+        weights = tuple(
+            (name, w.shape, w.dtype.str, hashlib.sha256(np.ascontiguousarray(w)).digest(),
+             _qdq_state(self.param_quantizer(node.id, name)))
+            for name, w in node.weights.items()
+        )
+        return (
+            node.kind, json.dumps(node.attrs, sort_keys=True), tuple(node.inputs), weights,
+            _qdq_state(self.activation_quantizers.get(node.id)),
+        )
+
+    @contextlib.contextmanager
+    def resuming(self):
+        """A scope in which ``forward``, on this sim and on every clone made
+        of it in the scope, resumes from the values of the scope's previous
+        forward. A node's value is reused when its kind, attrs, input ids,
+        weight bytes and quantizer states are those it was computed with
+        and all its inputs are reused; an input node's batch must equal the
+        previous one bit for bit. The scope keeps one forward's values;
+        leaving it empties them and ends reuse for every sim that shared
+        them. A scope opened on a sim already in one joins it."""
+        if self._resume is not None and self._resume.open:
+            yield self
+            return
+        slot = self._resume = _ResumeSlot()
+        try:
+            yield self
+        finally:
+            slot.open = False
+            slot.clear()
+            self._resume = None
+
+
+class _ResumeSlot:
+    """The values of the last forward in a ``resuming`` scope, with the
+    node keys and the input batches (own copies) they came from."""
+
+    def __init__(self):
+        self.open = True
+        self.clear()
+
+    def clear(self) -> None:
+        self.keys: dict[str, tuple] = {}
+        self.values: dict[str, np.ndarray] = {}
+        self.feed: dict[str, np.ndarray] = {}
+
+
+def _qdq_state(spec: QuantizerSpec | None):
+    """What ``qdq`` reads of a quantizer; a disabled one is the identity."""
+    return (spec.channel_axis, tuple(spec.encodings or ())) if spec is not None and spec.enabled else None
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit equality of two C-ordered float64 arrays (so -0.0 != 0.0, NaN == NaN)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

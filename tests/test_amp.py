@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fixquant import tensor_core as tc
 from fixquant import toys
 from fixquant.amp import (
     CandidatePair,
@@ -18,6 +19,7 @@ from fixquant.graph_ir import GraphModel, Node
 from fixquant.quantsim import compute_encodings, create_quantsim
 
 CANDS = [(16, 16), (16, 8), (8, 16), (8, 8)]
+CACHE_FILES = ("accuracy_list.json", "pareto_list.json", "sensitivity.csv", "pareto.csv")
 
 
 def calibrated_sim(seed=0, width=6):
@@ -368,7 +370,6 @@ class TestChooseMixedPrecision:
         """The evaluation after the first k raises; a resume then completes
         the search with the remaining evaluations and writes what an
         uninterrupted run writes. With k = 0 nothing is cached to resume."""
-        names = ("accuracy_list.json", "pareto_list.json", "sensitivity.csv", "pareto.csv")
 
         def run(out, budget=None, clean_start=True):
             sim = calibrated_sim()
@@ -384,7 +385,7 @@ class TestChooseMixedPrecision:
             return ev.calls
 
         assert run(tmp_path / "whole") == n_evals
-        expected = {n: (tmp_path / "whole" / n).read_bytes() for n in names}
+        expected = {n: (tmp_path / "whole" / n).read_bytes() for n in CACHE_FILES}
         assert run(tmp_path / "0", budget=0) == 0
         with pytest.raises(CacheError):
             run(tmp_path / "0", clean_start=False)
@@ -392,7 +393,7 @@ class TestChooseMixedPrecision:
         for k in range(1, n_evals + 1):
             out = tmp_path / str(k)
             assert run(out, budget=k) + run(out, clean_start=False) == n_evals, k
-            assert {n: (out / n).read_bytes() for n in names} == expected, k
+            assert {n: (out / n).read_bytes() for n in CACHE_FILES} == expected, k
 
     def test_a_reordered_pareto_cache_is_cache_error(self, tmp_path):
         sim = calibrated_sim()
@@ -559,3 +560,78 @@ class TestConvBitOps:
         entries = build_pareto(sim, groups, cands, acc, 1.0, lambda s: -float(np.mean(s.forward(x) ** 2)), 1e9, tmp_path)
         assert entries[0].group_id == by_node["conv1"]
         assert entries[0].relative_bit_ops == pytest.approx(1 - 216 * 64 / (2 * (216 * 64 + 576 * 16)))
+
+
+class TestResumedEvaluations:
+    """Inside the search each evaluation resumes from the previous one."""
+
+    @staticmethod
+    def depthwise_search(out, outputs, conv2d):
+        """The files of the search, with ``conv2d`` as tc.conv2d during it."""
+        model = toys.depthwise_net(seed=0)
+        sim = create_quantsim(model)
+        compute_encodings(sim, toys.random_feed((8, 3, 6, 6), n_batches=2, seed=5))
+        x = toys.random_feed((8, 3, 6, 6), n_batches=1, seed=6)[0]
+        ref = model.forward(x)
+
+        def score(s):
+            return -float(np.mean((outputs(s, x) - ref) ** 2))
+
+        # at 1e-4 the descent takes conv1+relu1 -> 8x16 and dw+relu2 -> 16x8,
+        # then stops at conv1+relu1 -> 8x8
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tc, "conv2d", conv2d)
+            choose_mixed_precision(sim, CANDS, score, score, 1e-4, out)
+        return {name: (out / name).read_bytes() for name in CACHE_FILES}
+
+    def test_resumed_search_writes_the_files_of_full_passes(self, tmp_path):
+        calls = {}
+        real = tc.conv2d
+
+        def counted(x, w, *args, **kwargs):
+            node = {(4, 3, 3, 3): "conv1", (4, 1, 3, 3): "dw", (4, 4, 1, 1): "conv2"}[w.shape]
+            calls[node] = calls.get(node, 0) + 1
+            return real(x, w, *args, **kwargs)
+
+        resumed = self.depthwise_search(tmp_path / "a", lambda s, x: s.forward(x), counted)
+        # 14 evaluations: the phase-1 baseline, 3 groups x 3 candidates, the
+        # phase-2 baseline and 3 moves. A node runs when its input, weight
+        # quantizer or output quantizer differs from the previous evaluation's.
+        # conv1 (its output quantizer sits on relu1, so a8/w16 leaves it as
+        #   it was): phase-1 baseline 1, its own group 3, back to 16 bits for
+        #   conv2's first candidate 1, the rejected 8x8 move 1 = 6
+        # dw: phase-1 baseline 1, after each of conv1's group 3 and conv2's
+        #   first 1, its own group 3, the phase-2 baseline and the 3 moves 4 = 12
+        # conv2, the last layer, runs in all 14
+        assert calls == {"conv1": 6, "dw": 12, "conv2": 14}
+        calls.clear()
+        full = self.depthwise_search(
+            tmp_path / "b", lambda s, x: s.graph.outputs(s.evaluate_all(x)), counted
+        )
+        assert calls == {"conv1": 14, "dw": 14, "conv2": 14}
+        assert resumed == full
+
+    def test_leaving_the_search_empties_the_slot_and_ends_reuse(self, tmp_path, monkeypatch):
+        from fixquant import graph_ir
+
+        sim = calibrated_sim()
+        ev = make_eval(sim)
+        seen = []
+
+        def p1(s):
+            seen.append(s)
+            return ev(s)
+
+        choose_mixed_precision(sim, CANDS, p1, ev, 10.0, tmp_path)
+        assert len(seen) == 1 + 3 * 3 and sim not in seen
+        for s in [sim, *seen]:
+            assert s._resume is None or not (s._resume.open or s._resume.values)
+        calls = []
+        real = graph_ir.eval_kind
+        monkeypatch.setattr(graph_ir, "eval_kind", lambda *a: calls.append(1) or real(*a))
+        x = np.ones((2, 6))
+        for s in [sim, *seen]:
+            s.forward(x)
+            s.forward(x)
+        non_input = sum(n.kind != "input" for n in sim.graph.nodes.values())
+        assert len(calls) == 2 * len(seen + [sim]) * non_input

@@ -638,18 +638,21 @@ def _bias_correct_oracle(sim, mode, feed):
 
     graph = sim.graph
     remaining = [nid for nid in graph.topo_order() if graph.nodes[nid].kind in ("linear", "conv2d")]
+    analytic = {}
     for nid in list(remaining) if mode == "analytic_then_empirical" else []:
         node = graph.nodes[nid]
         ex = ptq._analytic_input_mean(sim, node)
         if ex is not None:
-            err = ptq._input_channel_sum(node, ptq._weight_quant_error(sim, node), ex)
-            node.set_weight("bias", node.weights["bias"] - err)
+            analytic[nid] = ptq._input_channel_sum(node, ptq._weight_quant_error(sim, node), ex)
             remaining.remove(nid)
+    # the float means of the model as given, before any analytic shift
     batches = ptq._limit_samples(list(feed), ptq.BIAS_CORRECT_SAMPLES)
     fp_mean = {
         nid: np.mean(np.stack([ptq._channel_means(graph.evaluate_all(b)[nid]) for b in batches]), axis=0)
         for nid in remaining
     }
+    for nid, err in analytic.items():
+        graph.nodes[nid].set_weight("bias", graph.nodes[nid].weights["bias"] - err)
     for nid in remaining:
         q = [ptq._channel_means(sim.evaluate_all(b, capture_raw=True)[1][nid]) for b in batches]
         node = graph.nodes[nid]
@@ -673,6 +676,24 @@ def test_bias_correct_equals_full_pass_oracle(make, mode):
     layers = [nid for nid, node in model.nodes.items() if node.kind in ("linear", "conv2d")]
     assert all(not np.array_equal(got.graph.nodes[nid].weights["bias"], model.nodes[nid].weights["bias"]) for nid in layers)
 
+
+
+def test_analytic_mode_corrects_empirical_layers_toward_the_model_as_given():
+    """conv2 and conv4 sit behind the analytically corrected conv1 and conv3;
+    their quantized mean pre-activations must meet the original float
+    model's, not those of a float model with conv1 and conv3 shifted."""
+    from fixquant import ptq
+
+    model = _conv_chain()
+    feed = toys.random_feed((16, 3, 6, 6), n_batches=4, seed=13)
+    sim = create_quantsim(model.copy(), default_param_bw=4)
+    compute_encodings(sim, feed)
+    bias_correct(sim, mode="analytic_then_empirical", feed=feed)
+    batches = ptq._limit_samples(feed, ptq.BIAS_CORRECT_SAMPLES)
+    for nid in ("conv2", "conv4"):
+        fp = np.mean([ptq._channel_means(model.evaluate_all(b)[nid]) for b in batches], axis=0)
+        q = np.mean([ptq._channel_means(sim.evaluate_all(b, capture_raw=True)[1][nid]) for b in batches], axis=0)
+        assert np.max(np.abs(q - fp)) <= 1e-6, nid
 
 def test_adaround_rejects_bad_layer_shapes_before_iterating():
     model = _conv_linear_net(2, 1, 1)

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixquant import toys
+from fixquant import graph_ir, toys
 from fixquant.errors import CalibrationError, EncodingError, ModelFormatError
 from fixquant.graph_ir import GraphModel, Node
 from fixquant.quantsim import (
@@ -11,6 +13,7 @@ from fixquant.quantsim import (
     SimConfig,
     compute_activation_encodings,
     compute_encodings,
+    compute_param_encodings,
     create_quantsim,
     export,
     import_encodings,
@@ -266,6 +269,107 @@ class TestSimulatedForward:
         assert all(values[nid].tobytes() == full[nid].tobytes() for nid in values)
         assert all(raw[nid].tobytes() == full_raw[nid].tobytes() for nid in raw)
         assert all(w.tobytes() == full_used["b"][k].tobytes() for k, w in used["b"].items())
+
+
+
+def resumable_sim():
+    """A calibrated sim of the branching graph (two convs, add, concat, both
+    pools, a linear head) and an input batch."""
+    from test_graph_ir import branching_graph
+
+    sim = create_quantsim(branching_graph(seed=2))
+    compute_encodings(sim, toys.random_feed((2, 3, 6, 6), n_batches=2, seed=8))
+    return sim, np.random.default_rng(9).normal(size=(2, 3, 6, 6))
+
+
+def full_pass(sim, x):
+    """The outputs of a fresh clone's pass, which no scope can resume."""
+    fresh = sim.clone()
+    return fresh.graph.outputs(fresh.evaluate_all(x))
+
+
+class TestResumingForward:
+    def test_a_forward_reruns_only_what_changed_and_what_reads_it(self, monkeypatch):
+        sim, x = resumable_sim()
+        ran = []
+        real = graph_ir.eval_kind
+        monkeypatch.setattr(graph_ir, "eval_kind", lambda kind, *a: ran.append(kind) or real(kind, *a))
+        with sim.resuming():
+            sim.forward(x)
+            assert len(ran) == 9
+            ran.clear()
+            sim.forward(x)
+            assert ran == []
+            sim.param_quantizers["b.weight"].enabled = False
+            got = sim.forward(x)
+            # b changed; a and ra keep their values, so s, c, mp, ap, fc and out rerun
+            assert ran == ["conv2d", "add", "concat", "maxpool", "avgpool", "linear", "output"]
+            assert got.tobytes() == full_pass(sim, x).tobytes()
+        ran.clear()
+        sim.forward(x)
+        assert len(ran) == 9
+
+    def test_forward_hands_out_arrays_the_memo_does_not_hold(self):
+        sim, x = resumable_sim()
+        with sim.resuming():
+            out = sim.forward(x)
+            want = out.tobytes()
+            out[...] = 7.0
+            assert sim.forward(x).tobytes() == want == full_pass(sim, x).tobytes()
+
+    def test_an_input_is_the_same_only_bit_for_bit(self):
+        sim = create_quantsim(GraphModel([Node("in", "input"), Node("out", "output", ["in"])]))
+        with sim.resuming():
+            assert sim.forward(np.zeros(3)).tobytes() == np.zeros(3).tobytes()
+            assert sim.forward(-np.zeros(3)).tobytes() == (-np.zeros(3)).tobytes()
+
+    def test_a_scope_opened_inside_another_joins_it(self):
+        sim, x = resumable_sim()
+        with sim.resuming():
+            slot = sim._resume
+            with sim.resuming():
+                clone = sim.clone()
+                assert sim._resume is clone._resume is slot
+            assert slot.open
+        assert sim._resume is None and not slot.open and not slot.values and clone._resume is slot
+
+
+STEPS = ("bitwidth", "enabled", "frozen", "set_weight", "edit_weight", "edit_input", "new_input", "clone")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_resumed_forward_equals_a_full_pass_after_any_change(data):
+    sim, x = resumable_sim()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    value = st.sampled_from([0.0, -0.0, 0.3, -1.7])
+    with sim.resuming():
+        sim.forward(x)
+        for step in data.draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=8)):
+            quantizers = sim.all_quantizers()
+            key = data.draw(st.sampled_from(sorted(k for k, spec in quantizers.items() if spec.encodings)))
+            spec = quantizers[key]
+            node = sim.graph.nodes[data.draw(st.sampled_from(["a", "b", "fc"]))]
+            name = data.draw(st.sampled_from(sorted(node.weights)))
+            if step == "bitwidth":
+                spec.bitwidth = data.draw(st.sampled_from([4, 8, 16]))
+                if key in sim.param_quantizers:
+                    compute_param_encodings(sim, keys=[key])
+                else:
+                    compute_activation_encodings(sim, keys=[key])
+            elif step in ("enabled", "frozen"):
+                setattr(spec, step, not getattr(spec, step))
+            elif step == "set_weight":
+                node.set_weight(name, rng.normal(0, 0.3, node.weights[name].shape))
+            elif step == "edit_weight":
+                node.weights[name].flat[data.draw(st.integers(0, node.weights[name].size - 1))] = data.draw(value)
+            elif step == "edit_input":
+                x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(value)
+            elif step == "new_input":
+                x = rng.normal(size=x.shape)
+            else:
+                sim = sim.clone()
+            assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes(), step
 
 
 class TestEncodingsFile:
