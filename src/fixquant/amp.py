@@ -348,10 +348,10 @@ def sensitivity_analysis(
     share ``sim.resuming()``'s slot: a forward reuses every node whose
     input batch, weights and quantizers are bit-identical to the previous
     evaluation's, so it reruns only the nodes at or below the groups that
-    differ. Results
-    append to accuracy_list.json after every evaluation and a rerun with an
-    intact cache performs no evaluations at all. A sensitivity CSV for
-    plotting is rewritten alongside. Returns (all-max baseline, entries).
+    differ. Results append to accuracy_list.json after every evaluation and
+    a rerun with an intact cache performs no evaluations at all. A
+    sensitivity CSV for plotting is rewritten alongside. Returns (all-max
+    baseline, entries).
     """
     candidates, max_cand, cache_dir = _prepare(candidates, cache_dir)
     fp = fingerprint(sim, candidates)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,6 +229,13 @@ class QuantSimModel:
         if slot is None or not slot.open:
             return self.graph.outputs(self.evaluate_all(inputs))
         feed = {nid: np.array(x, order="C") for nid, x in self.graph.normalize_inputs(inputs).items()}
+        if slot.feed and not any(_same_bits(x, slot.feed[nid]) for nid, x in feed.items()):
+            # Every node depends on an input, so a new batch reuses nothing:
+            # run the plain pass and keep only the batch, so that a forward
+            # repeating it keys its nodes and the one after resumes.
+            slot.clear()
+            slot.feed = feed
+            return self.graph.outputs(self.evaluate_all(feed))
         keys, known = {}, {}
         for nid in self.graph.topo_order():
             node = self.graph.nodes[nid]
@@ -250,14 +256,15 @@ class QuantSimModel:
     def _node_key(self, node: Node) -> tuple:
         """What ``node``'s kernel and output quantizer read, beside the
         values of its inputs: kind, attrs, input ids, and each weight's
-        bytes and quantizer state."""
+        bytes and quantizer state. The attrs enter as their ``repr``, which
+        differs for any two JSON values that differ."""
         weights = tuple(
             (name, w.shape, w.dtype.str, hashlib.sha256(np.ascontiguousarray(w)).digest(),
              _qdq_state(self.param_quantizer(node.id, name)))
             for name, w in node.weights.items()
         )
         return (
-            node.kind, json.dumps(node.attrs, sort_keys=True), tuple(node.inputs), weights,
+            node.kind, repr(node.attrs), tuple(node.inputs), weights,
             _qdq_state(self.activation_quantizers.get(node.id)),
         )
 
@@ -268,9 +275,11 @@ class QuantSimModel:
         forward. A node's value is reused when its kind, attrs, input ids,
         weight bytes and quantizer states are those it was computed with
         and all its inputs are reused; an input node's batch must equal the
-        previous one bit for bit. The scope keeps one forward's values;
-        leaving it empties them and ends reuse for every sim that shared
-        them. A scope opened on a sim already in one joins it."""
+        previous one bit for bit, and a forward whose every input batch is
+        new runs the plain pass and keeps only its batches. The scope keeps
+        one forward's values; leaving it empties them and ends reuse for
+        every sim that shared them. A scope opened on a sim already in one
+        joins it."""
         if self._resume is not None and self._resume.open:
             yield self
             return
@@ -304,7 +313,7 @@ def _qdq_state(spec: QuantizerSpec | None):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bit equality of two C-ordered float64 arrays (so -0.0 != 0.0, NaN == NaN)."""
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

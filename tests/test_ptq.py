@@ -677,7 +677,6 @@ def test_bias_correct_equals_full_pass_oracle(make, mode):
     assert all(not np.array_equal(got.graph.nodes[nid].weights["bias"], model.nodes[nid].weights["bias"]) for nid in layers)
 
 
-
 def test_analytic_mode_corrects_empirical_layers_toward_the_model_as_given():
     """conv2 and conv4 sit behind the analytically corrected conv1 and conv3;
     their quantized mean pre-activations must meet the original float
@@ -694,6 +693,7 @@ def test_analytic_mode_corrects_empirical_layers_toward_the_model_as_given():
         fp = np.mean([ptq._channel_means(model.evaluate_all(b)[nid]) for b in batches], axis=0)
         q = np.mean([ptq._channel_means(sim.evaluate_all(b, capture_raw=True)[1][nid]) for b in batches], axis=0)
         assert np.max(np.abs(q - fp)) <= 1e-6, nid
+
 
 def test_adaround_rejects_bad_layer_shapes_before_iterating():
     model = _conv_linear_net(2, 1, 1)

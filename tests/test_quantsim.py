@@ -271,7 +271,6 @@ class TestSimulatedForward:
         assert all(w.tobytes() == full_used["b"][k].tobytes() for k, w in used["b"].items())
 
 
-
 def resumable_sim():
     """A calibrated sim of the branching graph (two convs, add, concat, both
     pools, a linear head) and an input batch."""
@@ -305,9 +304,28 @@ class TestResumingForward:
             # b changed; a and ra keep their values, so s, c, mp, ap, fc and out rerun
             assert ran == ["conv2d", "add", "concat", "maxpool", "avgpool", "linear", "output"]
             assert got.tobytes() == full_pass(sim, x).tobytes()
+            ran.clear()
+            sim.graph.nodes["fc"].attrs["note"] = 1  # any attrs edit reruns the node
+            sim.forward(x)
+            assert ran == ["linear", "output"]
         ran.clear()
         sim.forward(x)
         assert len(ran) == 9
+
+    def test_a_new_batch_runs_unkeyed_and_a_repeated_one_resumes_after_keying(self, monkeypatch):
+        sim, x = resumable_sim()
+        y = x + 1.0
+        ran = []
+        real = graph_ir.eval_kind
+        monkeypatch.setattr(graph_ir, "eval_kind", lambda kind, *a: ran.append(kind) or real(kind, *a))
+        with sim.resuming():
+            slot = sim._resume
+            for batch, runs, keyed in ((x, 9, True), (y, 9, False), (x, 9, False), (x, 9, True), (x, 0, True)):
+                ran.clear()
+                got = sim.forward(batch)
+                assert len(ran) == runs and bool(slot.keys) == bool(slot.values) == keyed
+                assert got.tobytes() == full_pass(sim, batch).tobytes()
+                assert slot.feed["in"].tobytes() == batch.tobytes()
 
     def test_forward_hands_out_arrays_the_memo_does_not_hold(self):
         sim, x = resumable_sim()
