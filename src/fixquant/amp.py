@@ -14,13 +14,13 @@ Three phases over a calibrated simulation:
    bit-ops-reducing move remains.
 
 Both phases cache to JSON in the results directory (accuracy_list.json,
-pareto_list.json), each stamped with a fingerprint of the model structure
-and candidate set, and written after every evaluation. A rerun evaluates
-only what its caches lack: phase 1 skips the cached combinations, and
-phase 2 walks its greedy loop with each cached move's score, the move
-that stopped the search included, evaluating once they run out. So a run
-interrupted anywhere resumes (``clean_start=False``) as long as the
-phase-1 baseline was cached.
+pareto_list.json), each stamped with a fingerprint of the model structure,
+its weights and the candidate set, and written after every evaluation. A
+rerun evaluates only what its caches lack: phase 1 skips the cached
+combinations, and phase 2 walks its greedy loop with each cached move's
+score, the move that stopped the search included, evaluating once they run
+out. So a run interrupted anywhere resumes (``clean_start=False``) as long
+as the phase-1 baseline was cached.
 Evaluation callbacks take a simulation and return a score where larger is
 better. Frozen quantizers keep their encodings and bitwidths; the search
 moves everything else in the group.
@@ -46,6 +46,7 @@ from .quantsim import QuantSimModel, compute_activation_encodings, compute_param
 
 __all__ = [
     "CandidatePair",
+    "check_candidates",
     "QuantizerGroup",
     "AccuracyEntry",
     "ParetoEntry",
@@ -265,6 +266,8 @@ def _graph_manifest(graph: GraphModel) -> dict:
 
 
 def fingerprint(sim: QuantSimModel, candidates: list[CandidatePair]) -> str:
+    """sha256 of the graph, every weight tensor's bytes, the candidates, the
+    default bitwidths and the scheme. The evaluation data is not in it."""
     payload = {
         "graph": _graph_manifest(sim.graph),
         "candidates": [CandidatePair.of(c).as_list() for c in candidates],
@@ -272,8 +275,12 @@ def fingerprint(sim: QuantSimModel, candidates: list[CandidatePair]) -> str:
         "default_output_bw": sim.default_output_bw,
         "scheme": [sim.scheme.kind, bool(sim.scheme.per_channel), sim.scheme.channel_axis],
     }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+    for nid in sim.graph.topo_order():
+        for name, w in sorted(sim.graph.nodes[nid].weights.items()):
+            digest.update(f"{nid}.{name}{w.shape}".encode())
+            digest.update(np.ascontiguousarray(w))
+    return digest.hexdigest()
 
 
 def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
@@ -307,12 +314,22 @@ def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
     return doc
 
 
-def _prepare(candidates: list, cache_dir) -> tuple[list[CandidatePair], CandidatePair, Path]:
-    """The candidates as pairs, the all-max one among them, and the cache
-    directory, created. An empty candidate list is an EncodingError."""
-    candidates = [CandidatePair.of(c) for c in candidates]
-    if not candidates:
+def check_candidates(candidates: list) -> list[CandidatePair]:
+    """The candidates as pairs. An empty list or a pair listed twice, which
+    would be evaluated twice per group, is an EncodingError."""
+    pairs = [CandidatePair.of(c) for c in candidates]
+    if not pairs:
         raise EncodingError("candidate list is empty")
+    for i, c in enumerate(pairs):
+        if c in pairs[:i]:
+            raise EncodingError(f"candidate {c.activation_bw},{c.param_bw} is listed twice")
+    return pairs
+
+
+def _prepare(candidates: list, cache_dir) -> tuple[list[CandidatePair], CandidatePair, Path]:
+    """The candidates checked as pairs, the all-max one among them, and the
+    cache directory, created."""
+    candidates = check_candidates(candidates)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     return candidates, _max_candidate(candidates), cache_dir

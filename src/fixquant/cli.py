@@ -8,6 +8,11 @@ deterministic: no timestamps, sorted JSON keys, fixed CSV column orders.
 Failures exit with a one-line ``error:<category>: message`` on stderr and a
 category exit code: 2 usage, 3 data (any unreadable or unwritable path
 included), 4 numeric.
+
+The subcommands are declared once, in ``_COMMANDS``. A call naming one
+builds only its parser (setting up all twelve costs several times the
+parse); top-level ``--help``, a missing and an unknown command get the
+full tree, so every help text and usage error is the full tree's.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .amp import CandidatePair, choose_mixed_precision
+from .amp import CandidatePair, check_candidates, choose_mixed_precision
 from .datasets import Dataset, evaluate, iter_batches, load_dataset, metric_score
 from .debug import run_debug
 from .errors import FixquantError, NumericError
@@ -80,77 +86,6 @@ def _positive_float(text: str) -> float:
 
 
 _positive_float.__name__ = "float"
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fixquant", description="fixed-point inference toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, data=True, out=True, sim=True):
-        """A subcommand with the inputs main reads for it and, with ``sim``, the sim options."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func, data=None, out=None)
-        p.add_argument("--model", required=True, help="model file prefix (expects PREFIX.model.json + PREFIX.weights.bin)")
-        if data:
-            p.add_argument("--data", required=True, help="dataset file prefix (expects PREFIX.data.json + PREFIX.data.bin)")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
-        if sim:
-            p.add_argument("--param-bw", type=int, default=8, help="weight bitwidth (default 8)")
-            p.add_argument("--output-bw", type=int, default=8, help="activation bitwidth (default 8)")
-            p.add_argument("--scheme", choices=["min_max", "sqnr"], default="min_max", help="range setting scheme")
-            p.add_argument("--per-channel", action="store_true", help="per-channel weight grids")
-            p.add_argument("--config", default=None, help="quantizer placement config JSON")
-        return p
-
-    command("quantsim", cmd_quantsim, "build, calibrate, and export a quantized simulation")
-    command("fold-bn", cmd_fold_bn, "fold batch norms into preceding layers", data=False, sim=False)
-    command("equalize", cmd_equalize, "cross-layer equalization (fold, scale, absorb)", data=False, sim=False)
-    command("calibrate", cmd_calibrate, "compute encodings from data and write encodings JSON")
-
-    p = command("eval", cmd_eval, "evaluate a model (float, or quantized with --encodings)", out=False)
-    p.add_argument("--encodings", default=None, help="encodings JSON to import before evaluating")
-
-    p = command("adaround", cmd_adaround, "optimize weight rounding against layer outputs")
-    p.add_argument("--seed", type=_at_least(0), required=True, help="rng seed (required, results are stochastic)")
-    p.add_argument("--iterations", type=_at_least(1), default=10_000)
-    p.add_argument("--reg", type=float, default=0.01, help="rounding regularizer weight")
-    p.add_argument("--batches", type=_at_least(1), default=None, help="calibration batches to use (default all)")
-
-    p = command("bias-correct", cmd_bias_correct, "correct biases for quantization-induced mean shift")
-    p.add_argument("--mode", choices=["empirical", "analytic"], default="empirical")
-
-    p = command("qat", cmd_qat, "fine-tune weights through the quantized forward pass")
-    p.add_argument("--seed", type=_at_least(0), required=True, help="rng seed (required, shuffling is stochastic)")
-    p.add_argument("--epochs", type=_at_least(1), default=20)
-    p.add_argument("--lr", type=_positive_float, default=1e-2)
-    p.add_argument("--batch-size", type=_at_least(1), default=32)
-    p.add_argument("--refresh-ranges", action="store_true", help="recompute ranges after each epoch")
-
-    p = command("amp", cmd_amp, "mixed-precision search over layer groups")
-    p.add_argument(
-        "--candidates",
-        type=_parse_candidates,
-        default="16,16;16,8;8,16",
-        help="semicolon-separated act,param bitwidth pairs (default '16,16;16,8;8,16')",
-    )
-    p.add_argument("--allowed-drop", type=float, default=0.5, help="allowed score drop from baseline")
-    p.add_argument("--resume", action="store_true", help="reuse caches in --out (default wipes them)")
-    p.add_argument("--phase1-samples", type=_at_least(1), default=256, help="samples for the fast phase-1 eval")
-
-    p = command("export", cmd_export, "re-emit model + encodings as canonical artifact files", data=False)
-    p.add_argument("--encodings", required=True, help="encodings JSON to import (frozen)")
-
-    p = command("visualize", cmd_visualize, "emit plot data CSVs", data=False, sim=False)
-    p.add_argument("--what", choices=["ranges"], default="ranges")
-
-    p = command("debug", cmd_debug, "staged diagnosis of quantization accuracy loss", sim=False)
-    p.add_argument("--target-bw", type=int, default=8)
-    p.add_argument("--scheme", choices=["min_max", "sqnr"], default="min_max")
-    p.add_argument("--per-channel", action="store_true")
-    p.add_argument("--config", default=None)
-
-    return parser
 
 
 def _scheme(args) -> RangeScheme:
@@ -263,17 +198,17 @@ def cmd_qat(args, model, ds, out) -> None:
 
 def _parse_candidates(text: str) -> list[CandidatePair]:
     """argparse type of --candidates: 'act,param;act,param;...'. Malformed
-    text is a usage error; an out-of-range bitwidth raises CandidatePair's
-    EncodingError, a data error, while parsing and so before any file is
-    read or created."""
+    text is a usage error; an out-of-range bitwidth, an empty list or a
+    repeated pair raises amp's EncodingError, a data error, while parsing
+    and so before any file is read or created."""
     pairs = []
     for part in filter(None, (s.strip() for s in text.split(";"))):
         try:
             act_bw, param_bw = (int(v) for v in part.split(","))
         except ValueError:
             raise argparse.ArgumentTypeError(f"{part!r} is not an act,param bitwidth pair") from None
-        pairs.append(CandidatePair(act_bw, param_bw))
-    return pairs
+        pairs.append((act_bw, param_bw))
+    return check_candidates(pairs)
 
 
 def cmd_amp(args, model, ds, out) -> None:
@@ -350,9 +285,95 @@ def cmd_debug(args, model, ds, out) -> None:
     print(f"wrote {out}/debug_report.json, debug_layers.csv")
 
 
+class _Command(NamedTuple):
+    """A subcommand: which of --data, --out and the sim options main reads
+    for it, and its own options as {flag: add_argument keywords}."""
+
+    func: Callable
+    help: str
+    data: bool = True
+    out: bool = True
+    sim: bool = True
+    options: dict = {}
+
+
+_SIM_OPTIONS = {
+    "--param-bw": dict(type=int, default=8, help="weight bitwidth (default 8)"),
+    "--output-bw": dict(type=int, default=8, help="activation bitwidth (default 8)"),
+    "--scheme": dict(choices=["min_max", "sqnr"], default="min_max", help="range setting scheme"),
+    "--per-channel": dict(action="store_true", help="per-channel weight grids"),
+    "--config": dict(default=None, help="quantizer placement config JSON"),
+}
+
+_COMMANDS = {
+    "quantsim": _Command(cmd_quantsim, "build, calibrate, and export a quantized simulation"),
+    "fold-bn": _Command(cmd_fold_bn, "fold batch norms into preceding layers", data=False, sim=False),
+    "equalize": _Command(cmd_equalize, "cross-layer equalization (fold, scale, absorb)", data=False, sim=False),
+    "calibrate": _Command(cmd_calibrate, "compute encodings from data and write encodings JSON"),
+    "eval": _Command(cmd_eval, "evaluate a model (float, or quantized with --encodings)", out=False, options={
+        "--encodings": dict(default=None, help="encodings JSON to import before evaluating"),
+    }),
+    "adaround": _Command(cmd_adaround, "optimize weight rounding against layer outputs", options={
+        "--seed": dict(type=_at_least(0), required=True, help="rng seed (required, results are stochastic)"),
+        "--iterations": dict(type=_at_least(1), default=10_000),
+        "--reg": dict(type=float, default=0.01, help="rounding regularizer weight"),
+        "--batches": dict(type=_at_least(1), default=None, help="calibration batches to use (default all)"),
+    }),
+    "bias-correct": _Command(cmd_bias_correct, "correct biases for quantization-induced mean shift", options={
+        "--mode": dict(choices=["empirical", "analytic"], default="empirical"),
+    }),
+    "qat": _Command(cmd_qat, "fine-tune weights through the quantized forward pass", options={
+        "--seed": dict(type=_at_least(0), required=True, help="rng seed (required, shuffling is stochastic)"),
+        "--epochs": dict(type=_at_least(1), default=20),
+        "--lr": dict(type=_positive_float, default=1e-2),
+        "--batch-size": dict(type=_at_least(1), default=32),
+        "--refresh-ranges": dict(action="store_true", help="recompute ranges after each epoch"),
+    }),
+    "amp": _Command(cmd_amp, "mixed-precision search over layer groups", options={
+        "--candidates": dict(type=_parse_candidates, default="16,16;16,8;8,16",
+                             help="semicolon-separated act,param bitwidth pairs (default '16,16;16,8;8,16')"),
+        "--allowed-drop": dict(type=float, default=0.5, help="allowed score drop from baseline"),
+        "--resume": dict(action="store_true", help="reuse caches in --out (default wipes them)"),
+        "--phase1-samples": dict(type=_at_least(1), default=256, help="samples for the fast phase-1 eval"),
+    }),
+    "export": _Command(cmd_export, "re-emit model + encodings as canonical artifact files", data=False, options={
+        "--encodings": dict(required=True, help="encodings JSON to import (frozen)"),
+    }),
+    "visualize": _Command(cmd_visualize, "emit plot data CSVs", data=False, sim=False, options={
+        "--what": dict(choices=["ranges"], default="ranges"),
+    }),
+    "debug": _Command(cmd_debug, "staged diagnosis of quantization accuracy loss", sim=False, options={
+        "--target-bw": dict(type=int, default=8),
+        "--scheme": dict(choices=["min_max", "sqnr"], default="min_max"),
+        "--per-channel": dict(action="store_true"),
+        "--config": dict(default=None),
+    }),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone if given."""
+    parser = _Parser(prog="fixquant", description="fixed-point inference toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, c in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=c.help)
+        p.set_defaults(func=c.func, data=None, out=None)
+        p.add_argument("--model", required=True, help="model file prefix (expects PREFIX.model.json + PREFIX.weights.bin)")
+        if c.data:
+            p.add_argument("--data", required=True, help="dataset file prefix (expects PREFIX.data.json + PREFIX.data.bin)")
+        if c.out:
+            p.add_argument("--out", required=True, help="output directory")
+        for flag, kwargs in [*(_SIM_OPTIONS.items() if c.sim else ()), *c.options.items()]:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        first = next(iter(sys.argv[1:] if argv is None else argv), None)
+        args = build_parser(first if first in _COMMANDS else None).parse_args(argv)
         model = load_model(args.model)
         ds = None if args.data is None else load_dataset(args.data)
         out = None if args.out is None else _outdir(args)

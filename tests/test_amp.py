@@ -219,6 +219,21 @@ class TestSensitivity:
         with pytest.raises(EncodingError):
             sensitivity_analysis(sim, find_layer_groups(sim), [], make_eval(sim), tmp_path)
 
+    def test_repeated_candidate_rejected_before_any_evaluation(self, tmp_path):
+        sim = calibrated_sim()
+        ev = Counting(make_eval(sim))
+        with pytest.raises(EncodingError, match="8,8 is listed twice"):
+            sensitivity_analysis(sim, find_layer_groups(sim), [(16, 16), (8, 8), [8, 8]], ev, tmp_path / "o")
+        assert ev.calls == 0
+        assert not (tmp_path / "o").exists()
+
+    def test_other_weights_reject_the_stale_cache(self, tmp_path):
+        sim = calibrated_sim(seed=0)
+        sensitivity_analysis(sim, find_layer_groups(sim), CANDS, make_eval(sim), tmp_path)
+        other = calibrated_sim(seed=1)  # same graph, default bitwidths and scheme; other weights
+        with pytest.raises(CacheError):
+            sensitivity_analysis(other, find_layer_groups(other), CANDS, make_eval(other), tmp_path)
+
 
 class TestChooseMixedPrecision:
     def test_full_descent_with_generous_budget(self, tmp_path):

@@ -210,6 +210,42 @@ def test_amp_out_of_range_candidate_is_rejected_before_any_work(capsys, model_pr
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "candidates, message",
+    [
+        ("", "candidate list is empty"),
+        (";;", "candidate list is empty"),
+        ("16,16;8,8;8,8", "candidate 8,8 is listed twice"),
+    ],
+    ids=["empty", "only-separators", "repeated-pair"],
+)
+def test_amp_empty_or_repeated_candidates_are_rejected_before_any_work(
+    capsys, model_prefix, data_prefix, tmp_path, candidates, message
+):
+    argv = ["amp", "--model", model_prefix, "--data", data_prefix, "--out", str(tmp_path / "o")]
+    assert main(argv + ["--candidates", candidates]) == 3
+    assert capsys.readouterr().err == f"error:encoding: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_amp_resume_on_another_models_cache_is_cache_error(capsys, tmp_path):
+    """Two models of one structure differ only in their weights, which the
+    AMP fingerprint covers: resuming one's search from the other's caches
+    would replay the other's scores (0.500000 where a clean run on seed 1
+    prints 0.562500)."""
+    for seed in (0, 1):
+        save_model(toys.mlp([2, 8, 2], seed=seed), tmp_path / f"net{seed}")
+    save_dataset(toys.spiral_dataset(n_per_class=8, seed=0), tmp_path / "d")
+    argv = ["amp", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "amp"), "--allowed-drop", "0.05"]
+    assert main(argv + ["--model", str(tmp_path / "net0")]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--model", str(tmp_path / "net1"), "--resume"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:cache: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("candidates", ["16", "16,16;x,8", "16,16;8,8,8"])
 def test_amp_malformed_candidates_are_usage_errors(capsys, model_prefix, data_prefix, tmp_path, candidates):
     argv = ["amp", "--model", model_prefix, "--data", data_prefix, "--out", str(tmp_path / "o")]
@@ -288,6 +324,22 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "fixquant" in proc.stdout
+
+
+def test_console_entry_point_parses_a_subcommand_from_sys_argv(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # one help width for this process and the child
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixquant.cli", "eval", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == _subcommands()["eval"].format_help()
+
+
+def test_console_entry_point_lists_every_command_for_an_unknown_one():
+    proc = subprocess.run([sys.executable, "-m", "fixquant.cli", "bogus"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    choices = ", ".join(repr(name) for name in _subcommands())
+    assert proc.stderr == f"error:usage: argument command: invalid choice: 'bogus' (choose from {choices})\n"
 
 
 @pytest.mark.parametrize(
@@ -487,4 +539,20 @@ def test_subcommand_help_exits_zero(capsys, command):
     assert main([command, "--help"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith(f"usage: fixquant {command} ")
+    assert captured.out == _subcommands()[command].format_help()  # as the full tree prints it
     assert captured.err == ""
+
+
+def test_a_named_command_builds_only_its_own_parser(monkeypatch, capsys, model_prefix, data_prefix):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["eval", "--model", model_prefix, "--data", data_prefix]) == 0
+    assert added == ["eval"]
+    assert main(["bogus"]) == 2  # an unknown command gets the full tree, to list every choice
+    assert added[1:] == list(_subcommands())
