@@ -5,9 +5,10 @@ Three phases over a calibrated simulation:
 0. group the quantizers (a MAC layer travels with its following relu,
    everything feeding an add/concat shares a group, an avgpool shares its
    producer's group since it reuses that encoding),
-1. per-group sensitivity: set one group at a time to each non-max
-   candidate, re-derive that group's encodings from the stored
-   calibration statistics, evaluate, cache,
+1. per-group sensitivity: from the all-max assignment, set one group at
+   a time to each non-max candidate, re-derive that group's encodings
+   from the stored calibration statistics, evaluate, cache, and set the
+   group back,
 2. greedy pareto-front construction: repeatedly apply the move with the
    least estimated accuracy drop per unit of bit-ops saved, evaluating
    after each move, until the allowed accuracy drop is exceeded or no
@@ -21,14 +22,16 @@ combinations, and phase 2 walks its greedy loop with each cached move's
 score, the move that stopped the search included, evaluating once they run
 out. So a run interrupted anywhere resumes (``clean_start=False``) as long
 as the phase-1 baseline was cached.
-Evaluation callbacks take a simulation and return a score where larger is
-better. Frozen quantizers keep their encodings and bitwidths; the search
-moves everything else in the group.
+Both phases try every setting in place on the one sim they are given, and
+``choose_mixed_precision`` runs them in one ``sim.resuming()`` scope, so an
+evaluation reruns only the nodes that differ from the previous one's.
+Evaluation callbacks take that sim, must not change it, and return a score
+where larger is better. Frozen quantizers keep their encodings and
+bitwidths; the search moves everything else in the group.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -43,6 +46,7 @@ from .errors import CacheError, EncodingError, ModelFormatError
 from .graph_ir import MAC_KINDS, GraphModel, field, read_json, write_csv, write_json
 from .quantizer import check_bitwidth
 from .quantsim import QuantSimModel, compute_activation_encodings, compute_param_encodings
+from .range_setting import WEIGHT_CHANNEL_AXIS
 
 __all__ = [
     "CandidatePair",
@@ -273,7 +277,7 @@ def fingerprint(sim: QuantSimModel, candidates: list[CandidatePair]) -> str:
         "candidates": [CandidatePair.of(c).as_list() for c in candidates],
         "default_param_bw": sim.default_param_bw,
         "default_output_bw": sim.default_output_bw,
-        "scheme": [sim.scheme.kind, bool(sim.scheme.per_channel), sim.scheme.channel_axis],
+        "scheme": [sim.scheme.kind, bool(sim.scheme.per_channel), WEIGHT_CHANNEL_AXIS],
     }
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
     for nid in sim.graph.topo_order():
@@ -335,22 +339,10 @@ def _prepare(candidates: list, cache_dir) -> tuple[list[CandidatePair], Candidat
     return candidates, _max_candidate(candidates), cache_dir
 
 
-def _resuming(search):
-    """Run ``search(sim, ...)`` inside ``sim.resuming()``."""
-
-    @functools.wraps(search)
-    def run(sim: QuantSimModel, *args, **kwargs):
-        with sim.resuming():
-            return search(sim, *args, **kwargs)
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # Phase 1: sensitivity
 
 
-@_resuming
 def sensitivity_analysis(
     sim: QuantSimModel,
     groups: list[QuantizerGroup],
@@ -360,27 +352,25 @@ def sensitivity_analysis(
 ) -> tuple[float, list[AccuracyEntry]]:
     """Evaluate every (group, non-max candidate) combination.
 
-    The all-max sim is built once; each evaluation, the baseline included,
-    runs on its own clone of it, so evaluations are independent. The clones
-    share ``sim.resuming()``'s slot: a forward reuses every node whose
-    input batch, weights and quantizers are bit-identical to the previous
-    evaluation's, so it reruns only the nodes at or below the groups that
-    differ. Results append to accuracy_list.json after every evaluation and
-    a rerun with an intact cache performs no evaluations at all. A
-    sensitivity CSV for plotting is rewritten alongside. Returns (all-max
-    baseline, entries).
+    ``sim`` is set to the all-max assignment, the baseline, and each
+    combination is tried on it in place: the group moves to the candidate,
+    ``sim`` is evaluated, and the group moves back, also when the
+    evaluation raises. Inside ``sim.resuming()`` an evaluation reruns only
+    the nodes at or below the groups that differ from the previous
+    evaluation's. Results append to accuracy_list.json after every
+    evaluation and a rerun with an intact cache performs no evaluations at
+    all. A sensitivity CSV for plotting is rewritten alongside. Returns
+    (all-max baseline, entries).
     """
     candidates, max_cand, cache_dir = _prepare(candidates, cache_dir)
     fp = fingerprint(sim, candidates)
     path = cache_dir / "accuracy_list.json"
-
-    at_max = sim.clone()
-    for g in groups:
-        _apply_candidate(at_max, g, max_cand)
-
     doc = _load_cache(path, ACCURACY_LIST_FORMAT, fp)
+
+    for g in groups:
+        _apply_candidate(sim, g, max_cand)
     if doc is None:
-        baseline = float(eval_phase1(at_max.clone()))
+        baseline = float(eval_phase1(sim))
         doc = {"format": ACCURACY_LIST_FORMAT, "fingerprint": fp, "baseline": baseline, "entries": []}
         write_json(path, doc)
 
@@ -388,9 +378,11 @@ def sensitivity_analysis(
     for g, c in itertools.product(groups, candidates):
         if c == max_cand or (g.group_id, (c.activation_bw, c.param_bw)) in cached:
             continue
-        clone = at_max.clone()
-        _apply_candidate(clone, g, c)
-        score = float(eval_phase1(clone))
+        _apply_candidate(sim, g, c)
+        try:
+            score = float(eval_phase1(sim))
+        finally:
+            _apply_candidate(sim, g, max_cand)
         doc["entries"].append({"group": g.group_id, "candidate": c.as_list(), "accuracy": score})
         write_json(path, doc)
 
@@ -407,7 +399,6 @@ def sensitivity_analysis(
 # Phase 2: pareto front
 
 
-@_resuming
 def build_pareto(
     sim: QuantSimModel,
     groups: list[QuantizerGroup],
@@ -436,9 +427,9 @@ def build_pareto(
     drop stops the search and leaves the file untouched, so a resume at the
     same allowed drop evaluates nothing.
 
-    Inside ``sim.resuming()`` each evaluation after a move reruns only the
-    moved group and what lies below it; everything above keeps the values
-    of the previous evaluation.
+    Inside ``sim.resuming()``, which choose_mixed_precision opens, each
+    evaluation after a move reruns only the moved group and what lies
+    below it; everything above keeps the values of the previous evaluation.
     """
     candidates, max_cand, cache_dir = _prepare(candidates, cache_dir)
     fp = fingerprint(sim, candidates)
@@ -520,7 +511,6 @@ def build_pareto(
 # Driver
 
 
-@_resuming
 def choose_mixed_precision(
     sim: QuantSimModel,
     candidates: list,
@@ -530,7 +520,8 @@ def choose_mixed_precision(
     results_dir,
     clean_start: bool = True,
 ) -> tuple[QuantSimModel, list[ParetoEntry]]:
-    """Run grouping, sensitivity, and pareto search; mutates sim in place.
+    """Run grouping, sensitivity, and pareto search on ``sim`` in place,
+    inside one ``sim.resuming()`` scope around both phases.
 
     With clean_start both caches in results_dir are wiped first. Otherwise
     they are validated against the model fingerprint and reused: resuming
@@ -539,7 +530,7 @@ def choose_mixed_precision(
     """
     if not allowed_accuracy_drop >= 0:
         raise EncodingError(f"allowed accuracy drop must be a nonnegative number, got {allowed_accuracy_drop}")
-    candidates, max_cand, results_dir = _prepare(candidates, results_dir)
+    candidates, _, results_dir = _prepare(candidates, results_dir)
     caches = [results_dir / "accuracy_list.json", results_dir / "pareto_list.json"]
     if clean_start:
         for p in caches:
@@ -548,10 +539,9 @@ def choose_mixed_precision(
         raise CacheError(f"no sensitivity cache {caches[0]} to resume from; rerun with a clean start")
 
     groups = find_layer_groups(sim)
-    for g in groups:
-        _apply_candidate(sim, g, max_cand)
-    p1_baseline, acc_list = sensitivity_analysis(sim, groups, candidates, eval_phase1, results_dir)
-    entries = build_pareto(
-        sim, groups, candidates, acc_list, p1_baseline, eval_phase2, allowed_accuracy_drop, results_dir
-    )
+    with sim.resuming():
+        p1_baseline, acc_list = sensitivity_analysis(sim, groups, candidates, eval_phase1, results_dir)
+        entries = build_pareto(
+            sim, groups, candidates, acc_list, p1_baseline, eval_phase2, allowed_accuracy_drop, results_dir
+        )
     return sim, entries

@@ -37,7 +37,7 @@ from .quantsim import (
     encodings_to_dict,
     import_encodings,
 )
-from .range_setting import RangeAccumulator, RangeScheme, compute_encodings_from_accumulator
+from .range_setting import WEIGHT_CHANNEL_AXIS, RangeAccumulator, RangeScheme, compute_encodings_from_accumulator
 
 __all__ = [
     "fold_batch_norms",
@@ -612,7 +612,7 @@ def adaround(
         node = out.nodes[nid]
         w = node.weights["weight"]
 
-        axis = scheme.channel_axis if scheme.per_channel else None
+        axis = WEIGHT_CHANNEL_AXIS if scheme.per_channel else None
         acc = RangeAccumulator(channel_axis=axis)
         acc.observe(w)
         spec = QuantizerSpec(param_bw, symmetric=True, channel_axis=axis, frozen=True)

@@ -36,6 +36,7 @@ from .errors import CalibrationError, EncodingError, ModelFormatError
 from .graph_ir import GraphModel, Node
 from .quantizer import QuantEncoding, QuantizerSpec, qdq
 from .range_setting import (
+    WEIGHT_CHANNEL_AXIS,
     RangeAccumulator,
     RangeScheme,
     compute_encodings_from_accumulator,
@@ -169,7 +170,7 @@ class QuantSimModel:
         # Output H x W (1 for linear) of every MAC node, also set by
         # compute_encodings; MAC counts for bit-ops multiply by it.
         self.mac_spatial: dict[str, int] = {}
-        # The slot of the open ``resuming`` scope, shared with clones.
+        # The slot of the ``resuming`` scope open on this sim.
         self._resume: _ResumeSlot | None = None
 
     # -- helpers ---------------------------------------------------------
@@ -195,8 +196,9 @@ class QuantSimModel:
             )
 
     def clone(self) -> "QuantSimModel":
-        """A deep copy that shares the slot of an open ``resuming`` scope."""
-        return copy.deepcopy(self, {id(self._resume): self._resume})
+        """A deep copy in no ``resuming`` scope until one is opened on it;
+        a scope open on this sim never sees its forwards."""
+        return copy.deepcopy(self, {id(self._resume): None})
 
     # -- forward ----------------------------------------------------------
 
@@ -226,7 +228,7 @@ class QuantSimModel:
         """The quantized output tensor(s), arrays the caller owns. Inside a
         ``resuming`` scope the pass resumes from the scope's last forward."""
         slot = self._resume
-        if slot is None or not slot.open:
+        if slot is None:
             return self.graph.outputs(self.evaluate_all(inputs))
         feed = {nid: np.array(x, order="C") for nid, x in self.graph.normalize_inputs(inputs).items()}
         if slot.feed and not any(_same_bits(x, slot.feed[nid]) for nid, x in feed.items()):
@@ -270,25 +272,22 @@ class QuantSimModel:
 
     @contextlib.contextmanager
     def resuming(self):
-        """A scope in which ``forward``, on this sim and on every clone made
-        of it in the scope, resumes from the values of the scope's previous
-        forward. A node's value is reused when its kind, attrs, input ids,
-        weight bytes and quantizer states are those it was computed with
-        and all its inputs are reused; an input node's batch must equal the
-        previous one bit for bit, and a forward whose every input batch is
-        new runs the plain pass and keeps only its batches. The scope keeps
-        one forward's values; leaving it empties them and ends reuse for
-        every sim that shared them. A scope opened on a sim already in one
-        joins it."""
-        if self._resume is not None and self._resume.open:
+        """A scope in which this sim's ``forward`` resumes from the values of
+        its previous forward in the scope. A node's value is reused when its
+        kind, attrs, input ids, weight bytes and quantizer states are those
+        it was computed with and all its inputs are reused; an input node's
+        batch must equal the previous one bit for bit, and a forward whose
+        every input batch is new runs the plain pass and keeps only its
+        batches. The scope keeps one forward's values and drops them on
+        exit. A scope opened on a sim already in one joins it; a clone is
+        in none."""
+        if self._resume is not None:
             yield self
             return
-        slot = self._resume = _ResumeSlot()
+        self._resume = _ResumeSlot()
         try:
             yield self
         finally:
-            slot.open = False
-            slot.clear()
             self._resume = None
 
 
@@ -297,7 +296,6 @@ class _ResumeSlot:
     node keys and the input batches (own copies) they came from."""
 
     def __init__(self):
-        self.open = True
         self.clear()
 
     def clear(self) -> None:
@@ -373,7 +371,7 @@ def create_quantsim(
                 param_q[f"{nid}.{pname}"] = QuantizerSpec(
                     bitwidth=default_param_bw,
                     symmetric=bool(rule["is_symmetric"]),
-                    channel_axis=scheme.channel_axis if per_channel else None,
+                    channel_axis=WEIGHT_CHANNEL_AXIS if per_channel else None,
                 )
 
         if node.kind in ("output", "maxpool"):
@@ -571,7 +569,7 @@ def import_encodings(sim: QuantSimModel, source, freeze: bool = False) -> QuantS
             if spec.per_channel and len(encs) == 1:
                 spec.channel_axis = None
             elif not spec.per_channel and len(encs) > 1:
-                spec.channel_axis = 0  # per-channel grids exist only on weights, axis 0
+                spec.channel_axis = WEIGHT_CHANNEL_AXIS  # per-channel grids exist only on weights
             spec.set_encodings(encs, frozen=bool(freeze or entry_frozen))
             seen.add(key)
         # The file omits disabled quantizers, so a quantizer the file skips

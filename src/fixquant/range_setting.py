@@ -49,6 +49,8 @@ DEGENERATE_RANGE_EPS = 1e-5
 _SCORE_CHUNK_ELEMS = 1 << 16
 # Its relative slack: far above float64 sum rounding, far below a real gap.
 _SCORE_RTOL = 1e-9
+# The output-channel axis of every weight that takes per-channel grids.
+WEIGHT_CHANNEL_AXIS = 0
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class RangeScheme:
 
     kind: str = "min_max"
     per_channel: bool = False
-    channel_axis: int = 0
 
     def __post_init__(self):
         if self.kind not in ("min_max", "sqnr"):
@@ -221,12 +222,8 @@ def encoding_from_range(mn: float, mx: float, bitwidth: int, symmetric: bool) ->
     if float(np.float32(scale)) <= 0.0:
         lo, hi = lo - DEGENERATE_RANGE_EPS, hi + DEGENERATE_RANGE_EPS
         scale = (hi - lo) / (2**bitwidth - 1)
-    zp = int(min(max(round_half_away_scalar(-lo / scale), 0.0), 2**bitwidth - 1))
+    zp = int(min(max(round_half_away(-lo / scale), 0.0), 2**bitwidth - 1))
     return QuantEncoding(scale=scale, zero_point=zp, bitwidth=bitwidth, signed=False, symmetric=False)
-
-
-def round_half_away_scalar(v: float) -> float:
-    return math.copysign(math.floor(abs(v) + 0.5), v)
 
 
 def compute_minmax(acc: RangeAccumulator, bitwidth: int, symmetric: bool):

@@ -11,7 +11,6 @@ __all__ = [
     "mlp",
     "conv_bn_relu_conv",
     "depthwise_net",
-    "outlier_model",
     "three_group_model",
     "spiral_dataset",
     "random_feed",
@@ -133,21 +132,6 @@ def depthwise_net(seed: int = 0, channels: int = 4) -> GraphModel:
         Node("out", "output", ["conv2"]),
     ]
     return GraphModel(nodes, name="depthwise_net")
-
-
-def outlier_model(seed: int = 0, width: int = 8) -> GraphModel:
-    """Three-layer MLP whose middle layer carries one huge weight outlier.
-
-    Quantizing that layer's weight at 8 bits stretches its grid over the
-    outlier and wrecks resolution for the rest, so it dominates any
-    per-layer sensitivity sweep.
-    """
-    rng = np.random.default_rng(seed)
-    model = mlp([width, width, width, width], seed=seed, name="outlier_model")
-    w = model.nodes["fc1"].weights["weight"].copy()
-    w[0, 0] = 60.0  # ~40 sigma outlier
-    model.nodes["fc1"].set_weight("weight", w)
-    return model
 
 
 def three_group_model(seed: int = 0, width: int = 8, n_classes: int = 3) -> GraphModel:

@@ -631,22 +631,55 @@ class TestResumedEvaluations:
 
         sim = calibrated_sim()
         ev = make_eval(sim)
-        seen = []
+        seen = {1: [], 2: []}
 
-        def p1(s):
-            seen.append(s)
-            return ev(s)
+        def record(phase):
+            return lambda s: seen[phase].append(s) or ev(s)
 
-        choose_mixed_precision(sim, CANDS, p1, ev, 10.0, tmp_path)
-        assert len(seen) == 1 + 3 * 3 and sim not in seen
-        for s in [sim, *seen]:
-            assert s._resume is None or not (s._resume.open or s._resume.values)
+        choose_mixed_precision(sim, CANDS, record(1), record(2), 10.0, tmp_path)
+        # both phases hand their callbacks the search's own sim
+        assert len(seen[1]) == 1 + 3 * 3 and len(seen[2]) > 1
+        assert all(s is sim for s in seen[1] + seen[2])
+        assert sim._resume is None
         calls = []
         real = graph_ir.eval_kind
         monkeypatch.setattr(graph_ir, "eval_kind", lambda *a: calls.append(1) or real(*a))
         x = np.ones((2, 6))
-        for s in [sim, *seen]:
-            s.forward(x)
-            s.forward(x)
+        sim.forward(x)
+        sim.forward(x)
         non_input = sum(n.kind != "input" for n in sim.graph.nodes.values())
-        assert len(calls) == 2 * len(seen + [sim]) * non_input
+        assert len(calls) == 2 * non_input
+
+    def test_the_search_makes_no_clone(self, tmp_path, monkeypatch):
+        from fixquant.quantsim import QuantSimModel
+
+        sim = calibrated_sim()
+        ev = Counting(make_eval(sim))
+        clones = []
+        real = QuantSimModel.clone
+        monkeypatch.setattr(QuantSimModel, "clone", lambda s: clones.append(s) or real(s))
+        choose_mixed_precision(sim, CANDS, ev, ev, 10.0, tmp_path)
+        assert ev.calls > 1 + 3 * 3 and clones == []
+
+    def test_a_raising_phase1_callback_leaves_the_all_max_state(self, tmp_path):
+        from fixquant.amp import _apply_candidate
+
+        sim = calibrated_sim()
+        want = sim.clone()
+        for g in find_layer_groups(want):
+            _apply_candidate(want, g, CandidatePair(16, 16))
+        ev = Counting(make_eval(sim))
+
+        def fourth_raises(s):
+            if ev.calls == 3:
+                raise RuntimeError("simulated crash")
+            return ev(s)
+
+        with pytest.raises(RuntimeError):
+            choose_mixed_precision(sim, CANDS, fourth_raises, ev, 10.0, tmp_path)
+        assert ev.calls == 3 and sim._resume is None
+
+        def state(s):
+            return {k: (q.enabled, q.bitwidth, q.encodings) for k, q in s.all_quantizers().items()}
+
+        assert state(sim) == state(want) != state(calibrated_sim())

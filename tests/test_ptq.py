@@ -430,7 +430,7 @@ def _adaround_oracle(model, feed, params, param_bw, scheme, seed):
     from fixquant import ptq
     from fixquant.qat import conv2d_backward
     from fixquant.quantsim import ENCODINGS_FORMAT, _encoding_to_json
-    from fixquant.range_setting import RangeAccumulator, compute_encodings_from_accumulator
+    from fixquant.range_setting import WEIGHT_CHANNEL_AXIS, RangeAccumulator, compute_encodings_from_accumulator
 
     def layer_forward(node, w, x):
         return eval_kind(node.kind, node.attrs, {**node.weights, "weight": w}, [x])
@@ -452,7 +452,7 @@ def _adaround_oracle(model, feed, params, param_bw, scheme, seed):
     for nid in [n for n in out.topo_order() if out.nodes[n].kind in ("linear", "conv2d")]:
         node = out.nodes[nid]
         w = node.weights["weight"]
-        acc = RangeAccumulator(channel_axis=scheme.channel_axis if scheme.per_channel else None)
+        acc = RangeAccumulator(channel_axis=WEIGHT_CHANNEL_AXIS if scheme.per_channel else None)
         acc.observe(w)
         encs = compute_encodings_from_accumulator(acc, param_bw, symmetric=True, scheme=scheme)
         shape = [len(encs)] + [1] * (w.ndim - 1) if scheme.per_channel else [1] * w.ndim

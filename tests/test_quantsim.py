@@ -341,18 +341,35 @@ class TestResumingForward:
             assert sim.forward(np.zeros(3)).tobytes() == np.zeros(3).tobytes()
             assert sim.forward(-np.zeros(3)).tobytes() == (-np.zeros(3)).tobytes()
 
-    def test_a_scope_opened_inside_another_joins_it(self):
+    def test_a_scope_opened_inside_another_joins_it(self, monkeypatch):
         sim, x = resumable_sim()
+        ran = []
+        real = graph_ir.eval_kind
+        monkeypatch.setattr(graph_ir, "eval_kind", lambda kind, *a: ran.append(kind) or real(kind, *a))
         with sim.resuming():
             slot = sim._resume
+            sim.forward(x)
             with sim.resuming():
+                assert sim._resume is slot
                 clone = sim.clone()
-                assert sim._resume is clone._resume is slot
-            assert slot.open
-        assert sim._resume is None and not slot.open and not slot.values and clone._resume is slot
+            assert sim._resume is slot and clone._resume is None
+            # the clone is in no scope: its forward is a full pass, twice
+            ran.clear()
+            for _ in range(2):
+                assert clone.forward(x).tobytes() == full_pass(sim, x).tobytes()
+            assert len(ran) == 2 * 9 + 2 * 9  # the clone's passes and full_pass's
+            ran.clear()
+            sim.forward(x)
+            assert ran == []
+        assert sim._resume is None and clone._resume is None
 
 
 STEPS = ("bitwidth", "enabled", "frozen", "set_weight", "edit_weight", "edit_input", "new_input", "clone")
+
+
+def held(slot):
+    """What a resuming slot holds: (field, key, value) for each entry."""
+    return [(name, k, v) for name in ("keys", "values", "feed") for k, v in getattr(slot, name).items()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,6 +379,7 @@ def test_a_resumed_forward_equals_a_full_pass_after_any_change(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     value = st.sampled_from([0.0, -0.0, 0.3, -1.7])
     with sim.resuming():
+        scope = sim._resume
         sim.forward(x)
         for step in data.draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=8)):
             quantizers = sim.all_quantizers()
@@ -386,7 +404,13 @@ def test_a_resumed_forward_equals_a_full_pass_after_any_change(data):
             elif step == "new_input":
                 x = rng.normal(size=x.shape)
             else:
+                before = held(scope)
                 sim = sim.clone()
+                assert sim._resume is None
+                assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes()
+                after = held(scope)  # the scope's slot is not the clone's
+                assert len(after) == len(before)
+                assert all(a[:2] == b[:2] and a[2] is b[2] for a, b in zip(after, before))
             assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes(), step
 
 
