@@ -70,7 +70,13 @@ def conv2d_backward(
     groups: int = 1,
     need_input_grad: bool = True,
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Gradients of conv2d: (d/dw, d/dx, d/dbias)."""
+    """Gradients of conv2d: (d/dw, d/dx, d/dbias).
+
+    The input gradient's window contribution is laid out (c, kh, kw, n, h, w)
+    from an (o, n, h, w) copy of ``gy`` because it sums over o in the same
+    order, so with the same bits, as (n, c, h, w, kh, kw), while numpy's inner
+    loop runs over n*h*w contiguous elements instead of kw.
+    """
     w = np.asarray(w, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
     oc, icg, kh, kw = w.shape
@@ -83,8 +89,9 @@ def conv2d_backward(
         gw[co] = np.einsum("nchwkl,nohw->ockl", patches[:, ci], gy[:, co])
         if need_input_grad:
             # Each output position's contribution to its window, summed back.
-            contrib = np.einsum("nohw,ockl->nchwkl", gy[:, co], w[co])
-            gx[:, ci] = tc.windows_adjoint(contrib, gx.shape, stride, padding)
+            g_o = np.ascontiguousarray(gy[:, co].transpose(1, 0, 2, 3))
+            contrib = np.einsum("onhw,ockl->cklnhw", g_o, w[co])
+            gx[:, ci] = tc.windows_adjoint(contrib.transpose(3, 0, 4, 5, 1, 2), gx.shape, stride, padding)
     return gw, gx, gy.sum(axis=(0, 2, 3))
 
 
@@ -263,6 +270,8 @@ def qat_train(
     n = x.shape[0]
     if n == 0:
         raise CalibrationError("training data is empty")
+    if y.shape[:1] != (n,):
+        raise ShapeError(f"training needs one target per input, got {n} and {y.shape[0] if y.ndim else 0}")
     if len(sim.graph.output_ids) != 1:  # the tape follows one output
         raise ShapeError(f"training needs a model with one output, got {sim.graph.output_ids}")
     rng = np.random.default_rng(seed)

@@ -1,11 +1,14 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fixquant
 from fixquant import toys
 from fixquant.cli import build_parser, main
 from fixquant.datasets import Dataset, save_dataset
@@ -318,25 +321,33 @@ def test_numeric_failure_exits_four(capsys, data_prefix, tmp_path):
     assert capsys.readouterr().err.startswith("error:numeric:")
 
 
-def test_console_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixquant.cli", "--help"], capture_output=True, text=True
+def _run_cli(*argv):
+    """``python -m fixquant.cli argv`` in a child that imports the package under test."""
+    src = str(Path(fixquant.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fixquant.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_console_entry_point(tmp_path):
+    proc = _run_cli("--help")
     assert proc.returncode == 0
     assert "fixquant" in proc.stdout
 
 
 def test_console_entry_point_parses_a_subcommand_from_sys_argv(monkeypatch):
     monkeypatch.setenv("COLUMNS", "100")  # one help width for this process and the child
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixquant.cli", "eval", "--help"], capture_output=True, text=True
-    )
+    proc = _run_cli("eval", "--help")
     assert proc.returncode == 0
     assert proc.stdout == _subcommands()["eval"].format_help()
 
 
 def test_console_entry_point_lists_every_command_for_an_unknown_one():
-    proc = subprocess.run([sys.executable, "-m", "fixquant.cli", "bogus"], capture_output=True, text=True)
+    proc = _run_cli("bogus")
     assert proc.returncode == 2
     choices = ", ".join(repr(name) for name in _subcommands())
     assert proc.stderr == f"error:usage: argument command: invalid choice: 'bogus' (choose from {choices})\n"

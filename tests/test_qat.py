@@ -285,6 +285,29 @@ class TestWindowedGradsEqualLoopOracles:
             gw, gx, gb = conv2d_backward(gy, x, w, stride, padding, groups, need_input_grad=False)
             assert gx is None and np.array_equal(gw, want[0]) and np.array_equal(gb, want[2])
 
+    # The workloads' shapes: the input gradient's inner loop runs over n*h*w
+    # elements, so these pin both the vector body and the tail of that loop.
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, stride, padding, groups",
+        [
+            ((16, 16, 16, 16), (16, 16, 3, 3), 1, 1, 1),
+            ((16, 3, 16, 16), (16, 3, 3, 3), 1, 1, 1),
+            ((32, 16, 16, 16), (16, 1, 3, 3), 1, 1, 16),
+            ((32, 16, 16, 16), (16, 1, 3, 3), 2, 1, 16),
+            ((32, 16, 16, 16), (16, 16, 1, 1), 1, 0, 1),
+        ],
+        ids=["conv2", "conv1", "depthwise", "depthwise_s2", "pointwise"],
+    )
+    def test_conv2d_backward_at_workload_shapes(self, x_shape, w_shape, stride, padding, groups):
+        rng = np.random.default_rng(31)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        gy = rng.normal(size=tc.conv2d(x, w, stride=stride, padding=padding, groups=groups).shape)
+        want = _conv2d_backward_loop(gy, x, w, stride, padding, groups)
+        for a, b in zip(conv2d_backward(gy, x, w, stride, padding, groups), want):
+            assert np.array_equal(a, b)
+        gw, gx, gb = conv2d_backward(gy, x, w, stride, padding, groups, need_input_grad=False)
+        assert gx is None and np.array_equal(gw, want[0]) and np.array_equal(gb, want[2])
+
     @pytest.mark.parametrize("stride", [None, 1, 2, 3, (2, 1)])
     @pytest.mark.parametrize("padding", [0, 1, (0, 1)])
     def test_pool_grads(self, stride, padding):
@@ -502,6 +525,16 @@ class TestQatTrain:
         before = {nid: dict(n.weights) for nid, n in sim.graph.nodes.items()}
         with pytest.raises(CalibrationError):
             qat_train(sim, ds.x, ds.y, options=QatOptions(**{"epochs": 1, **bad}), seed=0)
+        for nid, node in sim.graph.nodes.items():
+            assert all(node.weights[k] is w for k, w in before[nid].items())
+
+    @pytest.mark.parametrize("n_targets", [7, 13])
+    def test_target_count_mismatch_rejected_before_any_step(self, n_targets):
+        sim, ds = self.spiral_sim()
+        before = {nid: dict(n.weights) for nid, n in sim.graph.nodes.items()}
+        y = np.resize(ds.y, n_targets)
+        with pytest.raises(ShapeError, match=f"one target per input, got 10 and {n_targets}"):
+            qat_train(sim, ds.x[:10], y, options=QatOptions(epochs=1, batch_size=4), seed=0)
         for nid, node in sim.graph.nodes.items():
             assert all(node.weights[k] is w for k, w in before[nid].items())
 
