@@ -28,13 +28,18 @@ import numpy as np
 from . import graph_ir as gir
 from . import tensor_core as tc
 from .errors import CalibrationError, EncodingError, ShapeError
-from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json  # eval_kind unused; stays bound for profilers
+from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json
 from .quantizer import QuantizerSpec, grid, qdq
 from .quantsim import (
+    BIAS_CORRECT_SAMPLES,
     QuantSimModel,
+    _channel_means,
+    _limit_samples,
+    check_samples,
     compute_encodings,
     create_quantsim,
     encodings_to_dict,
+    float_channel_means,
     import_encodings,
 )
 from .range_setting import WEIGHT_CHANNEL_AXIS, RangeAccumulator, RangeScheme, compute_encodings_from_accumulator
@@ -52,9 +57,6 @@ __all__ = [
 ]
 
 BN_DEFAULT_EPS = 1e-5
-# Empirical bias correction measures on the leading feed batches that hold
-# this many samples.
-BIAS_CORRECT_SAMPLES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +347,22 @@ def _rectified_gaussian_mean(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
-def _channel_means(y: np.ndarray) -> np.ndarray:
-    """Mean over batch (and spatial dims for 4-d maps), per output channel."""
-    if y.ndim == 4:
-        return y.mean(axis=(0, 2, 3))
-    return y.mean(axis=0)
-
-
-def _limit_samples(batches: list, limit: int) -> list:
-    out, seen = [], 0
-    for b in batches:
-        arr = b if not isinstance(b, dict) else next(iter(b.values()))
-        out.append(b)
-        seen += np.asarray(arr).shape[0]
-        if seen >= limit:
-            break
-    return out
+def _quantized(sim: QuantSimModel, node, name: str) -> np.ndarray:
+    """``node``'s tensor ``name`` as the sim's forward runs with it."""
+    spec = sim.param_quantizer(node.id, name)
+    w = node.weights[name]
+    return qdq(w, spec) if spec is not None else w
 
 
 def _weight_quant_error(sim: QuantSimModel, node) -> np.ndarray:
-    spec = sim.param_quantizer(node.id, "weight")
-    w = node.weights["weight"]
-    return (qdq(w, spec) if spec is not None else w) - w
+    return _quantized(sim, node, "weight") - node.weights["weight"]
+
+
+def _add_bias(node, acc: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A MAC layer's output from its bias-free accumulator ``acc``: the
+    add and the check that end ``tc.linear`` and ``tc.conv2d``, so the
+    bits are those of the kernel run with bias ``b``."""
+    return tc.ensure_finite(acc + b.reshape((-1,) + (1,) * (acc.ndim - 2)), f"{node.kind} output")
 
 
 def _analytic_input_mean(sim: QuantSimModel, node) -> Optional[np.ndarray]:
@@ -390,6 +386,10 @@ def _forget(values: dict, layer: str, consumers: dict) -> None:
     own value, which goes stale once its tensors change, and every value
     whose consumers all hold one, which no later pass reads."""
     del values[layer]
+    _drop_unread(values, consumers)
+
+
+def _drop_unread(values: dict, consumers: dict) -> None:
     for nid in [n for n in values if all(c in values for c in consumers[n])]:
         del values[nid]
 
@@ -401,23 +401,29 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
     mean float pre-activation and the mean pre-activation of the running
     quantized model (raw accumulator output, before the output quantizer)
     on the leading feed batches that hold ``BIAS_CORRECT_SAMPLES`` samples,
-    and adds the difference to the bias. The float means come from one full
-    pass per batch. The quantized pass for a layer stops at that layer and
-    resumes from the values earlier passes left that are still current, so
-    a chain of L layers costs 2L - 1 layer evaluations per batch, not L * L,
-    with the same numbers. ``analytic_then_empirical``
-    removes the weight-quantization component in closed form for layers
-    whose input mean follows from folded batch-norm statistics (rectified
-    Gaussian mean through a relu) and falls back to the empirical estimate
-    elsewhere; the float means are those of the model before any bias
-    moves. Mutates the sim's graph and returns it.
+    and adds the difference to the bias. The float means of a batch are
+    those compute_encodings recorded when it calibrated this sim on the
+    same graph and batch, else those of a float pass. The quantized pass
+    for a layer stops at the layer's input and resumes from the values
+    earlier passes left that are still current; the layer's kernel runs
+    once without its bias, and both its raw output and, once the bias
+    has moved, its value for later passes are that accumulator plus the
+    quantized bias, the add the kernel ends with. So a chain of L layers
+    costs L layer evaluations per batch, with the numbers of full passes.
+    ``analytic_then_empirical`` removes the weight-quantization component
+    in closed form for layers whose input mean follows from folded
+    batch-norm statistics (rectified Gaussian mean through a relu) and
+    falls back to the empirical estimate elsewhere; the float means are
+    those of the model before any bias moves. A feed batch with no
+    samples is a CalibrationError, raised before any bias moves. Mutates
+    the sim's graph and returns it.
     """
     if mode not in ("empirical", "analytic_then_empirical"):
         raise EncodingError(f"unknown bias correction mode {mode!r}")
     graph = sim.graph
     targets = [nid for nid in graph.topo_order() if graph.nodes[nid].kind in MAC_KINDS]
 
-    # Analytic shifts wait until the float pass has run.
+    # Analytic shifts wait until the float means are taken.
     shifts: dict[str, np.ndarray] = {}
     if mode == "analytic_then_empirical":
         for nid in targets:
@@ -436,12 +442,9 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
         batches = _limit_samples(list(feed), BIAS_CORRECT_SAMPLES)
         if not batches:
             raise CalibrationError("bias correction feed is empty")
-    fp_means: dict[str, list[np.ndarray]] = {nid: [] for nid in remaining}
-    for batch in batches:
-        values = graph.evaluate_all(batch)
-        for nid in remaining:
-            fp_means[nid].append(_channel_means(values[nid]))
-    fp_mean = {nid: np.mean(np.stack(v), axis=0) for nid, v in fp_means.items()}
+        check_samples(batches, "bias correction feed")
+    fp_means = float_channel_means(sim, batches)
+    fp_mean = {nid: np.mean(np.stack([m[nid] for m in fp_means]), axis=0) for nid in remaining}
     for nid, err in shifts.items():
         node = graph.nodes[nid]
         node.set_weight("bias", node.weights["bias"] - err)
@@ -453,14 +456,21 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
     known: list[dict] = [{} for _ in batches]
     consumers = graph.consumers()
     for nid in remaining:
-        q_means = []
-        for i, batch in enumerate(batches):
-            known[i], raw, _ = sim.evaluate_all(batch, capture_raw=True, known=known[i], stop=nid)
-            q_means.append(_channel_means(raw[nid]))
-            _forget(known[i], nid, consumers)
-        delta = fp_mean[nid] - np.mean(np.stack(q_means), axis=0)
         node = graph.nodes[nid]
+        src = node.inputs[0]
+        w = {"weight": _quantized(sim, node, "weight"), "bias": None}
+        b = _quantized(sim, node, "bias")
+        accs, q_means = [], []
+        for i, batch in enumerate(batches):
+            known[i] = sim.evaluate_all(batch, known=known[i], stop=src)
+            accs.append(eval_kind(node.kind, node.attrs, w, [known[i][src]]))
+            q_means.append(_channel_means(_add_bias(node, accs[-1], b)))
+        delta = fp_mean[nid] - np.mean(np.stack(q_means), axis=0)
         node.set_weight("bias", node.weights["bias"] + delta)
+        b = _quantized(sim, node, "bias")
+        for i, acc in enumerate(accs):
+            known[i][nid] = sim.quantize_output(nid, _add_bias(node, acc, b))
+            _drop_unread(known[i], consumers)
     return graph
 
 
@@ -601,6 +611,7 @@ def adaround(
     if not 0 <= params.reg_param < math.inf:
         raise CalibrationError(f"adaround reg_param must be finite and nonnegative, got {params.reg_param}")
     batches = batches[:n_batches]
+    check_samples(batches, "adaround feed")
     rng = np.random.default_rng(seed)
 
     out = model.copy()

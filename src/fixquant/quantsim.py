@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 ENCODINGS_FORMAT = "fixquant-encodings-v1"
+# Empirical bias correction measures on the leading feed batches that hold
+# this many samples; calibration records their float channel means.
+BIAS_CORRECT_SAMPLES = 512
 
 DEFAULT_CONFIG_DICT = {
     "defaults": {
@@ -170,6 +173,10 @@ class QuantSimModel:
         # Output H x W (1 for linear) of every MAC node, also set by
         # compute_encodings; MAC counts for bit-ops multiply by it.
         self.mac_spatial: dict[str, int] = {}
+        # Per leading calibration batch, keyed by the graph's and the
+        # batch's digests, the float channel means of every MAC node; set
+        # by compute_encodings and read by ``float_channel_means``.
+        self.float_means: dict[tuple[bytes, bytes], dict[str, np.ndarray]] = {}
         # The slot of the ``resuming`` scope open on this sim.
         self._resume: _ResumeSlot | None = None
 
@@ -218,11 +225,15 @@ class QuantSimModel:
         def activation(nid: str, y: np.ndarray) -> np.ndarray:
             if capture_raw:
                 raw[nid] = y
-            spec = self.activation_quantizers.get(nid)
-            return y if spec is None else qdq(y, spec)
+            return self.quantize_output(nid, y)
 
         values = self.graph.evaluate_all(inputs, weights, activation, known, stop)
         return (values, raw, used) if capture_raw else values
+
+    def quantize_output(self, nid: str, y: np.ndarray) -> np.ndarray:
+        """``y`` through node ``nid``'s output quantizer, if it has one."""
+        spec = self.activation_quantizers.get(nid)
+        return y if spec is None else qdq(y, spec)
 
     def forward(self, inputs):
         """The quantized output tensor(s), arrays the caller owns. Inside a
@@ -261,8 +272,7 @@ class QuantSimModel:
         bytes and quantizer state. The attrs enter as their ``repr``, which
         differs for any two JSON values that differ."""
         weights = tuple(
-            (name, w.shape, w.dtype.str, hashlib.sha256(np.ascontiguousarray(w)).digest(),
-             _qdq_state(self.param_quantizer(node.id, name)))
+            (name, *_array_digest(w), _qdq_state(self.param_quantizer(node.id, name)))
             for name, w in node.weights.items()
         )
         return (
@@ -307,6 +317,11 @@ class _ResumeSlot:
 def _qdq_state(spec: QuantizerSpec | None):
     """What ``qdq`` reads of a quantizer; a disabled one is the identity."""
     return (spec.channel_axis, tuple(spec.encodings or ())) if spec is not None and spec.enabled else None
+
+
+def _array_digest(a: np.ndarray) -> tuple:
+    """Shape, dtype and the sha256 of the bytes of ``a``."""
+    return a.shape, a.dtype.str, hashlib.sha256(np.ascontiguousarray(a)).digest()
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -427,6 +442,12 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     over the calibration feed (an iterable of input batches). Frozen
     quantizers are left untouched. Statistics accumulators are retained on
     the sim so encodings can later be re-derived at other bitwidths.
+
+    The same float pass records, for each of the leading batches that hold
+    ``BIAS_CORRECT_SAMPLES`` samples, every MAC node's float channel means
+    in ``sim.float_means``, keyed by the graph's and the batch's digests;
+    bias correction on the same graph and batches reads them instead of
+    running the float pass again.
     """
     compute_param_encodings(sim)
 
@@ -436,10 +457,18 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     accs: dict[str, RangeAccumulator] = {
         nid: RangeAccumulator() for nid in sim.activation_quantizers
     }
-    for batch in batches:
+    graph_key = graph_digest(sim.graph)
+    leading = len(_limit_samples(batches, BIAS_CORRECT_SAMPLES))
+    sim.float_means = {}
+    for i, batch in enumerate(batches):
         values = sim.graph.evaluate_all(batch)
         for nid, acc in accs.items():
             acc.observe(values[nid])
+        # Bias correction rejects a batch with no samples and reports a
+        # non-finite mean, so neither warns here.
+        if i < leading and _rows(batch):
+            with np.errstate(over="ignore"):
+                sim.float_means[graph_key, _batch_digest(sim.graph, batch)] = _mac_channel_means(sim.graph, values)
     sim.activation_stats = accs
     sim.mac_spatial = {
         nid: int(np.prod(values[nid].shape[2:]))
@@ -448,6 +477,68 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     }
     compute_activation_encodings(sim)
     return sim
+
+
+def graph_digest(graph: GraphModel) -> bytes:
+    """sha256 of what a float pass of ``graph`` reads: each node's id, kind,
+    inputs and attrs (as their ``repr``), and its weights' bytes."""
+    nodes = [
+        (n.id, n.kind, n.inputs, n.attrs, [(name, _array_digest(w)) for name, w in n.weights.items()])
+        for n in graph.nodes.values()
+    ]
+    return hashlib.sha256(repr(nodes).encode()).digest()
+
+
+def _batch_digest(graph: GraphModel, batch) -> bytes:
+    feed = [(nid, _array_digest(x)) for nid, x in graph.normalize_inputs(batch).items()]
+    return hashlib.sha256(repr(feed).encode()).digest()
+
+
+def _rows(batch) -> int:
+    """The samples in a batch: the leading dimension of its (first) input."""
+    shape = np.shape(next(iter(batch.values())) if isinstance(batch, dict) else batch)
+    return shape[0] if shape else 1
+
+
+def _limit_samples(batches: list, limit: int) -> list:
+    """The leading ``batches`` that hold ``limit`` samples (all if fewer)."""
+    out, seen = [], 0
+    for b in batches:
+        out.append(b)
+        seen += _rows(b)
+        if seen >= limit:
+            break
+    return out
+
+
+def check_samples(batches: list, what: str) -> None:
+    """CalibrationError naming the first of ``batches`` with no samples."""
+    for i, b in enumerate(batches):
+        if not _rows(b):
+            raise CalibrationError(f"{what} batch {i} holds no samples")
+
+
+def _channel_means(y: np.ndarray) -> np.ndarray:
+    """Mean over batch (and spatial dims for 4-d maps), per output channel."""
+    if y.ndim == 4:
+        return y.mean(axis=(0, 2, 3))
+    return y.mean(axis=0)
+
+
+def _mac_channel_means(graph: GraphModel, values: dict) -> dict[str, np.ndarray]:
+    return {nid: _channel_means(values[nid]) for nid, node in graph.nodes.items() if node.kind in gir.MAC_KINDS}
+
+
+def float_channel_means(sim: QuantSimModel, batches: list) -> list[dict[str, np.ndarray]]:
+    """Per batch, every MAC node's float channel means under ``sim.graph``
+    as it is now: the record compute_encodings left for this graph and
+    batch, else those of a float pass."""
+    graph_key = graph_digest(sim.graph)
+    out = []
+    for batch in batches:
+        means = sim.float_means.get((graph_key, _batch_digest(sim.graph, batch)))
+        out.append(_mac_channel_means(sim.graph, sim.graph.evaluate_all(batch)) if means is None else means)
+    return out
 
 
 def compute_activation_encodings(sim: QuantSimModel, keys=None) -> None:

@@ -25,7 +25,7 @@ from fixquant.ptq import (
     _rectified_gaussian_mean,
 )
 from fixquant.quantizer import qdq
-from fixquant.quantsim import compute_encodings, create_quantsim
+from fixquant.quantsim import SimConfig, compute_encodings, create_quantsim
 from fixquant.range_setting import RangeScheme
 from fixquant.tensor_core import f32
 
@@ -600,21 +600,46 @@ def test_adaround_on_deep_and_branching_models_equals_oracle(make):
     _assert_same_rounding(make(), feed, params, 2, RangeScheme(kind="sqnr", per_channel=True), 1)
 
 
-def test_each_sweep_runs_every_conv_but_the_last_twice_per_batch(monkeypatch):
+def _count_conv_calls(monkeypatch) -> list:
     from fixquant import tensor_core as tc
 
-    feed = toys.random_feed((2, 3, 6, 6), n_batches=2, seed=11)
-    sim = create_quantsim(_conv_chain(), default_param_bw=4)
-    compute_encodings(sim, feed)
     calls = []
     real = tc.conv2d
     monkeypatch.setattr(tc, "conv2d", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_per_batch_conv_calls_of_adaround_and_bias_correction(monkeypatch):
+    feed = toys.random_feed((2, 3, 6, 6), n_batches=2, seed=11)
+    sim = create_quantsim(_conv_chain(), default_param_bw=4)
+    compute_encodings(sim, feed)
+    calls = _count_conv_calls(monkeypatch)
     # per batch, layer k's pass runs conv k and, from k = 1 on, the rounded conv k - 1: 6 + 5
     adaround(_conv_chain(), feed, AdaRoundParams(num_iterations=1))
     assert len(calls) == 2 * 11
     calls.clear()
+    # the float means come from calibration; each conv's kernel runs once, its bias re-added
     bias_correct(sim, mode="empirical", feed=feed)
-    assert len(calls) == 2 * (6 + 11)  # per batch, one float pass of all six, then the quantized sweep
+    assert len(calls) == 2 * 6
+
+
+def test_bias_correction_runs_its_own_float_pass_for_another_feed(monkeypatch):
+    feed = toys.random_feed((2, 3, 6, 6), n_batches=2, seed=11)
+    sim = create_quantsim(_conv_chain(), default_param_bw=4)
+    compute_encodings(sim, toys.random_feed((2, 3, 6, 6), n_batches=2, seed=12))
+    calls = _count_conv_calls(monkeypatch)
+    bias_correct(sim, mode="empirical", feed=feed)
+    assert len(calls) == 2 * (6 + 6)  # per batch, a float pass of all six, then the quantized sweep
+
+
+def test_bias_correction_runs_its_own_float_pass_for_a_weight_edited_in_place(monkeypatch):
+    feed = toys.random_feed((2, 3, 6, 6), n_batches=2, seed=11)
+    sim = create_quantsim(_conv_chain(), default_param_bw=4)
+    compute_encodings(sim, feed)
+    sim.graph.nodes["conv3"].weights["weight"][0, 0, 0, 0] += 0.25  # same shape, new bytes
+    calls = _count_conv_calls(monkeypatch)
+    bias_correct(sim, mode="empirical", feed=feed)
+    assert len(calls) == 2 * (6 + 6)
 
 
 def test_a_resumed_sweep_keeps_only_the_values_a_later_pass_reads():
@@ -660,14 +685,27 @@ def _bias_correct_oracle(sim, mode, feed):
     return graph
 
 
-@pytest.mark.parametrize("mode", ["empirical", "analytic_then_empirical"])
-@pytest.mark.parametrize("make", [_folded_conv_bn_relu_conv, _conv_chain, _branching_net])
-def test_bias_correct_equals_full_pass_oracle(make, mode):
+# Beside the default placement and calibration on the correction feed: a
+# quantized bias, so each bias re-add goes through the bias quantizer, and
+# calibration on another feed, which leaves no float means to reuse.
+@pytest.mark.parametrize(
+    "make, mode, case",
+    [
+        pytest.param(make, mode, case, id="-".join([make.__name__, mode] + [case] * bool(case)))
+        for case in ("", "quantized_bias", "other_calibration_feed")
+        for make in (_folded_conv_bn_relu_conv, _conv_chain, _branching_net)
+        for mode in ("empirical", "analytic_then_empirical")
+    ],
+)
+def test_bias_correct_equals_full_pass_oracle(make, mode, case):
     model = make()
     feed = toys.random_feed((4, 3, 6, 6), n_batches=3, seed=12)
-    got, want = (create_quantsim(model.copy(), default_param_bw=4) for _ in range(2))
+    config = SimConfig.from_dict({"params": {"bias": {"is_quantized": True}}}) if case == "quantized_bias" else None
+    calibration = toys.random_feed((4, 3, 6, 6), n_batches=3, seed=13) if case == "other_calibration_feed" else feed
+    got, want = (create_quantsim(model.copy(), default_param_bw=4, config=config) for _ in range(2))
+    assert any(key.endswith(".bias") for key in got.param_quantizers) == (case == "quantized_bias")
     for sim in (got, want):
-        compute_encodings(sim, feed)
+        compute_encodings(sim, calibration)
     bias_correct(got, mode=mode, feed=feed)
     _bias_correct_oracle(want, mode, feed)
     for nid, node in want.graph.nodes.items():
@@ -675,6 +713,48 @@ def test_bias_correct_equals_full_pass_oracle(make, mode):
             assert got.graph.nodes[nid].weights[name].tobytes() == arr.tobytes(), (nid, name)
     layers = [nid for nid, node in model.nodes.items() if node.kind in ("linear", "conv2d")]
     assert all(not np.array_equal(got.graph.nodes[nid].weights["bias"], model.nodes[nid].weights["bias"]) for nid in layers)
+
+
+@pytest.mark.parametrize("mode", ["empirical", "analytic_then_empirical", "adaround"])
+def test_a_batch_with_no_samples_is_calibration_error_before_any_weight_moves(mode):
+    model = _conv_chain()
+    feed = [np.ones((2, 3, 6, 6)), np.ones((0, 3, 6, 6))]
+    sim = create_quantsim(model.copy(), default_param_bw=4)
+    compute_encodings(sim, feed[:1])
+    with pytest.raises(CalibrationError, match="batch 1 holds no samples"):
+        if mode == "adaround":
+            adaround(sim.graph, feed, AdaRoundParams(num_iterations=1))
+        else:
+            bias_correct(sim, mode=mode, feed=feed)
+    for nid, node in model.nodes.items():
+        for name, arr in node.weights.items():
+            assert sim.graph.nodes[nid].weights[name].tobytes() == arr.tobytes(), (nid, name)
+
+
+def test_a_non_finite_quantized_layer_output_is_numeric_error():
+    # The float output, 20 * 0.51e37 * 1e270, is finite (its mean over the
+    # two rows is not, which calibration must not warn about); with the
+    # weight rounded up to the frozen grid's 1e37 the accumulator overflows.
+    from fixquant.quantizer import QuantEncoding
+
+    g = GraphModel(
+        [
+            Node("in", "input"),
+            Node("fc", "linear", ["in"], weights={"weight": np.full((1, 20), 0.51e37), "bias": np.zeros(1)}),
+            Node("out", "output", ["fc"]),
+        ]
+    )
+    config = SimConfig.from_dict(
+        {"defaults": {"ops": {"is_output_quantized": False}}, "model_output": {"is_output_quantized": False}}
+    )
+    sim = create_quantsim(g, config=config)
+    feed = [np.full((2, 20), 1e270)]
+    compute_encodings(sim, feed)
+    spec = sim.param_quantizers["fc.weight"]
+    spec.set_encodings([QuantEncoding(scale=1e37, bitwidth=8, signed=True, symmetric=True)])
+    spec.frozen = True
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="linear output"):
+        bias_correct(sim, mode="empirical", feed=feed)
 
 
 def test_analytic_mode_corrects_empirical_layers_toward_the_model_as_given():

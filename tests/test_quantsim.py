@@ -190,6 +190,31 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             compute_encodings(sim, [])
 
+    def test_a_feed_of_empty_batches_is_calibration_error(self):
+        # the empty batch also records no float means, so nothing warns first
+        sim = create_quantsim(toys.mlp([4, 8, 3], seed=0))
+        with pytest.raises(CalibrationError):
+            compute_encodings(sim, [np.ones((0, 4))])
+
+    def test_float_means_recorded_for_the_leading_bias_correction_batches_only(self):
+        from fixquant import quantsim
+
+        model = toys.mlp([4, 8, 3], seed=0)
+        rows = quantsim.BIAS_CORRECT_SAMPLES // 2 - 1  # two batches hold too few samples, three enough
+        feed = toys.random_feed((rows, 4), n_batches=5, seed=1)
+        sim = create_quantsim(model)
+        compute_encodings(sim, feed + [np.ones((0, 4))])
+        key = quantsim.graph_digest(sim.graph)
+        assert set(sim.float_means) == {(key, quantsim._batch_digest(sim.graph, b)) for b in feed[:3]}
+        for batch in feed[:3]:
+            values = model.evaluate_all(batch)
+            recorded = sim.float_means[key, quantsim._batch_digest(sim.graph, batch)]
+            assert set(recorded) == {"fc0", "fc1"}
+            for nid, means in recorded.items():
+                assert means.tobytes() == quantsim._channel_means(values[nid]).tobytes()
+        compute_encodings(sim, feed[3:])  # a new calibration replaces the record
+        assert set(sim.float_means) == {(key, quantsim._batch_digest(sim.graph, b)) for b in feed[3:]}
+
     def test_every_enabled_quantizer_ready_after_calibration(self):
         _, sim = calibrated_mlp()
         sim.check_ready()  # should not raise
