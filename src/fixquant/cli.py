@@ -77,15 +77,18 @@ def _at_least(minimum: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of a float option that must be positive and finite."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive finite number")
-    return value
+def _float_where(ok, what: str):
+    """argparse type of a float option whose value must pass ``ok`` (NaN
+    fails every comparison), described as ``what`` when it does not."""
 
+    def parse(text: str) -> float:
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{value} is not {what}")
+        return value
 
-_positive_float.__name__ = "float"
+    parse.__name__ = "float"
+    return parse
 
 
 def _scheme(args) -> RangeScheme:
@@ -316,7 +319,8 @@ _COMMANDS = {
     "adaround": _Command(cmd_adaround, "optimize weight rounding against layer outputs", options={
         "--seed": dict(type=_at_least(0), required=True, help="rng seed (required, results are stochastic)"),
         "--iterations": dict(type=_at_least(1), default=10_000),
-        "--reg": dict(type=float, default=0.01, help="rounding regularizer weight"),
+        "--reg": dict(type=_float_where(lambda v: 0 <= v < math.inf, "a finite number >= 0"), default=0.01,
+                      help="rounding regularizer weight"),
         "--batches": dict(type=_at_least(1), default=None, help="calibration batches to use (default all)"),
     }),
     "bias-correct": _Command(cmd_bias_correct, "correct biases for quantization-induced mean shift", options={
@@ -325,14 +329,15 @@ _COMMANDS = {
     "qat": _Command(cmd_qat, "fine-tune weights through the quantized forward pass", options={
         "--seed": dict(type=_at_least(0), required=True, help="rng seed (required, shuffling is stochastic)"),
         "--epochs": dict(type=_at_least(1), default=20),
-        "--lr": dict(type=_positive_float, default=1e-2),
+        "--lr": dict(type=_float_where(lambda v: 0 < v < math.inf, "a positive finite number"), default=1e-2),
         "--batch-size": dict(type=_at_least(1), default=32),
         "--refresh-ranges": dict(action="store_true", help="recompute ranges after each epoch"),
     }),
     "amp": _Command(cmd_amp, "mixed-precision search over layer groups", options={
         "--candidates": dict(type=_parse_candidates, default="16,16;16,8;8,16",
                              help="semicolon-separated act,param bitwidth pairs (default '16,16;16,8;8,16')"),
-        "--allowed-drop": dict(type=float, default=0.5, help="allowed score drop from baseline"),
+        "--allowed-drop": dict(type=_float_where(lambda v: v >= 0, "a number >= 0"), default=0.5,
+                               help="allowed score drop from baseline"),
         "--resume": dict(action="store_true", help="reuse caches in --out (default wipes them)"),
         "--phase1-samples": dict(type=_at_least(1), default=256, help="samples for the fast phase-1 eval"),
     }),

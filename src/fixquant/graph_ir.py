@@ -24,6 +24,7 @@ arithmetic), so save followed by load is an identity.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -38,7 +39,7 @@ from .errors import GraphError, ModelFormatError, ShapeError
 
 __all__ = [
     "Node", "GraphModel", "load_model", "save_model", "model_paths", "read_json", "field", "save_pair",
-    "load_pair", "write_atomic", "write_csv", "write_json",
+    "load_pair", "write_atomic", "write_csv", "write_json", "array_key", "value_keys",
 ]
 
 NODE_KINDS = {
@@ -236,6 +237,35 @@ class GraphModel:
         if len(ids) != 1:
             raise ShapeError(f"graph has inputs {ids}; pass a dict of input values")
         return {ids[0]: np.asarray(inputs, dtype=np.float64)}
+
+
+def array_key(a: np.ndarray) -> bytes:
+    """sha256 of an array's shape, dtype and bytes: the key of an input batch."""
+    h = hashlib.sha256(repr((a.shape, a.dtype.str)).encode())
+    h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
+def value_keys(graph: GraphModel, batch_keys: dict[str, bytes], state=None) -> dict[str, bytes]:
+    """A sha256 content key per node id: two nodes share a key only if
+    their values are the same bits. A node's key hashes the ``repr`` of its
+    kind, its attrs, its weights' ``array_key``s and the keys of its
+    inputs; an input node takes its batch's key from ``batch_keys`` in
+    place of input keys. With ``state``, ``state(node)`` is hashed in too:
+    what else the node's value reads, such as a simulation's quantizer
+    states. Node ids are not hashed, so identical branches share keys."""
+    keys: dict[str, bytes] = {}
+    for nid in graph.topo_order():
+        node = graph.nodes[nid]
+        head = (
+            node.kind,
+            node.attrs,
+            [batch_keys[nid]] if node.kind == "input" else [keys[s] for s in node.inputs],
+            [(name, array_key(w)) for name, w in node.weights.items()],
+            None if state is None else state(node),
+        )
+        keys[nid] = hashlib.sha256(repr(head).encode()).digest()
+    return keys
 
 
 def eval_kind(k: str, attrs: dict, w: dict, inputs: list[np.ndarray]) -> np.ndarray:

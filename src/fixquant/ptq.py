@@ -485,16 +485,18 @@ class AdaRoundParams:
     ``num_batches`` defaults to every batch the feed provides. Iterations
     run plain stochastic gradient descent with a fixed step on the
     continuous rounding variables; the rounding regularizer's sharpness
-    ``beta`` anneals on a cosine from beta_range[0] to beta_range[1] once
-    the warm-start fraction of iterations has passed.
+    ``beta`` anneals on a cosine from ``BETA_RANGE[0]`` to ``BETA_RANGE[1]``
+    once the ``WARM_START`` fraction of iterations has passed.
     """
 
     num_batches: Optional[int] = None
     num_iterations: int = 10_000
     reg_param: float = 0.01
-    beta_range: tuple[float, float] = (20.0, 2.0)
-    warm_start: float = 0.2
     step_size: float = 1e-2
+
+
+BETA_RANGE = (20.0, 2.0)  # adaround's regularizer sharpness, first and last
+WARM_START = 0.2  # the fraction of adaround iterations run without the regularizer
 
 
 _SIG_ZETA = 1.2  # rectified sigmoid stretch
@@ -515,12 +517,12 @@ def _rect_sigmoid_grad(v: np.ndarray) -> np.ndarray:
     return np.where((inside > 0.0) & (inside < 1.0), _SIG_ZETA * sig * (1.0 - sig), 0.0)
 
 
-def _beta_at(it: int, params: AdaRoundParams) -> float:
-    start = int(params.warm_start * params.num_iterations)
-    hi, lo = params.beta_range
-    if it < start or params.num_iterations <= start:
+def _beta_at(it: int, iterations: int) -> float:
+    start = int(WARM_START * iterations)
+    hi, lo = BETA_RANGE
+    if it < start or iterations <= start:
         return hi
-    t = (it - start) / max(1, params.num_iterations - start)
+    t = (it - start) / max(1, iterations - start)
     return lo + 0.5 * (hi - lo) * (1.0 + math.cos(t * math.pi))
 
 
@@ -654,8 +656,8 @@ def adaround(
             inside = (w_floor + zp + h > q_lo) & (w_floor + zp + h < q_hi)
             g_h = g_wsoft * s * inside
 
-            beta = _beta_at(it, params)
-            if it >= int(params.warm_start * params.num_iterations):
+            beta = _beta_at(it, params.num_iterations)
+            if it >= int(WARM_START * params.num_iterations):
                 t = np.abs(2.0 * h - 1.0)
                 g_h = g_h - params.reg_param * beta * np.power(t, beta - 1.0) * 2.0 * np.sign(
                     2.0 * h - 1.0

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,12 +172,13 @@ class QuantSimModel:
         # Output H x W (1 for linear) of every MAC node, also set by
         # compute_encodings; MAC counts for bit-ops multiply by it.
         self.mac_spatial: dict[str, int] = {}
-        # Per leading calibration batch, keyed by the graph's and the
-        # batch's digests, the float channel means of every MAC node; set
-        # by compute_encodings and read by ``float_channel_means``.
-        self.float_means: dict[tuple[bytes, bytes], dict[str, np.ndarray]] = {}
-        # The slot of the ``resuming`` scope open on this sim.
-        self._resume: _ResumeSlot | None = None
+        # The float channel means of every MAC node on the leading
+        # calibration batches, keyed by the node's float value key; set by
+        # compute_encodings and read by ``float_channel_means``.
+        self.float_means: dict[bytes, np.ndarray] = {}
+        # The memo of the ``resuming`` scope open on this sim: value key ->
+        # value, for the values of its last forward and their batches.
+        self._resume: dict[bytes, np.ndarray] | None = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -237,96 +237,58 @@ class QuantSimModel:
 
     def forward(self, inputs):
         """The quantized output tensor(s), arrays the caller owns. Inside a
-        ``resuming`` scope the pass resumes from the scope's last forward."""
-        slot = self._resume
-        if slot is None:
+        ``resuming`` scope a node whose value key (``gir.value_keys`` with
+        this sim's quantizer states) is in the scope's memo takes the value
+        it keys, and only the other nodes run."""
+        memo = self._resume
+        if memo is None:
             return self.graph.outputs(self.evaluate_all(inputs))
         feed = {nid: np.array(x, order="C") for nid, x in self.graph.normalize_inputs(inputs).items()}
-        if slot.feed and not any(_same_bits(x, slot.feed[nid]) for nid, x in feed.items()):
+        batch_keys = {nid: gir.array_key(x) for nid, x in feed.items()}
+        batches = {batch_keys[nid]: x for nid, x in feed.items()}
+        if memo and not batches.keys() & memo.keys():
             # Every node depends on an input, so a new batch reuses nothing:
             # run the plain pass and keep only the batch, so that a forward
             # repeating it keys its nodes and the one after resumes.
-            slot.clear()
-            slot.feed = feed
+            memo.clear()
+            memo.update(batches)
             return self.graph.outputs(self.evaluate_all(feed))
-        keys, known = {}, {}
-        for nid in self.graph.topo_order():
-            node = self.graph.nodes[nid]
-            keys[nid] = key = self._node_key(node)
-            if (
-                nid in slot.values
-                and slot.keys[nid] == key
-                and all(src in known for src in node.inputs)
-                and (nid not in feed or _same_bits(feed[nid], slot.feed[nid]))
-            ):
-                known[nid] = slot.values[nid]
-        slot.clear()  # the stale values go before the pass allocates new ones
+        keys = gir.value_keys(self.graph, batch_keys, self._qdq_states)
+        known = {nid: memo[key] for nid, key in keys.items() if key in memo}
+        memo.clear()  # the stale values go before the pass allocates new ones
         values = self.evaluate_all(feed, known=known)
-        slot.keys, slot.values, slot.feed = keys, values, feed
+        memo.update(batches)
+        memo.update((keys[nid], y) for nid, y in values.items())
         outs = self.graph.outputs(values)
         return {k: v.copy() for k, v in outs.items()} if isinstance(outs, dict) else outs.copy()
 
-    def _node_key(self, node: Node) -> tuple:
-        """What ``node``'s kernel and output quantizer read, beside the
-        values of its inputs: kind, attrs, input ids, and each weight's
-        bytes and quantizer state. The attrs enter as their ``repr``, which
-        differs for any two JSON values that differ."""
-        weights = tuple(
-            (name, *_array_digest(w), _qdq_state(self.param_quantizer(node.id, name)))
-            for name, w in node.weights.items()
-        )
-        return (
-            node.kind, repr(node.attrs), tuple(node.inputs), weights,
-            _qdq_state(self.activation_quantizers.get(node.id)),
-        )
+    def _qdq_states(self, node: Node) -> tuple:
+        """What ``node``'s quantizers read: each weight's, then its output's."""
+        weights = tuple(_qdq_state(self.param_quantizer(node.id, name)) for name in node.weights)
+        return weights, _qdq_state(self.activation_quantizers.get(node.id))
 
     @contextlib.contextmanager
     def resuming(self):
-        """A scope in which this sim's ``forward`` resumes from the values of
-        its previous forward in the scope. A node's value is reused when its
-        kind, attrs, input ids, weight bytes and quantizer states are those
-        it was computed with and all its inputs are reused; an input node's
-        batch must equal the previous one bit for bit, and a forward whose
-        every input batch is new runs the plain pass and keeps only its
-        batches. The scope keeps one forward's values and drops them on
-        exit. A scope opened on a sim already in one joins it; a clone is
-        in none."""
+        """A scope in which this sim's ``forward`` resumes from its previous
+        forward in the scope. The scope's memo maps the value key of every
+        node of that forward to its value, and the key of each input batch
+        to the batch (an own copy); a node whose key is in the memo is not
+        rerun. A forward whose every input batch is new runs the plain
+        pass and keeps only its batches. The memo is dropped on exit. A
+        scope opened on a sim already in one joins it; a clone is in none."""
         if self._resume is not None:
             yield self
             return
-        self._resume = _ResumeSlot()
+        self._resume = {}
         try:
             yield self
         finally:
             self._resume = None
 
 
-class _ResumeSlot:
-    """The values of the last forward in a ``resuming`` scope, with the
-    node keys and the input batches (own copies) they came from."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self.keys: dict[str, tuple] = {}
-        self.values: dict[str, np.ndarray] = {}
-        self.feed: dict[str, np.ndarray] = {}
-
-
 def _qdq_state(spec: QuantizerSpec | None):
     """What ``qdq`` reads of a quantizer; a disabled one is the identity."""
     return (spec.channel_axis, tuple(spec.encodings or ())) if spec is not None and spec.enabled else None
-
-
-def _array_digest(a: np.ndarray) -> tuple:
-    """Shape, dtype and the sha256 of the bytes of ``a``."""
-    return a.shape, a.dtype.str, hashlib.sha256(np.ascontiguousarray(a)).digest()
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bit equality of two C-ordered float64 arrays (so -0.0 != 0.0, NaN == NaN)."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +407,10 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
 
     The same float pass records, for each of the leading batches that hold
     ``BIAS_CORRECT_SAMPLES`` samples, every MAC node's float channel means
-    in ``sim.float_means``, keyed by the graph's and the batch's digests;
-    bias correction on the same graph and batches reads them instead of
-    running the float pass again.
+    in ``sim.float_means``, keyed by the node's float value key
+    (``gir.value_keys``), which chains its batch and everything upstream;
+    bias correction on the same batches reads them instead of running the
+    float pass again while no MAC node's key has moved.
     """
     compute_param_encodings(sim)
 
@@ -457,7 +420,6 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     accs: dict[str, RangeAccumulator] = {
         nid: RangeAccumulator() for nid in sim.activation_quantizers
     }
-    graph_key = graph_digest(sim.graph)
     leading = len(_limit_samples(batches, BIAS_CORRECT_SAMPLES))
     sim.float_means = {}
     for i, batch in enumerate(batches):
@@ -467,8 +429,9 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
         # Bias correction rejects a batch with no samples and reports a
         # non-finite mean, so neither warns here.
         if i < leading and _rows(batch):
+            keys = _float_keys(sim.graph, batch)
             with np.errstate(over="ignore"):
-                sim.float_means[graph_key, _batch_digest(sim.graph, batch)] = _mac_channel_means(sim.graph, values)
+                sim.float_means.update({keys[nid]: m for nid, m in _mac_channel_means(sim.graph, values).items()})
     sim.activation_stats = accs
     sim.mac_spatial = {
         nid: int(np.prod(values[nid].shape[2:]))
@@ -479,19 +442,9 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     return sim
 
 
-def graph_digest(graph: GraphModel) -> bytes:
-    """sha256 of what a float pass of ``graph`` reads: each node's id, kind,
-    inputs and attrs (as their ``repr``), and its weights' bytes."""
-    nodes = [
-        (n.id, n.kind, n.inputs, n.attrs, [(name, _array_digest(w)) for name, w in n.weights.items()])
-        for n in graph.nodes.values()
-    ]
-    return hashlib.sha256(repr(nodes).encode()).digest()
-
-
-def _batch_digest(graph: GraphModel, batch) -> bytes:
-    feed = [(nid, _array_digest(x)) for nid, x in graph.normalize_inputs(batch).items()]
-    return hashlib.sha256(repr(feed).encode()).digest()
+def _float_keys(graph: GraphModel, batch) -> dict[str, bytes]:
+    """The value key of every node of a float pass of ``graph`` on ``batch``."""
+    return gir.value_keys(graph, {nid: gir.array_key(x) for nid, x in graph.normalize_inputs(batch).items()})
 
 
 def _rows(batch) -> int:
@@ -531,13 +484,17 @@ def _mac_channel_means(graph: GraphModel, values: dict) -> dict[str, np.ndarray]
 
 def float_channel_means(sim: QuantSimModel, batches: list) -> list[dict[str, np.ndarray]]:
     """Per batch, every MAC node's float channel means under ``sim.graph``
-    as it is now: the record compute_encodings left for this graph and
-    batch, else those of a float pass."""
-    graph_key = graph_digest(sim.graph)
+    as it is now: those compute_encodings recorded under each MAC node's
+    float value key, else, if any one of them is missing, those of a full
+    float pass."""
+    macs = [nid for nid, node in sim.graph.nodes.items() if node.kind in gir.MAC_KINDS]
     out = []
     for batch in batches:
-        means = sim.float_means.get((graph_key, _batch_digest(sim.graph, batch)))
-        out.append(_mac_channel_means(sim.graph, sim.graph.evaluate_all(batch)) if means is None else means)
+        keys = _float_keys(sim.graph, batch)
+        if all(keys[nid] in sim.float_means for nid in macs):
+            out.append({nid: sim.float_means[keys[nid]] for nid in macs})
+        else:
+            out.append(_mac_channel_means(sim.graph, sim.graph.evaluate_all(batch)))
     return out
 
 

@@ -69,15 +69,20 @@ def test_one_option_mutation_ends_in_one_error_line(inputs, command, option, val
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
-TRAINING_CASES = [("qat", "--lr", v) for v in ("-1", "0", "nan", "inf")] + [
-    (c, opt, v) for c, opt in (("qat", "--epochs"), ("adaround", "--iterations")) for v in ("0", "-1")
-]
+TRAINING_CASES = (
+    [("qat", "--lr", v) for v in ("-1", "0", "nan", "inf")]
+    + [(c, opt, v) for c, opt in (("qat", "--epochs"), ("adaround", "--iterations")) for v in ("0", "-1")]
+    + [("adaround", "--reg", v) for v in ("-1", "nan", "inf")]
+    + [("amp", "--allowed-drop", v) for v in ("-1", "nan")]
+)
 
 
 @pytest.mark.parametrize("command, option, value", TRAINING_CASES, ids=[" ".join(c) for c in TRAINING_CASES])
 def test_a_training_option_that_runs_no_descent_is_a_usage_error(inputs, command, option, value):
-    """A learning rate that is not positive and finite, or fewer than one
-    epoch or iteration, is rejected while parsing, before anything is written."""
+    """A learning rate that is not positive and finite, fewer than one epoch
+    or iteration, a rounding regularizer that is not finite and >= 0, or an
+    allowed drop that is NaN or negative, is rejected while parsing, before
+    anything is written."""
     args = {**dict(zip(BASE[command][::2], BASE[command][1::2])), option: value}
     out = inputs / f"training{command}{option}{value}"
     argv = [command, "--model", str(inputs / "net"), "--data", str(inputs / "data"), "--out", str(out)]

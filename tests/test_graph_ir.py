@@ -9,11 +9,13 @@ from fixquant.errors import GraphError, ModelFormatError, ShapeError
 from fixquant.graph_ir import (
     GraphModel,
     Node,
+    array_key,
     field,
     load_model,
     model_paths,
     read_json,
     save_model,
+    value_keys,
     write_csv,
     write_json,
 )
@@ -194,6 +196,79 @@ class TestResumedPasses:
     def test_stop_must_name_a_node(self):
         with pytest.raises(GraphError, match="nope"):
             branching_graph().evaluate_all(self.x, stop="nope")
+
+
+def _keys(g, x, states):
+    return value_keys(g, {"in": array_key(x)}, lambda node: states.get(node.id))
+
+
+def _downstream(g, nid):
+    cons, out = g.consumers(), set()
+    stack = [nid]
+    while stack:
+        for c in cons[stack.pop()]:
+            if c not in out:
+                out.add(c)
+                stack.append(c)
+    return out
+
+
+def _flip_one_byte(g, x, states):
+    g.nodes["b"].weights["bias"].view(np.uint8)[5] ^= 1
+
+
+# One change to what one node's value reads, and that node.
+KEY_EDITS = {
+    "kind": ("ra", lambda g, x, states: setattr(g.nodes["ra"], "kind", "relu6")),
+    "attrs": ("mp", lambda g, x, states: g.nodes["mp"].attrs.update(note=1)),
+    "weight byte": ("b", _flip_one_byte),
+    "quantizer state": ("a", lambda g, x, states: states.update(a=("enc", 4))),
+    "input key": ("in", lambda g, x, states: np.put(x, 7, x.flat[7] + 1e-9)),
+}
+
+
+class TestValueKeys:
+    x = np.random.default_rng(1).normal(size=(2, 3, 6, 6))
+
+    @pytest.mark.parametrize("what", KEY_EDITS)
+    def test_a_change_moves_its_node_and_every_key_downstream_and_no_other(self, what):
+        g, x, states = branching_graph(), self.x.copy(), {"fc": ("enc", 8)}
+        before = _keys(g, x, states)
+        nid, edit = KEY_EDITS[what]
+        edit(g, x, states)
+        after = _keys(g, x, states)
+        moved = {n for n in g.nodes if after[n] != before[n]}
+        assert moved == {nid} | _downstream(g, nid)
+        assert len(set(after.values())) == len(after)  # no two nodes here compute the same value
+
+    def test_a_batch_is_keyed_by_its_bits_shape_and_dtype(self):
+        g = tiny_graph()
+        # all but -0.0 hold the same 16 zero bytes
+        batches = [np.zeros((1, 2)), -np.zeros((1, 2)), np.zeros((2, 1)), np.zeros((1, 2), dtype=np.int64)]
+        keys = [array_key(b) for b in batches]
+        assert len(set(keys)) == len(keys)
+        assert keys[0] == array_key(np.zeros((1, 2)))
+        zero, minus_zero = (value_keys(g, {"in": k}) for k in keys[:2])
+        assert all(zero[nid] != minus_zero[nid] for nid in g.nodes)
+
+    def test_identical_branches_share_a_key_until_one_quantizer_changes(self):
+        w = {"weight": np.ones((2, 2)), "bias": np.zeros(2)}
+        g = GraphModel(
+            [
+                Node("in", "input"),
+                Node("p", "linear", ["in"], weights=w),
+                Node("q", "linear", ["in"], weights=w),
+                Node("s", "add", ["p", "q"]),
+                Node("out", "output", ["s"]),
+            ]
+        )
+        x, states = np.ones((1, 2)), {"p": ("enc", 8), "q": ("enc", 8)}
+        before = _keys(g, x, states)
+        assert before["p"] == before["q"]
+        states["q"] = ("enc", 4)
+        after = _keys(g, x, states)
+        assert after["p"] == before["p"] and after["q"] != before["q"]
+        assert {n for n in g.nodes if after[n] != before[n]} == {"q", "s", "out"}
 
 
 def test_copy_is_deep():

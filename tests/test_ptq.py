@@ -473,8 +473,8 @@ def _adaround_oracle(model, feed, params, param_bw, scheme, seed):
             diff = layer_forward(node, w_soft, x) - y_ref
             g_h = weight_grad(node, x, (2.0 / diff.size) * diff) * s
             g_h = g_h * ((w_floor + zp + h > q_lo) & (w_floor + zp + h < q_hi))
-            beta = ptq._beta_at(it, params)
-            if it >= int(params.warm_start * params.num_iterations):
+            beta = ptq._beta_at(it, params.num_iterations)
+            if it >= int(ptq.WARM_START * params.num_iterations):
                 t = np.abs(2.0 * h - 1.0)
                 g_h = g_h - params.reg_param * beta * np.power(t, beta - 1.0) * 2.0 * np.sign(2.0 * h - 1.0)
             v = v - params.step_size * g_h * ptq._rect_sigmoid_grad(v)
@@ -640,6 +640,16 @@ def test_bias_correction_runs_its_own_float_pass_for_a_weight_edited_in_place(mo
     calls = _count_conv_calls(monkeypatch)
     bias_correct(sim, mode="empirical", feed=feed)
     assert len(calls) == 2 * (6 + 6)
+
+
+def test_bias_correction_reads_the_record_after_an_edit_downstream_of_every_mac_node(monkeypatch):
+    feed = toys.random_feed((2, 3, 6, 6), n_batches=2, seed=11)
+    sim = create_quantsim(_conv_chain(), default_param_bw=4)
+    compute_encodings(sim, feed)
+    sim.graph.nodes["out"].attrs["note"] = 1  # no MAC node's float value key reads it
+    calls = _count_conv_calls(monkeypatch)
+    bias_correct(sim, mode="empirical", feed=feed)
+    assert len(calls) == 2 * 6
 
 
 def test_a_resumed_sweep_keeps_only_the_values_a_later_pass_reads():

@@ -204,16 +204,18 @@ class TestCalibration:
         feed = toys.random_feed((rows, 4), n_batches=5, seed=1)
         sim = create_quantsim(model)
         compute_encodings(sim, feed + [np.ones((0, 4))])
-        key = quantsim.graph_digest(sim.graph)
-        assert set(sim.float_means) == {(key, quantsim._batch_digest(sim.graph, b)) for b in feed[:3]}
+
+        def mac_keys(batch):
+            keys = quantsim._float_keys(sim.graph, batch)
+            return {nid: keys[nid] for nid in ("fc0", "fc1")}
+
+        assert set(sim.float_means) == {k for b in feed[:3] for k in mac_keys(b).values()}
         for batch in feed[:3]:
             values = model.evaluate_all(batch)
-            recorded = sim.float_means[key, quantsim._batch_digest(sim.graph, batch)]
-            assert set(recorded) == {"fc0", "fc1"}
-            for nid, means in recorded.items():
-                assert means.tobytes() == quantsim._channel_means(values[nid]).tobytes()
+            for nid, key in mac_keys(batch).items():
+                assert sim.float_means[key].tobytes() == quantsim._channel_means(values[nid]).tobytes()
         compute_encodings(sim, feed[3:])  # a new calibration replaces the record
-        assert set(sim.float_means) == {(key, quantsim._batch_digest(sim.graph, b)) for b in feed[3:]}
+        assert set(sim.float_means) == {k for b in feed[3:] for k in mac_keys(b).values()}
 
     def test_every_enabled_quantizer_ready_after_calibration(self):
         _, sim = calibrated_mlp()
@@ -344,13 +346,14 @@ class TestResumingForward:
         real = graph_ir.eval_kind
         monkeypatch.setattr(graph_ir, "eval_kind", lambda kind, *a: ran.append(kind) or real(kind, *a))
         with sim.resuming():
-            slot = sim._resume
+            memo = sim._resume
             for batch, runs, keyed in ((x, 9, True), (y, 9, False), (x, 9, False), (x, 9, True), (x, 0, True)):
                 ran.clear()
                 got = sim.forward(batch)
-                assert len(ran) == runs and bool(slot.keys) == bool(slot.values) == keyed
+                # an unkeyed forward leaves only its batch, under the batch's key
+                assert len(ran) == runs and (len(memo) > 1) == keyed
                 assert got.tobytes() == full_pass(sim, batch).tobytes()
-                assert slot.feed["in"].tobytes() == batch.tobytes()
+                assert memo[graph_ir.array_key(batch)].tobytes() == batch.tobytes()
 
     def test_forward_hands_out_arrays_the_memo_does_not_hold(self):
         sim, x = resumable_sim()
@@ -389,12 +392,14 @@ class TestResumingForward:
         assert sim._resume is None and clone._resume is None
 
 
-STEPS = ("bitwidth", "enabled", "frozen", "set_weight", "edit_weight", "edit_input", "new_input", "clone")
+STEPS = (
+    "bitwidth", "enabled", "frozen", "set_weight", "edit_weight", "edit_attrs", "edit_input", "new_input", "clone",
+)
 
 
-def held(slot):
-    """What a resuming slot holds: (field, key, value) for each entry."""
-    return [(name, k, v) for name in ("keys", "values", "feed") for k, v in getattr(slot, name).items()]
+def held(memo):
+    """What a resuming memo holds: (key, value) for each entry."""
+    return list(memo.items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,6 +429,8 @@ def test_a_resumed_forward_equals_a_full_pass_after_any_change(data):
                 node.set_weight(name, rng.normal(0, 0.3, node.weights[name].shape))
             elif step == "edit_weight":
                 node.weights[name].flat[data.draw(st.integers(0, node.weights[name].size - 1))] = data.draw(value)
+            elif step == "edit_attrs":
+                node.attrs["note"] = data.draw(value)  # read by no kernel, so the values stay
             elif step == "edit_input":
                 x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(value)
             elif step == "new_input":
@@ -433,9 +440,9 @@ def test_a_resumed_forward_equals_a_full_pass_after_any_change(data):
                 sim = sim.clone()
                 assert sim._resume is None
                 assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes()
-                after = held(scope)  # the scope's slot is not the clone's
+                after = held(scope)  # the scope's memo is not the clone's
                 assert len(after) == len(before)
-                assert all(a[:2] == b[:2] and a[2] is b[2] for a, b in zip(after, before))
+                assert all(a[0] == b[0] and a[1] is b[1] for a, b in zip(after, before))
             assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes(), step
 
 
