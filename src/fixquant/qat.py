@@ -72,27 +72,40 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Gradients of conv2d: (d/dw, d/dx, d/dbias).
 
-    The input gradient's window contribution is laid out (c, kh, kw, n, h, w)
-    from an (o, n, h, w) copy of ``gy`` because it sums over o in the same
-    order, so with the same bits, as (n, c, h, w, kh, kw), while numpy's inner
-    loop runs over n*h*w contiguous elements instead of kw.
+    Each gradient sums in the order of an einsum over the strided window
+    view (n, c, h, w, kh, kw), so with its bits, but from a faster layout:
+
+    - Weight: with a w stride of 1 and kw > 1 numpy walks that view with w
+      innermost, so it walks a contiguous (n, c, h, kh, kw, w) copy of the
+      windows in the same order, reading memory in sequence. With a wider
+      stride or kw == 1 it walks kw innermost, an order the copy would
+      change, so those shapes read the view. The copy, kh*kw times the
+      input, is freed before the input gradient allocates its own.
+    - Input: the window contribution is laid out (c, kh, kw, n, h, w) from
+      an (o, n, h, w) copy of ``gy``: it sums over o in the same order,
+      while numpy's inner loop runs over n*h*w contiguous elements, not kw.
     """
     w = np.asarray(w, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
     oc, icg, kh, kw = w.shape
     ocg = oc // groups
-    patches = tc.windows(x, (kh, kw), stride, padding)
-    gw = np.empty(w.shape, dtype=np.float64)
-    gx = np.empty(patches.shape[:2] + np.shape(x)[2:]) if need_input_grad else None
-    for g in range(groups):
-        ci, co = slice(g * icg, (g + 1) * icg), slice(g * ocg, (g + 1) * ocg)
-        gw[co] = np.einsum("nchwkl,nohw->ockl", patches[:, ci], gy[:, co])
-        if need_input_grad:
-            # Each output position's contribution to its window, summed back.
-            g_o = np.ascontiguousarray(gy[:, co].transpose(1, 0, 2, 3))
-            contrib = np.einsum("onhw,ockl->cklnhw", g_o, w[co])
-            gx[:, ci] = tc.windows_adjoint(contrib.transpose(3, 0, 4, 5, 1, 2), gx.shape, stride, padding)
-    return gw, gx, gy.sum(axis=(0, 2, 3))
+    groups_io = [(slice(g * icg, (g + 1) * icg), slice(g * ocg, (g + 1) * ocg)) for g in range(groups)]
+    patches, spec = tc.windows(x, (kh, kw), stride, padding), "nchwkl,nohw->ockl"
+    if tc._pair(stride, "stride")[1] == 1 and kw > 1:
+        patches, spec = np.ascontiguousarray(patches.transpose(0, 1, 2, 4, 5, 3)), "nchklw,nohw->ockl"
+    gw, gb = np.empty(w.shape, dtype=np.float64), gy.sum(axis=(0, 2, 3))
+    for ci, co in groups_io:
+        gw[co] = np.einsum(spec, patches[:, ci], gy[:, co])
+    del patches
+    if not need_input_grad:
+        return gw, None, gb
+    gx = np.empty(np.shape(x))
+    for ci, co in groups_io:
+        # Each output position's contribution to its window, summed back.
+        g_o = np.ascontiguousarray(gy[:, co].transpose(1, 0, 2, 3))
+        contrib = np.einsum("onhw,ockl->cklnhw", g_o, w[co])
+        gx[:, ci] = tc.windows_adjoint(contrib.transpose(3, 0, 4, 5, 1, 2), gx.shape, stride, padding)
+    return gw, gx, gb
 
 
 def forward_with_tape(sim: QuantSimModel, inputs) -> Tape:

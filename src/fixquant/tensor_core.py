@@ -182,7 +182,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
         wg = w.reshape(groups, og, cg, kh, kw)
         out = np.einsum("ngchwab,gocab->ngohw", pg, wg).reshape(n, o, oh, ow)
     else:
-        # Per position: for these shapes no single einsum or GEMM sums in this order.
+        # Per position: no single einsum on a strided window view sums in this order.
         out = np.empty((n, o, oh, ow), dtype=np.float64)
         for g in range(groups):
             pg = p[:, g * cg : (g + 1) * cg]

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fixquant import qat
+from fixquant import ptq, qat
 from fixquant import tensor_core as tc
 from fixquant import toys
 from fixquant.errors import CalibrationError, NumericError, ShapeError
@@ -268,6 +272,28 @@ def _avgpool_grad_loop(gy, in_shape, attrs):
     return gxp[:, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w]
 
 
+def _assert_backward_equals_loop(gy, x, w, stride, padding, groups):
+    want = _conv2d_backward_loop(gy, x, w, stride, padding, groups)
+    for a, b in zip(conv2d_backward(gy, x, w, stride, padding, groups), want):
+        assert np.array_equal(a, b)
+    gw, gx, gb = conv2d_backward(gy, x, w, stride, padding, groups, need_input_grad=False)
+    assert gx is None and np.array_equal(gw, want[0]) and np.array_equal(gb, want[2])
+
+
+@st.composite
+def conv_cases(draw):
+    """(x shape, w shape, stride, padding, groups, seed) of a conv that fits."""
+    n, groups = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cg, og = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    h = draw(st.integers(max(1, kh - 2 * padding[0]), 20))
+    w = draw(st.integers(max(1, kw - 2 * padding[1]), 20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (n, groups * cg, h, w), (groups * og, cg, kh, kw), stride, padding, groups, seed
+
+
 class TestWindowedGradsEqualLoopOracles:
     @pytest.mark.parametrize("groups", [1, 2, 4])
     @pytest.mark.parametrize("stride", [1, 2, (2, 1)])
@@ -278,12 +304,7 @@ class TestWindowedGradsEqualLoopOracles:
         for kh, kw in [(1, 1), (3, 3), (2, 3), (3, 1)]:
             w = rng.normal(size=(6 if groups < 4 else 4, 4 // groups, kh, kw))
             gy = rng.normal(size=tc.conv2d(x, w, stride=stride, padding=padding, groups=groups).shape)
-            got = conv2d_backward(gy, x, w, stride=stride, padding=padding, groups=groups)
-            want = _conv2d_backward_loop(gy, x, w, stride, padding, groups)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b), (kh, kw)
-            gw, gx, gb = conv2d_backward(gy, x, w, stride, padding, groups, need_input_grad=False)
-            assert gx is None and np.array_equal(gw, want[0]) and np.array_equal(gb, want[2])
+            _assert_backward_equals_loop(gy, x, w, stride, padding, groups)
 
     # The workloads' shapes: the input gradient's inner loop runs over n*h*w
     # elements, so these pin both the vector body and the tail of that loop.
@@ -302,11 +323,35 @@ class TestWindowedGradsEqualLoopOracles:
         rng = np.random.default_rng(31)
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
         gy = rng.normal(size=tc.conv2d(x, w, stride=stride, padding=padding, groups=groups).shape)
-        want = _conv2d_backward_loop(gy, x, w, stride, padding, groups)
-        for a, b in zip(conv2d_backward(gy, x, w, stride, padding, groups), want):
-            assert np.array_equal(a, b)
-        gw, gx, gb = conv2d_backward(gy, x, w, stride, padding, groups, need_input_grad=False)
-        assert gx is None and np.array_equal(gw, want[0]) and np.array_equal(gb, want[2])
+        _assert_backward_equals_loop(gy, x, w, stride, padding, groups)
+
+    # Both sides of the contiguous-copy guard: a w stride of 1 with kw > 1
+    # takes the copy, a wider stride or kw == 1 the strided view.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=conv_cases())
+    @example(case=((2, 4, 7, 6), (6, 2, 3, 3), (1, 1), (1, 1), 2, 0))
+    @example(case=((2, 4, 7, 6), (6, 2, 3, 3), (1, 2), (1, 1), 2, 0))
+    def test_conv2d_backward_equals_loop_over_drawn_shapes(self, case):
+        x_shape, w_shape, stride, padding, groups, seed = case
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        gy = rng.normal(size=tc.conv2d(x, w, stride=stride, padding=padding, groups=groups).shape)
+        _assert_backward_equals_loop(gy, x, w, stride, padding, groups)
+
+    def test_window_copy_is_freed_before_the_input_gradient_is_summed(self):
+        rng = np.random.default_rng(32)
+        x, w = rng.normal(size=(32, 16, 16, 16)), rng.normal(size=(16, 16, 3, 3))
+        gy = rng.normal(size=x.shape)
+        # The (n, c, h, kh, kw, w) window copy and the (c, kh, kw, n, h, w)
+        # contribution each hold kh*kw times the input.
+        copy_bytes = contrib_bytes = 9 * x.nbytes
+        tracemalloc.start()
+        try:
+            conv2d_backward(gy, x, w, stride=1, padding=1, need_input_grad=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copy_bytes + contrib_bytes
 
     @pytest.mark.parametrize("stride", [None, 1, 2, 3, (2, 1)])
     @pytest.mark.parametrize("padding", [0, 1, (0, 1)])
@@ -595,3 +640,76 @@ class TestQatTrain:
         w1 = sim1.graph.nodes["fc0"].weights["weight"]
         w2 = sim2.graph.nodes["fc0"].weights["weight"]
         assert np.array_equal(w1, w2)
+
+
+def _conv_geometry(node):
+    return node.attrs.get("stride", 1), node.attrs.get("padding", 0), node.attrs.get("groups", 1)
+
+
+def _conv_chain_sgd_oracle(model, x, t, epochs, bs, lr, decay_every, seed):
+    """Hand-rolled minibatch SGD with an MSE loss for a chain of conv2d and
+    relu nodes: the float forward, the loop oracle's gradients, the trainer's
+    shuffle stream and learning-rate schedule, and the float32 value snap
+    applied to stored weights. Returns {conv id: (weight, bias)} and, per
+    step, {conv id: (weight gradient, bias gradient)}."""
+    chain = [model.nodes[nid] for nid in model.topo_order() if model.nodes[nid].kind in ("conv2d", "relu")]
+    assert {n.kind for n in model.nodes.values()} == {"input", "conv2d", "relu", "output"}
+    params = {n.id: (n.weights["weight"].copy(), n.weights["bias"].copy()) for n in chain if n.kind == "conv2d"}
+    rng, steps = np.random.default_rng(seed), []
+    for epoch in range(epochs):
+        if epoch > 0 and decay_every > 0 and epoch % decay_every == 0:
+            lr *= 0.1
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), bs):
+            idx = order[start : start + bs]
+            acts, grads = [x[idx]], {}
+            steps.append(grads)
+            for node in chain:
+                if node.kind == "relu":
+                    acts.append(np.maximum(acts[-1], 0.0))
+                else:
+                    stride, padding, groups = _conv_geometry(node)
+                    acts.append(tc.conv2d(acts[-1], *params[node.id], stride, padding, groups))
+            diff = acts[-1] - t[idx]
+            g = (2.0 / diff.size) * diff
+            for node, a in zip(reversed(chain), reversed(acts[:-1])):
+                if node.kind == "relu":
+                    g = g * (a > 0).astype(np.float64)
+                else:
+                    w, b = params[node.id]
+                    gw, g, gb = _conv2d_backward_loop(g, a, w, *_conv_geometry(node))
+                    grads[node.id] = (gw, gb)
+                    params[node.id] = (tc.f32(w - lr * gw), tc.f32(b - lr * gb))
+    return params, steps
+
+
+class TestConvPlainSgdParity:
+    @pytest.mark.parametrize(
+        "model",
+        [ptq.fold_batch_norms(toys.conv_bn_relu_conv(seed=4)), toys.depthwise_net(seed=4)],
+        ids=lambda m: m.name,
+    )
+    def test_disabled_quantizers_train_as_plain_sgd_bit_for_bit(self, model, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(20, 3, 8, 8))
+        t = rng.normal(size=model.forward(x).shape)
+        want, want_steps = _conv_chain_sgd_oracle(model, x, t, epochs=3, bs=8, lr=0.05, decay_every=2, seed=13)
+
+        # The float32 snap of each update hides a gradient's last bits, so
+        # every step's gradients are compared as well as the weights.
+        steps, real_backward = [], qat.backward
+        monkeypatch.setattr(qat, "backward", lambda *a: steps.append(real_backward(*a)) or steps[-1])
+        sim = create_quantsim(model)
+        for spec in [*sim.activation_quantizers.values(), *sim.param_quantizers.values()]:
+            spec.enabled = False
+        options = QatOptions(epochs=3, batch_size=8, learning_rate=0.05, lr_decay_every=2)
+        qat_train(sim, x, t, loss_fn=mse_loss, options=options, seed=13)
+        assert len(steps) == len(want_steps) == 9
+        for got, grads in zip(steps, want_steps):
+            assert got.keys() == grads.keys()
+            for nid, (gw, gb) in grads.items():
+                assert np.array_equal(got[nid]["weight"], gw) and np.array_equal(got[nid]["bias"], gb), nid
+        for nid, (w, b) in want.items():
+            weights = sim.graph.nodes[nid].weights
+            assert not np.array_equal(w, model.nodes[nid].weights["weight"]), nid  # training moved it
+            assert np.array_equal(weights["weight"], w) and np.array_equal(weights["bias"], b), nid
