@@ -1,43 +1,28 @@
 """Smoke tests of the tooling: every example script runs to completion from a
-clean directory, and every function the benchmark tracer wraps still exists."""
+clean directory and prints the output ``tests/golden.json`` records, and
+every function the benchmark tracer wraps still exists."""
 
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from test_golden import SCRIPTS, load_record, script_stdout, sha256
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(script, cwd, *args) -> str:
-    """The stdout of ``script`` run in ``cwd``, which must exit 0."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
-@pytest.mark.parametrize("script", ["run_ptq_spiral.py", "run_qat_spiral.py", "run_amp_search.py"])
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_script_exits_zero(script, tmp_path):
-    assert run_script(script, tmp_path).strip()
+    assert sha256(script_stdout(script, tmp_path)) == load_record()["scripts"][script]
 
 
 def test_amp_search_script_resumes_to_the_same_output_and_files(tmp_path):
     files = ("accuracy_list.json", "pareto_list.json", "sensitivity.csv", "pareto.csv")
     results = tmp_path / "amp_results"
-    fresh = run_script("run_amp_search.py", tmp_path)
+    fresh = script_stdout("run_amp_search.py", tmp_path)
     blobs = [(results / f).read_bytes() for f in files]
-    assert run_script("run_amp_search.py", tmp_path, "--resume") == fresh
+    assert script_stdout("run_amp_search.py", tmp_path, "--resume") == fresh
     assert [(results / f).read_bytes() for f in files] == blobs
 
 
