@@ -20,10 +20,12 @@ from fixquant import toys
 from fixquant.amp import bit_ops, choose_mixed_precision, find_layer_groups
 from fixquant.quantsim import compute_encodings, create_quantsim
 
+SIM_BW = 16  # the bitwidth of every quantizer before the search
+
 
 def build_sim(width: int):
     model = toys.three_group_model(seed=0, width=width)
-    sim = create_quantsim(model, default_param_bw=16, default_output_bw=16)
+    sim = create_quantsim(model, default_param_bw=SIM_BW, default_output_bw=SIM_BW)
     compute_encodings(sim, toys.random_feed((32, width), n_batches=2, seed=1))
     return sim
 
@@ -76,8 +78,8 @@ def main(argv=None) -> int:
     for g in groups:
         spec = sim.param_quantizers.get(g.param_keys[0]) if g.param_keys else None
         act = sim.activation_quantizers[g.activation_keys[0]] if g.activation_keys else None
-        abw = act.bitwidth if act is not None else sim.default_output_bw
-        pbw = spec.bitwidth if spec is not None else sim.default_param_bw
+        abw = act.bitwidth if act is not None else SIM_BW
+        pbw = spec.bitwidth if spec is not None else SIM_BW
         assignment[g.group_id] = (abw, pbw)
         print(f"final {g.group_id:<12s} activations {abw:>2d} bit, params {pbw:>2d} bit")
     base = bit_ops(sim, {g.group_id: max(candidates) for g in groups}, groups)

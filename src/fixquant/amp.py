@@ -15,13 +15,14 @@ Three phases over a calibrated simulation:
    bit-ops-reducing move remains.
 
 Both phases cache to JSON in the results directory (accuracy_list.json,
-pareto_list.json), each stamped with a fingerprint of the model structure,
-its weights and the candidate set, and written after every evaluation. A
-rerun evaluates only what its caches lack: phase 1 skips the cached
-combinations, and phase 2 walks its greedy loop with each cached move's
-score, the move that stopped the search included, evaluating once they run
-out. So a run interrupted anywhere resumes (``clean_start=False``) as long
-as the phase-1 baseline was cached.
+pareto_list.json), each stamped with a fingerprint of the model, its
+weights, the encodings calibration gives it at the all-max assignment and
+the candidate set, and written after every evaluation. A rerun evaluates
+only what its caches lack: phase 1 skips the cached combinations, and
+phase 2 walks its greedy loop with each cached move's score, the move that
+stopped the search included, evaluating once they run out. So a run
+interrupted anywhere resumes (``clean_start=False``) as long as the
+phase-1 baseline was cached.
 Both phases try every setting in place on the one sim they are given, and
 ``choose_mixed_precision`` runs them in one ``sim.resuming()`` scope, so an
 evaluation reruns only the nodes that differ from the previous one's.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,10 +43,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CacheError, EncodingError, ModelFormatError
-from .graph_ir import MAC_KINDS, GraphModel, field, read_json, write_csv, write_json
+from .graph_ir import MAC_KINDS, field, read_json, value_keys, write_csv, write_json
 from .quantizer import check_bitwidth
 from .quantsim import QuantSimModel, compute_activation_encodings, compute_param_encodings
-from .range_setting import WEIGHT_CHANNEL_AXIS
 
 __all__ = [
     "CandidatePair",
@@ -252,39 +251,21 @@ def bit_ops(sim: QuantSimModel, assignment: dict, groups: Optional[list[Quantize
 # Fingerprint and cache plumbing
 
 
-def _graph_manifest(graph: GraphModel) -> dict:
-    return {
-        "name": graph.name,
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind,
-                "inputs": list(n.inputs),
-                "attrs": {k: v for k, v in sorted(n.attrs.items()) if k != "folded_bn"},
-                "weights": {k: list(v.shape) for k, v in sorted(n.weights.items())},
-            }
-            for nid in graph.topo_order()
-            for n in [graph.nodes[nid]]
-        ],
-    }
-
-
 def fingerprint(sim: QuantSimModel, candidates: list[CandidatePair]) -> str:
-    """sha256 of the graph, every weight tensor's bytes, the candidates, the
-    default bitwidths and the scheme. The evaluation data is not in it."""
-    payload = {
-        "graph": _graph_manifest(sim.graph),
-        "candidates": [CandidatePair.of(c).as_list() for c in candidates],
-        "default_param_bw": sim.default_param_bw,
-        "default_output_bw": sim.default_output_bw,
-        "scheme": [sim.scheme.kind, bool(sim.scheme.per_channel), WEIGHT_CHANNEL_AXIS],
-    }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
-    for nid in sim.graph.topo_order():
-        for name, w in sorted(sim.graph.nodes[nid].weights.items()):
-            digest.update(f"{nid}.{name}{w.shape}".encode())
-            digest.update(np.ascontiguousarray(w))
-    return digest.hexdigest()
+    """sha256 of the graph's name, each node's id, input ids and value key,
+    the candidates and the scheme. The keys are ``value_keys`` with the
+    sim's quantizer states, so they cover every weight and encoding; taken
+    at the all-max assignment, they tie a cache to the model and to what
+    calibration gave it. The evaluation data is not in it."""
+    graph = sim.graph
+    keys = value_keys(graph, dict.fromkeys(graph.input_ids, b""), sim.qdq_states)
+    payload = (
+        graph.name,
+        [(nid, graph.nodes[nid].inputs, key) for nid, key in keys.items()],
+        [CandidatePair.of(c).as_list() for c in candidates],
+        [sim.scheme.kind, bool(sim.scheme.per_channel)],
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
@@ -298,7 +279,7 @@ def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
         where = str(path)
         if field(doc, "fingerprint", str, where) != fp:
             raise CacheError(
-                f"cache {path} was built for a different model or candidate set; rerun with a clean start"
+                f"cache {path} was built for a different model, calibration or candidate set; rerun with a clean start"
             )
         field(doc, "baseline", (int, float), where, check=math.isfinite)
         doc["entries"] = field(doc, "entries", list, where, [])
@@ -352,9 +333,10 @@ def sensitivity_analysis(
 ) -> tuple[float, list[AccuracyEntry]]:
     """Evaluate every (group, non-max candidate) combination.
 
-    ``sim`` is set to the all-max assignment, the baseline, and each
-    combination is tried on it in place: the group moves to the candidate,
-    ``sim`` is evaluated, and the group moves back, also when the
+    ``sim`` is set to the all-max assignment, the baseline, and the cache's
+    fingerprint is taken there, so a stale cache leaves the sim at all-max.
+    Each combination is tried on it in place: the group moves to the
+    candidate, ``sim`` is evaluated, and the group moves back, also when the
     evaluation raises. Inside ``sim.resuming()`` an evaluation reruns only
     the nodes at or below the groups that differ from the previous
     evaluation's. Results append to accuracy_list.json after every
@@ -363,12 +345,11 @@ def sensitivity_analysis(
     (all-max baseline, entries).
     """
     candidates, max_cand, cache_dir = _prepare(candidates, cache_dir)
+    for g in groups:
+        _apply_candidate(sim, g, max_cand)
     fp = fingerprint(sim, candidates)
     path = cache_dir / "accuracy_list.json"
     doc = _load_cache(path, ACCURACY_LIST_FORMAT, fp)
-
-    for g in groups:
-        _apply_candidate(sim, g, max_cand)
     if doc is None:
         baseline = float(eval_phase1(sim))
         doc = {"format": ACCURACY_LIST_FORMAT, "fingerprint": fp, "baseline": baseline, "entries": []}

@@ -37,6 +37,7 @@ from .ptq import (
     fold_batch_norms_detailed,
 )
 from .qat import QatOptions, mse_loss, qat_train, softmax_cross_entropy
+from .quantizer import check_bitwidth
 from .quantsim import (
     SimConfig,
     compute_encodings,
@@ -75,6 +76,16 @@ def _at_least(minimum: int):
 
     parse.__name__ = "int"
     return parse
+
+
+def _bitwidth(text: str) -> int:
+    """argparse type of a bitwidth option. Text that is no int is a usage
+    error; an int outside [2, 32] raises check_bitwidth's EncodingError, a
+    data error, while parsing and so before any file is read or created."""
+    return check_bitwidth(int(text))
+
+
+_bitwidth.__name__ = "int"
 
 
 def _float_where(ok, what: str):
@@ -301,8 +312,8 @@ class _Command(NamedTuple):
 
 
 _SIM_OPTIONS = {
-    "--param-bw": dict(type=int, default=8, help="weight bitwidth (default 8)"),
-    "--output-bw": dict(type=int, default=8, help="activation bitwidth (default 8)"),
+    "--param-bw": dict(type=_bitwidth, default=8, help="weight bitwidth (default 8)"),
+    "--output-bw": dict(type=_bitwidth, default=8, help="activation bitwidth (default 8)"),
     "--scheme": dict(choices=["min_max", "sqnr"], default="min_max", help="range setting scheme"),
     "--per-channel": dict(action="store_true", help="per-channel weight grids"),
     "--config": dict(default=None, help="quantizer placement config JSON"),
@@ -348,7 +359,7 @@ _COMMANDS = {
         "--what": dict(choices=["ranges"], default="ranges"),
     }),
     "debug": _Command(cmd_debug, "staged diagnosis of quantization accuracy loss", sim=False, options={
-        "--target-bw": dict(type=int, default=8),
+        "--target-bw": dict(type=_bitwidth, default=8),
         "--scheme": dict(choices=["min_max", "sqnr"], default="min_max"),
         "--per-channel": dict(action="store_true"),
         "--config": dict(default=None),

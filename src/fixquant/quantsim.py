@@ -154,16 +154,12 @@ class QuantSimModel:
         graph: GraphModel,
         param_quantizers: dict[str, QuantizerSpec],
         activation_quantizers: dict[str, QuantizerSpec],
-        default_param_bw: int,
-        default_output_bw: int,
         scheme: RangeScheme,
         avgpool_reuse: dict[str, str],
     ):
         self.graph = graph
         self.param_quantizers = param_quantizers
         self.activation_quantizers = activation_quantizers
-        self.default_param_bw = default_param_bw
-        self.default_output_bw = default_output_bw
         self.scheme = scheme
         self.avgpool_reuse = avgpool_reuse
         # Populated by compute_encodings; kept so bitwidth changes (mixed
@@ -253,7 +249,7 @@ class QuantSimModel:
             memo.clear()
             memo.update(batches)
             return self.graph.outputs(self.evaluate_all(feed))
-        keys = gir.value_keys(self.graph, batch_keys, self._qdq_states)
+        keys = gir.value_keys(self.graph, batch_keys, self.qdq_states)
         known = {nid: memo[key] for nid, key in keys.items() if key in memo}
         memo.clear()  # the stale values go before the pass allocates new ones
         values = self.evaluate_all(feed, known=known)
@@ -262,7 +258,7 @@ class QuantSimModel:
         outs = self.graph.outputs(values)
         return {k: v.copy() for k, v in outs.items()} if isinstance(outs, dict) else outs.copy()
 
-    def _qdq_states(self, node: Node) -> tuple:
+    def qdq_states(self, node: Node) -> tuple:
         """What ``node``'s quantizers read: each weight's, then its output's."""
         weights = tuple(_qdq_state(self.param_quantizer(node.id, name)) for name in node.weights)
         return weights, _qdq_state(self.activation_quantizers.get(node.id))
@@ -369,8 +365,6 @@ def create_quantsim(
         graph=graph,
         param_quantizers=param_q,
         activation_quantizers=act_q,
-        default_param_bw=default_param_bw,
-        default_output_bw=default_output_bw,
         scheme=scheme,
         avgpool_reuse=avgpool_reuse,
     )

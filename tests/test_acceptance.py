@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from fixquant import qat
 from fixquant import range_setting as rs
 from fixquant import toys
 from fixquant.amp import _apply_candidate, choose_mixed_precision, find_layer_groups
@@ -379,7 +380,8 @@ def _f32(a):
 def _sgd_oracle(model, x, t, epochs, bs, lr, decay_every, seed):
     """Hand-rolled minibatch SGD for input->fc0->relu->fc1->output with an
     MSE loss, mirroring shuffle stream, update expressions, and the float32
-    value snap applied to stored weights."""
+    value snap applied to stored weights. Returns the trained (w0, b0, w1,
+    b1) and, per step, {layer id: (weight gradient, bias gradient)}."""
     w0 = model.nodes["fc0"].weights["weight"].copy()
     b0 = model.nodes["fc0"].weights["bias"].copy()
     w1 = model.nodes["fc1"].weights["weight"].copy()
@@ -387,6 +389,7 @@ def _sgd_oracle(model, x, t, epochs, bs, lr, decay_every, seed):
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = x.shape[0]
+    steps = []
     for epoch in range(epochs):
         if epoch > 0 and decay_every > 0 and epoch % decay_every == 0:
             lr *= 0.1
@@ -401,12 +404,13 @@ def _sgd_oracle(model, x, t, epochs, bs, lr, decay_every, seed):
             gw1, gb1 = gy.T @ a, gy.sum(axis=0)
             gh = (gy @ w1) * (hpre > 0).astype(np.float64)
             gw0, gb0 = gh.T @ xb, gh.sum(axis=0)
+            steps.append({"fc0": (gw0, gb0), "fc1": (gw1, gb1)})
             w0, b0 = _f32(w0 - lr * gw0), _f32(b0 - lr * gb0)
             w1, b1 = _f32(w1 - lr * gw1), _f32(b1 - lr * gb1)
-    return w0, b0, w1, b1
+    return (w0, b0, w1, b1), steps
 
 
-def test_criterion_07_qat_beats_ptq_and_matches_plain_sgd():
+def test_criterion_07_qat_beats_ptq_and_matches_plain_sgd(monkeypatch):
     ds = toys.spiral_dataset(n_per_class=120, n_classes=2, seed=0)
     x, y = ds.x, ds.y
 
@@ -434,8 +438,12 @@ def test_criterion_07_qat_beats_ptq_and_matches_plain_sgd():
     x2 = rng.normal(size=(48, 2))
     t2 = rng.normal(size=(48, 3))
     m2 = toys.mlp([2, 5, 3], seed=3)
-    oracle = _sgd_oracle(m2, x2, t2, epochs=3, bs=16, lr=0.05, decay_every=2, seed=11)
+    oracle, oracle_steps = _sgd_oracle(m2, x2, t2, epochs=3, bs=16, lr=0.05, decay_every=2, seed=11)
 
+    # The float32 snap of each update hides a gradient's last bits, so
+    # every step's gradients are compared as well as the weights.
+    steps, real_backward = [], qat.backward
+    monkeypatch.setattr(qat, "backward", lambda *a: steps.append(real_backward(*a)) or steps[-1])
     sim2 = _disable_all(create_quantsim(m2))
     qat_train(
         sim2,
@@ -454,6 +462,11 @@ def test_criterion_07_qat_beats_ptq_and_matches_plain_sgd():
     )
     for a, b in zip(got, oracle):
         assert np.array_equal(a, b)  # bit-identical
+    assert len(steps) == len(oracle_steps) == 9
+    for grads, want in zip(steps, oracle_steps):
+        assert grads.keys() == want.keys()
+        for nid, (gw, gb) in want.items():
+            assert np.array_equal(grads[nid]["weight"], gw) and np.array_equal(grads[nid]["bias"], gb), nid
     _verdict(7, f"qat {acc_qat:.3f} >= ptq {acc_ptq:.3f}; disabled-quantizer run equals SGD exactly")
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -8,15 +9,19 @@ from fixquant import tensor_core as tc
 from fixquant import toys
 from fixquant.amp import (
     CandidatePair,
+    _apply_candidate,
     bit_ops,
     build_pareto,
     choose_mixed_precision,
     find_layer_groups,
+    fingerprint,
     sensitivity_analysis,
 )
 from fixquant.errors import CacheError, EncodingError
 from fixquant.graph_ir import GraphModel, Node
+from fixquant.ptq import fold_batch_norms
 from fixquant.quantsim import compute_encodings, create_quantsim
+from fixquant.range_setting import RangeScheme
 
 CANDS = [(16, 16), (16, 8), (8, 16), (8, 8)]
 CACHE_FILES = ("accuracy_list.json", "pareto_list.json", "sensitivity.csv", "pareto.csv")
@@ -42,6 +47,17 @@ def make_eval(sim, width=6):
         return -float(np.mean((s.forward(x) - ref) ** 2))
 
     return ev
+
+
+def at_all_max(sim):
+    """``sim`` with every group moved to the all-max candidate of CANDS."""
+    for g in find_layer_groups(sim):
+        _apply_candidate(sim, g, CandidatePair(16, 16))
+    return sim
+
+
+def quantizer_state(sim):
+    return {k: (q.enabled, q.bitwidth, q.encodings) for k, q in sim.all_quantizers().items()}
 
 
 class Counting:
@@ -662,12 +678,7 @@ class TestResumedEvaluations:
         assert ev.calls > 1 + 3 * 3 and clones == []
 
     def test_a_raising_phase1_callback_leaves_the_all_max_state(self, tmp_path):
-        from fixquant.amp import _apply_candidate
-
         sim = calibrated_sim()
-        want = sim.clone()
-        for g in find_layer_groups(want):
-            _apply_candidate(want, g, CandidatePair(16, 16))
         ev = Counting(make_eval(sim))
 
         def fourth_raises(s):
@@ -678,8 +689,107 @@ class TestResumedEvaluations:
         with pytest.raises(RuntimeError):
             choose_mixed_precision(sim, CANDS, fourth_raises, ev, 10.0, tmp_path)
         assert ev.calls == 3 and sim._resume is None
+        assert quantizer_state(sim) == quantizer_state(at_all_max(calibrated_sim())) != quantizer_state(calibrated_sim())
 
-        def state(s):
-            return {k: (q.enabled, q.bitwidth, q.encodings) for k, q in s.all_quantizers().items()}
 
-        assert state(sim) == state(want) != state(calibrated_sim())
+class TestFingerprint:
+    """The fingerprint of a sim at all-max: what ties an AMP cache to it."""
+
+    @staticmethod
+    def conv_sim(model=None):
+        model = model if model is not None else fold_batch_norms(toys.conv_bn_relu_conv(seed=0))
+        sim = create_quantsim(model)
+        compute_encodings(sim, toys.random_feed((4, 3, 8, 8), n_batches=1, seed=2))
+        return at_all_max(sim)
+
+    @staticmethod
+    def nudge(sim, key):
+        """One quantizer's first encoding with its scale one float32 ulp up."""
+        spec = sim.all_quantizers()[key]
+        e = spec.encodings[0]
+        spec.encodings[0] = dataclasses.replace(e, scale=float(np.nextafter(np.float32(e.scale), np.float32(np.inf))))
+
+    @staticmethod
+    def flip_byte(sim, nid, name):
+        sim.graph.nodes[nid].weights[name].reshape(-1).view(np.uint8)[3] ^= 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s: TestFingerprint.flip_byte(s, "conv1", "weight"),
+            lambda s: TestFingerprint.flip_byte(s, "conv2", "bias"),  # not quantized
+            lambda s: s.graph.nodes["conv2"].attrs.update(padding=0),
+            lambda s: s.graph.nodes["conv1"].attrs["folded_bn"]["gamma"].__setitem__(0, 0.5),
+            lambda s: TestFingerprint.nudge(s, "conv1.weight"),
+            lambda s: TestFingerprint.nudge(s, "conv2"),
+            lambda s: s.__setattr__("scheme", RangeScheme(kind="sqnr")),
+            lambda s: s.__setattr__("scheme", RangeScheme(per_channel=True)),
+        ],
+        ids=["weight-byte", "bias-byte", "attrs", "folded-bn", "weight-encoding", "output-encoding", "scheme-kind",
+             "scheme-per-channel"],
+    )
+    def test_a_change_to_the_sim_changes_it(self, change):
+        sim = self.conv_sim()
+        before = fingerprint(sim, CANDS)
+        change(sim)
+        assert fingerprint(sim, CANDS) != before
+
+    def test_another_candidate_list_changes_it(self):
+        sim = self.conv_sim()
+        assert fingerprint(sim, CANDS) != fingerprint(sim, CANDS[:3]) != fingerprint(sim, CANDS[::-1])
+
+    def test_a_renamed_node_changes_it(self):
+        model = fold_batch_norms(toys.conv_bn_relu_conv(seed=0))
+        renamed = GraphModel(
+            [
+                dataclasses.replace(n, id="act1" if n.id == "relu1" else n.id,
+                                    inputs=["act1" if i == "relu1" else i for i in n.inputs])
+                for n in model.nodes.values()
+            ],
+            name=model.name,
+        )
+        assert fingerprint(self.conv_sim(renamed), CANDS) != fingerprint(self.conv_sim(model), CANDS)
+
+    def test_a_rewired_input_changes_it(self):
+        """Two identical branches have the same value keys, so only the
+        input ids tell which one feeds which input of their add."""
+        rng = np.random.default_rng(0)
+        w = {"weight": rng.normal(size=(4, 4)), "bias": rng.normal(size=4)}
+
+        def model(add_inputs):
+            return GraphModel([
+                Node("in", "input"),
+                Node("a", "linear", ["in"], weights=w),
+                Node("b", "linear", ["in"], weights={k: v.copy() for k, v in w.items()}),
+                Node("c", "relu", ["a"]),
+                Node("sum", "add", add_inputs),
+                Node("out", "output", ["sum"]),
+            ])
+
+        def sim(m):
+            s = create_quantsim(m)
+            compute_encodings(s, toys.random_feed((8, 4), n_batches=1, seed=3))
+            return at_all_max(s)
+
+        assert fingerprint(sim(model(["c", "b"])), CANDS) != fingerprint(sim(model(["b", "c"])), CANDS)
+
+    def test_equal_sims_share_it(self, tmp_path):
+        sim = self.conv_sim()
+        fp = fingerprint(sim, CANDS)
+        assert fingerprint(self.conv_sim(), CANDS) == fp  # a fresh calibrated sim
+        assert fingerprint(sim.clone(), CANDS) == fp
+        x = toys.random_feed((4, 3, 8, 8), n_batches=1, seed=4)[0]
+        sensitivity_analysis(sim, find_layer_groups(sim), CANDS, lambda s: -float(np.abs(s.forward(x)).sum()), tmp_path)
+        assert fingerprint(sim, CANDS) == fp  # phase 1 restored all-max
+        assert json.loads((tmp_path / "accuracy_list.json").read_text())["fingerprint"] == fp
+
+    def test_a_stale_cache_raises_before_any_evaluation_and_leaves_all_max(self, tmp_path):
+        sim = calibrated_sim()
+        sensitivity_analysis(sim, find_layer_groups(sim), CANDS, make_eval(sim), tmp_path)
+        blob = (tmp_path / "accuracy_list.json").read_bytes()
+        other = calibrated_sim(seed=1)
+        ev = Counting(make_eval(other))
+        with pytest.raises(CacheError, match="different model, calibration or candidate set"):
+            sensitivity_analysis(other, find_layer_groups(other), CANDS, ev, tmp_path)
+        assert ev.calls == 0 and (tmp_path / "accuracy_list.json").read_bytes() == blob
+        assert quantizer_state(other) == quantizer_state(at_all_max(calibrated_sim(seed=1)))

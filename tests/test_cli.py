@@ -186,10 +186,12 @@ def test_amp_search_and_resume(capsys, model_prefix, data_prefix, tmp_path):
         "--allowed-drop", "1.0",
     ]
     assert main(argv) == 0
-    assert "pareto entries:" in capsys.readouterr().out
-    blob = (out / "pareto_list.json").read_bytes()
-    assert main(argv + ["--resume"]) == 0
-    assert (out / "pareto_list.json").read_bytes() == blob
+    stdout = capsys.readouterr().out
+    assert "pareto entries:" in stdout
+    blobs = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(argv + ["--resume"]) == 0  # the same data calibrates to the same fingerprint
+    assert capsys.readouterr().out == stdout
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == blobs
 
 
 def test_amp_bad_candidate_string_is_data_error(capsys, model_prefix, data_prefix, tmp_path):
@@ -247,6 +249,47 @@ def test_amp_resume_on_another_models_cache_is_cache_error(capsys, tmp_path):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:cache: ")
     assert captured.out == ""
+
+
+def test_amp_resume_on_other_data_is_cache_error(capsys, tmp_path):
+    """Another dataset calibrates the same model to other encodings, which
+    the AMP fingerprint covers: resuming from the first dataset's caches
+    would replay scores measured on it."""
+    save_model(toys.mlp([2, 8, 2], seed=0), tmp_path / "net")
+    for seed in (0, 1):
+        save_dataset(toys.spiral_dataset(n_per_class=8, seed=seed), tmp_path / f"d{seed}")
+    argv = ["amp", "--model", str(tmp_path / "net"), "--out", str(tmp_path / "amp"), "--allowed-drop", "0.05"]
+    assert main(argv + ["--data", str(tmp_path / "d0")]) == 0
+    blobs = {p.name: p.read_bytes() for p in (tmp_path / "amp").iterdir()}
+    capsys.readouterr()
+    assert main(argv + ["--data", str(tmp_path / "d1"), "--resume"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:cache: ") and "calibration" in lines[0]
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in (tmp_path / "amp").iterdir()} == blobs
+
+
+BITWIDTH_CASES = [
+    (command, option, value)
+    for command, option in [
+        ("quantsim", "--param-bw"),
+        ("quantsim", "--output-bw"),
+        ("amp", "--param-bw"),
+        ("adaround", "--param-bw"),
+        ("debug", "--target-bw"),
+    ]
+    for value in ("0", "1", "33", "-4")
+]
+
+
+@pytest.mark.parametrize("command, option, value", BITWIDTH_CASES, ids=[" ".join(c) for c in BITWIDTH_CASES])
+def test_out_of_range_bitwidth_is_rejected_while_parsing(capsys, model_prefix, data_prefix, tmp_path, command, option, value):
+    out = tmp_path / "o"
+    argv = [command, "--model", model_prefix, "--data", data_prefix, "--out", str(out), option, value]
+    assert main(argv + (["--seed", "0"] if command == "adaround" else [])) == 3
+    assert capsys.readouterr().err == f"error:encoding: bitwidth {value} is not an integer in [2, 32]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("candidates", ["16", "16,16;x,8", "16,16;8,8,8"])
