@@ -17,11 +17,11 @@ sum back through its transpose :func:`windows_adjoint`. No kernel slices
 patches out of an input itself.
 
 conv2d sums each output in the order of one small einsum per output
-position. For 1x1 kernels, and for depthwise kernels (one input and one
-output channel per group) whose output is at least 2x2, a single einsum
-over the whole window view sums in that same order, so conv2d takes it
-there; elsewhere it loops over positions. :func:`conv_patches` lays the
-windows out as a patch matrix for callers that run a layer as a GEMM.
+position, on one of three paths that keep it (see its docstring): one
+einsum over the window view for 1x1 and depthwise kernels, one contraction
+per sample over patch rows when no axis of that einsum has length 1, and
+the per-position loop elsewhere. :func:`conv_patches` lays out the same
+patch rows, for all samples, for callers that run a layer as a GEMM.
 """
 
 from __future__ import annotations
@@ -168,9 +168,18 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
 
     groups splits input and output channels; groups == C gives a depthwise
     convolution. No dilation. Zero padding.
+
+    Each output sums in the order of the per-position einsum
+    ``ncij,ocij->no`` over its window, on one of three paths: one einsum
+    over the window view for 1x1 kernels and for depthwise ones with an
+    output of at least 2x2; with n, og, cg, kh and kw all above 1, one
+    ``gpk,gok->gop`` contraction per sample over its patch rows, which
+    numpy sums row by row in that order; elsewhere the loop itself. A
+    length-1 axis lets numpy walk the per-position einsum another way
+    (n == 1 moved bits on 23 of 166 random shapes), hence the guard.
     """
     x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(weight, dtype=np.float64)
+    w = np.ascontiguousarray(weight, dtype=np.float64)  # its layout would steer the summation order
     groups = _conv_groups(x.shape, w.shape, groups)
     n = x.shape[0]
     o, cg, kh, kw = w.shape
@@ -181,8 +190,13 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
         pg = p.reshape(n, groups, cg, oh, ow, kh, kw)
         wg = w.reshape(groups, og, cg, kh, kw)
         out = np.einsum("ngchwab,gocab->ngohw", pg, wg).reshape(n, o, oh, ow)
+    elif min(n, og, cg, kh, kw) > 1:
+        pg, wg = p.reshape(n, groups, 1, cg, oh, ow, kh, kw), w.reshape(groups, og, -1)
+        out = np.empty((n, o, oh, ow), dtype=np.float64)
+        for s, out_s in enumerate(out.reshape(n, groups, og, oh * ow)):  # one sample's rows at a time
+            np.einsum("gpk,gok->gop", _patch_rows(pg[s]), wg, out=out_s)
     else:
-        # Per position: no single einsum on a strided window view sums in this order.
+        # Per position, the order the other two paths keep.
         out = np.empty((n, o, oh, ow), dtype=np.float64)
         for g in range(groups):
             pg = p[:, g * cg : (g + 1) * cg]
@@ -198,6 +212,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     return ensure_finite(out, "conv2d output")
 
 
+def _patch_rows(p) -> np.ndarray:
+    """(..., N, C, Ho, Wo, kh, kw) windows as (..., N*Ho*Wo, C*kh*kw) patch rows."""
+    *lead, n, c, oh, ow, kh, kw = p.shape
+    return p.swapaxes(-5, -4).swapaxes(-4, -3).reshape(*lead, n * oh * ow, c * kh * kw)
+
+
 def conv_patches(x, weight_shape, stride=1, padding=0, groups=1) -> np.ndarray:
     """The conv2d input as one contiguous patch matrix per group.
 
@@ -208,12 +228,8 @@ def conv_patches(x, weight_shape, stride=1, padding=0, groups=1) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     groups = _conv_groups(x.shape, weight_shape, groups)
-    n, c = x.shape[:2]
-    kh, kw = weight_shape[2:]
-    p = windows(x, (kh, kw), stride, padding)
-    oh, ow = p.shape[2:4]
-    p = p.reshape(n, groups, c // groups, oh, ow, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
-    return p.reshape(groups, n * oh * ow, -1)
+    p = windows(x, weight_shape[2:], stride, padding)
+    return _patch_rows(p.reshape(len(p), groups, x.shape[1] // groups, *p.shape[2:]).swapaxes(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixquant import tensor_core as tc
@@ -302,6 +303,62 @@ def test_conv2d_single_einsum_shapes_equal_loop_oracle(shape, out_channels, grou
     w = rng.normal(size=(out_channels, shape[1] // groups, kh, kw))
     y = tc.conv2d(x, w, stride=stride, padding=padding, groups=groups)
     assert np.array_equal(y, _conv2d_loop(x, w, stride, padding, groups))
+
+
+@st.composite
+def conv_cases(draw):
+    """(x shape, w shape, stride, padding, groups, seed) of a conv that fits.
+    Half the draws have n, og, cg, kh and kw all above 1 and take the patch
+    contraction; the rest mostly take the loop or the single einsum."""
+    lo = 2 if draw(st.booleans()) else 1
+    n, og, cg, kh, kw = (draw(st.integers(lo, 5)) for _ in range(5))
+    groups = draw(st.integers(1, 3))
+    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    h = draw(st.integers(max(1, kh - 2 * padding[0]), 20))
+    w = draw(st.integers(max(1, kw - 2 * padding[1]), 20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (n, groups * cg, h, w), (groups * og, cg, kh, kw), stride, padding, groups, seed
+
+
+def _workload_case(n, c):
+    return (n, c, 16, 16), (16, c, 3, 3), 1, 1, 1, n + c
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=conv_cases())
+@example(case=_workload_case(8, 3))
+@example(case=_workload_case(8, 16))
+@example(case=_workload_case(16, 3))
+@example(case=_workload_case(16, 16))
+@example(case=_workload_case(32, 3))
+@example(case=_workload_case(32, 16))
+@example(case=_workload_case(128, 3))
+@example(case=_workload_case(128, 16))
+def test_conv2d_equals_loop_oracle_over_drawn_shapes(case):
+    x_shape, w_shape, stride, padding, groups, seed = case
+    rng = np.random.default_rng(seed)
+    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    y = tc.conv2d(x, w, stride=stride, padding=padding, groups=groups)
+    assert np.array_equal(y, _conv2d_loop(x, w, stride, padding, groups))
+    # the same weight in Fortran order gives the same bits
+    w_f = np.asfortranarray(w)
+    assert np.array_equal(tc.conv2d(x, w_f, stride=stride, padding=padding, groups=groups), y)
+
+
+def test_conv2d_lays_out_one_sample_of_patches_at_a_time():
+    rng = np.random.default_rng(26)
+    x, w = rng.normal(size=(128, 16, 16, 16)), rng.normal(size=(16, 16, 3, 3))
+    out_bytes, padded_bytes = x.nbytes, x.nbytes // 256 * 18 * 18
+    sample_patch_bytes = 9 * x[0].nbytes
+    tracemalloc.start()
+    try:
+        tc.conv2d(x, w, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The whole batch's patch matrix would add 9 * x.nbytes, 37.7 MB.
+    assert peak < out_bytes + padded_bytes + 4 * sample_patch_bytes
 
 
 @pytest.mark.parametrize("groups", [1, 2, 4])
