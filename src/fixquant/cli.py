@@ -117,16 +117,13 @@ def _outdir(args) -> Path:
 
 
 def _build_sim(args, model, ds=None):
-    sim = create_quantsim(
-        model,
-        default_param_bw=args.param_bw,
-        default_output_bw=args.output_bw,
-        scheme=_scheme(args),
-        config=_config(args),
-    )
-    if ds is not None:
-        compute_encodings(sim, iter_batches(ds.x))
-    return sim
+    """A sim at the parsed bitwidths and config, calibrated on ``ds`` with the parsed
+    scheme; without ``ds``, holding --encodings frozen, granularity included."""
+    scheme = None if ds is None else _scheme(args)
+    sim = create_quantsim(model, args.param_bw, args.output_bw, scheme, _config(args))
+    if ds is None:
+        return import_encodings(sim, args.encodings, freeze=True)
+    return compute_encodings(sim, iter_batches(ds.x))
 
 
 def cmd_quantsim(args, model, ds, out) -> None:
@@ -159,12 +156,7 @@ def cmd_calibrate(args, model, ds, out) -> None:
 
 
 def cmd_eval(args, model, ds, out) -> None:
-    if args.encodings:
-        sim = _build_sim(args, model)
-        import_encodings(sim, args.encodings, freeze=True)
-        value = evaluate(sim, ds)
-    else:
-        value = evaluate(model, ds)
+    value = evaluate(_build_sim(args, model) if args.encodings else model, ds)
     print(f"metric {ds.metric} {value:.6f}")
 
 
@@ -226,7 +218,9 @@ def _parse_candidates(text: str) -> list[CandidatePair]:
 
 
 def cmd_amp(args, model, ds, out) -> None:
-    sim = _build_sim(args, model, ds)
+    # The search sets every quantizer's bitwidth from --candidates.
+    sim = create_quantsim(model, scheme=_scheme(args), config=_config(args))
+    compute_encodings(sim, iter_batches(ds.x))
     n1 = min(args.phase1_samples, len(ds))
     ds1 = Dataset(ds.x[:n1], ds.y[:n1], metric=ds.metric)
 
@@ -256,9 +250,7 @@ def cmd_amp(args, model, ds, out) -> None:
 
 
 def cmd_export(args, model, ds, out) -> None:
-    sim = _build_sim(args, model)
-    import_encodings(sim, args.encodings, freeze=True)
-    export(sim, out / "exported")
+    export(_build_sim(args, model), out / "exported")
     print(f"wrote {out}/exported.model.json, .weights.bin, .encodings.json")
 
 
@@ -299,35 +291,40 @@ def cmd_debug(args, model, ds, out) -> None:
     print(f"wrote {out}/debug_report.json, debug_layers.csv")
 
 
-class _Command(NamedTuple):
-    """A subcommand: which of --data, --out and the sim options main reads
-    for it, and its own options as {flag: add_argument keywords}."""
-
-    func: Callable
-    help: str
-    data: bool = True
-    out: bool = True
-    sim: bool = True
-    options: dict = {}
-
-
-_SIM_OPTIONS = {
+# The options that more than one subcommand reads: main reads --data and
+# --out, the command functions the rest.
+_SHARED_OPTIONS = {
+    "--data": dict(required=True, help="dataset file prefix (expects PREFIX.data.json + PREFIX.data.bin)"),
+    "--out": dict(required=True, help="output directory"),
     "--param-bw": dict(type=_bitwidth, default=8, help="weight bitwidth (default 8)"),
     "--output-bw": dict(type=_bitwidth, default=8, help="activation bitwidth (default 8)"),
     "--scheme": dict(choices=["min_max", "sqnr"], default="min_max", help="range setting scheme"),
-    "--per-channel": dict(action="store_true", help="per-channel weight grids"),
+    "--per-channel": dict(action="store_true", help="one weight grid per output channel of every conv and linear"),
     "--config": dict(default=None, help="quantizer placement config JSON"),
 }
 
+
+class _Command(NamedTuple):
+    """A subcommand: the shared options it reads, and its own options as
+    {flag: add_argument keywords}."""
+
+    func: Callable
+    help: str
+    shared: tuple = tuple(_SHARED_OPTIONS)
+    options: dict = {}
+
+
 _COMMANDS = {
     "quantsim": _Command(cmd_quantsim, "build, calibrate, and export a quantized simulation"),
-    "fold-bn": _Command(cmd_fold_bn, "fold batch norms into preceding layers", data=False, sim=False),
-    "equalize": _Command(cmd_equalize, "cross-layer equalization (fold, scale, absorb)", data=False, sim=False),
+    "fold-bn": _Command(cmd_fold_bn, "fold batch norms into preceding layers", shared=("--out",)),
+    "equalize": _Command(cmd_equalize, "cross-layer equalization (fold, scale, absorb)", shared=("--out",)),
     "calibrate": _Command(cmd_calibrate, "compute encodings from data and write encodings JSON"),
-    "eval": _Command(cmd_eval, "evaluate a model (float, or quantized with --encodings)", out=False, options={
+    "eval": _Command(cmd_eval, "evaluate a model (float, or quantized with --encodings)",
+                     shared=("--data", "--param-bw", "--output-bw", "--config"), options={
         "--encodings": dict(default=None, help="encodings JSON to import before evaluating"),
     }),
-    "adaround": _Command(cmd_adaround, "optimize weight rounding against layer outputs", options={
+    "adaround": _Command(cmd_adaround, "optimize weight rounding against layer outputs",
+                         shared=("--data", "--out", "--param-bw", "--scheme", "--per-channel"), options={
         "--seed": dict(type=_at_least(0), required=True, help="rng seed (required, results are stochastic)"),
         "--iterations": dict(type=_at_least(1), default=10_000),
         "--reg": dict(type=_float_where(lambda v: 0 <= v < math.inf, "a finite number >= 0"), default=0.01,
@@ -344,7 +341,8 @@ _COMMANDS = {
         "--batch-size": dict(type=_at_least(1), default=32),
         "--refresh-ranges": dict(action="store_true", help="recompute ranges after each epoch"),
     }),
-    "amp": _Command(cmd_amp, "mixed-precision search over layer groups", options={
+    "amp": _Command(cmd_amp, "mixed-precision search over layer groups",
+                    shared=("--data", "--out", "--scheme", "--per-channel", "--config"), options={
         "--candidates": dict(type=_parse_candidates, default="16,16;16,8;8,16",
                              help="semicolon-separated act,param bitwidth pairs (default '16,16;16,8;8,16')"),
         "--allowed-drop": dict(type=_float_where(lambda v: v >= 0, "a number >= 0"), default=0.5,
@@ -352,17 +350,14 @@ _COMMANDS = {
         "--resume": dict(action="store_true", help="reuse caches in --out (default wipes them)"),
         "--phase1-samples": dict(type=_at_least(1), default=256, help="samples for the fast phase-1 eval"),
     }),
-    "export": _Command(cmd_export, "re-emit model + encodings as canonical artifact files", data=False, options={
+    "export": _Command(cmd_export, "re-emit model + encodings as canonical artifact files",
+                       shared=("--out", "--param-bw", "--output-bw", "--config"), options={
         "--encodings": dict(required=True, help="encodings JSON to import (frozen)"),
     }),
-    "visualize": _Command(cmd_visualize, "emit plot data CSVs", data=False, sim=False, options={
-        "--what": dict(choices=["ranges"], default="ranges"),
-    }),
-    "debug": _Command(cmd_debug, "staged diagnosis of quantization accuracy loss", sim=False, options={
-        "--target-bw": dict(type=_bitwidth, default=8),
-        "--scheme": dict(choices=["min_max", "sqnr"], default="min_max"),
-        "--per-channel": dict(action="store_true"),
-        "--config": dict(default=None),
+    "visualize": _Command(cmd_visualize, "emit plot data CSVs", shared=("--out",)),
+    "debug": _Command(cmd_debug, "staged diagnosis of quantization accuracy loss",
+                      shared=("--data", "--out", "--scheme", "--per-channel", "--config"), options={
+        "--target-bw": dict(type=_bitwidth, default=8, help="bitwidth of every quantizer (default 8)"),
     }),
 }
 
@@ -377,11 +372,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=c.help)
         p.set_defaults(func=c.func, data=None, out=None)
         p.add_argument("--model", required=True, help="model file prefix (expects PREFIX.model.json + PREFIX.weights.bin)")
-        if c.data:
-            p.add_argument("--data", required=True, help="dataset file prefix (expects PREFIX.data.json + PREFIX.data.bin)")
-        if c.out:
-            p.add_argument("--out", required=True, help="output directory")
-        for flag, kwargs in [*(_SIM_OPTIONS.items() if c.sim else ()), *c.options.items()]:
+        for flag, kwargs in [*((f, _SHARED_OPTIONS[f]) for f in c.shared), *c.options.items()]:
             p.add_argument(flag, **kwargs)
     return parser
 

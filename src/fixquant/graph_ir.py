@@ -58,7 +58,7 @@ NODE_KINDS = {
 WEIGHTED_KINDS = {"linear", "conv2d", "batchnorm"}
 MAC_KINDS = {"linear", "conv2d"}
 
-_REQUIRED_WEIGHTS = {
+REQUIRED_WEIGHTS = {
     "linear": ("weight", "bias"),
     "conv2d": ("weight", "bias"),
     "batchnorm": ("gamma", "beta", "mean", "var"),
@@ -81,7 +81,7 @@ class Node:
         if bool(self.weights) != (self.kind in WEIGHTED_KINDS):
             state = "must" if self.kind in WEIGHTED_KINDS else "must not"
             raise GraphError(f"{self.kind} node {self.id!r} {state} carry weight tensors")
-        for name in _REQUIRED_WEIGHTS.get(self.kind, ()):
+        for name in REQUIRED_WEIGHTS.get(self.kind, ()):
             if name not in self.weights:
                 raise GraphError(f"{self.kind} node {self.id!r} is missing tensor {name!r}")
         self.weights = {k: tc.f32(v) for k, v in self.weights.items()}

@@ -41,8 +41,10 @@ from .quantsim import (
     encodings_to_dict,
     float_channel_means,
     import_encodings,
+    weight_channel_axis,
+    weight_encodings,
 )
-from .range_setting import WEIGHT_CHANNEL_AXIS, RangeAccumulator, RangeScheme, compute_encodings_from_accumulator
+from .range_setting import RangeScheme
 
 __all__ = [
     "fold_batch_norms",
@@ -625,11 +627,8 @@ def adaround(
         node = out.nodes[nid]
         w = node.weights["weight"]
 
-        axis = WEIGHT_CHANNEL_AXIS if scheme.per_channel else None
-        acc = RangeAccumulator(channel_axis=axis)
-        acc.observe(w)
-        spec = QuantizerSpec(param_bw, symmetric=True, channel_axis=axis, frozen=True)
-        spec.encodings = compute_encodings_from_accumulator(acc, param_bw, symmetric=True, scheme=scheme)
+        spec = QuantizerSpec(param_bw, True, weight_channel_axis(node.kind, "weight", scheme), frozen=True)
+        spec.encodings = weight_encodings(w, spec, scheme)
         frozen[f"{nid}.weight"] = spec
         s, zp, q_lo, q_hi = grid(spec, w)
 

@@ -59,7 +59,7 @@ BIAS_CORRECT_SAMPLES = 512
 DEFAULT_CONFIG_DICT = {
     "defaults": {
         "ops": {"is_output_quantized": True, "is_symmetric": False},
-        "params": {"is_quantized": True, "is_symmetric": True, "per_channel": False},
+        "params": {"is_quantized": True, "is_symmetric": True},
     },
     "params": {"bias": {"is_quantized": False}},
     "op_type": {},
@@ -75,23 +75,31 @@ DEFAULT_CONFIG_DICT = {
 
 
 # The shape of a placement config. A dict is an object whose keys must
-# appear in it ("*" stands for any key); a leaf is the (kind, check) of
-# graph_ir.field. Every rule is an object of bool flags.
+# appear in it; a leaf is the (kind, check) of graph_ir.field. A rule is an
+# object of the bool flags that create_quantsim reads, and ``defaults``
+# holds one rule for op outputs and one for parameters.
 _FLAG = (bool, None)
-_RULE = {"*": _FLAG}
+_RULES = {
+    "ops": {"is_output_quantized": _FLAG, "is_symmetric": _FLAG},
+    "params": {"is_quantized": _FLAG, "is_symmetric": _FLAG},
+}
+_PARAMS = dict.fromkeys((name for names in gir.REQUIRED_WEIGHTS.values() for name in names), _RULES["params"])
 _CONFIG_SCHEMA = {
-    "defaults": {"*": _RULE},
-    "params": {"*": _RULE},
-    "op_type": {"*": {"params": {"*": _RULE}, "*": _FLAG}},
-    "supergroups": (list, lambda v: all(isinstance(p, list) and all(isinstance(k, str) for k in p) for p in v)),
-    "model_input": _RULE,
-    "model_output": _RULE,
+    "defaults": _RULES,
+    "params": _PARAMS,
+    "op_type": {kind: {"params": _PARAMS, **_RULES["ops"]} for kind in gir.NODE_KINDS},
+    # every supergroup chains two or more node kinds
+    "supergroups": (list, lambda v: all(
+        isinstance(p, list) and len(p) > 1 and all(isinstance(k, str) and k in gir.NODE_KINDS for k in p) for p in v
+    )),
+    "model_input": {"is_input_quantized": _FLAG},
+    "model_output": {"is_output_quantized": _FLAG},
 }
 
 
 def _conform(doc: dict, schema: dict, where: str) -> None:
     for key in doc:
-        want = schema.get(key, schema.get("*"))
+        want = schema.get(key)
         if want is None:
             raise ModelFormatError(f"{where}: unknown field {key!r}")
         if isinstance(want, dict):
@@ -132,9 +140,9 @@ class SimConfig:
     # -- resolution ------------------------------------------------------
 
     def resolve_param(self, kind: str, param: str) -> dict:
-        """Effective (is_quantized, is_symmetric, per_channel) for one parameter."""
+        """Effective (is_quantized, is_symmetric) for one parameter."""
         return {
-            "is_quantized": True, "is_symmetric": True, "per_channel": False,
+            "is_quantized": True, "is_symmetric": True,
             **self.defaults.get("params", {}),
             **self.params.get(param, {}),
             **self.op_type.get(kind, {}).get("params", {}).get(param, {}),
@@ -296,22 +304,24 @@ def _supergroup_suppressed(graph: GraphModel, config: SimConfig) -> set[str]:
     consumers = graph.consumers()
     suppressed: set[str] = set()
     for pattern in config.supergroups:
-        if len(pattern) < 2:
-            continue
         for nid, node in graph.nodes.items():
             if node.kind != pattern[0]:
                 continue
             chain = [node]
-            ok = True
             for want in pattern[1:]:
                 cons = consumers[chain[-1].id]
                 if len(cons) != 1 or graph.nodes[cons[0]].kind != want:
-                    ok = False
                     break
                 chain.append(graph.nodes[cons[0]])
-            if ok:
+            else:
                 suppressed.update(n.id for n in chain[:-1])
     return suppressed
+
+
+def weight_channel_axis(kind: str, param: str, scheme: RangeScheme) -> int | None:
+    """The channel axis of a parameter's quantizer: the output channels of
+    a MAC weight when ``scheme.per_channel`` is set, else none."""
+    return WEIGHT_CHANNEL_AXIS if scheme.per_channel and param == "weight" and kind in gir.MAC_KINDS else None
 
 
 def create_quantsim(
@@ -321,7 +331,8 @@ def create_quantsim(
     scheme: RangeScheme | None = None,
     config: SimConfig | None = None,
 ) -> QuantSimModel:
-    """Attach quantizers to a model according to the placement config."""
+    """Attach quantizers to a model according to the placement config;
+    ``scheme.per_channel`` gives every MAC weight one grid per output channel."""
     scheme = scheme or RangeScheme()
     config = config or SimConfig.default()
     graph = model.copy()
@@ -340,11 +351,10 @@ def create_quantsim(
         for pname in node.weights:
             rule = config.resolve_param(node.kind, pname)
             if rule["is_quantized"]:
-                per_channel = rule["per_channel"] and pname == "weight" and node.kind in gir.MAC_KINDS
                 param_q[f"{nid}.{pname}"] = QuantizerSpec(
                     bitwidth=default_param_bw,
                     symmetric=bool(rule["is_symmetric"]),
-                    channel_axis=WEIGHT_CHANNEL_AXIS if per_channel else None,
+                    channel_axis=weight_channel_axis(node.kind, pname, scheme),
                 )
 
         if node.kind in ("output", "maxpool"):
@@ -374,6 +384,13 @@ def create_quantsim(
 # Calibration
 
 
+def weight_encodings(w: np.ndarray, spec: QuantizerSpec, scheme: RangeScheme) -> list[QuantEncoding]:
+    """The encodings ``scheme`` derives from weight ``w`` at ``spec``'s bitwidth, symmetry and axis."""
+    acc = RangeAccumulator(channel_axis=spec.channel_axis)
+    acc.observe(w)
+    return compute_encodings_from_accumulator(acc, spec.bitwidth, spec.symmetric, scheme)
+
+
 def compute_param_encodings(sim: QuantSimModel, keys=None) -> None:
     """(Re)derive weight encodings from the current weight values."""
     for key, spec in sim.param_quantizers.items():
@@ -382,12 +399,7 @@ def compute_param_encodings(sim: QuantSimModel, keys=None) -> None:
         if spec.frozen or not spec.enabled:
             continue
         nid, pname = key.rsplit(".", 1)
-        arr = sim.graph.nodes[nid].weights[pname]
-        acc = RangeAccumulator(channel_axis=spec.channel_axis)
-        acc.observe(arr)
-        spec.set_encodings(
-            compute_encodings_from_accumulator(acc, spec.bitwidth, spec.symmetric, sim.scheme)
-        )
+        spec.set_encodings(weight_encodings(sim.graph.nodes[nid].weights[pname], spec, sim.scheme))
 
 
 def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
@@ -608,10 +620,8 @@ def import_encodings(sim: QuantSimModel, source, freeze: bool = False) -> QuantS
             entry_frozen = any(gir.field(d, "frozen", bool, where, False) for d in entries)
             spec.enabled = True
             spec.symmetric = encs[0].symmetric
-            if spec.per_channel and len(encs) == 1:
-                spec.channel_axis = None
-            elif not spec.per_channel and len(encs) > 1:
-                spec.channel_axis = WEIGHT_CHANNEL_AXIS  # per-channel grids exist only on weights
+            # the file sets the granularity; per-channel grids exist only on weights
+            spec.channel_axis = WEIGHT_CHANNEL_AXIS if len(encs) > 1 else None
             spec.set_encodings(encs, frozen=bool(freeze or entry_frozen))
             seen.add(key)
         # The file omits disabled quantizers, so a quantizer the file skips

@@ -54,7 +54,7 @@ def inputs(tmp_path_factory):
 
 def test_every_command_has_numeric_options():
     assert all(numeric_options(c) for c in COMMANDS)
-    assert {"--param-bw", "--output-bw", "--phase1-samples", "--allowed-drop"} <= set(numeric_options("amp"))
+    assert {"--phase1-samples", "--allowed-drop"} <= set(numeric_options("amp"))
 
 
 @pytest.mark.parametrize("command, option, value", CASES, ids=[" ".join(c) for c in CASES])

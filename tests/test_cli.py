@@ -51,6 +51,33 @@ def test_missing_required_arg_is_usage_error(capsys, data_prefix, tmp_path):
     assert main(["quantsim", "--data", data_prefix, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("eval", "--scheme sqnr"),
+        ("eval", "--per-channel"),
+        ("export", "--scheme sqnr"),
+        ("export", "--per-channel"),
+        ("adaround", "--output-bw 4"),
+        ("adaround", "--config c.json"),
+        ("amp", "--param-bw 4"),
+        ("amp", "--output-bw 4"),
+        ("visualize", "--what ranges"),
+    ],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, model_prefix, data_prefix, tmp_path, command, option):
+    inputs = {
+        "eval": ["--data", data_prefix, "--encodings", "e.json"],
+        "export": ["--encodings", "e.json", "--out", str(tmp_path / "o")],
+        "adaround": ["--data", data_prefix, "--seed", "0", "--out", str(tmp_path / "o")],
+        "amp": ["--data", data_prefix, "--out", str(tmp_path / "o")],
+        "visualize": ["--out", str(tmp_path / "o")],
+    }[command]
+    assert main([command, "--model", model_prefix, *inputs, *option.split()]) == 2
+    assert capsys.readouterr().err == f"error:usage: unrecognized arguments: {option}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_model_file_exits_data_error(capsys, data_prefix, tmp_path):
     rc = main(
         ["quantsim", "--model", str(tmp_path / "nope"), "--data", data_prefix, "--out", str(tmp_path / "o")]
@@ -275,7 +302,7 @@ BITWIDTH_CASES = [
     for command, option in [
         ("quantsim", "--param-bw"),
         ("quantsim", "--output-bw"),
-        ("amp", "--param-bw"),
+        ("bias-correct", "--param-bw"),
         ("adaround", "--param-bw"),
         ("debug", "--target-bw"),
     ]
@@ -474,6 +501,9 @@ def _set(*path, value=None, drop=False):
         ("config", lambda doc: [{"a": 1}]),
         ("config", _set("defaults", value="x")),
         ("config", _set("supergroups", value=[1])),
+        ("config", _set("defaults", value={"params": {"per_channel": True}})),
+        ("config", _set("defaults", value={"params": {"is_symetric": False}})),
+        ("config", _set("op_type", value={"Linear": {"is_output_quantized": False}})),
     ],
     ids=[
         "encodings-entries-empty", "encodings-entries-true", "encodings-section-list",
@@ -481,6 +511,7 @@ def _set(*path, value=None, drop=False):
         "dataset-negative-offset", "dataset-no-offset", "dataset-shape-string", "model-no-offset",
         "model-offset-string", "model-shape-string", "model-spec-int", "model-id-object",
         "model-attrs-string", "config-list", "config-defaults-string", "config-supergroup-int",
+        "config-per-channel", "config-misspelled-flag", "config-op-type-case",
     ],
 )
 def test_malformed_file_is_one_format_error_line(capsys, model_prefix, data_prefix, tmp_path, target, mutate):

@@ -46,8 +46,7 @@ SCRIPTS = ("run_ptq_spiral.py", "run_qat_spiral.py", "run_amp_search.py")
 # {d}/<name>, except where another run's output is its input.
 RUNS = {
     "quantsim": "quantsim --model {d}/mlp --data {d}/spiral300 --out {d}/quantsim",
-    # --per-channel reaches only adaround today, so this run's weight grids
-    # are per-tensor; making the flag work will move its encodings.
+    # --per-channel gives conv1.weight and conv2.weight one grid per output channel
     "quantsim-sqnr-per-channel": "quantsim --model {d}/conv --data {d}/images --scheme sqnr --per-channel"
     " --param-bw 4 --out {d}/quantsim-sqnr-per-channel",
     "fold-bn": "fold-bn --model {d}/convbn --out {d}/fold-bn",

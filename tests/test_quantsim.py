@@ -95,6 +95,27 @@ class TestSimConfig:
         with pytest.raises(ModelFormatError, match=where):
             SimConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"defaults": {"params": {"is_symetric": False}}}, "defaults.params: unknown field 'is_symetric'"),
+            ({"defaults": {"ops": {"is_quantized": False}}}, "defaults.ops: unknown field 'is_quantized'"),
+            ({"defaults": {"op": {}}}, "defaults: unknown field 'op'"),
+            ({"params": {"weigth": {"is_quantized": False}}}, "params: unknown field 'weigth'"),
+            ({"params": {"bias": {"is_output_quantized": True}}}, "params.bias: unknown field 'is_output_quantized'"),
+            ({"op_type": {"Conv2d": {"is_output_quantized": False}}}, "op_type: unknown field 'Conv2d'"),
+            ({"op_type": {"relu": {"is_quantized": False}}}, "op_type.relu: unknown field 'is_quantized'"),
+            ({"op_type": {"conv2d": {"params": {"kernel": {}}}}}, "op_type.conv2d.params: unknown field 'kernel'"),
+            ({"supergroups": [["conv2d"]]}, "field 'supergroups'"),
+            ({"supergroups": [["conv2d", "Relu"]]}, "field 'supergroups'"),
+            ({"model_input": {"is_output_quantized": True}}, "model_input: unknown field 'is_output_quantized'"),
+            ({"model_output": {"is_input_quantized": True}}, "model_output: unknown field 'is_input_quantized'"),
+        ],
+    )
+    def test_every_name_is_one_that_something_reads(self, doc, where):
+        with pytest.raises(ModelFormatError, match=where):
+            SimConfig.from_dict(doc)
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model_input": {"is_input_quantized": True}}))
@@ -118,7 +139,7 @@ class TestPlacement:
     def test_final_output_always_quantized(self):
         # fc1 feeds the output node; even with op outputs globally off it keeps
         # a quantizer because the model output section demands one
-        cfg = SimConfig.from_dict({"defaults": {"ops": {"is_output_quantized": False}, "params": {"is_quantized": True, "is_symmetric": True, "per_channel": False}}})
+        cfg = SimConfig.from_dict({"defaults": {"ops": {"is_output_quantized": False}, "params": {"is_quantized": True, "is_symmetric": True}}})
         sim = create_quantsim(toys.mlp([4, 8, 3], seed=0), config=cfg)
         assert "fc1" in sim.activation_quantizers
         assert "act0" not in sim.activation_quantizers
@@ -169,7 +190,7 @@ class TestPlacement:
 
     def test_per_channel_weights_when_configured(self):
         cfg = SimConfig.from_dict(
-            {"defaults": {"ops": {"is_output_quantized": True, "is_symmetric": False}, "params": {"is_quantized": True, "is_symmetric": True, "per_channel": True}}}
+            {"defaults": {"ops": {"is_output_quantized": True, "is_symmetric": False}, "params": {"is_quantized": True, "is_symmetric": True}}}
         )
         model = toys.mlp([4, 8, 3], seed=0)
         sim = create_quantsim(model, scheme=RangeScheme(per_channel=True), config=cfg)
@@ -177,6 +198,20 @@ class TestPlacement:
         spec = sim.param_quantizers["fc0.weight"]
         assert spec.per_channel
         assert len(spec.encodings) == 8  # one per output row
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_the_scheme_alone_gives_mac_weights_per_channel_grids(self, per_channel):
+        cfg = SimConfig.from_dict({"params": {"bias": {"is_quantized": True}}})
+        sim = create_quantsim(pool_graph(), scheme=RangeScheme(per_channel=per_channel), config=cfg)
+        compute_encodings(sim, toys.random_feed((2, 3, 8, 8), n_batches=2))
+        weights = {"conv.weight": 4, "fc.weight": 2} if per_channel else {"conv.weight": 1, "fc.weight": 1}
+        assert {k: len(s.encodings) for k, s in sim.param_quantizers.items()} == {
+            **weights, "conv.bias": 1, "fc.bias": 1,
+        }
+
+    def test_a_config_cannot_set_the_weight_granularity(self):
+        with pytest.raises(ModelFormatError, match="unknown field 'per_channel'"):
+            SimConfig.from_dict({"defaults": {"params": {"is_quantized": True, "per_channel": True}}})
 
     def test_custom_supergroup_list(self):
         cfg = SimConfig.from_dict({"supergroups": []})
