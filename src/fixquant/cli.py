@@ -304,6 +304,15 @@ _SHARED_OPTIONS = {
 }
 
 
+class _Given(argparse.Action):
+    """Stores an option's value and adds its flag to ``args.given``: eval
+    reads --param-bw, --output-bw and --config only with --encodings."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = [*namespace.given, self.option_strings[0]]
+
+
 class _Command(NamedTuple):
     """A subcommand: the shared options it reads, and its own options as
     {flag: add_argument keywords}."""
@@ -319,9 +328,9 @@ _COMMANDS = {
     "fold-bn": _Command(cmd_fold_bn, "fold batch norms into preceding layers", shared=("--out",)),
     "equalize": _Command(cmd_equalize, "cross-layer equalization (fold, scale, absorb)", shared=("--out",)),
     "calibrate": _Command(cmd_calibrate, "compute encodings from data and write encodings JSON"),
-    "eval": _Command(cmd_eval, "evaluate a model (float, or quantized with --encodings)",
-                     shared=("--data", "--param-bw", "--output-bw", "--config"), options={
+    "eval": _Command(cmd_eval, "evaluate a model (float, or quantized with --encodings)", shared=("--data",), options={
         "--encodings": dict(default=None, help="encodings JSON to import before evaluating"),
+        **{f: {**_SHARED_OPTIONS[f], "action": _Given} for f in ("--param-bw", "--output-bw", "--config")},
     }),
     "adaround": _Command(cmd_adaround, "optimize weight rounding against layer outputs",
                          shared=("--data", "--out", "--param-bw", "--scheme", "--per-channel"), options={
@@ -370,7 +379,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=c.help)
-        p.set_defaults(func=c.func, data=None, out=None)
+        p.set_defaults(func=c.func, data=None, out=None, given=[])
         p.add_argument("--model", required=True, help="model file prefix (expects PREFIX.model.json + PREFIX.weights.bin)")
         for flag, kwargs in [*((f, _SHARED_OPTIONS[f]) for f in c.shared), *c.options.items()]:
             p.add_argument(flag, **kwargs)
@@ -381,6 +390,8 @@ def main(argv=None) -> int:
     try:
         first = next(iter(sys.argv[1:] if argv is None else argv), None)
         args = build_parser(first if first in _COMMANDS else None).parse_args(argv)
+        if args.given and not args.encodings:
+            raise _UsageError(f"{', '.join(args.given)}: only read with --encodings; without it eval runs the float model")
         model = load_model(args.model)
         ds = None if args.data is None else load_dataset(args.data)
         out = None if args.out is None else _outdir(args)

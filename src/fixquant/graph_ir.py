@@ -179,14 +179,15 @@ class GraphModel:
 
     def forward(self, inputs):
         """Run the graph in float. Returns one array, or a dict for multi-output."""
-        return self.outputs(self.evaluate_all(inputs))
+        return self.outputs(self.evaluate_all(inputs, stream=True))
 
     def outputs(self, values: dict):
         """The output tensors among ``values``: one array, or a dict for multi-output."""
         outs = {oid: values[oid] for oid in self.output_ids}
         return next(iter(outs.values())) if len(outs) == 1 else outs
 
-    def evaluate_all(self, inputs, weights=None, activation=None, known=None, stop=None) -> dict[str, np.ndarray]:
+    def evaluate_all(self, inputs, weights=None, activation=None, known=None, stop=None,
+                     stream=False) -> dict[str, np.ndarray]:
         """Run the graph and return every node's output tensor, keyed by node id.
 
         This is the only topological runner. ``weights(node)`` substitutes a
@@ -201,6 +202,10 @@ class GraphModel:
         dict holds the known values and every value computed; a caller
         reusing it in a later pass drops each value whose node has since
         changed.
+
+        With ``stream`` the pass holds only live values: each is dropped once
+        its last consumer's kernel has run, before that consumer's
+        ``activation``, and the dict keeps those nothing consumes (outputs).
         """
         feed = self.normalize_inputs(inputs)
         values: dict[str, np.ndarray] = dict(known or {})
@@ -213,15 +218,18 @@ class GraphModel:
                 if nid in need and nid not in values:
                     need.update(self.nodes[nid].inputs)
             order = [nid for nid in order if nid in need]
+        last_use = {s: nid for nid in order if nid not in values for s in self.nodes[nid].inputs} if stream else {}
         for nid in order:
             if nid in values:
                 continue
             node = self.nodes[nid]
             if node.kind == "input":
-                y = feed[nid]
+                y = feed.pop(nid)
             else:
                 w = weights(node) if weights is not None and node.weights else node.weights
                 y = eval_kind(node.kind, node.attrs, w, [values[s] for s in node.inputs])
+                for s in {s for s in node.inputs if last_use.get(s) == nid}:
+                    del values[s]
             values[nid] = y if activation is None else activation(nid, y)
         return values
 

@@ -83,11 +83,12 @@ _RULES = {
     "ops": {"is_output_quantized": _FLAG, "is_symmetric": _FLAG},
     "params": {"is_quantized": _FLAG, "is_symmetric": _FLAG},
 }
-_PARAMS = dict.fromkeys((name for names in gir.REQUIRED_WEIGHTS.values() for name in names), _RULES["params"])
 _CONFIG_SCHEMA = {
     "defaults": _RULES,
-    "params": _PARAMS,
-    "op_type": {kind: {"params": _PARAMS, **_RULES["ops"]} for kind in gir.NODE_KINDS},
+    "params": dict.fromkeys((name for names in gir.REQUIRED_WEIGHTS.values() for name in names), _RULES["params"]),
+    # a rule for each kind that gets an output quantizer, naming only the kind's own tensors
+    "op_type": {k: {**_RULES["ops"], "params": dict.fromkeys(gir.REQUIRED_WEIGHTS.get(k, ()), _RULES["params"])}
+                for k in gir.NODE_KINDS - {"input", "output", "maxpool"}},
     # every supergroup chains two or more node kinds
     "supergroups": (list, lambda v: all(
         isinstance(p, list) and len(p) > 1 and all(isinstance(k, str) and k in gir.NODE_KINDS for k in p) for p in v
@@ -213,12 +214,12 @@ class QuantSimModel:
 
     # -- forward ----------------------------------------------------------
 
-    def evaluate_all(self, inputs, capture_raw: bool = False, known=None, stop=None):
+    def evaluate_all(self, inputs, capture_raw: bool = False, known=None, stop=None, stream=False):
         """Quantized forward returning every tensor. With ``capture_raw``
         it returns three dicts: every tensor, the raw (pre-output-quantizer)
         op outputs, and the quantized tensors each weighted node ran with.
-        ``known`` and ``stop`` are ``GraphModel.evaluate_all``'s; ``raw``
-        and ``used`` then hold only the nodes that were recomputed."""
+        ``known``, ``stop`` and ``stream`` are ``GraphModel.evaluate_all``'s;
+        ``raw`` and ``used`` then hold only the nodes that were recomputed."""
         raw: dict[str, np.ndarray] = {}
         used: dict[str, dict] = {}
 
@@ -231,7 +232,7 @@ class QuantSimModel:
                 raw[nid] = y
             return self.quantize_output(nid, y)
 
-        values = self.graph.evaluate_all(inputs, weights, activation, known, stop)
+        values = self.graph.evaluate_all(inputs, weights, activation, known, stop, stream)
         return (values, raw, used) if capture_raw else values
 
     def quantize_output(self, nid: str, y: np.ndarray) -> np.ndarray:
@@ -246,7 +247,7 @@ class QuantSimModel:
         it keys, and only the other nodes run."""
         memo = self._resume
         if memo is None:
-            return self.graph.outputs(self.evaluate_all(inputs))
+            return self.graph.outputs(self.evaluate_all(inputs, stream=True))
         feed = {nid: np.array(x, order="C") for nid, x in self.graph.normalize_inputs(inputs).items()}
         batch_keys = {nid: gir.array_key(x) for nid, x in feed.items()}
         batches = {batch_keys[nid]: x for nid, x in feed.items()}
@@ -256,7 +257,7 @@ class QuantSimModel:
             # repeating it keys its nodes and the one after resumes.
             memo.clear()
             memo.update(batches)
-            return self.graph.outputs(self.evaluate_all(feed))
+            return self.graph.outputs(self.evaluate_all(feed, stream=True))
         keys = gir.value_keys(self.graph, batch_keys, self.qdq_states)
         known = {nid: memo[key] for nid, key in keys.items() if key in memo}
         memo.clear()  # the stale values go before the pass allocates new ones
@@ -405,11 +406,11 @@ def compute_param_encodings(sim: QuantSimModel, keys=None) -> None:
 def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     """Calibrate every unfrozen quantizer.
 
-    Weight encodings come directly from the weight values. Activation
-    encodings come from float-path statistics gathered by running the graph
-    over the calibration feed (an iterable of input batches). Frozen
-    quantizers are left untouched. Statistics accumulators are retained on
-    the sim so encodings can later be re-derived at other bitwidths.
+    Weight encodings come from the weight values, activation encodings
+    from float statistics observed as each value appears in a pass over the
+    calibration feed (an iterable of input batches) that holds only live
+    values. Frozen quantizers are left untouched. Accumulators are retained
+    on the sim so encodings can later be re-derived at other bitwidths.
 
     The same float pass records, for each of the leading batches that hold
     ``BIAS_CORRECT_SAMPLES`` samples, every MAC node's float channel means
@@ -427,23 +428,23 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
         nid: RangeAccumulator() for nid in sim.activation_quantizers
     }
     leading = len(_limit_samples(batches, BIAS_CORRECT_SAMPLES))
-    sim.float_means = {}
+    sim.float_means, sim.mac_spatial = {}, {}
     for i, batch in enumerate(batches):
-        values = sim.graph.evaluate_all(batch)
-        for nid, acc in accs.items():
-            acc.observe(values[nid])
-        # Bias correction rejects a batch with no samples and reports a
-        # non-finite mean, so neither warns here.
-        if i < leading and _rows(batch):
-            keys = _float_keys(sim.graph, batch)
-            with np.errstate(over="ignore"):
-                sim.float_means.update({keys[nid]: m for nid, m in _mac_channel_means(sim.graph, values).items()})
+        # Bias correction rejects a batch with no samples, so none is recorded.
+        keys = _float_keys(sim.graph, batch) if i < leading and _rows(batch) else None
+
+        def observe(nid: str, y: np.ndarray) -> np.ndarray:
+            if nid in accs:
+                accs[nid].observe(y)
+            if sim.graph.nodes[nid].kind in gir.MAC_KINDS:
+                sim.mac_spatial[nid] = int(np.prod(y.shape[2:]))
+                if keys is not None:
+                    with np.errstate(over="ignore"):  # bias correction reports a non-finite mean
+                        sim.float_means[keys[nid]] = _channel_means(y)
+            return y
+
+        sim.graph.evaluate_all(batch, activation=observe, stream=True)
     sim.activation_stats = accs
-    sim.mac_spatial = {
-        nid: int(np.prod(values[nid].shape[2:]))
-        for nid, node in sim.graph.nodes.items()
-        if node.kind in gir.MAC_KINDS
-    }
     compute_activation_encodings(sim)
     return sim
 
@@ -484,23 +485,27 @@ def _channel_means(y: np.ndarray) -> np.ndarray:
     return y.mean(axis=0)
 
 
-def _mac_channel_means(graph: GraphModel, values: dict) -> dict[str, np.ndarray]:
-    return {nid: _channel_means(values[nid]) for nid, node in graph.nodes.items() if node.kind in gir.MAC_KINDS}
-
-
 def float_channel_means(sim: QuantSimModel, batches: list) -> list[dict[str, np.ndarray]]:
     """Per batch, every MAC node's float channel means under ``sim.graph``
     as it is now: those compute_encodings recorded under each MAC node's
     float value key, else, if any one of them is missing, those of a full
-    float pass."""
+    float pass that holds only live values."""
     macs = [nid for nid, node in sim.graph.nodes.items() if node.kind in gir.MAC_KINDS]
+    means: dict[str, np.ndarray] = {}
+
+    def record(nid: str, y: np.ndarray) -> np.ndarray:
+        if nid in macs:
+            means[nid] = _channel_means(y)
+        return y
+
     out = []
     for batch in batches:
         keys = _float_keys(sim.graph, batch)
         if all(keys[nid] in sim.float_means for nid in macs):
             out.append({nid: sim.float_means[keys[nid]] for nid in macs})
         else:
-            out.append(_mac_channel_means(sim.graph, sim.graph.evaluate_all(batch)))
+            sim.graph.evaluate_all(batch, activation=record, stream=True)
+            out.append({nid: means[nid] for nid in macs})
     return out
 
 

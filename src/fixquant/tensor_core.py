@@ -10,11 +10,11 @@ is the natural row-major ascending order of numpy reductions, which makes
 results reproducible run to run. Kernels never let NaN or Inf propagate
 silently; they raise NumericError instead.
 
-Window geometry lives in one place. :func:`windows` pads an NCHW input once
-and returns every kernel window as a read-only view; convolution, both
-pools and their gradients read windows only through it, and the gradients
-sum back through its transpose :func:`windows_adjoint`. No kernel slices
-patches out of an input itself.
+Window geometry lives in one place. :func:`windows` pads an NCHW input,
+into a new array or one the caller reuses, and returns every kernel window
+as a read-only view; convolution, both pools and their gradients read
+windows only through it, and the gradients sum back through its transpose
+:func:`windows_adjoint`. No kernel slices patches out of an input itself.
 
 conv2d sums each output in the order of one small einsum per output
 position, on one of three paths that keep it (see its docstring): one
@@ -89,11 +89,12 @@ def pool_window(attrs: dict) -> tuple:
     return kernel, kernel if stride is None else stride, attrs.get("padding", 0)
 
 
-def windows(x, kernel, stride, padding, fill=0.0) -> np.ndarray:
+def windows(x, kernel, stride, padding, fill=0.0, out=None) -> np.ndarray:
     """Every kernel window of a 4-d NCHW input padded with ``fill``.
 
     Returns a read-only (N, C, Ho, Wo, kh, kw) view of the padded input:
     element [n, c, i, j, a, b] is padded input [n, c, i*sh + a, j*sw + b].
+    With ``out``, a buffer :func:`_pad` made, the input is padded into it in place.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
@@ -104,8 +105,19 @@ def windows(x, kernel, stride, padding, fill=0.0) -> np.ndarray:
     h, w = x.shape[2:]
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} with padding {ph},{pw}")
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    xp = _pad(x, (ph, pw), fill, out)
     return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+
+
+def _pad(x, padding: tuple[int, int], fill=0.0, out=None) -> np.ndarray:
+    """NCHW ``x`` in a border of (ph, pw) ``padding`` rows and columns of ``fill``:
+    a new array, or ``out``, made by an earlier call, with its interior rewritten."""
+    (ph, pw), (n, c, h, w) = padding, x.shape
+    if out is None:
+        shape = (n, c, h + 2 * ph, w + 2 * pw)
+        out = np.zeros(shape) if fill == 0 else np.full(shape, fill)  # zeros: fresh pages, written once
+    out[:, :, ph : ph + h, pw : pw + w] = x
+    return out
 
 
 def windows_adjoint(cols, in_shape, stride, padding) -> np.ndarray:
@@ -183,18 +195,22 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     groups = _conv_groups(x.shape, w.shape, groups)
     n = x.shape[0]
     o, cg, kh, kw = w.shape
-    p = windows(x, (kh, kw), stride, padding)
-    oh, ow = p.shape[2:4]
     og = o // groups
+    per_sample = min(n, og, cg, kh, kw) > 1
+    pads = _pair(padding, "padding")
+    xp = _pad(x[:1], pads) if per_sample else None  # one padded sample, refilled per sample
+    p = windows(x[:1] if per_sample else x, (kh, kw), stride, padding, out=xp)
+    oh, ow = p.shape[2:4]
     if (kh, kw) == (1, 1) or (cg == og == 1 and oh > 1 and ow > 1):
         pg = p.reshape(n, groups, cg, oh, ow, kh, kw)
         wg = w.reshape(groups, og, cg, kh, kw)
         out = np.einsum("ngchwab,gocab->ngohw", pg, wg).reshape(n, o, oh, ow)
-    elif min(n, og, cg, kh, kw) > 1:
-        pg, wg = p.reshape(n, groups, 1, cg, oh, ow, kh, kw), w.reshape(groups, og, -1)
+    elif per_sample:
+        wg = w.reshape(groups, og, -1)
         out = np.empty((n, o, oh, ow), dtype=np.float64)
         for s, out_s in enumerate(out.reshape(n, groups, og, oh * ow)):  # one sample's rows at a time
-            np.einsum("gpk,gok->gop", _patch_rows(pg[s]), wg, out=out_s)
+            _pad(x[s : s + 1], pads, out=xp)  # p views xp, so it reads the refill
+            np.einsum("gpk,gok->gop", _patch_rows(p.reshape(groups, 1, cg, oh, ow, kh, kw)), wg, out=out_s)
     else:
         # Per position, the order the other two paths keep.
         out = np.empty((n, o, oh, ow), dtype=np.float64)

@@ -136,6 +136,16 @@ def test_eval_float_and_quantized(capsys, model_prefix, data_prefix, tmp_path):
     assert capsys.readouterr().out.startswith("metric accuracy ")
 
 
+@pytest.mark.parametrize("options", ["--param-bw 4", "--output-bw 8", "--config c.json", "--param-bw 8 --config c.json"])
+def test_an_import_option_of_eval_without_encodings_is_a_usage_error(capsys, model_prefix, tmp_path, options):
+    # a usage error comes before any file is read
+    assert main(["eval", "--model", model_prefix, "--data", str(tmp_path / "missing"), *options.split()]) == 2
+    captured = capsys.readouterr()
+    flags = ", ".join(o for o in options.split() if o.startswith("--"))
+    assert captured.err == f"error:usage: {flags}: only read with --encodings; without it eval runs the float model\n"
+    assert captured.out == ""
+
+
 def test_eval_bitwidth_mismatch_exits_data_error(capsys, model_prefix, data_prefix, tmp_path):
     out = tmp_path / "cal"
     main(["calibrate", "--model", model_prefix, "--data", data_prefix, "--out", str(out)])

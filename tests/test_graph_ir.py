@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,27 @@ class TestResumedPasses:
         known = g.evaluate_all(self.x, stop="a")
         values = g.evaluate_all(self.x, known=known, stop="s")
         assert list(known) == ["in", "a"] and list(values) == ["in", "a", "ra", "b", "s"]
+
+    def test_a_streamed_pass_drops_each_value_once_its_last_consumer_has_run(self):
+        g = branching_graph()
+        full = g.evaluate_all(self.x)
+        order = g.topo_order()
+        assert list(full) == order  # without stream every value is kept
+        last = {src: nid for nid in order for src in g.nodes[nid].inputs}
+        refs = {}  # the caller holds the input, so only computed values are tracked
+
+        def check(nid, y):
+            ran = order[: order.index(nid) + 1]
+            # the output node passes its input's array on as its own
+            held = {s for s, ref in refs.items() if ref() is not None and ref() is not y}
+            assert held == {s for s in refs if last[s] not in ran}, nid
+            if nid != "in":
+                refs[nid] = weakref.ref(y)
+            return y
+
+        values = g.evaluate_all(self.x, activation=check, stream=True)
+        assert list(refs) == order[1:] and list(values) == ["out"]
+        assert values["out"].tobytes() == full["out"].tobytes()
 
     def test_stop_must_name_a_node(self):
         with pytest.raises(GraphError, match="nope"):

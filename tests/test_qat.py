@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import peak_bytes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -345,12 +344,7 @@ class TestWindowedGradsEqualLoopOracles:
         # The (n, c, h, kh, kw, w) window copy and the (c, kh, kw, n, h, w)
         # contribution each hold kh*kw times the input.
         copy_bytes = contrib_bytes = 9 * x.nbytes
-        tracemalloc.start()
-        try:
-            conv2d_backward(gy, x, w, stride=1, padding=1, need_input_grad=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: conv2d_backward(gy, x, w, stride=1, padding=1, need_input_grad=True))
         assert peak < copy_bytes + contrib_bytes
 
     @pytest.mark.parametrize("stride", [None, 1, 2, 3, (2, 1)])

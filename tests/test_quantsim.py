@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from conftest import peak_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixquant import graph_ir, toys
 from fixquant.errors import CalibrationError, EncodingError, ModelFormatError
 from fixquant.graph_ir import GraphModel, Node
+from fixquant.ptq import fold_batch_norms
 from fixquant.quantsim import (
     DEFAULT_CONFIG_DICT,
     SimConfig,
@@ -15,6 +17,7 @@ from fixquant.quantsim import (
     compute_encodings,
     compute_param_encodings,
     create_quantsim,
+    encodings_to_dict,
     export,
     import_encodings,
 )
@@ -85,7 +88,7 @@ class TestSimConfig:
             ({"defaults": "x"}, "'defaults'"),
             ({"defaults": {"ops": {"is_symmetric": 1}}}, "defaults.ops: field 'is_symmetric'"),
             ({"params": {"bias": True}}, "params: field 'bias'"),
-            ({"op_type": {"relu": {"params": {"weight": []}}}}, "op_type.relu.params: field 'weight'"),
+            ({"op_type": {"conv2d": {"params": {"weight": []}}}}, "op_type.conv2d.params: field 'weight'"),
             ({"supergroups": [1]}, "'supergroups'"),
             ({"supergroups": [["conv2d", 2]]}, "'supergroups'"),
             ({"model_input": {"is_input_quantized": None}}, "model_input: field"),
@@ -106,6 +109,13 @@ class TestSimConfig:
             ({"op_type": {"Conv2d": {"is_output_quantized": False}}}, "op_type: unknown field 'Conv2d'"),
             ({"op_type": {"relu": {"is_quantized": False}}}, "op_type.relu: unknown field 'is_quantized'"),
             ({"op_type": {"conv2d": {"params": {"kernel": {}}}}}, "op_type.conv2d.params: unknown field 'kernel'"),
+            # each kind's rule holds only what that kind has
+            ({"op_type": {"maxpool": {"is_output_quantized": True}}}, "op_type: unknown field 'maxpool'"),
+            ({"op_type": {"input": {"is_output_quantized": True}}}, "op_type: unknown field 'input'"),
+            ({"op_type": {"output": {"is_symmetric": True}}}, "op_type: unknown field 'output'"),
+            ({"op_type": {"relu": {"params": {"weight": {}}}}}, "op_type.relu.params: unknown field 'weight'"),
+            ({"op_type": {"conv2d": {"params": {"gamma": {}}}}}, "op_type.conv2d.params: unknown field 'gamma'"),
+            ({"op_type": {"batchnorm": {"params": {"weight": {}}}}}, "op_type.batchnorm.params: unknown field 'weight'"),
             ({"supergroups": [["conv2d"]]}, "field 'supergroups'"),
             ({"supergroups": [["conv2d", "Relu"]]}, "field 'supergroups'"),
             ({"model_input": {"is_output_quantized": True}}, "model_input: unknown field 'is_output_quantized'"),
@@ -479,6 +489,40 @@ def test_a_resumed_forward_equals_a_full_pass_after_any_change(data):
                 assert len(after) == len(before)
                 assert all(a[0] == b[0] and a[1] is b[1] for a, b in zip(after, before))
             assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes(), step
+
+
+class TestPassesHoldOnlyLiveValues:
+    """The folded conv_bn_relu_conv (conv1 -> relu1 -> conv2, 16 channels of
+    16 x 16) at batch 128. A pass that kept every value would hold three
+    activations and the padded batch at conv2."""
+
+    model = fold_batch_norms(toys.conv_bn_relu_conv(c_in=3, c_mid=16, c_out=16))
+    x = np.random.default_rng(27).normal(size=(128, 3, 16, 16))
+    act = 128 * 16 * 16 * 16 * 8
+    conv = 4 * 9 * act // 128  # four copies of one sample's conv2 patch matrix
+
+    def test_a_float_forward_holds_an_input_and_an_output_at_a_time(self):
+        assert peak_bytes(self.model.forward, self.x) < 2 * self.act + self.conv
+
+    def test_a_sim_forward_holds_an_output_and_its_quantizer_temporaries(self):
+        sim = compute_encodings(create_quantsim(self.model), [self.x[:8]])
+        assert peak_bytes(sim.forward, self.x) < 3 * self.act + self.conv
+
+    def test_calibration_observes_each_value_as_it_appears(self):
+        sim = create_quantsim(self.model)
+        assert peak_bytes(compute_encodings, sim, [self.x]) < 2 * self.act + self.conv
+
+    def test_a_streamed_calibration_equals_one_that_keeps_every_value(self, monkeypatch):
+        feed = toys.random_feed((8, 3, 6, 6), n_batches=3, seed=4)
+        streamed = compute_encodings(create_quantsim(self.model, scheme=RangeScheme("sqnr", per_channel=True)), feed)
+        real = GraphModel.evaluate_all
+        monkeypatch.setattr(GraphModel, "evaluate_all", lambda g, *a, stream=False, **k: real(g, *a, **k))
+        kept = compute_encodings(create_quantsim(self.model, scheme=RangeScheme("sqnr", per_channel=True)), feed)
+        encodings = [encodings_to_dict(s.activation_quantizers, s.param_quantizers) for s in (streamed, kept)]
+        assert encodings[0] == encodings[1]
+        assert streamed.mac_spatial == kept.mac_spatial == {"conv1": 36, "conv2": 36}
+        assert list(streamed.float_means) == list(kept.float_means) and len(kept.float_means) == 6
+        assert all(streamed.float_means[k].tobytes() == m.tobytes() for k, m in kept.float_means.items())
 
 
 class TestEncodingsFile:
