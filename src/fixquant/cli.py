@@ -39,6 +39,7 @@ from .ptq import (
 from .qat import QatOptions, mse_loss, qat_train, softmax_cross_entropy
 from .quantizer import check_bitwidth
 from .quantsim import (
+    EVERY_TENSOR_CONFIG_DICT,
     SimConfig,
     compute_encodings,
     create_quantsim,
@@ -116,14 +117,16 @@ def _outdir(args) -> Path:
     return out
 
 
-def _build_sim(args, model, ds=None):
-    """A sim at the parsed bitwidths and config, calibrated on ``ds`` with the parsed
-    scheme; without ``ds``, holding --encodings frozen, granularity included."""
-    scheme = None if ds is None else _scheme(args)
-    sim = create_quantsim(model, args.param_bw, args.output_bw, scheme, _config(args))
-    if ds is None:
-        return import_encodings(sim, args.encodings, freeze=True)
+def _build_sim(args, model, ds):
+    """A sim at the parsed bitwidths and config, calibrated on ``ds`` with the parsed scheme."""
+    sim = create_quantsim(model, args.param_bw, args.output_bw, _scheme(args), _config(args))
     return compute_encodings(sim, iter_batches(ds.x))
+
+
+def _imported_sim(args, model):
+    """A sim holding --encodings frozen; the file alone sets every quantizer."""
+    sim = create_quantsim(model, config=SimConfig.from_dict(EVERY_TENSOR_CONFIG_DICT))
+    return import_encodings(sim, args.encodings, freeze=True)
 
 
 def cmd_quantsim(args, model, ds, out) -> None:
@@ -156,7 +159,7 @@ def cmd_calibrate(args, model, ds, out) -> None:
 
 
 def cmd_eval(args, model, ds, out) -> None:
-    value = evaluate(_build_sim(args, model) if args.encodings else model, ds)
+    value = evaluate(_imported_sim(args, model) if args.encodings else model, ds)
     print(f"metric {ds.metric} {value:.6f}")
 
 
@@ -250,7 +253,7 @@ def cmd_amp(args, model, ds, out) -> None:
 
 
 def cmd_export(args, model, ds, out) -> None:
-    export(_build_sim(args, model), out / "exported")
+    export(_imported_sim(args, model), out / "exported")
     print(f"wrote {out}/exported.model.json, .weights.bin, .encodings.json")
 
 
@@ -304,15 +307,6 @@ _SHARED_OPTIONS = {
 }
 
 
-class _Given(argparse.Action):
-    """Stores an option's value and adds its flag to ``args.given``: eval
-    reads --param-bw, --output-bw and --config only with --encodings."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = [*namespace.given, self.option_strings[0]]
-
-
 class _Command(NamedTuple):
     """A subcommand: the shared options it reads, and its own options as
     {flag: add_argument keywords}."""
@@ -329,8 +323,7 @@ _COMMANDS = {
     "equalize": _Command(cmd_equalize, "cross-layer equalization (fold, scale, absorb)", shared=("--out",)),
     "calibrate": _Command(cmd_calibrate, "compute encodings from data and write encodings JSON"),
     "eval": _Command(cmd_eval, "evaluate a model (float, or quantized with --encodings)", shared=("--data",), options={
-        "--encodings": dict(default=None, help="encodings JSON to import before evaluating"),
-        **{f: {**_SHARED_OPTIONS[f], "action": _Given} for f in ("--param-bw", "--output-bw", "--config")},
+        "--encodings": dict(default=None, help="encodings JSON that sets every quantizer, imported frozen"),
     }),
     "adaround": _Command(cmd_adaround, "optimize weight rounding against layer outputs",
                          shared=("--data", "--out", "--param-bw", "--scheme", "--per-channel"), options={
@@ -360,8 +353,8 @@ _COMMANDS = {
         "--phase1-samples": dict(type=_at_least(1), default=256, help="samples for the fast phase-1 eval"),
     }),
     "export": _Command(cmd_export, "re-emit model + encodings as canonical artifact files",
-                       shared=("--out", "--param-bw", "--output-bw", "--config"), options={
-        "--encodings": dict(required=True, help="encodings JSON to import (frozen)"),
+                       shared=("--out",), options={
+        "--encodings": dict(required=True, help="encodings JSON that sets every quantizer, imported frozen"),
     }),
     "visualize": _Command(cmd_visualize, "emit plot data CSVs", shared=("--out",)),
     "debug": _Command(cmd_debug, "staged diagnosis of quantization accuracy loss",
@@ -379,7 +372,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=c.help)
-        p.set_defaults(func=c.func, data=None, out=None, given=[])
+        p.set_defaults(func=c.func, data=None, out=None)
         p.add_argument("--model", required=True, help="model file prefix (expects PREFIX.model.json + PREFIX.weights.bin)")
         for flag, kwargs in [*((f, _SHARED_OPTIONS[f]) for f in c.shared), *c.options.items()]:
             p.add_argument(flag, **kwargs)
@@ -390,8 +383,6 @@ def main(argv=None) -> int:
     try:
         first = next(iter(sys.argv[1:] if argv is None else argv), None)
         args = build_parser(first if first in _COMMANDS else None).parse_args(argv)
-        if args.given and not args.encodings:
-            raise _UsageError(f"{', '.join(args.given)}: only read with --encodings; without it eval runs the float model")
         model = load_model(args.model)
         ds = None if args.data is None else load_dataset(args.data)
         out = None if args.out is None else _outdir(args)

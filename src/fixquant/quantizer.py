@@ -207,6 +207,8 @@ def grid(spec: QuantizerSpec, x: np.ndarray):
     if not spec.encodings:
         raise EncodingError("quantizer has no encodings; run range calibration first")
     if not spec.per_channel:
+        if len(spec.encodings) != 1:
+            raise EncodingError(f"per-tensor quantizer holds {len(spec.encodings)} encodings")
         e = spec.encodings[0]
         return e.scale, e.zero_point, e.q_lo, e.q_hi
     axis = spec.channel_axis

@@ -72,6 +72,8 @@ DEFAULT_CONFIG_DICT = {
     "model_input": {"is_input_quantized": False},
     "model_output": {"is_output_quantized": True},
 }
+# A quantizer on every tensor that can carry one; an import turns off those its file omits.
+EVERY_TENSOR_CONFIG_DICT = {"params": {}, "supergroups": [], "model_input": {"is_input_quantized": True}}
 
 
 # The shape of a placement config. A dict is an object whose keys must
@@ -584,9 +586,9 @@ def encodings_to_dict(activation_quantizers: dict, param_quantizers: dict) -> di
 def export(sim: QuantSimModel, prefix) -> dict[str, Path]:
     """Write the plain model (manifest + blob) and the encodings JSON.
 
-    The exported trio fully reconstructs the simulation: loading the model,
-    rebuilding a sim with the same settings, and importing the encodings
-    reproduces simulated outputs bit-exactly.
+    The exported trio fully reconstructs the simulation: the model under
+    ``EVERY_TENSOR_CONFIG_DICT`` with these encodings imported, which set
+    every quantizer, reproduces simulated outputs bit-exactly.
     """
     manifest, blob = gir.model_paths(prefix)
     gir.save_model(sim.graph, manifest, blob)
@@ -599,39 +601,44 @@ def import_encodings(sim: QuantSimModel, source, freeze: bool = False) -> QuantS
     """Load encodings written by :func:`export` or adaround, from a file path
     or an already-loaded document; the entries of both get the same checks.
 
-    Unknown tensor names and bitwidth mismatches are errors. ``freeze=True``
-    (or a ``frozen`` flag on a file entry) pins the encoding so later
-    calibration cannot overwrite it.
+    Each entry enables its tensor's quantizer at the entry's bitwidth,
+    symmetry and granularity: one encoding, or one per slice along
+    WEIGHT_CHANNEL_AXIS of a parameter. Other counts, unknown tensors and
+    two bitwidths in one entry are errors. ``freeze=True`` or an entry's
+    ``frozen`` flag pins the encoding against later calibration; an entry
+    pinned neither way leaves an already-frozen quantizer exactly as it was.
     """
     doc = source if isinstance(source, dict) else gir.read_json(source, ENCODINGS_FORMAT, "encodings file")
-    for section, qmap in (
-        ("activation_encodings", sim.activation_quantizers),
-        ("param_encodings", sim.param_quantizers),
+    param_channels = {f"{nid}.{p}": np.atleast_1d(w).shape[WEIGHT_CHANNEL_AXIS]
+                      for nid, node in sim.graph.nodes.items() for p, w in node.weights.items()}
+    for section, qmap, channels in (
+        ("activation_encodings", sim.activation_quantizers, {}),
+        ("param_encodings", sim.param_quantizers, param_channels),
     ):
         entries_by_key = gir.field(doc, section, dict, "encodings", {})
-        seen = set()
         for key in entries_by_key:
             if key not in qmap:
                 raise EncodingError(f"encodings file names unknown tensor {key!r}")
             entries = gir.field(entries_by_key, key, list, section, check=len)
-            spec = qmap[key]
             where = f"{section}[{key!r}]"
             encs = [_encoding_from_json(d, where) for d in entries]
-            for e in encs:
-                if e.bitwidth != spec.bitwidth:
-                    raise EncodingError(
-                        f"{key}: file bitwidth {e.bitwidth} != quantizer bitwidth {spec.bitwidth}"
-                    )
-            entry_frozen = any(gir.field(d, "frozen", bool, where, False) for d in entries)
+            counts = {1, channels.get(key, 1)}
+            if len(encs) not in counts:
+                raise EncodingError(f"{where}: {len(encs)} encodings, not {' or '.join(map(str, sorted(counts)))}")
+            if len({e.bitwidth for e in encs}) > 1:
+                raise EncodingError(f"{where}: entries disagree on bitwidth {sorted({e.bitwidth for e in encs})}")
+            frozen = bool(freeze or any(gir.field(d, "frozen", bool, where, False) for d in entries))
+            spec = qmap[key]
+            if spec.frozen and not frozen:
+                continue  # not even its bitwidth or granularity changes
             spec.enabled = True
+            spec.bitwidth = encs[0].bitwidth
             spec.symmetric = encs[0].symmetric
-            # the file sets the granularity; per-channel grids exist only on weights
             spec.channel_axis = WEIGHT_CHANNEL_AXIS if len(encs) > 1 else None
-            spec.set_encodings(encs, frozen=bool(freeze or entry_frozen))
-            seen.add(key)
+            spec.set_encodings(encs, frozen=frozen)
         # The file omits disabled quantizers, so a quantizer the file skips
         # and that calibration has not touched was off in the exporting sim.
         for key, spec in qmap.items():
-            if key not in seen and spec.enabled and not spec.encodings:
+            if key not in entries_by_key and spec.enabled and not spec.encodings:
                 spec.enabled = False
     return sim

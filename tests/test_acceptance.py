@@ -32,8 +32,15 @@ from fixquant.quantizer import (
     qdq_tensor,
     quantize_int,
 )
-from fixquant.quantsim import compute_encodings, create_quantsim, export, import_encodings
-from fixquant.range_setting import RangeAccumulator, encoding_from_range
+from fixquant.quantsim import (
+    EVERY_TENSOR_CONFIG_DICT,
+    SimConfig,
+    compute_encodings,
+    create_quantsim,
+    export,
+    import_encodings,
+)
+from fixquant.range_setting import RangeAccumulator, RangeScheme, encoding_from_range
 from fixquant.tensor_core import conv2d
 
 
@@ -588,7 +595,27 @@ def test_criterion_09_round_trips(tmp_path):
     }
     assert before == after
     assert np.array_equal(sim2.forward(x), ref)
-    _verdict(9, "model and encodings round trips bit-identical; frozen encodings pinned")
+
+    # mixed precision: each tensor its own bitwidth, biases quantized, no
+    # supergroups, per-channel weights; the file alone rebuilds every quantizer
+    mixed = create_quantsim(
+        model, scheme=RangeScheme(per_channel=True), config=SimConfig.from_dict({"params": {}, "supergroups": []})
+    )
+    for i, spec in enumerate(mixed.all_quantizers().values()):
+        spec.bitwidth = (4, 8, 16)[i % 3]
+    compute_encodings(mixed, feed)
+    export(mixed, tmp_path / "mixed")
+    rebuilt = create_quantsim(load_model(tmp_path / "mixed"), config=SimConfig.from_dict(EVERY_TENSOR_CONFIG_DICT))
+    import_encodings(rebuilt, tmp_path / "mixed.encodings.json", freeze=True)
+
+    def states(s):
+        return {k: (q.bitwidth, q.symmetric, q.channel_axis, q.encodings) for k, q in s.all_quantizers().items() if q.enabled}
+
+    assert states(rebuilt) == states(mixed)
+    assert {b for b, *_ in states(mixed).values()} == {4, 8, 16}
+    assert {"fc0.bias", "fc0"} <= states(mixed).keys()  # a bias, and a linear output ahead of its relu
+    assert np.array_equal(rebuilt.forward(x), mixed.forward(x))
+    _verdict(9, "model and encodings round trips bit-identical, mixed precision included; frozen encodings pinned")
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,13 @@ def test_missing_required_arg_is_usage_error(capsys, data_prefix, tmp_path):
         ("eval", "--per-channel"),
         ("export", "--scheme sqnr"),
         ("export", "--per-channel"),
+        # the encodings file alone sets every quantizer that eval and export import
+        ("eval", "--param-bw 4"),
+        ("eval", "--output-bw 8"),
+        ("eval", "--config c.json"),
+        ("export", "--param-bw 4"),
+        ("export", "--output-bw 8"),
+        ("export", "--config c.json"),
         ("adaround", "--output-bw 4"),
         ("adaround", "--config c.json"),
         ("amp", "--param-bw 4"),
@@ -136,31 +143,72 @@ def test_eval_float_and_quantized(capsys, model_prefix, data_prefix, tmp_path):
     assert capsys.readouterr().out.startswith("metric accuracy ")
 
 
-@pytest.mark.parametrize("options", ["--param-bw 4", "--output-bw 8", "--config c.json", "--param-bw 8 --config c.json"])
-def test_an_import_option_of_eval_without_encodings_is_a_usage_error(capsys, model_prefix, tmp_path, options):
-    # a usage error comes before any file is read
-    assert main(["eval", "--model", model_prefix, "--data", str(tmp_path / "missing"), *options.split()]) == 2
-    captured = capsys.readouterr()
-    flags = ", ".join(o for o in options.split() if o.startswith("--"))
-    assert captured.err == f"error:usage: {flags}: only read with --encodings; without it eval runs the float model\n"
-    assert captured.out == ""
-
-
-def test_eval_bitwidth_mismatch_exits_data_error(capsys, model_prefix, data_prefix, tmp_path):
-    out = tmp_path / "cal"
-    main(["calibrate", "--model", model_prefix, "--data", data_prefix, "--out", str(out)])
+def _import(capsys, command, model_prefix, data_prefix, tmp_path, doc: dict):
+    """``command`` (eval or export) on ``doc`` written to a file: its exit
+    code, its stderr lines, and the files it left in --out."""
+    path = tmp_path / "doc.encodings.json"
+    path.write_text(json.dumps(doc))
     capsys.readouterr()
-    rc = main(
-        [
-            "eval",
-            "--model", model_prefix,
-            "--data", data_prefix,
-            "--encodings", str(out / "encodings.json"),
-            "--param-bw", "4",
-        ]
-    )
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("error:encoding:")
+    inputs = ["--data", data_prefix] if command == "eval" else ["--out", str(tmp_path / "ex")]
+    rc = main([command, "--model", model_prefix, *inputs, "--encodings", str(path)])
+    files = sorted(p.name for p in (tmp_path / "ex").glob("*"))
+    return rc, capsys.readouterr().err.splitlines(), files
+
+
+def _calibrated(model_prefix, data_prefix, tmp_path, *options) -> dict:
+    """The encodings document that calibrate writes under ``options``."""
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--model", model_prefix, "--data", data_prefix, "--out", str(out), *options]) == 0
+    return json.loads((out / "encodings.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_an_import_of_entries_at_two_bitwidths_exits_data_error(capsys, model_prefix, data_prefix, tmp_path, command):
+    doc = _calibrated(model_prefix, data_prefix, tmp_path, "--per-channel")
+    doc["param_encodings"]["fc0.weight"][3]["bitwidth"] = 4
+    rc, err, files = _import(capsys, command, model_prefix, data_prefix, tmp_path, doc)
+    assert (rc, err, files) == (3, ["error:encoding: param_encodings['fc0.weight']: entries disagree on bitwidth [4, 8]"], [])
+
+
+@pytest.mark.parametrize(
+    "section, key, count, fits",
+    [("param_encodings", "fc0.weight", 3, "1 or 8"), ("activation_encodings", "act0", 2, "1")],
+)
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_an_entry_count_fitting_no_granularity_exits_data_error(
+    capsys, model_prefix, data_prefix, tmp_path, command, section, key, count, fits
+):
+    doc = _calibrated(model_prefix, data_prefix, tmp_path)
+    doc[section][key] = doc[section][key][:1] * count
+    rc, err, files = _import(capsys, command, model_prefix, data_prefix, tmp_path, doc)
+    assert (rc, err, files) == (3, [f"error:encoding: {section}[{key!r}]: {count} encodings, not {fits}"], [])
+
+
+def test_mixed_precision_amp_encodings_round_trip(capsys, tmp_path):
+    """AMP's encodings set weights at 16 and 4 bits and activations at 4
+    and 16: eval scores them as the last accepted pareto move did, and
+    export re-emits them, now frozen."""
+    model = toys.three_group_model(seed=0, width=8)
+    x = np.concatenate(toys.random_feed((32, 8), n_batches=2, seed=1))
+    save_model(model, tmp_path / "m")
+    save_dataset(Dataset(x, model.forward(x), metric="mse"), tmp_path / "d")
+    amp = tmp_path / "amp"
+    argv = ["--model", str(tmp_path / "m"), "--data", str(tmp_path / "d")]
+    assert main(["amp", *argv, "--out", str(amp), "--candidates", "16,16;16,4;4,16;4,4", "--allowed-drop", "3e-3"]) == 0
+    last_score = json.loads((amp / "pareto_list.json").read_text())["entries"][-1]["accuracy"]
+    doc = json.loads((amp / "amp.encodings.json").read_text())
+    bitwidths = {s: {e[0]["bitwidth"] for e in doc[s].values()} for s in ("activation_encodings", "param_encodings")}
+    assert bitwidths == {"activation_encodings": {4, 16}, "param_encodings": {4, 16}}
+
+    capsys.readouterr()
+    assert main(["eval", *argv, "--encodings", str(amp / "amp.encodings.json")]) == 0
+    assert capsys.readouterr().out == f"metric mse {-last_score:.6f}\n"
+    assert main(["export", "--model", str(amp / "amp"), "--encodings", str(amp / "amp.encodings.json"),
+                 "--out", str(tmp_path / "ex")]) == 0
+    exported = json.loads((tmp_path / "ex" / "exported.encodings.json").read_text())
+    for s in ("activation_encodings", "param_encodings"):
+        doc[s] = {k: [{**e, "frozen": True} for e in entries] for k, entries in doc[s].items()}
+    assert exported == doc
 
 
 def test_adaround_requires_seed(capsys, model_prefix, data_prefix, tmp_path):
@@ -536,9 +584,11 @@ def test_malformed_file_is_one_format_error_line(capsys, model_prefix, data_pref
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(mutate(doc) or doc))
     capsys.readouterr()
-    encodings = str(tmp_path / "cal" / "encodings.json")
-    argv = ["eval", "--model", model_prefix, "--data", data_prefix, "--encodings", encodings]
-    assert main(argv + ["--config", str(tmp_path / "config.json")]) == 3
+    if target == "config":
+        argv = ["calibrate", "--config", str(path), "--out", str(tmp_path / "cal2")]
+    else:
+        argv = ["eval", "--encodings", str(tmp_path / "cal" / "encodings.json")]
+    assert main(argv + ["--model", model_prefix, "--data", data_prefix]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:format: ")
 

@@ -81,7 +81,7 @@ def _inputs(root: Path, model: str = "net") -> list[str]:
 def _commands(root: Path, kind: str) -> list[list[str]]:
     """The commands that read the file of ``kind``."""
     if kind == "encodings":
-        return [["eval", *_inputs(root), "--encodings", str(root / FILES["encodings"])]]
+        return [["eval", *_inputs(root)[:4], "--encodings", str(root / FILES["encodings"])]]
     if kind.endswith("cache"):
         return [["amp", *_inputs(root), "--out", str(root / "amp"), "--candidates", "8,8;8,4;4,8", "--resume"]]
     if kind == "folded-model":

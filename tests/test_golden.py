@@ -63,6 +63,9 @@ RUNS = {
     "qat": "qat --model {d}/mlp --data {d}/spiral100 --seed 0 --epochs 2 --out {d}/qat",
     "amp": "amp --model {d}/mlp --data {d}/spiral300 --out {d}/amp",
     "amp-resume": "amp --model {d}/mlp --data {d}/spiral300 --resume --out {d}/amp",
+    # AMP's file holds 16-bit activations and 8-bit weights; it alone sets the imported sim
+    "eval-amp": "eval --model {d}/amp/amp --data {d}/spiral300 --encodings {d}/amp/amp.encodings.json",
+    "export-amp": "export --model {d}/amp/amp --encodings {d}/amp/amp.encodings.json --out {d}/export-amp",
     "visualize": "visualize --model {d}/conv --out {d}/visualize",
     "debug-100": "debug --model {d}/mlp --data {d}/spiral100 --out {d}/debug-100",
     "debug-300": "debug --model {d}/mlp --data {d}/spiral300 --out {d}/debug-300",

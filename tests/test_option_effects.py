@@ -46,10 +46,9 @@ SIM = {
     "--output-bw": ("", "--output-bw 4"),
     "--scheme": ("", "--scheme sqnr"),
     "--per-channel": ("", "--per-channel"),
-    # the config takes relu outputs' quantizers away, which the encodings files name
+    # the config takes relu outputs' quantizers away
     "--config": ("", "--config {d}/config.json"),
 }
-IMPORT = {k: SIM[k] for k in ("--param-bw", "--output-bw", "--config")}
 CALIBRATE = {k: SIM[k] for k in ("--scheme", "--per-channel", "--config")}
 # command -> option -> the two argument strings put after the base in turn
 VALUES = {
@@ -57,7 +56,7 @@ VALUES = {
     "fold-bn": {},
     "equalize": {},
     "calibrate": SIM,
-    "eval": {**IMPORT, "--encodings": ("", "--encodings {d}/sqnr/encodings.json")},
+    "eval": {"--encodings": ("", "--encodings {d}/sqnr/encodings.json")},
     "adaround": {
         "--param-bw": ("", "--param-bw 3"),
         "--scheme": SIM["--scheme"],
@@ -84,7 +83,7 @@ VALUES = {
         "--resume": ("", "--resume"),
         "--phase1-samples": ("", "--phase1-samples 8"),
     },
-    "export": {**IMPORT, "--encodings": ("", "--encodings {d}/sqnr/encodings.json")},
+    "export": {"--encodings": ("", "--encodings {d}/sqnr/encodings.json")},
     "visualize": {},
     "debug": {**CALIBRATE, "--target-bw": ("", "--target-bw 4")},
 }

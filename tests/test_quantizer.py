@@ -164,6 +164,12 @@ class TestQuantizerSpec:
         with pytest.raises(EncodingError):
             spec.set_encodings(asym(0.1, bitwidth=4))
 
+    def test_per_tensor_spec_holding_several_encodings_is_rejected(self):
+        spec = QuantizerSpec()
+        spec.set_encodings([asym(0.1), asym(0.2)])
+        with pytest.raises(EncodingError, match="per-tensor quantizer holds 2 encodings"):
+            q.qdq(np.ones((2, 3)), spec)
+
     def test_frozen_spec_ignores_plain_updates(self):
         spec = QuantizerSpec()
         spec.set_encodings(asym(0.5), frozen=True)

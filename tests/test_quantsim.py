@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from fixquant.graph_ir import GraphModel, Node
 from fixquant.ptq import fold_batch_norms
 from fixquant.quantsim import (
     DEFAULT_CONFIG_DICT,
+    EVERY_TENSOR_CONFIG_DICT,
     SimConfig,
     compute_activation_encodings,
     compute_encodings,
@@ -586,12 +588,60 @@ class TestEncodingsFile:
         with pytest.raises(EncodingError):
             import_encodings(sim2, bad)
 
-    def test_bitwidth_mismatch_rejected(self, tmp_path):
+    def test_file_bitwidths_are_adopted(self, tmp_path):
         _, sim = calibrated_mlp()
+        sim.param_quantizers["fc0.weight"].bitwidth = 4
+        sim.activation_quantizers["act0"].bitwidth = 16
+        compute_param_encodings(sim)
+        compute_activation_encodings(sim)
+        x = np.random.default_rng(7).normal(size=(16, 4))
         paths = export(sim, tmp_path / "m")
-        sim2 = create_quantsim(toys.mlp([4, 8, 3], seed=0), default_param_bw=4)
-        with pytest.raises(EncodingError):
-            import_encodings(sim2, paths["encodings"])
+        sim2 = create_quantsim(toys.mlp([4, 8, 3], seed=0), default_param_bw=8, default_output_bw=8)
+        import_encodings(sim2, paths["encodings"])
+        bitwidths = {k: s.bitwidth for k, s in sim2.all_quantizers().items()}
+        assert bitwidths == {k: s.bitwidth for k, s in sim.all_quantizers().items()}
+        assert bitwidths["fc0.weight"] == 4 and bitwidths["act0"] == 16
+        assert np.array_equal(sim2.forward(x), sim.forward(x))
+
+    def test_entries_of_one_tensor_at_two_bitwidths_rejected(self, tmp_path):
+        _, sim = calibrated_mlp(scheme=RangeScheme(per_channel=True))
+        doc = encodings_to_dict(sim.activation_quantizers, sim.param_quantizers)
+        entries = doc["param_encodings"]["fc0.weight"]
+        entries[3] = {**entries[3], "bitwidth": 4}
+        sim2 = create_quantsim(toys.mlp([4, 8, 3], seed=0))
+        with pytest.raises(EncodingError, match=r"fc0.weight.*bitwidth \[4, 8\]"):
+            import_encodings(sim2, doc)
+
+    @pytest.mark.parametrize("section, key, count", [
+        ("param_encodings", "fc0.weight", 3),
+        ("param_encodings", "fc0.bias", 2),
+        ("activation_encodings", "act0", 2),
+        ("activation_encodings", "act0", 8),
+    ])
+    def test_entry_counts_fitting_no_granularity_rejected(self, section, key, count):
+        _, sim = calibrated_mlp(config=SimConfig.from_dict({"params": {}}))
+        doc = encodings_to_dict(sim.activation_quantizers, sim.param_quantizers)
+        doc[section][key] = doc[section][key][:1] * count
+        sim2 = create_quantsim(toys.mlp([4, 8, 3], seed=0), config=SimConfig.from_dict(EVERY_TENSOR_CONFIG_DICT))
+        with pytest.raises(EncodingError, match=rf"{section}\['{key}'\]: {count} encodings"):
+            import_encodings(sim2, doc)
+
+    def test_import_that_does_not_freeze_leaves_a_frozen_quantizer_as_it_was(self):
+        """A per-tensor file must not turn a frozen per-channel weight into
+        a per-tensor quantizer that still holds one encoding per channel."""
+        model = toys.mlp([2, 16, 16, 2], seed=0)
+        feed = toys.random_feed((32, 2), n_batches=2, seed=1)
+        per_channel = compute_encodings(create_quantsim(model, scheme=RangeScheme(per_channel=True)), feed)
+        per_tensor = compute_encodings(create_quantsim(model), feed)
+        frozen = per_channel.param_quantizers["fc0.weight"]
+        frozen.frozen = True
+        before = copy.deepcopy(frozen)
+        x = feed[0]
+        want = per_tensor.clone()
+        want.param_quantizers["fc0.weight"] = copy.deepcopy(frozen)
+        import_encodings(per_channel, encodings_to_dict(per_tensor.activation_quantizers, per_tensor.param_quantizers))
+        assert per_channel.param_quantizers["fc0.weight"] == before
+        assert np.array_equal(per_channel.forward(x), want.forward(x))
 
     def test_freeze_on_import_pins_encodings(self, tmp_path):
         _, sim = calibrated_mlp()
