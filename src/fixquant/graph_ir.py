@@ -199,17 +199,23 @@ class GraphModel:
         not run and ``activation`` is not applied again. With ``stop`` the
         pass computes only ``stop`` and the nodes it depends on that
         ``known`` lacks, so nothing downstream of ``stop`` runs. The returned
-        dict holds the known values and every value computed; a caller
-        reusing it in a later pass drops each value whose node has since
-        changed.
+        dict holds the known values and every value computed.
 
-        With ``stream`` the pass holds only live values: each is dropped once
-        its last consumer's kernel has run, before that consumer's
-        ``activation``, and the dict keeps those nothing consumes (outputs).
+        With ``stream`` a value is dropped once every node in the graph that
+        reads it has a value: a known one before the pass, a computed one
+        when its last reader's kernel has run, before that reader's
+        ``activation``. Values nothing reads (outputs) stay, and a pass that
+        stops keeps what a later pass from its values reads.
         """
         feed = self.normalize_inputs(inputs)
         values: dict[str, np.ndarray] = dict(known or {})
         order = self.topo_order()
+        unread: dict[str, int] = {}  # per value some node reads, its readers without a value
+        for node in self.nodes.values() if stream else ():
+            for s in set(node.inputs):
+                unread[s] = unread.get(s, 0) + (node.id not in values)
+        for s in [s for s in values if unread.get(s) == 0]:
+            del values[s]
         if stop is not None:
             if stop not in self.nodes:
                 raise GraphError(f"cannot stop at {stop!r}: no such node")
@@ -218,7 +224,6 @@ class GraphModel:
                 if nid in need and nid not in values:
                     need.update(self.nodes[nid].inputs)
             order = [nid for nid in order if nid in need]
-        last_use = {s: nid for nid in order if nid not in values for s in self.nodes[nid].inputs} if stream else {}
         for nid in order:
             if nid in values:
                 continue
@@ -228,8 +233,10 @@ class GraphModel:
             else:
                 w = weights(node) if weights is not None and node.weights else node.weights
                 y = eval_kind(node.kind, node.attrs, w, [values[s] for s in node.inputs])
-                for s in {s for s in node.inputs if last_use.get(s) == nid}:
-                    del values[s]
+                for s in set(node.inputs) if stream else ():
+                    unread[s] -= 1
+                    if not unread[s]:
+                        del values[s]
             values[nid] = y if activation is None else activation(nid, y)
         return values
 

@@ -383,19 +383,6 @@ def _analytic_input_mean(sim: QuantSimModel, node) -> Optional[np.ndarray]:
     return _rectified_gaussian_mean(beta, gamma) if through_relu else beta
 
 
-def _forget(values: dict, layer: str, consumers: dict) -> None:
-    """Drop from the values of a pass that stopped at ``layer`` the layer's
-    own value, which goes stale once its tensors change, and every value
-    whose consumers all hold one, which no later pass reads."""
-    del values[layer]
-    _drop_unread(values, consumers)
-
-
-def _drop_unread(values: dict, consumers: dict) -> None:
-    for nid in [n for n in values if all(c in values for c in consumers[n])]:
-        del values[nid]
-
-
 def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> GraphModel:
     """Shift layer biases so quantization does not move mean pre-activations.
 
@@ -407,11 +394,11 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
     those compute_encodings recorded when it calibrated this sim on the
     same graph and batch, else those of a float pass. The quantized pass
     for a layer stops at the layer's input and resumes from the values
-    earlier passes left that are still current; the layer's kernel runs
-    once without its bias, and both its raw output and, once the bias
-    has moved, its value for later passes are that accumulator plus the
-    quantized bias, the add the kernel ends with. So a chain of L layers
-    costs L layer evaluations per batch, with the numbers of full passes.
+    earlier passes left; the layer's kernel runs once without its bias,
+    and both its raw output and, once the bias has moved, its value for
+    later passes are that accumulator plus the quantized bias, the add
+    the kernel ends with. So a chain of L layers costs L layer
+    evaluations per batch, with the numbers of full passes.
     ``analytic_then_empirical`` removes the weight-quantization component
     in closed form for layers whose input mean follows from folded
     batch-norm statistics (rectified Gaussian mean through a relu) and
@@ -453,10 +440,9 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
 
     # Correct in topological order against the running quantized model:
     # earlier corrections are in place before later layers are measured.
-    # A pass computes nothing downstream of its layer, so once the bias
-    # moves that layer's value is the only stale one.
+    # A pass stops at its layer's input, so nothing it computes reads the
+    # layer, and the value later passes read is the corrected one.
     known: list[dict] = [{} for _ in batches]
-    consumers = graph.consumers()
     for nid in remaining:
         node = graph.nodes[nid]
         src = node.inputs[0]
@@ -464,7 +450,7 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
         b = _quantized(sim, node, "bias")
         accs, q_means = [], []
         for i, batch in enumerate(batches):
-            known[i] = sim.evaluate_all(batch, known=known[i], stop=src)
+            known[i] = sim.evaluate_all(batch, known=known[i], stop=src, stream=True)
             accs.append(eval_kind(node.kind, node.attrs, w, [known[i][src]]))
             q_means.append(_channel_means(_add_bias(node, accs[-1], b)))
         delta = fp_mean[nid] - np.mean(np.stack(q_means), axis=0)
@@ -472,7 +458,6 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
         b = _quantized(sim, node, "bias")
         for i, acc in enumerate(accs):
             known[i][nid] = sim.quantize_output(nid, _add_bias(node, acc, b))
-            _drop_unread(known[i], consumers)
     return graph
 
 
@@ -532,13 +517,12 @@ def _layer_problem(model: GraphModel, node, batches: list, known: list) -> tuple
     """Per calibration batch, the layer input as a patch matrix P and the
     float output as the target, both laid out per group: the output of
     group g is P[g] @ W_g.T + b_g, with W_g that group's weight rows
-    flattened. A linear layer is one group of flattened samples. Input and
-    target are the layer's input and output in a float pass of ``model``
-    (the already-rounded predecessor chain) that stops at the layer and
-    starts from ``known[i]``, the values earlier passes left for batch i.
-    ``known[i]`` becomes this pass's values less what ``_forget`` drops:
-    the layer's own, which the rounding makes stale, and those no later
-    pass reads. Returns (patch, targets): ``patch(i)`` is batch i's P, kept
+    flattened. A linear layer is one group of flattened samples. The input
+    comes from a streamed float pass of ``model`` (the already-rounded
+    predecessor chain) that stops at the layer's input and starts from
+    ``known[i]``, the values earlier passes left for batch i; ``known[i]``
+    becomes this pass's values. The target is the layer's kernel on that
+    input. Returns (patch, targets): ``patch(i)`` is batch i's P, kept
     while the layer's patches fit in ``_PATCH_BYTES`` and laid out again
     from the kept input after that."""
     w, a = node.weights["weight"], node.attrs
@@ -551,12 +535,11 @@ def _layer_problem(model: GraphModel, node, batches: list, known: list) -> tuple
         return tc.conv_patches(x, w.shape, a.get("stride", 1), a.get("padding", 0), groups)
 
     inputs, targets, size, laid = [], [], 0, 0
-    consumers = model.consumers()
     for i, batch in enumerate(batches):
+        known[i] = model.evaluate_all(batch, known=known[i], stop=node.inputs[0], stream=True)
+        x = known[i][node.inputs[0]]
         # the layer's kernel always runs, so this also checks its shapes
-        known[i] = values = model.evaluate_all(batch, known=known[i], stop=node.id)
-        x, y = values[node.inputs[0]], values[node.id]
-        _forget(values, node.id, consumers)
+        y = eval_kind(node.kind, a, node.weights, [x])
         targets.append(y.reshape(len(y), groups, og, -1).transpose(1, 0, 3, 2).reshape(groups, -1, og))
         size += y.size // w.shape[0] * groups * w[0].size * 8  # P's bytes
         if size <= _PATCH_BYTES:
@@ -583,11 +566,12 @@ def adaround(
     minimize reconstruction error of the layer's output plus a regularizer
     that pushes every offset to a hard 0 or 1. Layer inputs come from the
     already-rounded predecessor chain: each layer's float pass stops at the
-    layer and resumes from the values earlier passes left that are still
-    current, so a chain of L layers costs 2L - 1 layer evaluations per
-    batch, with the same numbers as a full pass. Final weights snap to
-    floor + {0, 1} on the grid and the frozen per-layer encodings are
-    returned (and written to ``encodings_path`` when given).
+    layer's input and resumes from the values earlier passes left, and the
+    layer's kernel runs on that input for the target, so a chain of L layers
+    costs 2L - 1 layer evaluations per batch, with the same numbers as a
+    full pass. Final weights snap to floor + {0, 1} on the grid and the
+    frozen per-layer encodings are returned (and written to
+    ``encodings_path`` when given).
 
     A layer's inputs never change while its rounding is trained, so each
     calibration batch is laid out once as a patch matrix P of shape

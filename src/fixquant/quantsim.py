@@ -604,13 +604,15 @@ def import_encodings(sim: QuantSimModel, source, freeze: bool = False) -> QuantS
     Each entry enables its tensor's quantizer at the entry's bitwidth,
     symmetry and granularity: one encoding, or one per slice along
     WEIGHT_CHANNEL_AXIS of a parameter. Other counts, unknown tensors and
-    two bitwidths in one entry are errors. ``freeze=True`` or an entry's
-    ``frozen`` flag pins the encoding against later calibration; an entry
-    pinned neither way leaves an already-frozen quantizer exactly as it was.
+    entries that disagree on bitwidth or symmetry are errors, found before
+    any quantizer changes. ``freeze=True`` or an entry's ``frozen`` flag
+    pins the encoding against later calibration; an entry pinned neither
+    way leaves an already-frozen quantizer exactly as it was.
     """
     doc = source if isinstance(source, dict) else gir.read_json(source, ENCODINGS_FORMAT, "encodings file")
     param_channels = {f"{nid}.{p}": np.atleast_1d(w).shape[WEIGHT_CHANNEL_AXIS]
                       for nid, node in sim.graph.nodes.items() for p, w in node.weights.items()}
+    updates, off = [], []
     for section, qmap, channels in (
         ("activation_encodings", sim.activation_quantizers, {}),
         ("param_encodings", sim.param_quantizers, param_channels),
@@ -625,20 +627,22 @@ def import_encodings(sim: QuantSimModel, source, freeze: bool = False) -> QuantS
             counts = {1, channels.get(key, 1)}
             if len(encs) not in counts:
                 raise EncodingError(f"{where}: {len(encs)} encodings, not {' or '.join(map(str, sorted(counts)))}")
-            if len({e.bitwidth for e in encs}) > 1:
-                raise EncodingError(f"{where}: entries disagree on bitwidth {sorted({e.bitwidth for e in encs})}")
+            for attr in ("bitwidth", "symmetric"):
+                if len(seen := {getattr(e, attr) for e in encs}) > 1:
+                    raise EncodingError(f"{where}: entries disagree on {attr} {sorted(seen)}")
             frozen = bool(freeze or any(gir.field(d, "frozen", bool, where, False) for d in entries))
-            spec = qmap[key]
-            if spec.frozen and not frozen:
-                continue  # not even its bitwidth or granularity changes
-            spec.enabled = True
-            spec.bitwidth = encs[0].bitwidth
-            spec.symmetric = encs[0].symmetric
-            spec.channel_axis = WEIGHT_CHANNEL_AXIS if len(encs) > 1 else None
-            spec.set_encodings(encs, frozen=frozen)
+            updates.append((qmap[key], encs, frozen))
         # The file omits disabled quantizers, so a quantizer the file skips
         # and that calibration has not touched was off in the exporting sim.
-        for key, spec in qmap.items():
-            if key not in entries_by_key and spec.enabled and not spec.encodings:
-                spec.enabled = False
+        off += [q for key, q in qmap.items() if key not in entries_by_key and q.enabled and not q.encodings]
+    for spec, encs, frozen in updates:
+        if spec.frozen and not frozen:
+            continue  # not even its bitwidth or granularity changes
+        spec.enabled = True
+        spec.bitwidth = encs[0].bitwidth
+        spec.symmetric = encs[0].symmetric
+        spec.channel_axis = WEIGHT_CHANNEL_AXIS if len(encs) > 1 else None
+        spec.set_encodings(encs, frozen=frozen)
+    for spec in off:
+        spec.enabled = False
     return sim

@@ -215,6 +215,23 @@ class TestResumedPasses:
         assert list(refs) == order[1:] and list(values) == ["out"]
         assert values["out"].tobytes() == full["out"].tobytes()
 
+    def test_a_streamed_pass_that_stops_keeps_what_a_later_pass_reads(self):
+        g = branching_graph()
+        values = g.evaluate_all(self.x, stop="s", stream=True)
+        assert list(values) == ["in", "s"]  # c, which has not run, reads both
+        rest = g.evaluate_all(self.x, known=values, stop="out", stream=True)
+        assert list(rest) == ["in", "out"]  # a and b read in and hold no value
+        assert rest["out"].tobytes() == g.evaluate_all(self.x)["out"].tobytes()
+
+    def test_a_streamed_pass_drops_the_known_values_nothing_left_to_run_reads(self):
+        g = branching_graph()
+        known = g.evaluate_all(self.x, stop="s")
+        values = g.evaluate_all(self.x, known=known, stop="mp", stream=True)
+        # ra reads a and s reads ra and b, all known; c reads in and s, then mp c
+        assert list(values) == ["mp"]
+        assert list(known) == ["in", "a", "ra", "b", "s"]
+        assert list(g.evaluate_all(self.x, known=known, stop="s", stream=True)) == ["in", "s"]
+
     def test_stop_must_name_a_node(self):
         with pytest.raises(GraphError, match="nope"):
             branching_graph().evaluate_all(self.x, stop="nope")

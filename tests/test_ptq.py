@@ -609,18 +609,22 @@ def _count_conv_calls(monkeypatch) -> list:
     return calls
 
 
-def test_per_batch_conv_calls_of_adaround_and_bias_correction(monkeypatch):
+# Per batch, adaround runs each conv for its target and, in later layers'
+# passes, once more rounded: conv k and, from k = 1 on, conv k - 1 on the
+# chain (6 + 5); a, b, then a and b in fc's pass on the branching net. The
+# float means come from calibration, and bias correction runs each conv's
+# kernel once, its bias re-added.
+@pytest.mark.parametrize("make, adaround_calls, bias_correct_calls", [(_conv_chain, 11, 6), (_branching_net, 4, 2)])
+def test_per_batch_conv_calls_of_adaround_and_bias_correction(monkeypatch, make, adaround_calls, bias_correct_calls):
     feed = toys.random_feed((2, 3, 6, 6), n_batches=2, seed=11)
-    sim = create_quantsim(_conv_chain(), default_param_bw=4)
+    sim = create_quantsim(make(), default_param_bw=4)
     compute_encodings(sim, feed)
     calls = _count_conv_calls(monkeypatch)
-    # per batch, layer k's pass runs conv k and, from k = 1 on, the rounded conv k - 1: 6 + 5
-    adaround(_conv_chain(), feed, AdaRoundParams(num_iterations=1))
-    assert len(calls) == 2 * 11
+    adaround(make(), feed, AdaRoundParams(num_iterations=1))
+    assert len(calls) == 2 * adaround_calls
     calls.clear()
-    # the float means come from calibration; each conv's kernel runs once, its bias re-added
     bias_correct(sim, mode="empirical", feed=feed)
-    assert len(calls) == 2 * 6
+    assert len(calls) == 2 * bias_correct_calls
 
 
 def test_bias_correction_runs_its_own_float_pass_for_another_feed(monkeypatch):
@@ -653,14 +657,21 @@ def test_bias_correction_reads_the_record_after_an_edit_downstream_of_every_mac_
 
 
 def test_a_resumed_sweep_keeps_only_the_values_a_later_pass_reads():
-    from fixquant.ptq import _forget
-
+    # bias correction's sweep: each pass stops at a MAC layer's input, then
+    # the caller adds the layer's value
     g = _branching_net()
-    values = g.evaluate_all(np.ones((1, 3, 6, 6)), stop="s")
-    assert list(values) == ["in", "a", "ra", "b", "s"]
-    _forget(values, "s", g.consumers())
-    # s is stale; a feeds only ra, which is held; in still feeds c, ra and b feed s
-    assert list(values) == ["in", "ra", "b"]
+    x = np.random.default_rng(0).normal(size=(1, 3, 6, 6))
+    full = g.evaluate_all(x)
+    known, held = {}, []
+    for layer in ("a", "b", "fc", "out"):
+        known = g.evaluate_all(x, known=known, stop=g.nodes[layer].inputs[0], stream=True)
+        assert all(known[nid].tobytes() == full[nid].tobytes() for nid in known)
+        held.append(list(known))
+        known[layer] = full[layer]
+    # in feeds b and c until c runs; a waits for ra, ra and b for s; ap goes
+    # once fc has a value, and fc once out has one
+    assert held == [["in"], ["in", "a"], ["ap"], ["fc"]]
+    assert list(g.evaluate_all(x, known=known, stop="out", stream=True)) == ["out"]
 
 
 # ---------------------------------------------------------------------------

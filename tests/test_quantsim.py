@@ -603,14 +603,29 @@ class TestEncodingsFile:
         assert bitwidths["fc0.weight"] == 4 and bitwidths["act0"] == 16
         assert np.array_equal(sim2.forward(x), sim.forward(x))
 
-    def test_entries_of_one_tensor_at_two_bitwidths_rejected(self, tmp_path):
+    @pytest.mark.parametrize("change, match", [
+        ({"bitwidth": 4}, r"bitwidth \[4, 8\]"),
+        ({"symmetric": False, "signed": False, "offset": 128}, r"symmetric \[False, True\]"),  # the same 8-bit grid
+    ], ids=["bitwidth", "symmetric"])
+    def test_entries_of_one_tensor_that_disagree_rejected(self, change, match):
         _, sim = calibrated_mlp(scheme=RangeScheme(per_channel=True))
         doc = encodings_to_dict(sim.activation_quantizers, sim.param_quantizers)
         entries = doc["param_encodings"]["fc0.weight"]
-        entries[3] = {**entries[3], "bitwidth": 4}
+        assert all(e["bitwidth"] == 8 and e["symmetric"] for e in entries)
+        entries[3] = {**entries[3], **change}
         sim2 = create_quantsim(toys.mlp([4, 8, 3], seed=0))
-        with pytest.raises(EncodingError, match=r"fc0.weight.*bitwidth \[4, 8\]"):
+        with pytest.raises(EncodingError, match=rf"fc0.weight.*{match}"):
             import_encodings(sim2, doc)
+
+    def test_a_failed_import_leaves_every_quantizer_as_it_was(self):
+        _, source = calibrated_mlp(default_output_bw=16, scheme=RangeScheme(per_channel=True))
+        doc = encodings_to_dict(source.activation_quantizers, source.param_quantizers)
+        doc["param_encodings"]["fc1.weight"] = doc["param_encodings"]["fc1.weight"][:2]  # 3 channels
+        _, sim = calibrated_mlp()
+        before = copy.deepcopy((sim.activation_quantizers, sim.param_quantizers))
+        with pytest.raises(EncodingError, match=r"fc1.weight.*2 encodings"):
+            import_encodings(sim, doc)
+        assert (sim.activation_quantizers, sim.param_quantizers) == before
 
     @pytest.mark.parametrize("section, key, count", [
         ("param_encodings", "fc0.weight", 3),
