@@ -111,25 +111,6 @@ class ParetoEntry:
 # Phase 0: grouping
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def find(self, a: str) -> str:
-        self.parent.setdefault(a, a)
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def find_layer_groups(sim: QuantSimModel) -> list[QuantizerGroup]:
     """Partition the enabled quantizers into search groups.
 
@@ -138,24 +119,30 @@ def find_layer_groups(sim: QuantSimModel) -> list[QuantizerGroup]:
     """
     graph = sim.graph
     consumers = graph.consumers()
-    uf = _UnionFind()
+    rep = {nid: nid for nid in graph.topo_order()}  # node -> its group's representative
+
+    def union(a: str, b: str) -> None:
+        ra, rb = rep[a], rep[b]
+        for nid, r in rep.items():
+            if r == rb:
+                rep[nid] = ra
+
     for nid in graph.topo_order():
-        uf.find(nid)
         node = graph.nodes[nid]
         if node.kind in MAC_KINDS:
             cons = consumers[nid]
             if len(cons) == 1 and graph.nodes[cons[0]].kind in ("relu", "relu6"):
-                uf.union(nid, cons[0])
+                union(nid, cons[0])
         if node.kind in ("add", "concat"):
             for a in node.inputs[1:]:
-                uf.union(node.inputs[0], a)
+                union(node.inputs[0], a)
         if node.kind == "avgpool":
             # Reuses its input encoding, so it must move with its producer.
-            uf.union(node.inputs[0], nid)
+            union(node.inputs[0], nid)
 
     members: dict[str, list[str]] = {}
-    for nid in graph.topo_order():
-        members.setdefault(uf.find(nid), []).append(nid)
+    for nid, r in rep.items():
+        members.setdefault(r, []).append(nid)
 
     groups = []
     for node_ids in members.values():

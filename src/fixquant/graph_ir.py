@@ -198,8 +198,10 @@ class GraphModel:
         A node found in ``known`` takes that value as it is: its kernel does
         not run and ``activation`` is not applied again. With ``stop`` the
         pass computes only ``stop`` and the nodes it depends on that
-        ``known`` lacks, so nothing downstream of ``stop`` runs. The returned
-        dict holds the known values and every value computed.
+        ``known`` lacks, so nothing downstream of ``stop`` runs; with
+        ``known`` and no ``stop`` it computes only what the outputs need
+        (a pass with neither runs every node). The returned dict holds the
+        known values and every value computed.
 
         With ``stream`` a value is dropped once every node in the graph that
         reads it has a value: a known one before the pass, a computed one
@@ -216,10 +218,10 @@ class GraphModel:
                 unread[s] = unread.get(s, 0) + (node.id not in values)
         for s in [s for s in values if unread.get(s) == 0]:
             del values[s]
-        if stop is not None:
-            if stop not in self.nodes:
-                raise GraphError(f"cannot stop at {stop!r}: no such node")
-            need = {stop}
+        if stop is not None and stop not in self.nodes:
+            raise GraphError(f"cannot stop at {stop!r}: no such node")
+        if stop is not None or known:
+            need = {stop} if stop is not None else set(self.output_ids)
             for nid in reversed(order):
                 if nid in need and nid not in values:
                     need.update(self.nodes[nid].inputs)

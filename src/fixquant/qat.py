@@ -1,15 +1,16 @@
 """Quantization-aware training.
 
-The forward pass is the simulation's own, ``QuantSimModel.evaluate_all``,
-recorded on a ``Tape``: every node's output and every op's output before
-its activation quantizer. QAT therefore trains exactly the network that
-``sim.forward`` runs and ``export`` writes. The tape also keeps the
-quantized weights the forward pass ran with, so they are quantized once per
-step. ``backward`` walks the graph in reverse topological order and derives
-what each node needs from the tape and the node itself (relu masks, concat
-split sizes, maxpool argmax). Every quantize-dequantize passes gradients
-straight through inside its grid and blocks them where it clips
-(``ste_mask``).
+The forward pass is the simulation's own: the interpreter's
+``GraphModel.evaluate_all`` with the sim's quantized weights and output
+quantizers as its hooks. ``forward_with_tape`` records it on a ``Tape``
+through those hooks: every node's output, every op's output before its
+activation quantizer, and the quantized weights each node ran with, so
+they are quantized once per step. QAT therefore trains exactly the network
+that ``sim.forward`` runs and ``export`` writes. ``backward`` walks the
+graph in reverse topological order and derives what each node needs from
+the tape and the node itself (relu masks, concat split sizes, maxpool
+argmax). Every quantize-dequantize passes gradients straight through
+inside its grid and blocks them where it clips (``ste_mask``).
 With every quantizer disabled the forward pass is the float model and the
 trainer is plain SGD, bit for bit.
 
@@ -109,8 +110,21 @@ def conv2d_backward(
 
 
 def forward_with_tape(sim: QuantSimModel, inputs) -> Tape:
-    """The simulation's quantized forward pass, recorded for backward()."""
-    values, raw, weights = sim.evaluate_all(inputs, capture_raw=True)
+    """The simulation's quantized forward pass, recorded for backward(): the
+    graph pass with the sim's hooks, each wrapped to record what it is
+    given (the raw op output) or returns (the weights a node ran with)."""
+    raw: dict[str, np.ndarray] = {}
+    weights: dict[str, dict] = {}
+
+    def run_weights(node) -> dict[str, np.ndarray]:
+        weights[node.id] = w = sim.quantized_weights(node)
+        return w
+
+    def activation(nid: str, y: np.ndarray) -> np.ndarray:
+        raw[nid] = y
+        return sim.quantize_output(nid, y)
+
+    values = sim.graph.evaluate_all(inputs, run_weights, activation)
     return Tape(values=values, raw=raw, output_id=sim.graph.output_ids[0], weights=weights)
 
 

@@ -18,7 +18,7 @@ same scale, which makes save/load round trips bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

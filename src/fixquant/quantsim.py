@@ -216,26 +216,11 @@ class QuantSimModel:
 
     # -- forward ----------------------------------------------------------
 
-    def evaluate_all(self, inputs, capture_raw: bool = False, known=None, stop=None, stream=False):
-        """Quantized forward returning every tensor. With ``capture_raw``
-        it returns three dicts: every tensor, the raw (pre-output-quantizer)
-        op outputs, and the quantized tensors each weighted node ran with.
-        ``known``, ``stop`` and ``stream`` are ``GraphModel.evaluate_all``'s;
-        ``raw`` and ``used`` then hold only the nodes that were recomputed."""
-        raw: dict[str, np.ndarray] = {}
-        used: dict[str, dict] = {}
-
-        def weights(node: Node) -> dict[str, np.ndarray]:
-            used[node.id] = w = self.quantized_weights(node)
-            return w
-
-        def activation(nid: str, y: np.ndarray) -> np.ndarray:
-            if capture_raw:
-                raw[nid] = y
-            return self.quantize_output(nid, y)
-
-        values = self.graph.evaluate_all(inputs, weights, activation, known, stop, stream)
-        return (values, raw, used) if capture_raw else values
+    def evaluate_all(self, inputs, known=None, stop=None, stream=False) -> dict[str, np.ndarray]:
+        """The quantized forward: ``GraphModel.evaluate_all`` with this sim's
+        quantized weights and output quantizers as its hooks. ``known``,
+        ``stop`` and ``stream`` are that pass's."""
+        return self.graph.evaluate_all(inputs, self.quantized_weights, self.quantize_output, known, stop, stream)
 
     def quantize_output(self, nid: str, y: np.ndarray) -> np.ndarray:
         """``y`` through node ``nid``'s output quantizer, if it has one."""

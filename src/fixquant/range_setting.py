@@ -4,7 +4,7 @@ Two schemes are provided. ``min_max`` uses the observed extrema directly.
 ``sqnr`` grid-searches clipping thresholds, scoring each candidate by the
 expected squared reconstruction error estimated on a fixed-width histogram
 of the observed data; rounding noise and clipping error are weighted
-equally (the clip weight is a documented, overridable constant).
+equally.
 
 The search scores candidates as arrays, a chunk of candidates x bins at a
 time, in ascending order of their clipping error alone (a lower bound on the
@@ -40,8 +40,6 @@ __all__ = [
 
 HISTOGRAM_BINS = 2048
 SQNR_SHRINK_STEPS = 100
-# Weight of clipping error relative to rounding error in the sqnr objective.
-SQNR_CLIP_WEIGHT = 1.0
 # Degenerate observed ranges (max == min) are widened by half their magnitude
 # plus this epsilon so the scale stays positive.
 DEGENERATE_RANGE_EPS = 1e-5
@@ -236,16 +234,11 @@ def compute_minmax(acc: RangeAccumulator, bitwidth: int, symmetric: bool):
     return out
 
 
-def _errors(centers, scale, zp, q_lo, q_hi, clip_weight) -> np.ndarray:
-    """Squared qdq error per candidate x bin, through ``qdq_tensor``'s kernel;
-    clipped bins count ``clip_weight`` times."""
-    s, z = scale[:, None], zp[:, None]
-    err = _fake_quant(centers, s, z, q_lo, q_hi)
+def _errors(centers, scale, zp, q_lo, q_hi) -> np.ndarray:
+    """Squared qdq error per candidate x bin, through ``qdq_tensor``'s kernel."""
+    err = _fake_quant(centers, scale[:, None], zp[:, None], q_lo, q_hi)
     err -= centers
     err *= err
-    if clip_weight != 1.0:
-        outside = (centers < s * (q_lo - z)) | (centers > s * (q_hi - z))
-        err = np.where(outside, clip_weight * err, err)
     return err
 
 
@@ -265,7 +258,7 @@ def _clip_lower_bounds(centers, counts, gmin, gmax) -> np.ndarray:
     return out
 
 
-def _first_min(centers, counts, scale, zp, q_lo, q_hi, clip_weight) -> Optional[int]:
+def _first_min(centers, counts, scale, zp, q_lo, q_hi) -> Optional[int]:
     """Index of the first candidate with the least estimated mse; None if no
     score is finite. Chunks are scored in ascending order of the clip-only
     lower bound until the next bound exceeds the best score. Near-best
@@ -273,7 +266,7 @@ def _first_min(centers, counts, scale, zp, q_lo, q_hi, clip_weight) -> Optional[
     argmin nor its tie break depends on how the matrix product sums."""
     total = counts.sum()
     gmin, gmax = scale * (q_lo - zp), scale * (q_hi - zp)
-    lower = _clip_lower_bounds(centers, counts, gmin, gmax) * clip_weight / total
+    lower = _clip_lower_bounds(centers, counts, gmin, gmax) / total
     order = np.argsort(lower, kind="stable")
     rows = max(1, _SCORE_CHUNK_ELEMS // centers.size)
     best, scored = np.inf, []
@@ -281,20 +274,20 @@ def _first_min(centers, counts, scale, zp, q_lo, q_hi, clip_weight) -> Optional[
         if lower[order[start]] > best * (1.0 + _SCORE_RTOL):
             break
         idx = order[start : start + rows]
-        mse = _errors(centers, scale[idx], zp[idx], q_lo, q_hi, clip_weight) @ counts / total
+        mse = _errors(centers, scale[idx], zp[idx], q_lo, q_hi) @ counts / total
         best = min(best, float(mse.min()))
         scored.append((idx, mse))
     if not np.isfinite(best):
         return None
     near = np.sort(np.concatenate([idx[mse <= best * (1.0 + _SCORE_RTOL)] for idx, mse in scored]))
     exact = [
-        float(np.dot(_errors(centers, scale[i : i + 1], zp[i : i + 1], q_lo, q_hi, clip_weight)[0], counts) / total)
+        float(np.dot(_errors(centers, scale[i : i + 1], zp[i : i + 1], q_lo, q_hi)[0], counts) / total)
         for i in near
     ]
     return int(near[np.argmin(exact)])
 
 
-def _sqnr_single(hist: _Hist, bitwidth: int, symmetric: bool, steps: int, clip_weight: float) -> QuantEncoding:
+def _sqnr_single(hist: _Hist, bitwidth: int, symmetric: bool, steps: int) -> QuantEncoding:
     mn, mx, n = hist.mn, hist.mx, hist.count
     if n == 0:
         raise CalibrationError("accumulator slice has no observations")
@@ -329,32 +322,24 @@ def _sqnr_single(hist: _Hist, bitwidth: int, symmetric: bool, steps: int, clip_w
     for i in np.flatnonzero(~(np.isfinite(scale) & (scale > 0.0))):
         e = encoding_from_range(float(los[i]), float(his[i]), bitwidth, symmetric)
         scale[i], zp[i] = e.scale, e.zero_point
-    best = _first_min(centers, counts, scale, zp, q_lo, q_hi, clip_weight)
+    best = _first_min(centers, counts, scale, zp, q_lo, q_hi)
     if best is None:
         return encoding_from_range(mn, mx, bitwidth, symmetric)
     return encoding_from_range(float(los[best]), float(his[best]), bitwidth, symmetric)
 
 
-def compute_sqnr(
-    acc: RangeAccumulator,
-    bitwidth: int,
-    symmetric: bool,
-    steps: int = SQNR_SHRINK_STEPS,
-    clip_weight: float = SQNR_CLIP_WEIGHT,
-):
+def compute_sqnr(acc: RangeAccumulator, bitwidth: int, symmetric: bool, steps: int = SQNR_SHRINK_STEPS):
     """Encodings minimizing histogram-estimated reconstruction error.
 
     The candidate grid shrinks each side of the observed range toward zero
     in ``steps`` equal fractions; for every candidate the expected squared
-    error of quantize-dequantize (clipped bins times ``clip_weight``) is
-    estimated on the accumulated histogram, scored as arrays with exact
-    lower-bound pruning, and the argmin candidate wins (first minimum in
-    lo-major candidate order on ties, so the result is deterministic).
-    Returns a list (one entry per channel).
+    error of quantize-dequantize, rounding and clipping alike, is estimated
+    on the accumulated histogram, scored as arrays with exact lower-bound
+    pruning, and the argmin candidate wins (first minimum in lo-major
+    candidate order on ties, so the result is deterministic). Returns a
+    list (one entry per channel).
     """
-    if not (math.isfinite(clip_weight) and clip_weight >= 0.0):
-        raise CalibrationError(f"clip_weight must be finite and non-negative, got {clip_weight!r}")
-    return [_sqnr_single(h, bitwidth, symmetric, steps, clip_weight) for h in acc.histograms()]
+    return [_sqnr_single(h, bitwidth, symmetric, steps) for h in acc.histograms()]
 
 
 def compute_encodings_from_accumulator(

@@ -179,14 +179,30 @@ class TestResumedPasses:
 
         g = branching_graph()
         full = g.evaluate_all(self.x)
-        known = {nid: v for nid, v in full.items() if nid != "b"}
+        known = {nid: full[nid] for nid in ("in", "a", "ra")}
         ran, mapped = [], []
         real = graph_ir.eval_kind
         monkeypatch.setattr(graph_ir, "eval_kind", lambda k, *a: ran.append(k) or real(k, *a))
         values = g.evaluate_all(self.x, activation=lambda nid, y: mapped.append(nid) or y + 1.0, known=known)
-        assert ran == ["conv2d"] and mapped == ["b"]  # only b runs, and only b is mapped
+        rest = [nid for nid in g.topo_order() if nid not in known]
+        assert mapped == rest  # only the nodes known lacks run, and only they are mapped
+        assert ran == [g.nodes[nid].kind for nid in rest]
         assert all(values[nid] is v for nid, v in known.items())
         assert np.array_equal(values["b"], full["b"] + 1.0)
+        assert np.array_equal(values["s"], values["ra"] + values["b"] + 1.0)
+
+    def test_a_pass_from_known_values_runs_only_what_the_outputs_need(self, monkeypatch):
+        from fixquant import graph_ir
+
+        g = branching_graph()
+        full = g.evaluate_all(self.x)
+        ran = []
+        real = graph_ir.eval_kind
+        monkeypatch.setattr(graph_ir, "eval_kind", lambda k, *a: ran.append(k) or real(k, *a))
+        values = g.evaluate_all(self.x, known={nid: full[nid] for nid in ("in", "s")}, stream=True)
+        # a, ra and b feed only s, which is known
+        assert ran == ["concat", "maxpool", "avgpool", "linear", "output"]
+        assert values["out"].tobytes() == full["out"].tobytes()
 
     def test_known_is_not_modified(self):
         g = branching_graph()

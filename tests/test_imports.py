@@ -1,4 +1,5 @@
-"""fixquant needs numpy and the standard library, nothing else."""
+"""fixquant needs numpy and the standard library, nothing else, and each of
+its modules reads every name it imports."""
 
 import ast
 import sys
@@ -16,3 +17,27 @@ def test_every_absolute_import_is_numpy_or_the_standard_library(path):
     names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
     foreign = sorted({n for n in names if n.split(".")[0] not in sys.stdlib_module_names | {"numpy"}})
     assert foreign == [], f"{path.relative_to(SRC)} imports {foreign}"
+
+
+# Imported names a module never reads, each with the reason it stays bound.
+UNREAD_EXEMPT = {
+    ("qat.py", "qdq"): "perfbench/tracer.py patches qdq in every module that binds it",
+    ("range_setting.py", "qdq_tensor"): "perfbench/tracer.py patches this binding to trace qdq_tensor",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_every_imported_name_is_read(path):
+    rel = str(path.relative_to(SRC))
+    if rel == "__init__.py":
+        return  # the package's imports are its re-exports
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(n for n in bound - read if (rel, n) not in UNREAD_EXEMPT)
+    assert unread == [], f"{rel} imports {unread} and never reads them"

@@ -24,6 +24,7 @@ from fixquant.ptq import (
     _in_channel_ranges,
     _rectified_gaussian_mean,
 )
+from fixquant.qat import forward_with_tape
 from fixquant.quantizer import qdq
 from fixquant.quantsim import SimConfig, compute_encodings, create_quantsim
 from fixquant.range_setting import RangeScheme
@@ -287,8 +288,7 @@ class TestBiasCorrection:
             fp, q = [], []
             for batch in feed:
                 fp.append(float_model.evaluate_all(batch)[nid])
-                _, raw, _ = sim.evaluate_all(batch, capture_raw=True)
-                q.append(raw[nid])
+                q.append(forward_with_tape(sim, batch).raw[nid])
             fp_mean = np.concatenate(fp).mean(axis=0)
             q_mean = np.concatenate(q).mean(axis=0)
             assert np.allclose(fp_mean, q_mean, atol=1e-7)
@@ -700,7 +700,7 @@ def _bias_correct_oracle(sim, mode, feed):
     for nid, err in analytic.items():
         graph.nodes[nid].set_weight("bias", graph.nodes[nid].weights["bias"] - err)
     for nid in remaining:
-        q = [ptq._channel_means(sim.evaluate_all(b, capture_raw=True)[1][nid]) for b in batches]
+        q = [ptq._channel_means(forward_with_tape(sim, b).raw[nid]) for b in batches]
         node = graph.nodes[nid]
         node.set_weight("bias", node.weights["bias"] + (fp_mean[nid] - np.mean(np.stack(q), axis=0)))
     return graph
@@ -792,7 +792,7 @@ def test_analytic_mode_corrects_empirical_layers_toward_the_model_as_given():
     batches = ptq._limit_samples(feed, ptq.BIAS_CORRECT_SAMPLES)
     for nid in ("conv2", "conv4"):
         fp = np.mean([ptq._channel_means(model.evaluate_all(b)[nid]) for b in batches], axis=0)
-        q = np.mean([ptq._channel_means(sim.evaluate_all(b, capture_raw=True)[1][nid]) for b in batches], axis=0)
+        q = np.mean([ptq._channel_means(forward_with_tape(sim, b).raw[nid]) for b in batches], axis=0)
         assert np.max(np.abs(q - fp)) <= 1e-6, nid
 
 

@@ -234,16 +234,13 @@ def test_subnormal_wide_ranges_histogram_as_a_spike(channel_axis, split):
 # reproduce these exactly (encodings) or to rounding (histogram counts).
 
 
-def _oracle_mse(centers, counts, enc, clip_weight):
+def _oracle_mse(centers, counts, enc):
     rec = qdq_tensor(centers, enc)
     err = (rec - centers) ** 2
-    if clip_weight != 1.0:
-        outside = (centers < enc.grid_min) | (centers > enc.grid_max)
-        err = np.where(outside, clip_weight * err, err)
     return float(np.dot(err, counts) / counts.sum())
 
 
-def _oracle_sqnr(hist, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS, clip_weight=1.0):
+def _oracle_sqnr(hist, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS):
     mn, mx = hist.mn, hist.mx
     if mx <= mn:
         return rs.encoding_from_range(mn, mx, bitwidth, symmetric)
@@ -258,7 +255,7 @@ def _oracle_sqnr(hist, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS, clip_wei
             if r <= 0.0:
                 break
             enc = rs.encoding_from_range(-r if mn < 0 else 0.0, r, bitwidth, True)
-            mse = _oracle_mse(centers, counts, enc, clip_weight)
+            mse = _oracle_mse(centers, counts, enc)
             if mse < best_mse:
                 best, best_mse = enc, mse
         return best
@@ -269,7 +266,7 @@ def _oracle_sqnr(hist, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS, clip_wei
             if hi - lo <= 0.0:
                 continue
             enc = rs.encoding_from_range(lo, hi, bitwidth, False)
-            mse = _oracle_mse(centers, counts, enc, clip_weight)
+            mse = _oracle_mse(centers, counts, enc)
             if mse < best_mse:
                 best, best_mse = enc, mse
     return best if best is not None else rs.encoding_from_range(mn, mx, bitwidth, False)
@@ -300,9 +297,9 @@ def _oracle_rebin(counts, old_edges, mn, mx, bins):
     return new
 
 
-def _assert_same_encodings(acc, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS, clip_weight=1.0):
-    got = rs.compute_sqnr(acc, bitwidth, symmetric, steps=steps, clip_weight=clip_weight)
-    want = [_oracle_sqnr(h, bitwidth, symmetric, steps, clip_weight) for h in acc.histograms()]
+def _assert_same_encodings(acc, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS):
+    got = rs.compute_sqnr(acc, bitwidth, symmetric, steps=steps)
+    want = [_oracle_sqnr(h, bitwidth, symmetric, steps) for h in acc.histograms()]
     for g, w in zip(got, want):
         assert (g.scale, g.zero_point) == (w.scale, w.zero_point)
         assert g == w
@@ -312,17 +309,16 @@ def _assert_same_encodings(acc, bitwidth, symmetric, steps=rs.SQNR_SHRINK_STEPS,
 class TestSqnrMatchesScalarOracle:
     # 40 steps keep the oracle's 1,600-candidate loop cheap while still
     # spanning many score chunks at ~1,000 nonzero bins.
-    @pytest.mark.parametrize("clip_weight", [1.0, 2.0])
     @pytest.mark.parametrize("bitwidth", [2, 4, 8, 16])
     @pytest.mark.parametrize("signed_data", [True, False])
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_grid(self, symmetric, signed_data, bitwidth, clip_weight):
+    def test_grid(self, symmetric, signed_data, bitwidth):
         rng = np.random.default_rng(bitwidth + 10 * symmetric + 100 * signed_data)
         x = rng.standard_t(df=4, size=3000)
         if not signed_data:
             x = np.abs(x)
         acc = RangeAccumulator().observe(x)
-        _assert_same_encodings(acc, bitwidth, symmetric, steps=40, clip_weight=clip_weight)
+        _assert_same_encodings(acc, bitwidth, symmetric, steps=40)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("kind", ["nonnegative", "nonpositive", "outlier"])
@@ -363,11 +359,6 @@ class TestSqnrMatchesScalarOracle:
         grown[2, 0, 0] = 30.0
         acc.observe(grown)
         _assert_same_encodings(acc, 4, symmetric, steps=40)
-
-    def test_rejects_negative_clip_weight(self):
-        acc = RangeAccumulator().observe(np.array([-1.0, 2.0]))
-        with pytest.raises(CalibrationError):
-            rs.compute_sqnr(acc, 8, False, clip_weight=-1.0)
 
 
 class TestRebinMatchesOracle:
@@ -432,4 +423,4 @@ class TestSqnrSearchOrder:
         counts = np.ones(2048)
         scale = np.concatenate([np.linspace(1600.0, 1800.0, 64), [1.0]])
         zp = np.zeros_like(scale)
-        assert rs._first_min(centers, counts, scale, zp, 0, 1023, 1.0) == 64
+        assert rs._first_min(centers, counts, scale, zp, 0, 1023) == 64
