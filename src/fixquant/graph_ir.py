@@ -206,8 +206,9 @@ class GraphModel:
         With ``stream`` a value is dropped once every node in the graph that
         reads it has a value: a known one before the pass, a computed one
         when its last reader's kernel has run, before that reader's
-        ``activation``. Values nothing reads (outputs) stay, and a pass that
-        stops keeps what a later pass from its values reads.
+        ``activation``. Values nothing reads (outputs) stay, a known ``stop``
+        stays, and a pass that stops keeps what a later pass from its values
+        reads.
         """
         feed = self.normalize_inputs(inputs)
         values: dict[str, np.ndarray] = dict(known or {})
@@ -216,7 +217,7 @@ class GraphModel:
         for node in self.nodes.values() if stream else ():
             for s in set(node.inputs):
                 unread[s] = unread.get(s, 0) + (node.id not in values)
-        for s in [s for s in values if unread.get(s) == 0]:
+        for s in [s for s in values if unread.get(s) == 0 and s != stop]:
             del values[s]
         if stop is not None and stop not in self.nodes:
             raise GraphError(f"cannot stop at {stop!r}: no such node")

@@ -121,6 +121,26 @@ class TestGrouping:
         assert "fc_a+fc_b+ra+rb" in ids
         assert "fc_c" in ids
 
+    def test_a_merge_through_a_later_member_relabels_the_whole_group(self):
+        w = np.eye(3)
+        b = np.zeros(3)
+        nodes = [Node("in", "input")]
+        for br in "abc":
+            nodes.append(Node(f"fc_{br}", "linear", inputs=["in"], weights={"weight": w, "bias": b}))
+            nodes.append(Node(f"r{br}", "relu", inputs=[f"fc_{br}"]))
+        nodes += [
+            Node("add1", "add", inputs=["ra", "rb"]),
+            # rb is not the first group's representative: all four members move
+            Node("add2", "add", inputs=["rc", "rb"]),
+            Node("cat", "concat", inputs=["add1", "add2"], attrs={"axis": 1}),
+            Node("out", "output", inputs=["cat"]),
+        ]
+        sim = create_quantsim(GraphModel(nodes, name="three_branches"))
+        compute_encodings(sim, toys.random_feed((8, 3), n_batches=1))
+        ids = [g.group_id for g in find_layer_groups(sim)]
+        assert "fc_a+fc_b+fc_c+ra+rb+rc" in ids
+        assert not any(g != "fc_a+fc_b+fc_c+ra+rb+rc" and g.startswith("fc_") for g in ids)
+
     def test_avgpool_moves_with_its_producer(self):
         rng = np.random.default_rng(0)
         nodes = [

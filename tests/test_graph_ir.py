@@ -204,6 +204,19 @@ class TestResumedPasses:
         assert ran == ["concat", "maxpool", "avgpool", "linear", "output"]
         assert values["out"].tobytes() == full["out"].tobytes()
 
+    def test_a_pass_that_stops_at_a_known_value_runs_nothing(self, monkeypatch):
+        from fixquant import graph_ir
+
+        g = branching_graph()
+        full = g.evaluate_all(self.x)
+        ran = []
+        real = graph_ir.eval_kind
+        monkeypatch.setattr(graph_ir, "eval_kind", lambda k, *a: ran.append(k) or real(k, *a))
+        # every reader of s is known, yet the pass keeps s rather than recompute it
+        values = g.evaluate_all(self.x, known=full, stop="s", stream=True)
+        assert ran == []
+        assert values["s"] is full["s"]
+
     def test_known_is_not_modified(self):
         g = branching_graph()
         known = g.evaluate_all(self.x, stop="a")

@@ -102,6 +102,16 @@ class TestTapeForward:
             tape = forward_with_tape(sim, x)
             assert np.array_equal(tape.values[tape.output_id], sim.forward(x))
 
+    def test_the_tape_records_each_raw_output_before_its_quantizer(self):
+        model = mixed_graph(seed=14)
+        sim = calibrated_sim(model, (2, 3, 6, 6), seed=15, default_param_bw=4)
+        x = np.random.default_rng(16).normal(size=(2, 3, 6, 6))
+        tape = forward_with_tape(sim, x)
+        full = sim.evaluate_all(x)
+        assert list(tape.raw) == list(tape.values) == list(full) == model.topo_order()
+        for nid, y in tape.raw.items():
+            assert sim.quantize_output(nid, y).tobytes() == tape.values[nid].tobytes() == full[nid].tobytes()
+
     def test_weights_are_quantized_once_per_step(self, monkeypatch):
         from fixquant.quantsim import QuantSimModel
 
