@@ -26,9 +26,10 @@ phase-1 baseline was cached.
 Both phases try every setting in place on the one sim they are given, and
 ``choose_mixed_precision`` runs them in one ``sim.resuming()`` scope, so an
 evaluation reruns only the nodes that differ from the previous one's.
-Evaluation callbacks take that sim, must not change it, and return a score
-where larger is better. Frozen quantizers keep their encodings and
-bitwidths; the search moves everything else in the group.
+Evaluation callbacks take that sim, must not change it, and return a finite
+score where larger is better; a non-finite one is a NumericError before any
+cache holds it. Frozen quantizers keep their encodings and bitwidths; the
+search moves everything else in the group.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-import numpy as np
-
-from .errors import CacheError, EncodingError, ModelFormatError
+from .errors import CacheError, EncodingError, ModelFormatError, NumericError
 from .graph_ir import MAC_KINDS, field, read_json, value_keys, write_csv, write_json
 from .quantizer import check_bitwidth
 from .quantsim import QuantSimModel, compute_activation_encodings, compute_param_encodings
@@ -191,46 +190,31 @@ def _max_candidate(candidates: list[CandidatePair]) -> CandidatePair:
 # Bit ops
 
 
-def _mac_count(sim: QuantSimModel, node) -> int:
-    """MACs per sample: weight elements times output H x W, the spatial size
-    recorded by compute_encodings (1 for linear layers, or if never run)."""
-    return int(np.prod(node.weights["weight"].shape)) * sim.mac_spatial.get(node.id, 1)
+def bit_ops(sim: QuantSimModel, assignment: dict, groups: Optional[list[QuantizerGroup]] = None) -> int:
+    """Total cost Σ MACs x activation_bw x param_bw under an assignment, the
+    search's one cost model: a move saves the difference of two totals.
 
-
-def _bit_ops_terms(sim: QuantSimModel, groups: list[QuantizerGroup]):
-    """(per-group MAC totals, constant term for MAC nodes outside any group)."""
-    node_group = {nid: g.group_id for g in groups for nid in g.node_ids}
-    group_macs = {g.group_id: 0 for g in groups}
-    constant = 0
+    ``assignment`` maps group id to a CandidatePair (or (act, param) tuple).
+    A MAC node's MACs per sample are its weight elements times its output
+    H x W, the spatial size recorded by compute_encodings (1 for linear
+    layers, or if never run). A MAC node outside every group counts at its
+    current bitwidths, 32 where a quantizer is off.
+    """
+    groups = groups if groups is not None else find_layer_groups(sim)
+    node_cand = {nid: CandidatePair.of(assignment[g.group_id]) for g in groups for nid in g.node_ids}
+    total = 0
     for nid in sim.graph.topo_order():
         node = sim.graph.nodes[nid]
         if node.kind not in MAC_KINDS:
             continue
-        macs = _mac_count(sim, node)
-        gid = node_group.get(nid)
-        if gid is not None:
-            group_macs[gid] += macs
+        if nid in node_cand:
+            abw, pbw = node_cand[nid].activation_bw, node_cand[nid].param_bw
         else:
             pspec = sim.param_quantizers.get(f"{nid}.weight")
             aspec = sim.activation_quantizers.get(nid)
             pbw = pspec.bitwidth if pspec is not None and pspec.enabled else 32
             abw = aspec.bitwidth if aspec is not None and aspec.enabled else 32
-            constant += macs * abw * pbw
-    return group_macs, constant
-
-
-def bit_ops(sim: QuantSimModel, assignment: dict, groups: Optional[list[QuantizerGroup]] = None) -> int:
-    """Total cost Σ MACs x activation_bw x param_bw under an assignment.
-
-    ``assignment`` maps group id to a CandidatePair (or (act, param) tuple).
-    MAC layers outside every group count at their current bitwidths.
-    """
-    groups = groups if groups is not None else find_layer_groups(sim)
-    group_macs, constant = _bit_ops_terms(sim, groups)
-    total = constant
-    for g in groups:
-        cand = CandidatePair.of(assignment[g.group_id])
-        total += group_macs[g.group_id] * cand.activation_bw * cand.param_bw
+        total += node.weights["weight"].size * sim.mac_spatial.get(nid, 1) * abw * pbw
     return total
 
 
@@ -255,12 +239,15 @@ def fingerprint(sim: QuantSimModel, candidates: list[CandidatePair]) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
-def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
-    """The cache at ``path``, or None if there is none. An unreadable file,
-    a field of the wrong type or range, or another fingerprint is a
-    CacheError. A missing ``entries`` list reads as empty."""
+def _open_cache(path: Path, expected_format: str, fp: str, baseline: Callable[[], float]) -> dict:
+    """The cache at ``path``, or, if there is none, a new one holding
+    ``baseline()`` and no entries, written. An unreadable file, a field of
+    the wrong type or range, or another fingerprint is a CacheError. A
+    missing ``entries`` list reads as empty."""
     if not path.exists():
-        return None
+        doc = {"format": expected_format, "fingerprint": fp, "baseline": baseline(), "entries": []}
+        write_json(path, doc)
+        return doc
     try:
         doc = read_json(path, expected_format, "cache")
         where = str(path)
@@ -284,6 +271,15 @@ def _load_cache(path: Path, expected_format: str, fp: str) -> Optional[dict]:
     except (EncodingError, ValueError, TypeError) as exc:  # from CandidatePair.of
         raise CacheError(f"{at}: field 'candidate': {exc}") from None
     return doc
+
+
+def _score(evaluate: Callable[[QuantSimModel], float], sim: QuantSimModel, what: str) -> float:
+    """``evaluate(sim)`` as a float. A non-finite score is a NumericError
+    naming ``what`` was evaluated, raised before any cache can hold it."""
+    score = float(evaluate(sim))
+    if not math.isfinite(score):
+        raise NumericError(f"evaluation of the {what} gave the non-finite score {score}")
+    return score
 
 
 def check_candidates(candidates: list) -> list[CandidatePair]:
@@ -336,11 +332,7 @@ def sensitivity_analysis(
         _apply_candidate(sim, g, max_cand)
     fp = fingerprint(sim, candidates)
     path = cache_dir / "accuracy_list.json"
-    doc = _load_cache(path, ACCURACY_LIST_FORMAT, fp)
-    if doc is None:
-        baseline = float(eval_phase1(sim))
-        doc = {"format": ACCURACY_LIST_FORMAT, "fingerprint": fp, "baseline": baseline, "entries": []}
-        write_json(path, doc)
+    doc = _open_cache(path, ACCURACY_LIST_FORMAT, fp, lambda: _score(eval_phase1, sim, "phase-1 baseline"))
 
     cached = {(e["group"], tuple(e["candidate"])) for e in doc["entries"]}
     for g, c in itertools.product(groups, candidates):
@@ -348,7 +340,7 @@ def sensitivity_analysis(
             continue
         _apply_candidate(sim, g, c)
         try:
-            score = float(eval_phase1(sim))
+            score = _score(eval_phase1, sim, f"group {g.group_id} at {c.as_list()}")
         finally:
             _apply_candidate(sim, g, max_cand)
         doc["entries"].append({"group": g.group_id, "candidate": c.as_list(), "accuracy": score})
@@ -379,11 +371,13 @@ def build_pareto(
 ) -> list[ParetoEntry]:
     """Greedy bit-ops descent from the all-max assignment.
 
-    The sim must already hold the all-max assignment. Each iteration picks,
-    among candidates that strictly reduce a group's bit-ops, the one whose
-    phase-1 accuracy drop below ``p1_baseline`` (the all-max phase-1 score)
-    per unit of relative bit-ops saved is smallest, applies it, and scores
-    it. An entry is appended only while the constraint holds; the first
+    The sim must already hold the all-max assignment. Each iteration prices
+    every (group, candidate) move by its saving, the current ``bit_ops``
+    total less the total with the move made. Among the moves that save
+    bit-ops it picks the one whose phase-1 accuracy drop below
+    ``p1_baseline`` (the all-max phase-1 score) per unit of saving,
+    relative to the all-max total, is smallest, applies it, and scores it.
+    An entry is appended only while the constraint holds; the first
     violation reverts the move and stops, so the sim ends at the last
     assignment meeting the constraint. Returns the full pareto list.
 
@@ -402,40 +396,25 @@ def build_pareto(
     candidates, max_cand, cache_dir = _prepare(candidates, cache_dir)
     fp = fingerprint(sim, candidates)
     path = cache_dir / "pareto_list.json"
-    doc = _load_cache(path, PARETO_LIST_FORMAT, fp)
-    if doc is None:
-        doc = {
-            "format": PARETO_LIST_FORMAT,
-            "fingerprint": fp,
-            "baseline": float(eval_phase2(sim)),
-            "entries": [],
-        }
-        write_json(path, doc)
+    doc = _open_cache(path, PARETO_LIST_FORMAT, fp, lambda: _score(eval_phase2, sim, "phase-2 baseline"))
     limit = doc["baseline"] - allowed_accuracy_drop
     cached = doc["entries"] + ([doc["rejected"]] if "rejected" in doc else [])
 
     phase1 = {(e.group_id, e.candidate): e.accuracy for e in acc_list}
-    group_macs, _ = _bit_ops_terms(sim, groups)
     assignment: dict[str, CandidatePair] = {g.group_id: max_cand for g in groups}
     denom = bit_ops(sim, assignment, groups)
 
     for step in itertools.count():
         moves = []
-        for g in groups:
-            cur = assignment[g.group_id]
-            cur_cost = group_macs[g.group_id] * cur.activation_bw * cur.param_bw
-            for c in candidates:
-                cost = group_macs[g.group_id] * c.activation_bw * c.param_bw
-                if cost >= cur_cost:
-                    continue
-                saved = (cur_cost - cost) / denom
-                key = (g.group_id, c)
-                if key not in phase1:
-                    raise CacheError(
-                        f"phase-1 accuracy missing for group {g.group_id} candidate {c.as_list()}"
-                    )
-                drop = max(0.0, p1_baseline - phase1[key])
-                moves.append((drop / saved, g.group_id, candidates.index(c), g, c))
+        now = bit_ops(sim, assignment, groups)
+        for g, c in itertools.product(groups, candidates):
+            saved = now - bit_ops(sim, {**assignment, g.group_id: c}, groups)
+            if saved <= 0:  # checked before dividing: a model without MACs has denom 0
+                continue
+            if (g.group_id, c) not in phase1:
+                raise CacheError(f"phase-1 accuracy missing for group {g.group_id} candidate {c.as_list()}")
+            drop = max(0.0, p1_baseline - phase1[g.group_id, c])
+            moves.append((drop / (saved / denom), g.group_id, candidates.index(c), g, c))
         best = min(moves, key=lambda m: m[:3], default=None)
         made = best and [best[1], best[4].as_list()]
         if step < len(cached) and made != [cached[step]["group"], cached[step]["candidate"]]:
@@ -449,7 +428,7 @@ def build_pareto(
         _apply_candidate(sim, g, cand)
         assignment[gid] = cand
         fresh = step >= len(cached)
-        accuracy = float(eval_phase2(sim)) if fresh else cached[step]["accuracy"]
+        accuracy = _score(eval_phase2, sim, f"group {gid} at {cand.as_list()}") if fresh else cached[step]["accuracy"]
         move = {"group": gid, "candidate": cand.as_list(), "accuracy": accuracy}
         if accuracy < limit:
             _apply_candidate(sim, g, prev)

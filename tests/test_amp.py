@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from fixquant.amp import (
     fingerprint,
     sensitivity_analysis,
 )
-from fixquant.errors import CacheError, EncodingError
-from fixquant.graph_ir import GraphModel, Node
+from fixquant.errors import CacheError, EncodingError, NumericError
+from fixquant.graph_ir import MAC_KINDS, GraphModel, Node
 from fixquant.ptq import fold_batch_norms
-from fixquant.quantsim import compute_encodings, create_quantsim
+from fixquant.quantsim import SimConfig, compute_encodings, create_quantsim
 from fixquant.range_setting import RangeScheme
 
 CANDS = [(16, 16), (16, 8), (8, 16), (8, 8)]
@@ -179,6 +180,67 @@ class TestBitOps:
         lo["fc2"] = (8, 8)
         saved = bit_ops(sim, hi, groups) - bit_ops(sim, lo, groups)
         assert saved == (3 * 6) * (256 - 64)
+
+    @staticmethod
+    def calibrated(name):
+        """A calibrated toy sim and a batch of its calibration shape."""
+        models = {
+            "mlp": (lambda: toys.mlp([4, 8, 8, 3], seed=0), (8, 4)),
+            "conv_bn_relu_conv": (lambda: fold_batch_norms(toys.conv_bn_relu_conv(seed=0)), (4, 3, 8, 8)),
+            "depthwise_net": (lambda: toys.depthwise_net(seed=0), (8, 3, 6, 6)),
+        }
+        if name == "strided":
+            return TestConvBitOps.strided_sim(), toys.random_feed((2, 3, 8, 8), n_batches=1)[0]
+        model, shape = models[name]
+        sim = create_quantsim(model())
+        x = toys.random_feed(shape, n_batches=1, seed=3)[0]
+        compute_encodings(sim, [x])
+        return sim, x
+
+    @pytest.mark.parametrize("name", ["mlp", "conv_bn_relu_conv", "depthwise_net", "strided"])
+    def test_bit_ops_equal_an_independent_mac_count(self, name, monkeypatch):
+        """Each conv and linear call of one forward at the calibration shape
+        performs output elements per sample x weight fan-in MACs, each at
+        its group's candidate bitwidths."""
+        sim, x = self.calibrated(name)
+        macs = []
+
+        def counted(kernel):
+            def run(inp, w, *args, **kwargs):
+                y = kernel(inp, w, *args, **kwargs)
+                macs.append(y.size // y.shape[0] * (w.size // w.shape[0]))
+                return y
+
+            return run
+
+        with monkeypatch.context() as mp:
+            mp.setattr(tc, "conv2d", counted(tc.conv2d))
+            mp.setattr(tc, "linear", counted(tc.linear))
+            sim.forward(x)
+        mac_nodes = [nid for nid in sim.graph.topo_order() if sim.graph.nodes[nid].kind in MAC_KINDS]
+        assert len(macs) == len(mac_nodes) > 0
+        groups = find_layer_groups(sim)
+        group_of = {nid: g.group_id for g in groups for nid in g.node_ids}
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            assignment = {g.group_id: CANDS[rng.integers(len(CANDS))] for g in groups}
+            expected = sum(m * int(np.prod(assignment[group_of[nid]])) for m, nid in zip(macs, mac_nodes))
+            assert bit_ops(sim, assignment, groups) == expected
+
+    def test_a_model_without_mac_layers_has_no_moves(self, tmp_path):
+        # the quantized input and the relu each form a group of no MACs, so
+        # the all-max total is 0 and no move saves anything
+        nodes = [Node("in", "input"), Node("relu", "relu", inputs=["in"]), Node("out", "output", inputs=["relu"])]
+        config = SimConfig.from_dict({"model_input": {"is_input_quantized": True}})
+        sim = create_quantsim(GraphModel(nodes, name="no-mac"), config=config)
+        x = toys.random_feed((8, 3), n_batches=1)[0]
+        compute_encodings(sim, [x])
+        groups = find_layer_groups(sim)
+        assert [g.group_id for g in groups] == ["in", "relu"]
+        assert bit_ops(sim, {g.group_id: (16, 16) for g in groups}, groups) == 0
+        ev = Counting(lambda s: -float(np.mean((s.forward(x) - x.clip(0)) ** 2)))
+        _, entries = choose_mixed_precision(sim, CANDS, ev, ev, 10.0, tmp_path)
+        assert entries == [] and ev.calls == 1 + 2 * 3 + 1
 
 
 class TestSensitivity:
@@ -710,6 +772,47 @@ class TestResumedEvaluations:
             choose_mixed_precision(sim, CANDS, fourth_raises, ev, 10.0, tmp_path)
         assert ev.calls == 3 and sim._resume is None
         assert quantizer_state(sim) == quantizer_state(at_all_max(calibrated_sim())) != quantizer_state(calibrated_sim())
+
+
+class TestNonFiniteScores:
+    """A non-finite score is a NumericError before any cache holds it."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "phase, call, what",
+        [
+            (1, 0, re.escape("phase-1 baseline")),
+            (1, 4, re.escape("group act1+fc1 at [16, 8]")),
+            (2, 0, re.escape("phase-2 baseline")),
+            (2, 2, r"group \S+ at \[\d+, \d+\]"),
+        ],
+        ids=["phase1-baseline", "phase1-move", "phase2-baseline", "phase2-move"],
+    )
+    def test_no_cache_holds_it_and_a_resume_completes_the_search(self, tmp_path, bad, phase, call, what):
+        sim = calibrated_sim()
+        ev = make_eval(sim)
+        calls = {1: 0, 2: 0}
+
+        def scorer(p):
+            def score(s):
+                calls[p] += 1
+                return bad if p == phase and calls[p] == call + 1 else ev(s)
+
+            return score
+
+        with pytest.raises(NumericError, match=what):
+            choose_mixed_precision(sim, CANDS, scorer(1), scorer(2), 10.0, tmp_path / "run")
+        written = [p.read_text() for p in (tmp_path / "run").glob("*.json")]
+        assert not any(word in text for text in written for word in ("NaN", "Infinity"))
+        if phase == 1:
+            assert quantizer_state(sim) == quantizer_state(at_all_max(calibrated_sim()))
+        if (phase, call) == (1, 0):
+            assert written == []
+            return
+        choose_mixed_precision(calibrated_sim(), CANDS, ev, ev, 10.0, tmp_path / "run", clean_start=False)
+        choose_mixed_precision(calibrated_sim(), CANDS, ev, ev, 10.0, tmp_path / "whole")
+        for name in CACHE_FILES:
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
 
 
 class TestFingerprint:

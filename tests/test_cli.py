@@ -279,6 +279,15 @@ def test_amp_search_and_resume(capsys, model_prefix, data_prefix, tmp_path):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == blobs
 
 
+def test_amp_non_finite_score_is_numeric_error(capsys, monkeypatch, model_prefix, data_prefix, tmp_path):
+    monkeypatch.setattr("fixquant.cli.metric_score", lambda *a: float("nan"))
+    out = tmp_path / "amp"
+    argv = ["amp", "--model", model_prefix, "--data", data_prefix, "--out", str(out), "--candidates", "16,16;8,8"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("error:numeric: evaluation of the phase-1 baseline")
+    assert not (out / "accuracy_list.json").exists()
+
+
 def test_amp_bad_candidate_string_is_data_error(capsys, model_prefix, data_prefix, tmp_path):
     rc = main(
         [

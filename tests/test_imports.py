@@ -1,7 +1,9 @@
-"""fixquant needs numpy and the standard library, nothing else, and each of
-its modules reads every name it imports."""
+"""fixquant needs numpy and the standard library, nothing else, each of
+its modules reads every name it imports, and each binds every name it
+exports."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -41,3 +43,13 @@ def test_every_imported_name_is_read(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unread = sorted(n for n in bound - read if (rel, n) not in UNREAD_EXEMPT)
     assert unread == [], f"{rel} imports {unread} and never reads them"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_every_exported_name_is_bound(path):
+    """A name left in ``__all__`` after its definition went fails here,
+    not at a user's ``from fixquant.<module> import *``."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    unbound = sorted(n for n in getattr(module, "__all__", []) if not hasattr(module, n))
+    assert unbound == [], f"{path.relative_to(SRC)} exports {unbound} and never binds them"
