@@ -379,7 +379,9 @@ def build_pareto(
     relative to the all-max total, is smallest, applies it, and scores it.
     An entry is appended only while the constraint holds; the first
     violation reverts the move and stops, so the sim ends at the last
-    assignment meeting the constraint. Returns the full pareto list.
+    assignment meeting the constraint. An evaluation that raises reverts
+    its move too, so the sim stays at the last cached entry. Returns the
+    full pareto list.
 
     pareto_list.json holds the accepted moves and, as ``rejected``, the
     move that stopped the search. A rerun walks the same loop: each move
@@ -424,19 +426,20 @@ def build_pareto(
         if best is None:
             break
         _, gid, _, g, cand = best
-        prev = assignment[gid]
+        fresh, accuracy = step >= len(cached), None
         _apply_candidate(sim, g, cand)
-        assignment[gid] = cand
-        fresh = step >= len(cached)
-        accuracy = _score(eval_phase2, sim, f"group {gid} at {cand.as_list()}") if fresh else cached[step]["accuracy"]
+        try:  # a move that raises or breaks the constraint goes back
+            accuracy = _score(eval_phase2, sim, f"group {gid} at {cand.as_list()}") if fresh else cached[step]["accuracy"]
+        finally:
+            if accuracy is None or accuracy < limit:
+                _apply_candidate(sim, g, assignment[gid])
         move = {"group": gid, "candidate": cand.as_list(), "accuracy": accuracy}
         if accuracy < limit:
-            _apply_candidate(sim, g, prev)
-            assignment[gid] = prev
             if fresh:
                 doc["rejected"] = move
                 write_json(path, doc)
             break
+        assignment[gid] = cand
         if step == len(doc["entries"]):
             doc.pop("rejected", None)
             doc["entries"].append({**move, "relative_bit_ops": bit_ops(sim, assignment, groups) / denom})

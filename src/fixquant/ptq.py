@@ -29,7 +29,7 @@ from . import graph_ir as gir
 from . import tensor_core as tc
 from .errors import CalibrationError, EncodingError, ShapeError
 from .graph_ir import MAC_KINDS, GraphModel, eval_kind, write_json
-from .quantizer import QuantizerSpec, grid, qdq
+from .quantizer import QuantizerSpec, grid, qdq  # qdq unused; stays bound for profilers that patch ptq.qdq
 from .quantsim import (
     BIAS_CORRECT_SAMPLES,
     QuantSimModel,
@@ -349,15 +349,8 @@ def _rectified_gaussian_mean(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quantized(sim: QuantSimModel, node, name: str) -> np.ndarray:
-    """``node``'s tensor ``name`` as the sim's forward runs with it."""
-    spec = sim.param_quantizer(node.id, name)
-    w = node.weights[name]
-    return qdq(w, spec) if spec is not None else w
-
-
 def _weight_quant_error(sim: QuantSimModel, node) -> np.ndarray:
-    return _quantized(sim, node, "weight") - node.weights["weight"]
+    return sim.quantized_weights(node)["weight"] - node.weights["weight"]
 
 
 def _add_bias(node, acc: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -446,8 +439,8 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
     for nid in remaining:
         node = graph.nodes[nid]
         src = node.inputs[0]
-        w = {"weight": _quantized(sim, node, "weight"), "bias": None}
-        b = _quantized(sim, node, "bias")
+        w = sim.quantized_weights(node)
+        w, b = {**w, "bias": None}, w["bias"]
         accs, q_means = [], []
         for i, batch in enumerate(batches):
             known[i] = sim.evaluate_all(batch, known=known[i], stop=src, stream=True)
@@ -455,7 +448,7 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
             q_means.append(_channel_means(_add_bias(node, accs[-1], b)))
         delta = fp_mean[nid] - np.mean(np.stack(q_means), axis=0)
         node.set_weight("bias", node.weights["bias"] + delta)
-        b = _quantized(sim, node, "bias")
+        b = sim.quantized_weights(node)["bias"]
         for i, acc in enumerate(accs):
             known[i][nid] = sim.quantize_output(nid, _add_bias(node, acc, b))
     return graph

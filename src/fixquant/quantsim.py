@@ -186,6 +186,8 @@ class QuantSimModel:
         # The memo of the ``resuming`` scope open on this sim: value key ->
         # value, for the values of its last forward and their batches.
         self._resume: dict[bytes, np.ndarray] | None = None
+        # "node.param" -> (weight bytes, _qdq_state, image) of quantized_weights
+        self._images: dict[str, tuple] = {}
 
     # -- helpers ---------------------------------------------------------
 
@@ -193,10 +195,23 @@ class QuantSimModel:
         return self.param_quantizers.get(f"{node_id}.{param}")
 
     def quantized_weights(self, node: Node) -> dict[str, np.ndarray]:
-        out = {}
+        """``node``'s weights as the forward runs with them: a weight with no
+        enabled quantizer as it is, else its read-only ``qdq`` image, made
+        once per (weight bytes, encoding) and kept while the weight's dtype,
+        shape and bytes and its enabled quantizer's ``_qdq_state`` stay."""
+        out = dict(node.weights)
         for name, arr in node.weights.items():
-            spec = self.param_quantizer(node.id, name)
-            out[name] = qdq(arr, spec) if spec is not None else arr
+            key = f"{node.id}.{name}"
+            state = _qdq_state(self.param_quantizers.get(key))
+            if state is None:
+                self._images.pop(key, None)  # a disabled quantizer keeps no image
+                continue
+            source = (arr.dtype.str, arr.shape, arr.tobytes())
+            if self._images.get(key, ())[:2] != (source, state):
+                image = qdq(arr, self.param_quantizers[key])
+                image.flags.writeable = False
+                self._images[key] = (source, state, image)
+            out[name] = self._images[key][2]
         return out
 
     def all_quantizers(self) -> dict[str, QuantizerSpec]:
@@ -211,8 +226,9 @@ class QuantSimModel:
 
     def clone(self) -> "QuantSimModel":
         """A deep copy in no ``resuming`` scope until one is opened on it;
-        a scope open on this sim never sees its forwards."""
-        return copy.deepcopy(self, {id(self._resume): None})
+        a scope open on this sim never sees its forwards. It holds no weight
+        image: it quantizes each weight once per (bytes, encoding) itself."""
+        return copy.deepcopy(self, {id(self._resume): None, id(self._images): {}})
 
     # -- forward ----------------------------------------------------------
 

@@ -57,6 +57,15 @@ def at_all_max(sim):
     return sim
 
 
+def at_entries(entries):
+    """A fresh ``calibrated_sim`` at all-max with the moves of the pareto ``entries`` made."""
+    sim = at_all_max(calibrated_sim())
+    groups = {g.group_id: g for g in find_layer_groups(sim)}
+    for e in entries:
+        _apply_candidate(sim, groups[e["group"]], CandidatePair.of(e["candidate"]))
+    return sim
+
+
 def quantizer_state(sim):
     return {k: (q.enabled, q.bitwidth, q.encodings) for k, q in sim.all_quantizers().items()}
 
@@ -773,6 +782,27 @@ class TestResumedEvaluations:
         assert ev.calls == 3 and sim._resume is None
         assert quantizer_state(sim) == quantizer_state(at_all_max(calibrated_sim())) != quantizer_state(calibrated_sim())
 
+    def test_a_raising_phase2_callback_leaves_the_last_cached_entry(self, tmp_path):
+        sim = calibrated_sim()
+        ev = make_eval(sim)
+        calls, written = [], []
+
+        def third_raises(s):
+            calls.append(1)
+            if len(calls) == 3:  # the baseline, one accepted move, then this one
+                written.append((tmp_path / "pareto_list.json").read_bytes())
+                raise RuntimeError("simulated crash")
+            return ev(s)
+
+        with pytest.raises(RuntimeError):
+            choose_mixed_precision(sim, CANDS, ev, third_raises, 10.0, tmp_path)
+        assert (tmp_path / "pareto_list.json").read_bytes() == written[0]
+        entries = json.loads(written[0])["entries"]
+        assert [(e["group"], e["candidate"]) for e in entries] == [("act1+fc1", [16, 8])]
+        # the raising move had put fc2.weight at 8 bits
+        assert sim.param_quantizers["fc2.weight"].bitwidth == 16
+        assert quantizer_state(sim) == quantizer_state(at_entries(entries))
+
 
 class TestNonFiniteScores:
     """A non-finite score is a NumericError before any cache holds it."""
@@ -806,6 +836,9 @@ class TestNonFiniteScores:
         assert not any(word in text for text in written for word in ("NaN", "Infinity"))
         if phase == 1:
             assert quantizer_state(sim) == quantizer_state(at_all_max(calibrated_sim()))
+        elif call:  # the scored move goes back, to the last cached entry
+            entries = json.loads((tmp_path / "run" / "pareto_list.json").read_text())["entries"]
+            assert quantizer_state(sim) == quantizer_state(at_entries(entries))
         if (phase, call) == (1, 0):
             assert written == []
             return

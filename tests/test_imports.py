@@ -24,15 +24,14 @@ def test_every_absolute_import_is_numpy_or_the_standard_library(path):
 # Imported names a module never reads, each with the reason it stays bound.
 UNREAD_EXEMPT = {
     ("qat.py", "qdq"): "perfbench/tracer.py patches qdq in every module that binds it",
+    ("ptq.py", "qdq"): "perfbench/tracer.py patches qdq in every module that binds it",
     ("range_setting.py", "qdq_tensor"): "perfbench/tracer.py patches this binding to trace qdq_tensor",
 }
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
-def test_every_imported_name_is_read(path):
-    rel = str(path.relative_to(SRC))
-    if rel == "__init__.py":
-        return  # the package's imports are its re-exports
+def bound_and_read(path: Path) -> tuple[set, set]:
+    """The names a module's imports bind, and the names it reads."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bound = set()
     for node in ast.walk(tree):
@@ -41,8 +40,39 @@ def test_every_imported_name_is_read(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(a.asname or a.name for a in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound, read
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_every_imported_name_is_read(path):
+    rel = str(path.relative_to(SRC))
+    if rel == "__init__.py":
+        return  # the package's imports are its re-exports
+    bound, read = bound_and_read(path)
     unread = sorted(n for n in bound - read if (rel, n) not in UNREAD_EXEMPT)
     assert unread == [], f"{rel} imports {unread} and never reads them"
+
+
+def patched_bindings() -> set:
+    """The (module, name) of every ``(module, "name")`` patch site in the tracer."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    return {
+        (t.elts[0].id, t.elts[1].value)
+        for t in ast.walk(tree)
+        if isinstance(t, ast.Tuple) and len(t.elts) == 2 and isinstance(t.elts[0], ast.Name)
+        and isinstance(t.elts[1], ast.Constant) and isinstance(t.elts[1].value, str)
+    }
+
+
+@pytest.mark.parametrize("rel, name", sorted(UNREAD_EXEMPT))
+def test_every_exemption_is_still_needed(rel, name):
+    """An exempt name stays bound and unread, and the tracer still patches
+    that binding; otherwise its entry goes."""
+    bound, read = bound_and_read(SRC / rel)
+    module = Path(rel).stem
+    assert name in bound, f"{rel} no longer binds {name}"
+    assert name not in read, f"{rel} reads {name} now"
+    assert (module, name) in patched_bindings(), f"the tracer no longer patches {module}.{name}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))

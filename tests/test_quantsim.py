@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import peak_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixquant import graph_ir, toys
+from fixquant import graph_ir, quantsim, toys
 from fixquant.errors import CalibrationError, EncodingError, ModelFormatError
 from fixquant.graph_ir import GraphModel, Node
 from fixquant.ptq import fold_batch_norms
@@ -437,7 +438,8 @@ class TestResumingForward:
 
 
 STEPS = (
-    "bitwidth", "enabled", "frozen", "set_weight", "edit_weight", "edit_attrs", "edit_input", "new_input", "clone",
+    "bitwidth", "enabled", "frozen", "nudge", "set_weight", "edit_weight", "replace_weight", "edit_attrs",
+    "edit_input", "new_input", "clone",
 )
 
 
@@ -446,40 +448,55 @@ def held(memo):
     return list(memo.items())
 
 
+def nudge(spec):
+    """Move the quantizer's first encoding's scale up by one float32 ulp."""
+    e, *rest = spec.encodings
+    spec.encodings = [dataclasses.replace(e, scale=float(np.nextafter(np.float32(e.scale), np.float32(np.inf)))), *rest]
+
+
+def change(data, rng, sim, x, step):
+    """Make one STEPS change other than "clone" to ``sim`` or ``x``; returns ``x``."""
+    value = st.sampled_from([0.0, -0.0, 0.3, -1.7])
+    quantizers = sim.all_quantizers()
+    key = data.draw(st.sampled_from(sorted(k for k, spec in quantizers.items() if spec.encodings)))
+    spec = quantizers[key]
+    node = sim.graph.nodes[data.draw(st.sampled_from(["a", "b", "fc"]))]
+    name = data.draw(st.sampled_from(sorted(node.weights)))
+    if step == "bitwidth":
+        spec.bitwidth = data.draw(st.sampled_from([4, 8, 16]))
+        if key in sim.param_quantizers:
+            compute_param_encodings(sim, keys=[key])
+        else:
+            compute_activation_encodings(sim, keys=[key])
+    elif step in ("enabled", "frozen"):
+        setattr(spec, step, not getattr(spec, step))
+    elif step == "nudge":
+        nudge(spec)
+    elif step == "set_weight":
+        node.set_weight(name, rng.normal(0, 0.3, node.weights[name].shape))
+    elif step == "edit_weight":
+        node.weights[name].flat[data.draw(st.integers(0, node.weights[name].size - 1))] = data.draw(value)
+    elif step == "replace_weight":
+        node.weights[name] = node.weights[name] * data.draw(st.sampled_from([1.0, -1.0, 0.5]))
+    elif step == "edit_attrs":
+        node.attrs["note"] = data.draw(value)  # read by no kernel, so the values stay
+    elif step == "edit_input":
+        x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(value)
+    elif step == "new_input":
+        x = rng.normal(size=x.shape)
+    return x
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_resumed_forward_equals_a_full_pass_after_any_change(data):
     sim, x = resumable_sim()
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    value = st.sampled_from([0.0, -0.0, 0.3, -1.7])
     with sim.resuming():
         scope = sim._resume
         sim.forward(x)
         for step in data.draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=8)):
-            quantizers = sim.all_quantizers()
-            key = data.draw(st.sampled_from(sorted(k for k, spec in quantizers.items() if spec.encodings)))
-            spec = quantizers[key]
-            node = sim.graph.nodes[data.draw(st.sampled_from(["a", "b", "fc"]))]
-            name = data.draw(st.sampled_from(sorted(node.weights)))
-            if step == "bitwidth":
-                spec.bitwidth = data.draw(st.sampled_from([4, 8, 16]))
-                if key in sim.param_quantizers:
-                    compute_param_encodings(sim, keys=[key])
-                else:
-                    compute_activation_encodings(sim, keys=[key])
-            elif step in ("enabled", "frozen"):
-                setattr(spec, step, not getattr(spec, step))
-            elif step == "set_weight":
-                node.set_weight(name, rng.normal(0, 0.3, node.weights[name].shape))
-            elif step == "edit_weight":
-                node.weights[name].flat[data.draw(st.integers(0, node.weights[name].size - 1))] = data.draw(value)
-            elif step == "edit_attrs":
-                node.attrs["note"] = data.draw(value)  # read by no kernel, so the values stay
-            elif step == "edit_input":
-                x.flat[data.draw(st.integers(0, x.size - 1))] = data.draw(value)
-            elif step == "new_input":
-                x = rng.normal(size=x.shape)
-            else:
+            if step == "clone":
                 before = held(scope)
                 sim = sim.clone()
                 assert sim._resume is None
@@ -487,7 +504,100 @@ def test_a_resumed_forward_equals_a_full_pass_after_any_change(data):
                 after = held(scope)  # the scope's memo is not the clone's
                 assert len(after) == len(before)
                 assert all(a[0] == b[0] and a[1] is b[1] for a, b in zip(after, before))
+            else:
+                x = change(data, rng, sim, x, step)
             assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes(), step
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_plain_forward_equals_a_full_pass_after_any_change(data):
+    """With no scope open, every forward reads the sim's kept weight images;
+    they must give the bytes of a clone that quantizes every weight anew."""
+    sim, x = resumable_sim()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    sim.forward(x)
+    for step in data.draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=8)):
+        if step == "clone":
+            sim = sim.clone()
+            assert sim._images == {}
+        else:
+            x = change(data, rng, sim, x, step)
+        assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes(), step
+
+
+def weight_qdqs(monkeypatch, sim) -> list:
+    """The list to which each ``quantsim.qdq`` call on a weight of ``sim``
+    appends the weight's quantizer key."""
+    keys = {id(spec): key for key, spec in sim.param_quantizers.items()}
+    calls, real = [], quantsim.qdq
+
+    def counted(x, spec):
+        if id(spec) in keys:
+            calls.append(keys[id(spec)])
+        return real(x, spec)
+
+    monkeypatch.setattr(quantsim, "qdq", counted)
+    return calls
+
+
+class TestWeightImages:
+    def test_forwards_of_an_unchanged_sim_quantize_each_weight_once(self, monkeypatch):
+        _, sim = calibrated_mlp()
+        calls = weight_qdqs(monkeypatch, sim)
+        x = np.random.default_rng(3).normal(size=(8, 4))
+        outs = [sim.forward(x).tobytes() for _ in range(5)]
+        assert sorted(calls) == ["fc0.weight", "fc1.weight"]
+        assert set(outs) == {full_pass(sim, x).tobytes()}
+
+    def test_each_change_to_a_weight_or_its_encoding_costs_one_qdq(self, monkeypatch):
+        _, sim = calibrated_mlp()
+        node, spec = sim.graph.nodes["fc0"], sim.param_quantizers["fc0.weight"]
+        x = np.random.default_rng(3).normal(size=(8, 4))
+        sim.forward(x)
+        calls = weight_qdqs(monkeypatch, sim)
+
+        def make(step):
+            w = node.weights["weight"]
+            if step == "set_weight":
+                node.set_weight("weight", w * 0.5)
+            elif step in ("edit 0.0", "edit -0.0"):
+                w.flat[0] = float(step.split()[1])
+            elif step == "replace":
+                node.weights["weight"] = w + 0.25
+            elif step == "nudge":
+                nudge(spec)
+            elif step == "bitwidth":
+                spec.bitwidth = 4
+                compute_param_encodings(sim, keys=["fc0.weight"])
+            else:  # the image goes while the quantizer is off
+                spec.enabled = False
+                assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes() and calls == []
+                spec.enabled = True
+
+        for step in ("set_weight", "edit 0.0", "edit -0.0", "replace", "nudge", "bitwidth", "toggle"):
+            make(step)
+            assert sim.forward(x).tobytes() == full_pass(sim, x).tobytes(), step
+            assert calls == ["fc0.weight"], step
+            calls.clear()
+            sim.forward(x)
+            assert calls == [], step
+        node.weights["weight"] = node.weights["weight"].copy()  # the same bytes keep the image
+        sim.forward(x)
+        assert calls == []
+
+    def test_an_image_is_read_only_and_a_clone_shares_none(self):
+        _, sim = calibrated_mlp()
+        node = sim.graph.nodes["fc1"]
+        image = sim.quantized_weights(node)["weight"]
+        with pytest.raises(ValueError, match="read-only"):
+            image[0, 0] = 1.0
+        assert sim.quantized_weights(node)["weight"] is image
+        clone = sim.clone()
+        assert clone._images == {}
+        copied = clone.quantized_weights(clone.graph.nodes["fc1"])["weight"]
+        assert copied.tobytes() == image.tobytes() and not np.shares_memory(copied, image)
+        assert sim.quantized_weights(node)["weight"] is image
 
 
 class TestPassesHoldOnlyLiveValues:
