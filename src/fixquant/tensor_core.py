@@ -181,14 +181,14 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     groups splits input and output channels; groups == C gives a depthwise
     convolution. No dilation. Zero padding.
 
-    Each output sums in the order of the per-position einsum
-    ``ncij,ocij->no`` over its window, on one of three paths: one einsum
-    over the window view for 1x1 kernels and for depthwise ones with an
-    output of at least 2x2; with n, og, cg, kh and kw all above 1, one
-    ``gpk,gok->gop`` contraction per sample over its patch rows, which
-    numpy sums row by row in that order; elsewhere the loop itself. A
-    length-1 axis lets numpy walk the per-position einsum another way
-    (n == 1 moved bits on 23 of 166 random shapes), hence the guard.
+    Each output sums in the order of the per-position einsum ``ncij,ocij->no``
+    over its window, on one of three paths: one einsum over the window view for
+    1x1 kernels and for depthwise ones with an output of at least 2x2; with n,
+    og, cg, kh and kw all above 1, one ``gpk,gok->gop`` contraction per sample
+    over its patch rows, taken into one reused buffer through one index, which
+    numpy sums row by row in that order; elsewhere the loop itself. A length-1
+    axis lets numpy walk the per-position einsum another way (n == 1 moved bits
+    on 23 of 166 random shapes), hence the guard.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.ascontiguousarray(weight, dtype=np.float64)  # its layout would steer the summation order
@@ -208,9 +208,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     elif per_sample:
         wg = w.reshape(groups, og, -1)
         out = np.empty((n, o, oh, ow), dtype=np.float64)
+        at = _patch_index(p, groups)  # after out: made before it, at and rows raised peak RSS 3 MB
+        rows, flat = np.empty(at.shape), xp.reshape(-1)  # flat views xp, so it reads each refill
         for s, out_s in enumerate(out.reshape(n, groups, og, oh * ow)):  # one sample's rows at a time
-            _pad(x[s : s + 1], pads, out=xp)  # p views xp, so it reads the refill
-            np.einsum("gpk,gok->gop", _patch_rows(p.reshape(groups, 1, cg, oh, ow, kh, kw)), wg, out=out_s)
+            _pad(x[s : s + 1], pads, out=xp)
+            np.einsum("gpk,gok->gop", flat.take(at, out=rows, mode="clip"), wg, out=out_s)
+        del at, rows  # freed before ensure_finite's mask
     else:
         # Per position, the order the other two paths keep.
         out = np.empty((n, o, oh, ow), dtype=np.float64)
@@ -228,14 +231,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     return ensure_finite(out, "conv2d output")
 
 
-def _patch_rows(p) -> np.ndarray:
-    """(..., N, C, Ho, Wo, kh, kw) windows as (..., N*Ho*Wo, C*kh*kw) patch rows."""
-    *lead, n, c, oh, ow, kh, kw = p.shape
-    return p.swapaxes(-5, -4).swapaxes(-4, -3).reshape(*lead, n * oh * ow, c * kh * kw)
+def _patch_index(p, groups) -> np.ndarray:
+    """Flat positions, in the padded buffer that one sample's window view ``p`` views,
+    of its (groups, Ho*Wo, cg*kh*kw) patch rows: each element's indices times the view's
+    strides. All lie in [0, C*Hp*Wp), so ``take(..., mode="clip")`` clips none of them."""
+    c, i, j, a, b = (np.arange(m) * (s // p.itemsize) for m, s in zip(p.shape[1:], p.strides[1:]))
+    return (i[:, None] + j).reshape(1, -1, 1) + (c[:, None, None] + a[:, None] + b).reshape(groups, 1, -1)
 
 
 def conv_patches(x, weight_shape, stride=1, padding=0, groups=1) -> np.ndarray:
-    """The conv2d input as one contiguous patch matrix per group.
+    """The conv2d input as one contiguous patch matrix per group, taken one padded sample at a time.
 
     Returns shape (groups, N*Ho*Wo, cg*kh*kw): row n*Ho*Wo + i*Wo + j of
     group g is window (i, j) of sample n over that group's input channels,
@@ -244,8 +249,13 @@ def conv_patches(x, weight_shape, stride=1, padding=0, groups=1) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     groups = _conv_groups(x.shape, weight_shape, groups)
-    p = windows(x, weight_shape[2:], stride, padding)
-    return _patch_rows(p.reshape(len(p), groups, x.shape[1] // groups, *p.shape[2:]).swapaxes(0, 1))
+    pads = _pair(padding, "padding")
+    xp = _pad(x[:1], pads)  # one padded sample, refilled per sample
+    at = _patch_index(windows(x[:1], weight_shape[2:], stride, padding, out=xp), groups)
+    p = np.empty((groups, len(x), *at.shape[1:]))
+    for s in range(len(x)):  # each sample's rows into its slice of P
+        _pad(x[s : s + 1], pads, out=xp).reshape(-1).take(at, out=p[:, s], mode="clip")
+    return p.reshape(groups, -1, at.shape[2])
 
 
 # ---------------------------------------------------------------------------

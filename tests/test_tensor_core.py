@@ -5,6 +5,7 @@ import pytest
 from conftest import peak_bytes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fixquant import tensor_core as tc
 from fixquant.errors import NumericError, ShapeError
@@ -313,7 +314,7 @@ def conv_cases(draw):
     lo = 2 if draw(st.booleans()) else 1
     n, og, cg, kh, kw = (draw(st.integers(lo, 5)) for _ in range(5))
     groups = draw(st.integers(1, 3))
-    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
     h = draw(st.integers(max(1, kh - 2 * padding[0]), 20))
     w = draw(st.integers(max(1, kw - 2 * padding[1]), 20))
@@ -323,6 +324,10 @@ def conv_cases(draw):
 
 def _workload_case(n, c):
     return (n, c, 16, 16), (16, c, 3, 3), 1, 1, 1, n + c
+
+
+# A stride above the kernel: windows skip input rows and columns.
+SKIPPING_CASE = (2, 4, 9, 11), (6, 2, 2, 2), (3, 3), (1, 0), 2, 27
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -335,6 +340,7 @@ def _workload_case(n, c):
 @example(case=_workload_case(32, 16))
 @example(case=_workload_case(128, 3))
 @example(case=_workload_case(128, 16))
+@example(case=SKIPPING_CASE)
 def test_conv2d_equals_loop_oracle_over_drawn_shapes(case):
     x_shape, w_shape, stride, padding, groups, seed = case
     rng = np.random.default_rng(seed)
@@ -373,6 +379,51 @@ def test_conv_patches_gemm_is_conv2d(groups, stride, padding):
     assert np.allclose(back, y, rtol=0, atol=1e-12)
     with pytest.raises(ShapeError, match="groups"):
         tc.conv_patches(x, (8, 4, 3, 3), stride, padding, 3)
+
+
+def _window_view_rows(x, kernel, stride, padding, groups):
+    """conv_patches' layout, built from numpy's own window view of np.pad."""
+    (sh, sw), (ph, pw) = tc._pair(stride, "stride"), tc._pair(padding, "padding")
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, kernel, axis=(2, 3))[:, :, ::sh, ::sw]
+    n, c, oh, ow, kh, kw = win.shape
+    win = win.reshape(n, groups, c // groups, oh, ow, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
+    return win.reshape(groups, n * oh * ow, -1)
+
+
+@pytest.mark.parametrize(
+    "x_shape, kernel, groups, stride, padding",
+    [((3, 4, 7, 6), (3, 2), g, s, p) for g in (1, 2, 4) for s in (1, 2) for p in (0, 1)]
+    + [((8, 16, 16, 16), (3, 3), 1, 1, 1)],
+)
+def test_conv_patches_lays_out_the_window_view(x_shape, kernel, groups, stride, padding):
+    x = np.random.default_rng(27).normal(size=x_shape)
+    w_shape = (8, x_shape[1] // groups, *kernel)
+    p = tc.conv_patches(x, w_shape, stride, padding, groups)
+    assert p.flags.c_contiguous
+    assert np.array_equal(p, _window_view_rows(x, kernel, stride, padding, groups))
+
+
+def test_conv_patches_pads_and_lays_out_one_sample_at_a_time():
+    x = np.random.default_rng(28).normal(size=(32, 16, 16, 16))
+    p_bytes = 32 * 16 * 16 * 16 * 9 * 8
+    padded_sample_bytes, sample_patch_bytes = 16 * 18 * 18 * 8, 9 * x[0].nbytes
+    peak = peak_bytes(tc.conv_patches, x, (16, 16, 3, 3), 1, 1)
+    # A whole padded batch, or a whole-batch copy of the window view, adds 1.3 MB or more.
+    assert peak - p_bytes < padded_sample_bytes + 2 * sample_patch_bytes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=conv_cases())
+@example(case=SKIPPING_CASE)
+def test_patch_index_is_the_row_layout_of_a_window_view(case):
+    (_, c, h, w), (_, _, kh, kw), stride, (ph, pw), groups, _ = case
+    hp, wp = h + 2 * ph, w + 2 * pw
+    at = tc._patch_index(tc.windows(np.zeros((1, c, h, w)), (kh, kw), stride, (ph, pw)), groups)
+    image = np.arange(c * hp * wp).reshape(1, c, hp, wp)
+    assert np.array_equal(at, _window_view_rows(image, (kh, kw), stride, 0, groups))
+    # conv2d takes with mode="clip", which would hide a position out of range
+    assert 0 <= at.min() and at.max() < c * hp * wp
 
 
 @pytest.mark.parametrize("kernel, padding", [((1, 1), (1, 1)), (2, 2), ((3, 2), (0, 2)), ((2, 3), (3, 1))])
