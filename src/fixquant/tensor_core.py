@@ -11,17 +11,21 @@ results reproducible run to run. Kernels never let NaN or Inf propagate
 silently; they raise NumericError instead.
 
 Window geometry lives in one place. :func:`windows` pads an NCHW input,
-into a new array or one the caller reuses, and returns every kernel window
-as a read-only view; convolution, both pools and their gradients read
-windows only through it, and the gradients sum back through its transpose
-:func:`windows_adjoint`. No kernel slices patches out of an input itself.
+into a new array or one the caller reuses, or views an unpadded one in
+place, and returns every kernel window as a read-only view; convolution,
+both pools and their gradients read windows only through it, and the
+gradients sum back through its transpose :func:`windows_adjoint`. No kernel
+slices patches out of an input itself.
 
 conv2d sums each output in the order of one small einsum per output
-position, on one of three paths that keep it (see its docstring): one
-einsum over the window view for 1x1 and depthwise kernels, one contraction
-per sample over patch rows when no axis of that einsum has length 1, and
-the per-position loop elsewhere. :func:`conv_patches` lays out the same
-patch rows, for all samples, for callers that run a layer as a GEMM.
+position, on one of four paths that keep it (see its docstring): one
+einsum over the window view for 1x1 kernels; for depthwise kernels,
+whole-map multiply-adds over a few padded samples at a time, in the order
+numpy's einsum sums, which :func:`_einsum_dot` spells out and a canary
+test checks against einsum itself; one contraction per sample over patch
+rows when no axis of that einsum has length 1; and the per-position loop
+elsewhere. :func:`conv_patches` lays out the same patch rows, for all
+samples, for callers that run a layer as a GEMM.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ def windows(x, kernel, stride, padding, fill=0.0, out=None) -> np.ndarray:
 
     Returns a read-only (N, C, Ho, Wo, kh, kw) view of the padded input:
     element [n, c, i, j, a, b] is padded input [n, c, i*sh + a, j*sw + b].
-    With ``out``, a buffer :func:`_pad` made, the input is padded into it in place.
+    With ``out``, a buffer :func:`_pad` made, the input is padded into it in place;
+    without it, an unpadded input is viewed in place (copied only if not C-contiguous).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
@@ -105,7 +110,7 @@ def windows(x, kernel, stride, padding, fill=0.0, out=None) -> np.ndarray:
     h, w = x.shape[2:]
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} with padding {ph},{pw}")
-    xp = _pad(x, (ph, pw), fill, out)
+    xp = np.ascontiguousarray(x) if (ph, pw) == (0, 0) and out is None else _pad(x, (ph, pw), fill, out)
     return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
 
 
@@ -182,13 +187,15 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     convolution. No dilation. Zero padding.
 
     Each output sums in the order of the per-position einsum ``ncij,ocij->no``
-    over its window, on one of three paths: one einsum over the window view for
-    1x1 kernels and for depthwise ones with an output of at least 2x2; with n,
-    og, cg, kh and kw all above 1, one ``gpk,gok->gop`` contraction per sample
-    over its patch rows, taken into one reused buffer through one index, which
-    numpy sums row by row in that order; elsewhere the loop itself. A length-1
-    axis lets numpy walk the per-position einsum another way (n == 1 moved bits
-    on 23 of 166 random shapes), hence the guard.
+    over its window, on one of four paths: one einsum over the window view for
+    1x1 kernels, which reads an unpadded input in place; for depthwise kernels
+    with an output of at least 2x2, whole-map multiply-adds over a few padded
+    samples at a time, in numpy einsum's own order (see :func:`_einsum_dot`);
+    with n, og, cg, kh and kw all above 1, one ``gpk,gok->gop`` contraction per
+    sample over its patch rows, taken into one reused buffer through one index,
+    which numpy sums row by row in that order; elsewhere the loop itself. A
+    length-1 axis lets numpy walk the per-position einsum another way (n == 1
+    moved bits on 23 of 166 random shapes), hence the guard.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.ascontiguousarray(weight, dtype=np.float64)  # its layout would steer the summation order
@@ -196,16 +203,23 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
     n = x.shape[0]
     o, cg, kh, kw = w.shape
     og = o // groups
-    per_sample = min(n, og, cg, kh, kw) > 1
     pads = _pair(padding, "padding")
-    xp = _pad(x[:1], pads) if per_sample else None  # one padded sample, refilled per sample
-    p = windows(x[:1] if per_sample else x, (kh, kw), stride, padding, out=xp)
+    xp = _pad(x[:1], pads)  # one padded sample: the output's size, and the per-sample path's buffer
+    p = windows(x[:1], (kh, kw), stride, padding, out=xp)
     oh, ow = p.shape[2:4]
-    if (kh, kw) == (1, 1) or (cg == og == 1 and oh > 1 and ow > 1):
-        pg = p.reshape(n, groups, cg, oh, ow, kh, kw)
-        wg = w.reshape(groups, og, cg, kh, kw)
-        out = np.einsum("ngchwab,gocab->ngohw", pg, wg).reshape(n, o, oh, ow)
-    elif per_sample:
+    if (kh, kw) == (1, 1):
+        pg = windows(x, 1, stride, padding).reshape(n, groups, cg, oh, ow, 1, 1)
+        out = np.einsum("ngchwab,gocab->ngohw", pg, w.reshape(groups, og, cg, 1, 1)).reshape(n, o, oh, ow)
+    elif cg == og == 1 and oh > 1 and ow > 1:
+        out = np.empty((n, o, oh, ow), dtype=np.float64)
+        m = max(1, _MAP_BYTES // out[0].nbytes)
+        buf, wd = _pad(x[:m], pads), w.reshape(1, o, 1, 1, kh, kw)  # m padded samples, refilled per chunk
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as einsum is; ensure_finite reports
+            for s in range(0, n, m):
+                xs = x[s : s + m]
+                _einsum_dot(windows(xs, (kh, kw), stride, padding, out=buf[: len(xs)]), wd, out[s : s + m])
+        del buf  # freed before ensure_finite's mask
+    elif min(n, og, cg, kh, kw) > 1:
         wg = w.reshape(groups, og, -1)
         out = np.empty((n, o, oh, ow), dtype=np.float64)
         at = _patch_index(p, groups)  # after out: made before it, at and rows raised peak RSS 3 MB
@@ -215,8 +229,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
             np.einsum("gpk,gok->gop", flat.take(at, out=rows, mode="clip"), wg, out=out_s)
         del at, rows  # freed before ensure_finite's mask
     else:
-        # Per position, the order the other two paths keep.
-        out = np.empty((n, o, oh, ow), dtype=np.float64)
+        # Per position, the order the other paths keep.
+        p, out = windows(x, (kh, kw), stride, padding), np.empty((n, o, oh, ow), dtype=np.float64)
         for g in range(groups):
             pg = p[:, g * cg : (g + 1) * cg]
             wg = w[g * og : (g + 1) * og]
@@ -229,6 +243,42 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
             raise ShapeError(f"conv2d bias shape {b.shape} does not match {o} output channels")
         out += b[None, :, None, None]
     return ensure_finite(out, "conv2d output")
+
+
+# A depthwise chunk takes as many samples as keep its output map within this many
+# bytes; each of _einsum_dot's three scratch maps is as large. At 32x16x16x16 with a
+# 3x3 kernel (one thread), chunks of 8 samples took 1.9 ms, chunks of 1, 4, 16 or 32
+# 2.1 to 3.3 ms.
+_MAP_BYTES = 256 << 10
+
+
+def _einsum_dot(x, w, out) -> np.ndarray:
+    """``out`` set to the sum of ``x * w`` over their last two (kernel) axes, one whole
+    map per multiply and per add, in the order numpy's einsum sums each output of a
+    product with contiguous kernel rows (numpy 2.4.6 on x86_64: 128-bit kernels, no FMA).
+
+    The kernel rows go in turn into an accumulator that starts at +0.0. Within a row,
+    two running sums take the even and the odd columns: while 8 or more columns remain
+    they go in blocks of 8, each block's pairs back to front (6,7 4,5 2,3 0,1), then the
+    rest in pairs front to back; the row's sum is the even sum plus the odd one. Einsum
+    starts both sums at zero and pads an odd last column with 0*0: leaving both out
+    changes at most the sign of a zero, which the +0.0 start absorbs. A canary test
+    pins this order against ``einsum("i,i->")``, the conv oracles against conv2d's.
+    """
+    kh, kw = x.shape[-2:]
+    blocked = kw - kw % 8
+    cols = [b + d for b in range(0, blocked, 8) for d in (6, 4, 2, 0)] + list(range(blocked, kw, 2))
+    even, odd, prod = np.empty((3,) + out.shape)
+    for a in range(kh):
+        for acc, lane in ((even, cols), (odd, [b + 1 for b in cols if b + 1 < kw])):
+            for i, b in enumerate(lane):
+                np.multiply(x[..., a, b], w[..., a, b], out=prod if i else acc)
+                if i:
+                    acc += prod
+        if kw > 1:
+            even += odd
+        np.add(out if a else 0.0, even, out=out)
+    return out
 
 
 def _patch_index(p, groups) -> np.ndarray:
@@ -253,8 +303,10 @@ def conv_patches(x, weight_shape, stride=1, padding=0, groups=1) -> np.ndarray:
     xp = _pad(x[:1], pads)  # one padded sample, refilled per sample
     at = _patch_index(windows(x[:1], weight_shape[2:], stride, padding, out=xp), groups)
     p = np.empty((groups, len(x), *at.shape[1:]))
-    for s in range(len(x)):  # each sample's rows into its slice of P
-        _pad(x[s : s + 1], pads, out=xp).reshape(-1).take(at, out=p[:, s], mode="clip")
+    for s in range(len(x)):  # each sample's rows into its slice of P, a contiguous one per group
+        flat = _pad(x[s : s + 1], pads, out=xp).reshape(-1)
+        for g in range(groups):  # taking into the strided p[:, s] would go through a temporary
+            flat.take(at[g], out=p[g, s], mode="clip")
     return p.reshape(groups, -1, at.shape[2])
 
 

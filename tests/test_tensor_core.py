@@ -244,6 +244,21 @@ def test_windows_layout_and_read_only():
     assert not win.flags.writeable
 
 
+def test_windows_views_an_unpadded_input_in_place():
+    x = np.arange(2 * 3 * 5 * 4, dtype=float).reshape(2, 3, 5, 4)
+    before = x.copy()
+    win = tc.windows(x, (3, 2), (2, 1), 0)
+    assert np.shares_memory(win, x) and not win.flags.writeable
+    assert np.array_equal(win[1, 2, 1, 2], x[1, 2, 2:5, 2:4])
+    assert np.array_equal(x, before)
+    # a padded input, one padded into a buffer, or one that is not C-contiguous is copied
+    assert not np.shares_memory(tc.windows(x, (3, 2), 1, (1, 0)), x)
+    assert not np.shares_memory(tc.windows(x, (3, 2), 1, 0, out=tc._pad(x, (0, 0))), x)
+    x_f = np.asfortranarray(x)
+    assert not np.shares_memory(tc.windows(x_f, (3, 2), 1, 0), x_f)
+    assert np.array_equal(tc.windows(x_f, (3, 2), 1, 0), tc.windows(x, (3, 2), 1, 0))
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
@@ -352,6 +367,76 @@ def test_conv2d_equals_loop_oracle_over_drawn_shapes(case):
     assert np.array_equal(tc.conv2d(x, w_f, stride=stride, padding=padding, groups=groups), y)
 
 
+@st.composite
+def depthwise_cases(draw):
+    """(x shape, w shape, stride, padding, groups, seed, samples per chunk, zeros) of a
+    depthwise conv that fits. Rows of 8 or more columns take the blocked order, n up to 9
+    over a chunk of 1 to 4 samples leaves a partial last chunk, and outputs with a side of
+    1 stay on the loop. With ``zeros``, signed zeros test the sign of a sum of zeros."""
+    c, n = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    kh, kw = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    h = draw(st.integers(max(1, kh - 2 * padding[0]), kh + 8))
+    w = draw(st.integers(max(1, kw - 2 * padding[1]), kw + 8))
+    seed, chunk, zeros = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4)), draw(st.booleans())
+    return (n, c, h, w), (c, 1, kh, kw), stride, padding, c, seed, chunk, zeros
+
+
+def _amp_search_case(stride):
+    """amp_search's depthwise conv (depthwise_net(channels=16), batch 32), in chunks of the default size."""
+    return (32, 16, 16, 16), (16, 1, 3, 3), stride, 1, 16, stride, None, False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=depthwise_cases())
+@example(case=_amp_search_case(1))
+@example(case=_amp_search_case(2))
+def test_depthwise_conv2d_equals_loop_oracle_bit_for_bit(case):
+    x_shape, w_shape, stride, padding, groups, seed, chunk, zeros = case
+    rng = np.random.default_rng(seed)
+    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    if zeros:
+        x[np.abs(x) < 1.2], w[w < 0.3] = -0.0, 0.0  # -0 * w is -0: many windows sum to -0 alone
+    ref = _conv2d_loop(x, w, stride, padding, groups)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:
+            mp.setattr(tc, "_MAP_BYTES", chunk * ref[0].nbytes)
+        y = tc.conv2d(x, w, stride=stride, padding=padding, groups=groups)
+    assert y.tobytes() == ref.tobytes()  # the sign of every zero too
+
+
+def test_depthwise_conv2d_overflow_is_a_numeric_error_without_a_warning():
+    # einsum never warned; the whole-map multiply-adds would, and pytest fails on a RuntimeWarning
+    x, w = np.full((2, 3, 4, 4), 1e300), np.full((3, 1, 3, 3), 1e10)
+    with pytest.raises(NumericError, match="conv2d output"):
+        tc.conv2d(x, w, padding=1, groups=3)
+    with pytest.raises(NumericError, match="conv2d output"):
+        tc.conv2d(x * np.inf, w, padding=1, groups=3)  # inf * 0 on the padding: invalid
+
+
+def test_einsum_dot_sums_in_the_order_of_numpys_einsum():
+    """conv2d's depthwise path assumes that numpy's einsum sums a contiguous two-operand
+    product in 128-bit lanes without FMA, 8 columns at a time back to front (see
+    tc._einsum_dot). A numpy that sums another way fails here, not in a conv oracle."""
+    rng = np.random.default_rng(31)
+    for length in range(1, 41):
+        for _ in range(10):
+            a = rng.normal(size=length) * 10.0 ** rng.integers(-6, 7, size=length)
+            b = rng.normal(size=length)
+            dot = tc._einsum_dot(a.reshape(1, 1, -1), b.reshape(1, 1, -1), np.empty(1))  # one 1xL window
+            assert dot[0] == np.einsum("i,i->", a, b), f"einsum's summation order moved at length {length}"
+
+
+def test_depthwise_conv2d_pads_a_few_samples_at_a_time():
+    rng = np.random.default_rng(30)
+    x, w = rng.normal(size=(128, 16, 16, 16)), rng.normal(size=(16, 1, 3, 3))
+    peak = peak_bytes(lambda: tc.conv2d(x, w, padding=1, groups=16))
+    # A chunk's padded samples and three scratch maps add 1.1 MB to the output;
+    # the whole padded batch would add 5.3 MB.
+    assert peak < x.nbytes + 6 * tc._MAP_BYTES
+
+
 def test_conv2d_lays_out_one_sample_of_patches_at_a_time():
     rng = np.random.default_rng(26)
     x, w = rng.normal(size=(128, 16, 16, 16)), rng.normal(size=(16, 16, 3, 3))
@@ -411,6 +496,17 @@ def test_conv_patches_pads_and_lays_out_one_sample_at_a_time():
     peak = peak_bytes(tc.conv_patches, x, (16, 16, 3, 3), 1, 1)
     # A whole padded batch, or a whole-batch copy of the window view, adds 1.3 MB or more.
     assert peak - p_bytes < padded_sample_bytes + 2 * sample_patch_bytes
+
+
+@pytest.mark.parametrize("groups", [2, 16])
+def test_grouped_conv_patches_take_each_group_into_place(groups):
+    x = np.random.default_rng(28).normal(size=(32, 16, 16, 16))
+    p_bytes = 32 * 16 * 16 * 16 * 9 * 8
+    padded_sample_bytes, sample_patch_bytes = 16 * 18 * 18 * 8, 9 * x[0].nbytes
+    peak = peak_bytes(tc.conv_patches, x, (16, 16 // groups, 3, 3), 1, 1, groups)
+    # The index takes one sample's patch bytes; a take into the strided P[:, s]
+    # would add a temporary as large.
+    assert peak - p_bytes < padded_sample_bytes + 1.5 * sample_patch_bytes
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
