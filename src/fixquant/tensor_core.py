@@ -212,7 +212,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1) -> np.ndarray:
         out = np.einsum("ngchwab,gocab->ngohw", pg, w.reshape(groups, og, cg, 1, 1)).reshape(n, o, oh, ow)
     elif cg == og == 1 and oh > 1 and ow > 1:
         out = np.empty((n, o, oh, ow), dtype=np.float64)
-        m = max(1, _MAP_BYTES // out[0].nbytes)
+        m = max(1, _MAP_BYTES // (o * oh * ow * out.itemsize))  # from the shape: n may be 0
         buf, wd = _pad(x[:m], pads), w.reshape(1, o, 1, 1, kh, kw)  # m padded samples, refilled per chunk
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as einsum is; ensure_finite reports
             for s in range(0, n, m):
@@ -303,10 +303,8 @@ def conv_patches(x, weight_shape, stride=1, padding=0, groups=1) -> np.ndarray:
     xp = _pad(x[:1], pads)  # one padded sample, refilled per sample
     at = _patch_index(windows(x[:1], weight_shape[2:], stride, padding, out=xp), groups)
     p = np.empty((groups, len(x), *at.shape[1:]))
-    for s in range(len(x)):  # each sample's rows into its slice of P, a contiguous one per group
-        flat = _pad(x[s : s + 1], pads, out=xp).reshape(-1)
-        for g in range(groups):  # taking into the strided p[:, s] would go through a temporary
-            flat.take(at[g], out=p[g, s], mode="clip")
+    for s in range(len(x)):  # each sample's rows into its slice of P
+        _pad(x[s : s + 1], pads, out=xp).reshape(-1).take(at, out=p[:, s], mode="clip")
     return p.reshape(groups, -1, at.shape[2])
 
 
