@@ -390,7 +390,7 @@ def create_quantsim(
 
 def weight_encodings(w: np.ndarray, spec: QuantizerSpec, scheme: RangeScheme) -> list[QuantEncoding]:
     """The encodings ``scheme`` derives from weight ``w`` at ``spec``'s bitwidth, symmetry and axis."""
-    acc = RangeAccumulator(channel_axis=spec.channel_axis)
+    acc = RangeAccumulator(channel_axis=spec.channel_axis, bins=scheme.bins)
     acc.observe(w)
     return compute_encodings_from_accumulator(acc, spec.bitwidth, spec.symmetric, scheme)
 
@@ -413,7 +413,8 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     from float statistics observed as each value appears in a pass over the
     calibration feed (an iterable of input batches) that holds only live
     values. Frozen quantizers are left untouched. Accumulators are retained
-    on the sim so encodings can later be re-derived at other bitwidths.
+    on the sim so encodings can later be re-derived at other bitwidths; only
+    a sqnr sim's keep the histograms that a sqnr derivation reads.
 
     The same float pass records, for each of the leading batches that hold
     ``BIAS_CORRECT_SAMPLES`` samples, every MAC node's float channel means
@@ -428,7 +429,7 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     if not batches:
         raise CalibrationError("calibration feed is empty")
     accs: dict[str, RangeAccumulator] = {
-        nid: RangeAccumulator() for nid in sim.activation_quantizers
+        nid: RangeAccumulator(bins=sim.scheme.bins) for nid in sim.activation_quantizers
     }
     leading = len(_limit_samples(batches, BIAS_CORRECT_SAMPLES))
     sim.float_means, sim.mac_spatial = {}, {}

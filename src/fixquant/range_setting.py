@@ -12,10 +12,12 @@ score, from prefix sums over the bins); it stops once the next bound exceeds
 the best score, so the pruning is exact. Ties go to the first minimum in
 candidate order.
 
-Accumulators track running min/max plus a histogram. Observing more batches
-grows the histogram range as needed; old counts are redistributed
-proportionally over the new bins, so the histogram is an approximation of
-the full data distribution (exact while the range does not grow).
+Accumulators track running min, max and count per slice; only those built
+for the sqnr scheme (``RangeScheme.bins``) also keep a histogram. Observing
+more batches grows the histogram range as needed; old counts are
+redistributed proportionally over the new bins, so the histogram is an
+approximation of the full data distribution (exact while the range does not
+grow).
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ class RangeScheme:
         if self.kind not in ("min_max", "sqnr"):
             raise EncodingError(f"unknown range scheme {self.kind!r}")
 
+    @property
+    def bins(self) -> int:
+        """Histogram bins its accumulators keep: none unless the scheme reads them."""
+        return HISTOGRAM_BINS if self.kind == "sqnr" else 0
+
 
 def _binnable(mn: float, mx: float, bins: int) -> bool:
     """Whether [mn, mx] splits into ``bins`` strictly increasing float edges,
@@ -71,43 +78,32 @@ def _binnable(mn: float, mx: float, bins: int) -> bool:
 
 
 class _Hist:
-    """Running min/max and a fixed-width histogram for one tensor slice."""
+    """One slice's histogram, a view into its accumulator: ``counts`` over
+    equal-width bins spanning [mn, mx], of ``count`` observed values."""
 
-    __slots__ = ("bins", "count", "mn", "mx", "counts")
+    __slots__ = ("mn", "mx", "count", "counts")
 
-    def __init__(self, bins: int):
-        self.bins = bins
-        self.count = 0.0
-        self.mn = np.inf
-        self.mx = -np.inf
-        self.counts = np.zeros(bins, dtype=np.float64)
+    def __init__(self, mn: float, mx: float, count: float, counts: np.ndarray):
+        self.mn, self.mx, self.count, self.counts = mn, mx, count, counts
 
     def edges(self) -> np.ndarray:
-        return np.linspace(self.mn, self.mx, self.bins + 1)
+        return np.linspace(self.mn, self.mx, self.counts.size + 1)
 
     def centers(self) -> np.ndarray:
         e = self.edges()
         return 0.5 * (e[:-1] + e[1:])
 
-    def observe(self, values: np.ndarray) -> None:
-        values = values.ravel()
-        if values.size == 0:
-            return
-        bmn = float(values.min())
-        bmx = float(values.max())
-        new_mn = min(self.mn, bmn)
-        new_mx = max(self.mx, bmx)
-        if new_mn < self.mn or new_mx > self.mx:
-            if self.count:
-                self.counts = _rebin(self.counts, self.edges(), new_mn, new_mx, self.bins)
-            self.mn, self.mx = new_mn, new_mx
-        if _binnable(self.mn, self.mx, self.bins):
-            hist, _ = np.histogram(values, bins=self.bins, range=(self.mn, self.mx))
-            self.counts += hist
+    def add(self, values: np.ndarray, mn: float, mx: float) -> None:
+        """Count ``values`` into ``counts``, rebinned first onto [mn, mx], a
+        range that holds them and the old one."""
+        bins = self.counts.size
+        if self.count and (mn < self.mn or mx > self.mx):
+            self.counts[:] = _rebin(self.counts, self.edges(), mn, mx, bins)
+        if _binnable(mn, mx, bins):
+            self.counts += np.histogram(values, bins=bins, range=(mn, mx))[0]
         else:
             # All values (nearly) identical so far: everything lands in the first bin.
             self.counts[0] += values.size
-        self.count += values.size
 
 
 def _rebin(counts: np.ndarray, old_edges: np.ndarray, mn: float, mx: float, bins: int) -> np.ndarray:
@@ -130,12 +126,15 @@ def _rebin(counts: np.ndarray, old_edges: np.ndarray, mn: float, mx: float, bins
 
 
 class RangeAccumulator:
-    """Observed statistics for one tensor: per tensor, or per channel."""
+    """Observed statistics for one tensor: per tensor, or per channel. Each
+    slice keeps its running min, max and count, one reduction per observe
+    updating every slice's, and with ``bins`` a histogram over [min, max]."""
 
     def __init__(self, channel_axis: Optional[int] = None, bins: int = HISTOGRAM_BINS):
         self.channel_axis = channel_axis
         self.bins = bins
-        self._hists: Optional[list[_Hist]] = None  # fixed at first observe
+        # per slice, fixed at first observe: min, max, count, and (slices x bins) counts
+        self._mn = self._mx = self._count = self._counts = None
 
     @property
     def per_channel(self) -> bool:
@@ -143,42 +142,46 @@ class RangeAccumulator:
 
     @property
     def count(self) -> float:
-        return 0.0 if self._hists is None else sum(h.count for h in self._hists)
+        return 0.0 if self._count is None else float(self._count.sum())
 
     def channel_stats(self) -> list[tuple[float, float, float]]:
         """(min, max, count) per slice; a single entry for per-tensor."""
-        if self._hists is None:
+        if self._mn is None:
             raise CalibrationError("accumulator has no observations")
-        return [(h.mn, h.mx, h.count) for h in self._hists]
+        return list(zip(self._mn.tolist(), self._mx.tolist(), self._count.tolist()))
 
     def histograms(self) -> list[_Hist]:
-        if self._hists is None:
-            raise CalibrationError("accumulator has no observations")
-        return self._hists
+        if not self.bins:
+            raise CalibrationError(
+                "accumulator keeps no histograms (it was built for min_max); "
+                "a sqnr derivation needs them, so calibrate under the sqnr scheme"
+            )
+        return [_Hist(*stats, counts) for stats, counts in zip(self.channel_stats(), self._counts)]
 
     def observe(self, x) -> "RangeAccumulator":
         x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
-            raise CalibrationError("cannot calibrate on non-finite values")
-        if not self.per_channel:
-            if self._hists is None:
-                self._hists = [_Hist(self.bins)]
-            self._hists[0].observe(x)
+        if self.per_channel:
+            if not (0 <= self.channel_axis < x.ndim):
+                raise CalibrationError(f"channel_axis {self.channel_axis} out of range for shape {x.shape}")
+            x = np.swapaxes(x, 0, self.channel_axis)  # no statistic kept reads the order in a slice
+        c = x.shape[0] if self.per_channel else 1
+        if self._mn is not None and self._mn.size != c:
+            raise CalibrationError(f"channel count changed between batches: {self._mn.size} vs {c}")
+        rows = x.reshape(c, -1)  # one row per slice
+        if rows.size:
+            lo, hi = rows.min(axis=1), rows.max(axis=1)  # inf or nan where a value is not finite
+            if not np.all(np.isfinite((lo, hi))):
+                raise CalibrationError("cannot calibrate on non-finite values")
+        if self._mn is None:
+            self._mn, self._mx, self._count = np.full(c, np.inf), np.full(c, -np.inf), np.zeros(c)
+            self._counts = np.zeros((c, self.bins))
+        if not rows.size:
             return self
-        if not (0 <= self.channel_axis < x.ndim):
-            raise CalibrationError(
-                f"channel_axis {self.channel_axis} out of range for shape {x.shape}"
-            )
-        c = x.shape[self.channel_axis]
-        if self._hists is None:
-            self._hists = [_Hist(self.bins) for _ in range(c)]
-        elif len(self._hists) != c:
-            raise CalibrationError(
-                f"channel count changed between batches: {len(self._hists)} vs {c}"
-            )
-        per_channel = np.moveaxis(x, self.channel_axis, 0).reshape(c, -1)
-        for i in range(c):
-            self._hists[i].observe(per_channel[i])
+        mn, mx = np.minimum(self._mn, lo), np.maximum(self._mx, hi)
+        if self.bins:
+            for h, row, row_mn, row_mx in zip(self.histograms(), rows, mn, mx):
+                h.add(row, row_mn, row_mx)
+        self._mn, self._mx, self._count = mn, mx, self._count + rows.shape[1]
         return self
 
 

@@ -5,10 +5,14 @@ C-contiguous (row-major); integer tensors are int64. Model weights are kept
 float32-representable (see :func:`f32`) so that writing them to a float32 blob
 and reading them back is lossless, while all arithmetic runs in float64.
 
-The kernels here are deliberately direct implementations: accumulation order
-is the natural row-major ascending order of numpy reductions, which makes
-results reproducible run to run. Kernels never let NaN or Inf propagate
-silently; they raise NumericError instead.
+The kernels here are deliberately direct implementations, and each sums in
+an order fixed by the library routine it calls, which makes results
+reproducible run to run on one machine. conv2d sums in the order of numpy's
+einsum (below); avgpool sums each window's row-major elements with numpy's
+``add.reduce``; add sums its inputs left to right. linear is ``x @ w.T``, a
+BLAS GEMM: it sums in the order of the kernel that OpenBLAS picks for the CPU
+at run time, so its last bits can differ from one CPU to another. Kernels
+never let NaN or Inf propagate silently; they raise NumericError instead.
 
 Window geometry lives in one place. :func:`windows` pads an NCHW input,
 into a new array or one the caller reuses, or views an unpadded one in

@@ -291,6 +291,65 @@ class TestCalibration:
         assert sim.activation_quantizers["fc1"].encodings is not None
 
 
+class TestHistogramsOnlyWhereRead:
+    """Only the sqnr scheme reads a distribution, so only a sqnr sim bins
+    the values it observes; a min-max one keeps min, max and count."""
+
+    @pytest.fixture
+    def histogram_calls(self, monkeypatch):
+        calls = []
+        real = np.histogram
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "histogram", counted)
+        return calls
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_min_max_calibration_never_bins_a_value(self, per_channel, histogram_calls):
+        sim = create_quantsim(pool_graph(), scheme=RangeScheme(per_channel=per_channel))
+        compute_encodings(sim, toys.random_feed((2, 3, 8, 8), n_batches=2))
+        for key, spec in sim.param_quantizers.items():
+            node, name = key.rsplit(".", 1)
+            assert quantsim.weight_encodings(sim.graph.nodes[node].weights[name], spec, sim.scheme) == spec.encodings
+        sim.check_ready()
+        assert histogram_calls == []
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_sqnr_calibration_still_bins_every_value(self, per_channel, histogram_calls):
+        sim = create_quantsim(pool_graph(), scheme=RangeScheme("sqnr", per_channel=per_channel))
+        compute_encodings(sim, toys.random_feed((2, 3, 8, 8), n_batches=2))
+        assert len(histogram_calls) >= 2 * len(sim.activation_stats)
+
+    def test_a_min_max_mixed_precision_search_never_bins_a_value(self, histogram_calls, monkeypatch, tmp_path):
+        from fixquant.amp import choose_mixed_precision
+        from fixquant.range_setting import RangeAccumulator
+
+        observed = []
+        real = RangeAccumulator.observe
+        monkeypatch.setattr(RangeAccumulator, "observe", lambda acc, x: observed.append(1) or real(acc, x))
+        model = toys.depthwise_net(seed=0)
+        x = toys.random_feed((8, 3, 6, 6), n_batches=1, seed=3)[0]
+        sim = compute_encodings(create_quantsim(model), [x])
+        calibrated = len(observed)
+        want = model.forward(x)
+
+        def score(s):
+            return -float(np.mean((s.forward(x) - want) ** 2))
+
+        choose_mixed_precision(sim, [(16, 16), (8, 8), (4, 8)], score, score, 10.0, tmp_path)
+        assert len(observed) > calibrated  # the search re-derived weight encodings
+        assert histogram_calls == []
+
+    def test_a_sqnr_derivation_after_min_max_calibration_names_the_missing_histograms(self):
+        _, sim = calibrated_mlp()
+        sim.scheme = RangeScheme("sqnr")
+        with pytest.raises(CalibrationError, match="keeps no histograms"):
+            compute_activation_encodings(sim)
+
+
 class TestSimulatedForward:
     def test_all_disabled_matches_float_bit_exactly(self):
         model, sim = calibrated_mlp()

@@ -69,6 +69,57 @@ def test_per_channel_count_change_rejected():
         acc.observe(np.ones((3, 4)))
 
 
+def test_per_channel_axis_out_of_range_rejected():
+    with pytest.raises(CalibrationError, match="channel_axis 2 out of range"):
+        RangeAccumulator(channel_axis=2).observe(np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("bins", [0, rs.HISTOGRAM_BINS])
+def test_a_non_finite_batch_leaves_the_accumulator_as_it_was(bad, bins):
+    fresh, seen = RangeAccumulator(channel_axis=0, bins=bins), RangeAccumulator(channel_axis=0, bins=bins)
+    seen.observe(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    before = seen.channel_stats()
+    for acc in (fresh, seen):
+        with pytest.raises(CalibrationError, match="non-finite"):
+            acc.observe(np.array([[0.0, bad], [9.0, -9.0]]))
+    with pytest.raises(CalibrationError, match="no observations"):
+        fresh.channel_stats()
+    assert seen.channel_stats() == before
+
+
+@pytest.mark.parametrize("channel_axis", [None, 0, 1, 2])
+def test_min_max_encodings_do_not_depend_on_the_histogram(channel_axis):
+    """A bin-less accumulator keeps the same (min, max, count) floats as one
+    with histograms, and so derives the same min-max encodings, while the
+    range grows over several batches (and through an empty one)."""
+    rng = np.random.default_rng(5)
+    binned, binless = RangeAccumulator(channel_axis), RangeAccumulator(channel_axis, bins=0)
+    batches = [rng.normal(size=(4, 3, 5)) * s + s for s in (0.1, 1.0, 0.5, 4.0, -8.0)]
+    across = 1 if channel_axis == 2 else 2  # an axis that is not the channels'
+    batches.insert(2, np.ones((4, 3, 5)).take([], axis=across))
+    for x in batches:
+        binned.observe(x)
+        binless.observe(x)
+        assert binless.channel_stats() == binned.channel_stats()
+    whole = np.concatenate(batches, axis=across)
+    axes = None if channel_axis is None else tuple(a for a in range(3) if a != channel_axis)
+    n = float(whole.size if channel_axis is None else whole.size // whole.shape[channel_axis])
+    mins, maxs = np.ravel(whole.min(axis=axes)).tolist(), np.ravel(whole.max(axis=axes)).tolist()
+    assert binless.channel_stats() == [(mn, mx, n) for mn, mx in zip(mins, maxs)]
+    for bitwidth in (4, 8):
+        for symmetric in (False, True):
+            assert rs.compute_minmax(binless, bitwidth, symmetric) == rs.compute_minmax(binned, bitwidth, symmetric)
+
+
+def test_sqnr_from_a_binless_accumulator_names_the_missing_histograms():
+    acc = RangeAccumulator(bins=0).observe(np.linspace(-1.0, 1.0, 50))
+    with pytest.raises(CalibrationError, match="keeps no histograms"):
+        rs.compute_sqnr(acc, 8, False)
+    with pytest.raises(CalibrationError, match="keeps no histograms"):
+        rs.compute_encodings_from_accumulator(acc, 8, False, RangeScheme("sqnr"))
+
+
 class TestEncodingFromRange:
     def test_worked_asymmetric_example(self):
         e = rs.encoding_from_range(-1.0, 2.0, 8, symmetric=False)
