@@ -247,7 +247,13 @@ def ste_mask(x, spec: QuantizerSpec) -> np.ndarray:
 # Integer accumulation paths
 
 
-def _check_int_operands(wi: np.ndarray, xi: np.ndarray, ew: QuantEncoding, ex: QuantEncoding):
+def _accumulate(wi, xi, ew: QuantEncoding, ex: QuantEncoding) -> np.ndarray:
+    """The exact int64 accumulation of (W_int - z_w)(x_int - z_x), expanded
+    into four integer terms: the data product, two zero-point cross terms
+    and a constant. Operands must be 2-d weights and 1-d/2-d activations on
+    their grids, and a conservative bound keeps intermediates from wrapping."""
+    wi = np.asarray(wi, dtype=np.int64)
+    xi = np.asarray(xi, dtype=np.int64)
     if wi.ndim != 2 or xi.ndim not in (1, 2):
         raise ShapeError(f"expected 2-d weights and 1-d/2-d activations, got {wi.shape}, {xi.shape}")
     if wi.shape[1] != xi.shape[0]:
@@ -255,39 +261,24 @@ def _check_int_operands(wi: np.ndarray, xi: np.ndarray, ew: QuantEncoding, ex: Q
     for name, arr, e in (("weight", wi, ew), ("activation", xi, ex)):
         if arr.size and (arr.min() < e.q_lo or arr.max() > e.q_hi):
             raise EncodingError(f"{name} integers fall outside their {e.bitwidth}-bit grid")
-
-
-def _overflow_guard(wi: np.ndarray, xi: np.ndarray, ew: QuantEncoding, ex: QuantEncoding):
-    """Conservative bound check so int64 intermediates cannot wrap."""
     k = wi.shape[1]
-    wmax = int(np.abs(wi).max(initial=0))
-    xmax = int(np.abs(xi).max(initial=0))
-    zw, zx = abs(ew.zero_point), abs(ex.zero_point)
-    bound = k * (wmax * xmax + zw * xmax + zx * wmax + zw * zx)
-    if bound >= 2**62:
+    zw, zx = ew.zero_point, ex.zero_point
+    wmax, xmax = int(np.abs(wi).max(initial=0)), int(np.abs(xi).max(initial=0))
+    if k * (wmax * xmax + abs(zw) * xmax + abs(zx) * wmax + abs(zw * zx)) >= 2**62:
         raise NumericError("integer accumulation would overflow the 64-bit working range")
-
-
-def integer_matmul_asymmetric(wi, xi, ew: QuantEncoding, ex: QuantEncoding) -> np.ndarray:
-    """Integer-only matmul of asymmetric operands, returned in real units.
-
-    Expands (W_int - z_w)(x_int - z_x) into four integer terms - the data
-    product, two zero-point cross terms, and a constant - accumulates them
-    exactly in int64, and applies the combined scale s_w * s_x once at the
-    end. Matches matmul of the dequantized operands up to float rounding.
-    """
-    wi = np.asarray(wi, dtype=np.int64)
-    xi = np.asarray(xi, dtype=np.int64)
-    _check_int_operands(wi, xi, ew, ex)
-    _overflow_guard(wi, xi, ew, ex)
-    k = wi.shape[1]
-    acc = wi @ xi  # [n] or [n, m]
-    col_sum = xi.sum(axis=0)  # scalar-shaped [m] or []
     row_sum = wi.sum(axis=1)  # [n]
     if xi.ndim == 2:
         row_sum = row_sum[:, None]
-    acc = acc - ew.zero_point * col_sum - ex.zero_point * row_sum + k * ew.zero_point * ex.zero_point
-    return (ew.scale * ex.scale) * acc.astype(np.float64)
+    return wi @ xi - zw * xi.sum(axis=0) - zx * row_sum + k * zw * zx
+
+
+def integer_matmul_asymmetric(wi, xi, ew: QuantEncoding, ex: QuantEncoding) -> np.ndarray:
+    """Integer-only matmul of asymmetric operands, returned in real units:
+    the int64 accumulation of (W_int - z_w)(x_int - z_x) with the combined
+    scale s_w * s_x applied once at the end. Matches matmul of the
+    dequantized operands up to float rounding.
+    """
+    return (ew.scale * ex.scale) * _accumulate(wi, xi, ew, ex).astype(np.float64)
 
 
 def integer_mac(wi, xi, bias_int=None, ew: QuantEncoding = None, ex: QuantEncoding = None) -> np.ndarray:
@@ -299,24 +290,15 @@ def integer_mac(wi, xi, bias_int=None, ew: QuantEncoding = None, ex: QuantEncodi
     s_w * s_x reproduces the real product. Raises on accumulator overflow
     rather than wrapping.
     """
-    wi = np.asarray(wi, dtype=np.int64)
-    xi = np.asarray(xi, dtype=np.int64)
     if ew is None or ex is None:
         raise EncodingError("integer_mac needs both weight and activation encodings")
     if ew.zero_point != 0:
         raise EncodingError("integer_mac requires a symmetric weight encoding (z_w == 0)")
-    _check_int_operands(wi, xi, ew, ex)
-    _overflow_guard(wi, xi, ew, ex)
-    acc = wi @ xi
-    if ex.zero_point:
-        row_sum = wi.sum(axis=1)
-        if xi.ndim == 2:
-            row_sum = row_sum[:, None]
-        acc = acc - ex.zero_point * row_sum
+    acc = _accumulate(wi, xi, ew, ex)
     if bias_int is not None:
         b = np.asarray(bias_int, dtype=np.int64)
-        if b.shape != (wi.shape[0],):
-            raise ShapeError(f"bias_int shape {b.shape} does not match {wi.shape[0]} rows")
+        if b.shape != (acc.shape[0],):
+            raise ShapeError(f"bias_int shape {b.shape} does not match {acc.shape[0]} rows")
         acc = acc + (b[:, None] if acc.ndim == 2 else b)
     if acc.size and (acc.min() < INT32_MIN or acc.max() > INT32_MAX):
         raise NumericError("32-bit accumulator overflow")

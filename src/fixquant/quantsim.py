@@ -166,13 +166,11 @@ class QuantSimModel:
         param_quantizers: dict[str, QuantizerSpec],
         activation_quantizers: dict[str, QuantizerSpec],
         scheme: RangeScheme,
-        avgpool_reuse: dict[str, str],
     ):
         self.graph = graph
         self.param_quantizers = param_quantizers
         self.activation_quantizers = activation_quantizers
         self.scheme = scheme
-        self.avgpool_reuse = avgpool_reuse
         # Populated by compute_encodings; kept so bitwidth changes (mixed
         # precision) can re-derive encodings without another data pass.
         self.activation_stats: dict[str, RangeAccumulator] = {}
@@ -347,7 +345,6 @@ def create_quantsim(
 
     param_q: dict[str, QuantizerSpec] = {}
     act_q: dict[str, QuantizerSpec] = {}
-    avgpool_reuse: dict[str, str] = {}
 
     for nid in graph.topo_order():
         node = graph.nodes[nid]
@@ -372,16 +369,8 @@ def create_quantsim(
         quantized = rule["is_output_quantized"] and nid not in suppressed
         if quantized or (nid in feeds_output and config.model_output.get("is_output_quantized", True)):
             act_q[nid] = QuantizerSpec(bitwidth=default_output_bw, symmetric=bool(rule["is_symmetric"]))
-            if node.kind == "avgpool":
-                avgpool_reuse[nid] = node.inputs[0]
 
-    return QuantSimModel(
-        graph=graph,
-        param_quantizers=param_q,
-        activation_quantizers=act_q,
-        scheme=scheme,
-        avgpool_reuse=avgpool_reuse,
-    )
+    return QuantSimModel(graph=graph, param_quantizers=param_q, activation_quantizers=act_q, scheme=scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +405,10 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     on the sim so encodings can later be re-derived at other bitwidths; only
     a sqnr sim's keep the histograms that a sqnr derivation reads.
 
-    The same float pass records, for each of the leading batches that hold
-    ``BIAS_CORRECT_SAMPLES`` samples, every MAC node's float channel means
-    in ``sim.float_means``, keyed by the node's float value key
+    Each batch runs through ``_float_pass``, the one float-pass recorder.
+    For each of the leading batches that hold ``BIAS_CORRECT_SAMPLES``
+    samples it also records every MAC node's float channel means in
+    ``sim.float_means``, keyed by the node's float value key
     (``gir.value_keys``), which chains its batch and everything upstream;
     bias correction on the same batches reads them instead of running the
     float pass again while no MAC node's key has moved.
@@ -435,22 +425,30 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     sim.float_means, sim.mac_spatial = {}, {}
     for i, batch in enumerate(batches):
         # Bias correction rejects a batch with no samples, so none is recorded.
-        keys = _float_keys(sim.graph, batch) if i < leading and _rows(batch) else None
-
-        def observe(nid: str, y: np.ndarray) -> np.ndarray:
-            if nid in accs:
-                accs[nid].observe(y)
-            if sim.graph.nodes[nid].kind in gir.MAC_KINDS:
-                sim.mac_spatial[nid] = int(np.prod(y.shape[2:]))
-                if keys is not None:
-                    with np.errstate(over="ignore"):  # bias correction reports a non-finite mean
-                        sim.float_means[keys[nid]] = _channel_means(y)
-            return y
-
-        sim.graph.evaluate_all(batch, activation=observe, stream=True)
+        _float_pass(sim, batch, accs, _float_keys(sim.graph, batch) if i < leading and _rows(batch) else None)
     sim.activation_stats = accs
     compute_activation_encodings(sim)
     return sim
+
+
+def _float_pass(sim: QuantSimModel, batch, accs: dict[str, RangeAccumulator], keys=None) -> None:
+    """One float pass of ``sim.graph`` on ``batch`` that holds only live
+    values. It observes each value that has an accumulator in ``accs`` and
+    records every MAC node's output H x W in ``sim.mac_spatial``; given the
+    pass's float value ``keys``, also the node's channel means in
+    ``sim.float_means`` under its key."""
+
+    def observe(nid: str, y: np.ndarray) -> np.ndarray:
+        if nid in accs:
+            accs[nid].observe(y)
+        if sim.graph.nodes[nid].kind in gir.MAC_KINDS:
+            sim.mac_spatial[nid] = int(np.prod(y.shape[2:]))
+            if keys is not None:
+                with np.errstate(over="ignore"):  # bias correction reports a non-finite mean
+                    sim.float_means[keys[nid]] = _channel_means(y)
+        return y
+
+    sim.graph.evaluate_all(batch, activation=observe, stream=True)
 
 
 def _float_keys(graph: GraphModel, batch) -> dict[str, bytes]:
@@ -491,44 +489,38 @@ def _channel_means(y: np.ndarray) -> np.ndarray:
 
 def float_channel_means(sim: QuantSimModel, batches: list) -> list[dict[str, np.ndarray]]:
     """Per batch, every MAC node's float channel means under ``sim.graph``
-    as it is now: those compute_encodings recorded under each MAC node's
-    float value key, else, if any one of them is missing, those of a full
-    float pass that holds only live values."""
+    as it is now, looked up in ``sim.float_means`` under each MAC node's
+    float value key. A batch with any of them missing first runs through
+    ``_float_pass``, the recorder compute_encodings runs, which records
+    them all."""
     macs = [nid for nid, node in sim.graph.nodes.items() if node.kind in gir.MAC_KINDS]
-    means: dict[str, np.ndarray] = {}
-
-    def record(nid: str, y: np.ndarray) -> np.ndarray:
-        if nid in macs:
-            means[nid] = _channel_means(y)
-        return y
-
     out = []
     for batch in batches:
         keys = _float_keys(sim.graph, batch)
-        if all(keys[nid] in sim.float_means for nid in macs):
-            out.append({nid: sim.float_means[keys[nid]] for nid in macs})
-        else:
-            sim.graph.evaluate_all(batch, activation=record, stream=True)
-            out.append({nid: means[nid] for nid in macs})
+        if not all(keys[nid] in sim.float_means for nid in macs):
+            _float_pass(sim, batch, {}, keys)
+        out.append({nid: sim.float_means[keys[nid]] for nid in macs})
     return out
 
 
 def compute_activation_encodings(sim: QuantSimModel, keys=None) -> None:
     """(Re)derive activation encodings at their quantizers' bitwidths from
     the statistics stored by compute_encodings. An avgpool output takes
-    its input's encoding, or is disabled if that input is unquantized."""
+    the encoding of the input its graph node names, or is disabled if that
+    input is unquantized."""
+    pools = [nid for nid in sim.activation_quantizers if sim.graph.nodes[nid].kind == "avgpool"]
     for nid, spec in sim.activation_quantizers.items():
-        if (keys is not None and nid not in keys) or spec.frozen or not spec.enabled or nid in sim.avgpool_reuse:
+        if (keys is not None and nid not in keys) or spec.frozen or not spec.enabled or nid in pools:
             continue
         acc = sim.activation_stats.get(nid)
         if acc is None:
             raise CalibrationError(f"no stored activation statistics for {nid}; run compute_encodings first")
         spec.set_encodings(compute_encodings_from_accumulator(acc, spec.bitwidth, spec.symmetric, sim.scheme))
-    for nid, src in sim.avgpool_reuse.items():
-        spec = sim.activation_quantizers.get(nid)
-        if spec is None or spec.frozen:
+    for nid in pools:
+        spec = sim.activation_quantizers[nid]
+        if spec.frozen:
             continue
-        src_spec = sim.activation_quantizers.get(src)
+        src_spec = sim.activation_quantizers.get(sim.graph.nodes[nid].inputs[0])
         if src_spec is not None and src_spec.enabled and src_spec.encodings:
             spec.bitwidth = src_spec.bitwidth
             spec.symmetric = src_spec.symmetric
