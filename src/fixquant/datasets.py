@@ -4,7 +4,8 @@ Datasets use the same conventions as model files: a JSON manifest next to
 a raw little-endian float32 blob, offsets counted in float32 elements.
 The manifest declares the eval metric ("accuracy" for integer class
 labels, "mse" for regression targets); labels are stored in the blob as
-float32 and cast back on load.
+float32 and cast back on load. Every input and target must be finite, and
+every accuracy label an integer.
 """
 
 from __future__ import annotations
@@ -41,10 +42,14 @@ class Dataset:
         self.x = np.asarray(self.x, dtype=np.float64)
         if self.metric not in METRICS:
             raise ModelFormatError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
+        self.y = np.asarray(self.y, dtype=np.float64)
+        # checked before the label cast, which would round 1.7 to 1 and warn on NaN
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ModelFormatError("dataset inputs and targets must be finite")
         if self.metric == "accuracy":
-            self.y = np.asarray(self.y, dtype=np.int64)
-        else:
-            self.y = np.asarray(self.y, dtype=np.float64)
+            if np.any((self.y != np.trunc(self.y)) | (np.abs(self.y) >= 2.0**63)):
+                raise ModelFormatError("accuracy labels must be int64 integers")
+            self.y = self.y.astype(np.int64)
         if self.x.ndim == 0 or self.y.ndim == 0 or self.x.shape[0] != self.y.shape[0]:
             raise ShapeError(f"dataset needs one target per input, got shapes {self.x.shape} and {self.y.shape}")
 

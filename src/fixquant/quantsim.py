@@ -174,12 +174,12 @@ class QuantSimModel:
         # Populated by compute_encodings; kept so bitwidth changes (mixed
         # precision) can re-derive encodings without another data pass.
         self.activation_stats: dict[str, RangeAccumulator] = {}
-        # Output H x W (1 for linear) of every MAC node, also set by
-        # compute_encodings; MAC counts for bit-ops multiply by it.
+        # Output H x W (1 for linear) of every MAC node, set by each float
+        # pass of ``_float_pass``; MAC counts for bit-ops multiply by it.
         self.mac_spatial: dict[str, int] = {}
         # The float channel means of every MAC node on the leading
-        # calibration batches, keyed by the node's float value key; set by
-        # compute_encodings and read by ``float_channel_means``.
+        # calibration batches, and on any batch ``float_channel_means``
+        # missed, keyed by the node's float value key; set by ``_float_pass``.
         self.float_means: dict[bytes, np.ndarray] = {}
         # The memo of the ``resuming`` scope open on this sim: value key ->
         # value, for the values of its last forward and their batches.
@@ -431,7 +431,7 @@ def compute_encodings(sim: QuantSimModel, feed) -> QuantSimModel:
     return sim
 
 
-def _float_pass(sim: QuantSimModel, batch, accs: dict[str, RangeAccumulator], keys=None) -> None:
+def _float_pass(sim: QuantSimModel, batch, accs: dict[str, RangeAccumulator], keys: dict[str, bytes] | None) -> None:
     """One float pass of ``sim.graph`` on ``batch`` that holds only live
     values. It observes each value that has an accumulator in ``accs`` and
     records every MAC node's output H x W in ``sim.mac_spatial``; given the

@@ -190,6 +190,18 @@ class TestBitOps:
         saved = bit_ops(sim, hi, groups) - bit_ops(sim, lo, groups)
         assert saved == (3 * 6) * (256 - 64)
 
+    def test_a_mac_layer_in_no_group_counts_at_32_bits(self):
+        # no quantizer anywhere, so no group: each MAC runs at 32 x 32 bits
+        config = SimConfig.from_dict(
+            {
+                "defaults": {"ops": {"is_output_quantized": False}, "params": {"is_quantized": False}},
+                "model_output": {"is_output_quantized": False},
+            }
+        )
+        sim = create_quantsim(toys.mlp([3, 4, 2], seed=0), config=config)
+        assert sim.all_quantizers() == {} and find_layer_groups(sim) == []
+        assert bit_ops(sim, {}) == bit_ops(sim, {}, []) == (3 * 4 + 4 * 2) * 32 * 32 == 20480
+
     @staticmethod
     def calibrated(name):
         """A calibrated toy sim and a batch of its calibration shape."""

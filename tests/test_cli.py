@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,23 @@ def test_numeric_failure_exits_four(capsys, data_prefix, tmp_path):
     )
     assert rc == 4
     assert capsys.readouterr().err.startswith("error:numeric:")
+
+
+@pytest.mark.parametrize(
+    "tensor, value", [("y", 1.7), ("y", np.nan), ("x", np.nan)], ids=["fractional-label", "nan-label", "nan-input"]
+)
+def test_eval_of_a_dataset_file_with_a_bad_value_is_one_format_line(capsys, model_prefix, data_prefix, tensor, value):
+    manifest = json.loads(Path(f"{data_prefix}.data.json").read_text())
+    blob = Path(f"{data_prefix}.data.bin")
+    floats = np.frombuffer(blob.read_bytes(), dtype="<f4").copy()
+    floats[manifest["tensors"][tensor]["offset"] + 1] = value
+    blob.write_bytes(floats.tobytes())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--model", model_prefix, "--data", data_prefix])
+    err = capsys.readouterr().err.splitlines()
+    assert (rc, len(err), caught) == (3, 1, [])
+    assert err[0].startswith("error:format: ")
 
 
 def _run_cli(*argv):

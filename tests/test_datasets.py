@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,26 @@ def test_dataset_validates_metric():
 def test_accuracy_labels_cast_to_int64():
     ds = Dataset(np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0]), metric="accuracy")
     assert ds.y.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "x, y, metric",
+    [
+        (np.zeros((3, 2)), [0, 1.7, 0], "accuracy"),
+        (np.zeros((3, 2)), [0, np.nan, 1], "accuracy"),
+        (np.zeros((3, 2)), [0, 2.0**70, 1], "accuracy"),
+        (np.zeros((3, 2)), [0.5, np.inf, 1.0], "mse"),
+        (np.array([[0.0, np.nan], [1.0, 1.0]]), [0, 1], "accuracy"),
+        (np.array([[0.0, -np.inf], [1.0, 1.0]]), [0.5, 1.5], "mse"),
+    ],
+    ids=["fractional-label", "nan-label", "label-past-int64", "inf-target", "nan-input", "inf-input"],
+)
+def test_non_finite_values_and_non_integral_labels_are_one_format_error(x, y, metric):
+    # checked before the cast to int64 labels, which would round 1.7 to 1 and warn on NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelFormatError, match="finite|integers"):
+            Dataset(x, y, metric=metric)
 
 
 @pytest.mark.parametrize(

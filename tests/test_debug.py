@@ -7,6 +7,33 @@ from fixquant.quantsim import QuantSimModel
 from test_ptq import _conv_chain
 
 
+def test_a_stage_1_mismatch_stops_early_and_restores_the_quantizers(monkeypatch):
+    from fixquant import debug
+
+    model = _conv_chain()
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(8, 3, 6, 6))
+    ds = Dataset(x, model.forward(x), metric="mse")
+    sims, real = [], debug.create_quantsim
+
+    def diverging(*args, **kwargs):
+        # a simulation whose forward strays from the float graph even with every quantizer off
+        sim = real(*args, **kwargs)
+        forward = sim.forward
+        sim.forward = lambda inputs: forward(inputs) + 1.0
+        sims.append(sim)
+        return sim
+
+    monkeypatch.setattr(debug, "create_quantsim", diverging)
+    report = run_debug(model, ds)
+    assert not report.fp32_sanity_ok and report.stopped_early
+    assert len(report.suggestions) == 1 and "diverges from the float model" in report.suggestions[0]
+    assert report.layer_table == [] and report.quantized_score == 0.0
+    (sim,) = sims
+    quantizers = sim.all_quantizers()
+    assert len(quantizers) == 12 and all(spec.enabled and spec.encodings for spec in quantizers.values())
+
+
 def test_a_one_batch_sweep_resumes_each_evaluation_and_writes_the_same_table(tmp_path, monkeypatch):
     model = _conv_chain()
     rng = np.random.default_rng(3)

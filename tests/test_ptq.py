@@ -20,6 +20,7 @@ from fixquant.ptq import (
     fold_batch_norms_detailed,
     replace_relu6_with_relu,
     run_ptq_pipeline,
+    _find_pairs,
     _out_channel_ranges,
     _in_channel_ranges,
     _rectified_gaussian_mean,
@@ -65,6 +66,30 @@ class TestBatchNormFolding:
             warnings.simplefilter("error")
             with pytest.raises(error, match="eps"):
                 fold_batch_norms(g)
+
+    def test_bn_after_linear_folds_within_criterion_03(self):
+        rng = np.random.default_rng(4)
+        bn_w = {
+            "gamma": rng.uniform(0.5, 2, 4),
+            "beta": rng.normal(size=4),
+            "mean": rng.normal(size=4),
+            "var": rng.uniform(0.5, 2, 4),
+        }
+        g = GraphModel(
+            [
+                Node("in", "input"),
+                Node("fc0", "linear", ["in"], weights={"weight": rng.normal(size=(4, 3)), "bias": rng.normal(size=4)}),
+                Node("bn", "batchnorm", ["fc0"], weights=bn_w),
+                Node("act", "relu", ["bn"]),
+                Node("fc1", "linear", ["act"], weights={"weight": rng.normal(size=(2, 4)), "bias": rng.normal(size=2)}),
+                Node("out", "output", ["fc1"]),
+            ]
+        )
+        folded, rep = fold_batch_norms_detailed(g)
+        assert rep["folded"] == [{"layer": "fc0", "batchnorm": "bn"}]
+        assert folded.nodes["act"].inputs == ["fc0"] and folded.nodes["fc0"].weights["weight"].shape == (4, 3)
+        x = rng.normal(size=(16, 3))
+        assert np.max(np.abs(folded.forward(x) - g.forward(x))) <= 1e-5
 
     def test_bn_after_nonmac_layer_skipped(self):
         rng = np.random.default_rng(1)
@@ -182,6 +207,32 @@ class TestCrossLayerScale:
         assert len(rep.pairs) == 2  # conv->dw and dw->1x1
         x = np.random.default_rng(4).normal(size=(2, 3, 6, 6))
         assert np.allclose(out.forward(x), g.forward(x), atol=1e-5)
+
+    @staticmethod
+    def conv(nid, src, c_out, c_in, groups=1):
+        w = np.random.default_rng(0).normal(size=(c_out, c_in // groups, 3, 3))
+        return Node(nid, "conv2d", [src], attrs={"padding": 1, "groups": groups}, weights={"weight": w, "bias": np.zeros(c_out)})
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["mac-two-consumers", "relu-two-consumers", "grouped-consumer", "plain-consumer", "relu-plain-consumer"],
+    )
+    def test_pairs_skip_a_shared_value_and_a_grouped_consumer(self, shape):
+        # only a chain of one-consumer links into a plain or depthwise conv pairs up
+        mid = "r" if shape.startswith("relu") else None
+        nodes = [Node("in", "input"), self.conv("a", "in", 4, 3)]
+        if mid:
+            nodes.append(Node(mid, "relu", ["a"]))
+        src = mid or "a"
+        if shape.endswith("two-consumers"):
+            nodes += [self.conv("b", src, 4, 4), self.conv("c", src, 4, 4), Node("s", "add", ["b", "c"])]
+        else:
+            nodes.append(self.conv("b", src, 4, 4, groups=2 if shape == "grouped-consumer" else 1))
+        nodes.append(Node("out", "output", [nodes[-1].id]))
+        want = [("a", mid, "b")] if shape.endswith("plain-consumer") else []
+        assert _find_pairs(GraphModel(nodes)) == want
+        if shape == "grouped-consumer":
+            assert _in_channel_ranges(nodes[-2]) is None  # no per-input-channel layout to scale
 
     def test_scale_formula(self):
         g = fold_batch_norms(toys.conv_bn_relu_conv(seed=6))

@@ -319,6 +319,19 @@ class TestIntegerMac:
                 np.ones((2, 2), np.int64), np.ones(2, np.int64), np.ones(3, np.int64), ew, ex
             )
 
+    def test_2d_activation_with_a_zero_point_matches_the_asymmetric_kernel_and_an_oracle(self):
+        # both kernels run one accumulation; at z_w == 0 they differ only in the final scale
+        rng = np.random.default_rng(8)
+        ew, ex = sym(0.02), asym(0.05, zero_point=37)
+        wi = rng.integers(ew.q_lo, ew.q_hi + 1, size=(5, 7))
+        xi = rng.integers(ex.q_lo, ex.q_hi + 1, size=(7, 3))
+        oracle = sum(np.outer(wi[:, j], xi[j] - 37) for j in range(7))  # int64, one term at a time
+        acc = q.integer_mac(wi, xi, None, ew, ex)
+        real = q.integer_matmul_asymmetric(wi, xi, ew, ex)
+        assert acc.dtype == oracle.dtype == np.int64 and np.array_equal(acc, oracle)
+        assert real.tobytes() == ((ew.scale * ex.scale) * oracle.astype(np.float64)).tobytes()
+        assert np.array_equal(np.rint(real / (ew.scale * ex.scale)), acc)
+
 
 # hypothesis invariants
 

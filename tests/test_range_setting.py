@@ -256,6 +256,17 @@ def test_minmax_encoding_independent_of_batch_split(chunks):
     assert a == b
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("value", [-0.7, 0.0, 2.5])
+def test_sqnr_on_a_constant_slice_equals_min_max(value, symmetric):
+    # a slice with one value has no range to search: both take the widened range
+    x = np.stack([np.full(6, value), np.linspace(-1.0, 3.0, 6)])
+    acc = RangeAccumulator(channel_axis=0).observe(x)
+    assert rs.compute_sqnr(acc, 8, symmetric)[0] == rs.compute_minmax(acc, 8, symmetric)[0]
+    whole = RangeAccumulator().observe(x[0])
+    assert rs.compute_sqnr(whole, 8, symmetric) == rs.compute_minmax(whole, 8, symmetric)
+
+
 @pytest.mark.parametrize("channel_axis", [None, 0])
 @pytest.mark.parametrize("split", [False, True])
 def test_subnormal_wide_ranges_histogram_as_a_spike(channel_axis, split):
