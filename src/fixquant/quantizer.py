@@ -131,25 +131,33 @@ def dequantize(xi, e: QuantEncoding) -> np.ndarray:
 
 def _fake_quant(x: np.ndarray, scale, zp, lo, hi) -> np.ndarray:
     """scale * (clip(round_half_away(x / scale) + zp, lo, hi) - zp) as a fresh
-    array, the arguments after ``x`` scalars or broadcast against it. The
-    IEEE operations of ``quantize_int`` then ``dequantize``, in their order,
-    so bit-identical to that pair (sign of zero included) without the int64
-    round trip. Non-finite ``x`` raises; a finite ``x`` whose quotient
-    overflows clips to the grid edge, without a numpy overflow warning."""
+    array, the arguments after ``x`` scalars or broadcast against it, and the
+    only full-size array it allocates. Bit-identical to ``quantize_int``
+    then ``dequantize`` (sign of zero included) without the int64 round trip,
+    through three equalities: the quotient has ``x``'s sign, as every scale
+    is positive; clip(r + zp, lo, hi) - zp == clip(r, lo - zp, hi - zp) for
+    an integral or infinite r; and r + 0.0 turns -0.0 into +0.0 as the
+    zero-point round trip does. Non-finite ``x`` raises; a finite ``x`` whose
+    quotient overflows clips to the grid edge, without a numpy overflow
+    warning."""
     if max(x.max(initial=0.0), -x.min(initial=0.0)) < _QUOTIENT_SAFE:  # False for NaN too
-        t = np.divide(x, scale)
+        r = np.asarray(np.divide(x, scale))  # an array even for 0-d input
     else:
         if not np.all(np.isfinite(x)):
             raise NumericError("qdq got non-finite input")
         with np.errstate(over="ignore"):
-            t = np.divide(x, scale)
-    r = np.abs(t, out=np.empty(np.shape(t)))  # an array even for 0-d input
+            r = np.asarray(np.divide(x, scale))
+    np.abs(r, out=r)
     r += 0.5
     np.floor(r, out=r)
-    np.copysign(r, t, out=r)
-    r += zp
-    np.clip(r, lo, hi, out=r)
-    r -= zp
+    np.copysign(r, x, out=r)
+    r += 0.0
+    lo, hi = lo - zp, hi - zp
+    if np.ndim(lo):  # per-channel bounds: two passes beat clip's loop over them
+        np.maximum(r, lo, out=r)
+        np.minimum(r, hi, out=r)
+    else:
+        r.clip(lo, hi, out=r)
     r *= scale
     return r
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import peak_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -387,10 +388,10 @@ def test_qdq_lands_on_grid(x):
 
 
 @st.composite
-def _encodings(d):
+def _encodings(d, bitwidth=None, kind=None):
     """Unsigned, signed-symmetric and asymmetric (any zero-point) encodings,
-    at every bitwidth, on float32 scales from tiny to huge."""
-    bitwidth = d(st.integers(2, 32))
+    at every bitwidth (or the given one), on float32 scales from tiny to huge."""
+    bitwidth = d(st.integers(2, 32)) if bitwidth is None else bitwidth
     scale = d(
         st.one_of(
             st.floats(1e-38, 1e38),
@@ -398,7 +399,7 @@ def _encodings(d):
             st.integers(-40, 40).map(lambda k: 2.0**k),  # exact ties
         )
     )
-    kind = d(st.sampled_from(["unsigned", "signed", "asymmetric"]))
+    kind = d(st.sampled_from(["unsigned", "signed", "asymmetric"])) if kind is None else kind
     if kind == "asymmetric":
         return QuantEncoding(scale=scale, zero_point=d(st.integers(0, 2**bitwidth - 1)), bitwidth=bitwidth)
     return QuantEncoding(scale=scale, bitwidth=bitwidth, signed=kind == "signed", symmetric=True)
@@ -431,3 +432,72 @@ def test_fake_quant_kernel_matches_the_integer_pair_bit_for_bit(data):
     for got in (q.qdq_tensor(x, e), q.qdq(x, spec)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fake_quant_kernel_matches_the_integer_pair_on_every_shape_it_serves(data):
+    """Per-channel grids on either axis, the sqnr search's (k, 1) grids
+    against (bins,) centers, and 0-d input, each bit for bit (sign of zero
+    included) against quantize_int then dequantize."""
+    bitwidth = data.draw(st.integers(2, 32))
+    kind = data.draw(st.sampled_from(["unsigned", "signed", "asymmetric"]))
+    encs = data.draw(st.lists(_encodings(bitwidth, kind), min_size=1, max_size=4))
+    columns = [data.draw(_inputs(e)) for e in encs]
+    x = np.stack([c[: min(map(len, columns))] for c in columns])
+    want = np.stack([q.dequantize(q.quantize_int(row, e), e) for row, e in zip(x, encs)])
+    for axis in (0, 1):
+        spec = QuantizerSpec(bitwidth=bitwidth, symmetric=kind != "asymmetric", channel_axis=axis)
+        spec.set_encodings(encs)
+        _assert_same_bits(q.qdq(x if axis == 0 else x.T, spec), want if axis == 0 else want.T)
+
+    centers = np.concatenate(columns)
+    scale = np.array([e.scale for e in encs])
+    zp = np.array([e.zero_point for e in encs], dtype=np.float64)
+    rows = q._fake_quant(centers, scale[:, None], zp[:, None], encs[0].q_lo, encs[0].q_hi)
+    assert rows.shape == (len(encs), centers.size)
+    for row, e in zip(rows, encs):
+        _assert_same_bits(row, q.qdq_tensor(centers, e))
+        _assert_same_bits(row, q.dequantize(q.quantize_int(centers, e), e))
+
+    e = encs[0]
+    spec = QuantizerSpec(bitwidth=bitwidth, symmetric=kind != "asymmetric")
+    spec.set_encodings(e)
+    for value in columns[0]:
+        x0 = np.array(value)
+        for got in (q.qdq_tensor(x0, e), q.qdq(x0, spec)):
+            _assert_same_bits(got, q.dequantize(q.quantize_int(x0, e), e))
+
+
+def test_qdq_allocates_only_its_result():
+    x = np.random.default_rng(33).normal(size=(32, 16, 16, 16))
+    per_tensor = QuantizerSpec()
+    per_tensor.set_encodings(asym(0.02, zero_point=128))
+    per_channel = QuantizerSpec(channel_axis=1)
+    per_channel.set_encodings([asym(0.02 * (1 + c / 16), zero_point=100 + c) for c in range(16)])
+    for spec in (per_tensor, per_channel):
+        assert peak_bytes(q.qdq, x, spec) <= 1.1 * x.nbytes
+
+
+def test_qdq_result_is_a_writeable_array_that_never_aliases_its_input():
+    e = asym(0.25, zero_point=2)
+    per_tensor = QuantizerSpec()
+    per_tensor.set_encodings(e)
+    per_channel = QuantizerSpec(channel_axis=0)
+    per_channel.set_encodings([e, asym(0.5, zero_point=3)])
+    frozen = np.array([[0.25, -0.5], [-0.0, 7.0]])
+    frozen.flags.writeable = False  # as quantized_weights hands out its images
+    for x in (frozen, frozen[:, ::-1], frozen.T):
+        before = x.copy()
+        for y in (q.qdq(x, per_tensor), q.qdq(x, per_channel), q.qdq_tensor(x, e)):
+            assert y.flags.writeable and not np.shares_memory(y, x)
+        assert np.array_equal(x, before)
+    for y in (q.qdq(np.float64(-0.3), per_tensor), q.qdq_tensor(np.array(-0.3), e)):
+        assert type(y) is np.ndarray and y.shape == () and y.flags.writeable
+        assert y.item() == -0.25
