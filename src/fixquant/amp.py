@@ -118,7 +118,7 @@ def find_layer_groups(sim: QuantSimModel) -> list[QuantizerGroup]:
     """
     graph = sim.graph
     consumers = graph.consumers()
-    rep = {nid: nid for nid in graph.topo_order()}  # node -> its group's representative
+    rep = {nid: nid for nid in graph.nodes}  # node -> its group's representative
 
     def union(a: str, b: str) -> None:
         ra, rb = rep[a], rep[b]
@@ -126,8 +126,7 @@ def find_layer_groups(sim: QuantSimModel) -> list[QuantizerGroup]:
             if r == rb:
                 rep[nid] = ra
 
-    for nid in graph.topo_order():
-        node = graph.nodes[nid]
+    for nid, node in graph.nodes.items():
         if node.kind in MAC_KINDS:
             cons = consumers[nid]
             if len(cons) == 1 and graph.nodes[cons[0]].kind in ("relu", "relu6"):
@@ -203,8 +202,7 @@ def bit_ops(sim: QuantSimModel, assignment: dict, groups: Optional[list[Quantize
     groups = groups if groups is not None else find_layer_groups(sim)
     node_cand = {nid: CandidatePair.of(assignment[g.group_id]) for g in groups for nid in g.node_ids}
     total = 0
-    for nid in sim.graph.topo_order():
-        node = sim.graph.nodes[nid]
+    for nid, node in sim.graph.nodes.items():
         if node.kind not in MAC_KINDS:
             continue
         if nid in node_cand:

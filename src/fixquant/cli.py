@@ -260,8 +260,8 @@ def cmd_export(args, model, ds, out) -> None:
 def cmd_visualize(args, model, ds, out) -> None:
     path = out / "weight_ranges.csv"
     rows = []
-    for nid in model.topo_order():
-        w = model.nodes[nid].weights.get("weight")
+    for nid, node in model.nodes.items():
+        w = node.weights.get("weight")
         if w is not None:
             flat = w.reshape(w.shape[0], -1)
             rows += [[nid, ch, float(flat[ch].min()), float(flat[ch].max())] for ch in range(flat.shape[0])]

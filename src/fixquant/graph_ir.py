@@ -1,16 +1,20 @@
 """Dataflow graph IR and its on-disk format.
 
-A model is a list of nodes in any topological-compatible order. Each node
-has a unique id, a kind from the supported set, input edges naming producer
-nodes, kind-specific attributes, and (for linear / conv2d / batchnorm) named
-weight tensors. A node produces exactly one tensor, named by the node id.
+A model is a list of nodes, given in any order that has no cycle. Each
+node has a unique id, a kind from the supported set, input edges naming
+producer nodes, kind-specific attributes, and (for linear / conv2d /
+batchnorm) named weight tensors. A node produces exactly one tensor, named
+by the node id. A ``GraphModel`` keeps its nodes in topological order,
+fixed once when it is built, and every pass walks them in that order.
 
 On disk a model is two files:
 
 * ``<prefix>.model.json`` - the manifest: nodes, attributes, and for every
   weight tensor its shape and offset (in float32 elements) into the blob.
-* ``<prefix>.weights.bin`` - all weight tensors, concatenated contiguously
-  in manifest order, raw little-endian float32.
+* ``<prefix>.weights.bin`` - all weight tensors, raw little-endian
+  float32. Sorted by offset the tensors tile the blob: each starts where
+  the one before it ends, the first at 0 and the last ending at the blob's
+  end, so no two overlap and every float belongs to one.
 
 Datasets use the same manifest + blob layout; ``save_pair`` and
 ``load_pair`` are the one writer and reader of it. ``read_json`` is the
@@ -93,7 +97,15 @@ class Node:
 
 
 class GraphModel:
-    """An ordered, validated collection of nodes."""
+    """A validated collection of nodes in topological order.
+
+    The order is Kahn's algorithm with insertion order among ready nodes:
+    again and again, the first given node whose inputs are all placed is
+    placed next, so a list already in order keeps it. ``nodes`` (id ->
+    node), ``input_ids`` and ``output_ids`` follow that order. The
+    structure (nodes and edges) is fixed at construction; to change it,
+    build a new ``GraphModel``. Weights and attributes may change.
+    """
 
     def __init__(self, nodes: list[Node], name: str = "model"):
         self.name = name
@@ -107,9 +119,8 @@ class GraphModel:
     # -- structure -----------------------------------------------------
 
     def _validate(self) -> None:
-        inputs = [n for n in self.nodes.values() if n.kind == "input"]
-        outputs = [n for n in self.nodes.values() if n.kind == "output"]
-        if not inputs or not outputs:
+        """Check the edges, then put the nodes in topological order."""
+        if not {"input", "output"} <= {n.kind for n in self.nodes.values()}:
             raise GraphError("graph needs at least one input node and one output node")
         for node in self.nodes.values():
             if node.kind == "input":
@@ -125,27 +136,16 @@ class GraphModel:
                     raise GraphError(f"node {node.id!r} references unknown producer {src!r}")
                 if self.nodes[src].kind == "output":
                     raise GraphError(f"output node {src!r} cannot feed node {node.id!r}")
-        self.topo_order()  # raises on cycles
-
-    def topo_order(self) -> list[str]:
-        """Kahn's algorithm, insertion order among ready nodes (deterministic)."""
-        order_hint = {nid: i for i, nid in enumerate(self.nodes)}
-        pending = {nid: len(n.inputs) for nid, n in self.nodes.items()}
-        ready = sorted((nid for nid, d in pending.items() if d == 0), key=order_hint.get)
-        consumers = self.consumers()
-        out: list[str] = []
-        while ready:
-            nid = ready.pop(0)
-            out.append(nid)
-            next_ready = []
-            for cid in consumers.get(nid, ()):
-                pending[cid] -= self.nodes[cid].inputs.count(nid)
-                if pending[cid] == 0:
-                    next_ready.append(cid)
-            ready = sorted(ready + next_ready, key=order_hint.get)
-        if len(out) != len(self.nodes):
-            raise GraphError("graph contains a cycle")
-        return out
+        rest, placed = list(self.nodes.values()), {}
+        while rest:
+            i = next((i for i, n in enumerate(rest) if all(s in placed for s in n.inputs)), None)
+            if i is None:
+                raise GraphError("graph contains a cycle")
+            node = rest.pop(i)
+            placed[node.id] = node
+        self.nodes = placed
+        self.input_ids = [nid for nid, n in placed.items() if n.kind == "input"]
+        self.output_ids = [nid for nid, n in placed.items() if n.kind == "output"]
 
     def consumers(self) -> dict[str, list[str]]:
         cons: dict[str, list[str]] = {nid: [] for nid in self.nodes}
@@ -153,14 +153,6 @@ class GraphModel:
             for src in set(node.inputs):
                 cons[src].append(node.id)
         return cons
-
-    @property
-    def input_ids(self) -> list[str]:
-        return [n.id for n in self.nodes.values() if n.kind == "input"]
-
-    @property
-    def output_ids(self) -> list[str]:
-        return [n.id for n in self.nodes.values() if n.kind == "output"]
 
     def copy(self) -> "GraphModel":
         nodes = [
@@ -212,7 +204,7 @@ class GraphModel:
         """
         feed = self.normalize_inputs(inputs)
         values: dict[str, np.ndarray] = dict(known or {})
-        order = self.topo_order()
+        order = self.nodes.values()
         unread: dict[str, int] = {}  # per value some node reads, its readers without a value
         for node in self.nodes.values() if stream else ():
             for s in set(node.inputs):
@@ -223,14 +215,14 @@ class GraphModel:
             raise GraphError(f"cannot stop at {stop!r}: no such node")
         if stop is not None or known:
             need = {stop} if stop is not None else set(self.output_ids)
-            for nid in reversed(order):
-                if nid in need and nid not in values:
-                    need.update(self.nodes[nid].inputs)
-            order = [nid for nid in order if nid in need]
-        for nid in order:
+            for node in reversed(order):
+                if node.id in need and node.id not in values:
+                    need.update(node.inputs)
+            order = [node for node in order if node.id in need]
+        for node in order:
+            nid = node.id
             if nid in values:
                 continue
-            node = self.nodes[nid]
             if node.kind == "input":
                 y = feed.pop(nid)
             else:
@@ -273,8 +265,7 @@ def value_keys(graph: GraphModel, batch_keys: dict[str, bytes], state=None) -> d
     what else the node's value reads, such as a simulation's quantizer
     states. Node ids are not hashed, so identical branches share keys."""
     keys: dict[str, bytes] = {}
-    for nid in graph.topo_order():
-        node = graph.nodes[nid]
+    for nid, node in graph.nodes.items():
         head = (
             node.kind,
             node.attrs,
@@ -402,14 +393,14 @@ def save_pair(manifest_path, blob_path, doc: dict, tensor_maps: list[dict]) -> N
 def load_pair(blob_path, tensor_maps: list[tuple[str, dict]]) -> list[dict[str, np.ndarray]]:
     """Read the blob of a manifest + blob pair. ``tensor_maps`` holds, per
     owner name, the manifest's ``{name: {shape, offset}}`` map; returns each
-    map with its entries sliced out of the blob as float64 arrays. Every
-    entry must lie inside the blob and every float of the blob must belong
-    to an entry."""
+    map with its entries sliced out of the blob as float64 arrays. Sorted
+    by offset the entries must tile the blob: each starts where the one
+    before it ends, the first at 0, and the last ends at the blob's end."""
     try:
         blob = np.frombuffer(Path(blob_path).read_bytes(), dtype="<f4")
     except (OSError, ValueError) as e:
         raise ModelFormatError(f"cannot read blob {blob_path}: {e}") from None
-    out, used = [], 0
+    out, spans = [], []
     for owner, specs in tensor_maps:
         arrays = {}
         for name in specs:
@@ -423,12 +414,15 @@ def load_pair(blob_path, tensor_maps: list[tuple[str, dict]]) -> list[dict[str, 
                     f"{where} (offset {off}, size {size}) exceeds blob of {blob.size} floats"
                 )
             arrays[name] = blob[off : off + size].reshape(shape).astype(np.float64)
-            used += size
+            spans.append((off, size, where))
         out.append(arrays)
-    if used != blob.size:
-        raise ModelFormatError(
-            f"blob {blob_path} holds {blob.size} floats but the manifest declares {used}"
-        )
+    end = 0
+    for off, size, where in sorted(spans):
+        if off != end:
+            raise ModelFormatError(f"{where} starts at float {off}, not {end}: tensors must tile the blob")
+        end += size
+    if end != blob.size:
+        raise ModelFormatError(f"blob {blob_path} holds {blob.size} floats but the manifest declares {end}")
     return out
 
 

@@ -117,9 +117,8 @@ def fold_batch_norms_detailed(model: GraphModel) -> tuple[GraphModel, dict]:
     out = model.copy()
     consumers = out.consumers()
     report = {"folded": [], "skipped": []}
-    for nid in list(out.topo_order()):
-        node = out.nodes.get(nid)
-        if node is None or node.kind != "batchnorm":
+    for nid, node in list(out.nodes.items()):
+        if node.kind != "batchnorm":
             continue
         src = out.nodes[node.inputs[0]]
         if src.kind not in MAC_KINDS or consumers[src.id] != [nid]:
@@ -164,19 +163,16 @@ def _out_channel_ranges(node) -> np.ndarray:
     return np.abs(w).max(axis=tuple(range(1, w.ndim)))
 
 
-def _in_channel_ranges(node) -> Optional[np.ndarray]:
-    """Per-input-channel max |w|, or None if the layout is not scalable."""
+def _in_channel_ranges(node) -> np.ndarray:
+    """Per-input-channel max |w|. A grouped conv that is not depthwise gives
+    its c_in/groups per-group ranges, which match no producer's channels."""
     w = node.weights["weight"]
     if node.kind == "linear":
         return np.abs(w).max(axis=0)
     if w.ndim != 4:
         raise ShapeError(f"conv2d {node.id} expects a 4-d weight, got {w.shape}")
-    groups = node.attrs.get("groups", 1)
-    if groups == 1:
-        return np.abs(w).max(axis=(0, 2, 3))
-    if w.shape[0] == groups and w.shape[1] == 1:  # depthwise
-        return np.abs(w).max(axis=(1, 2, 3))
-    return None
+    depthwise = w.shape[0] == node.attrs.get("groups", 1) and w.shape[1] == 1
+    return np.abs(w).max(axis=(1, 2, 3) if depthwise else (0, 2, 3))
 
 
 def _scale_input_channels(node, s: np.ndarray) -> None:
@@ -205,8 +201,7 @@ def _find_pairs(model: GraphModel) -> list[tuple[str, Optional[str], str]]:
     """(layer1, optional relu between, layer2) chains eligible for scaling."""
     consumers = model.consumers()
     pairs = []
-    for nid in model.topo_order():
-        a = model.nodes[nid]
+    for nid, a in model.nodes.items():
         if a.kind not in MAC_KINDS:
             continue
         cons = consumers[nid]
@@ -221,8 +216,7 @@ def _find_pairs(model: GraphModel) -> list[tuple[str, Optional[str], str]]:
             b = model.nodes[consumers[b.id][0]]
         if b.kind not in MAC_KINDS:
             continue
-        r2 = _in_channel_ranges(b)
-        if r2 is None or len(_out_channel_ranges(a)) != len(r2):
+        if len(_out_channel_ranges(a)) != len(_in_channel_ranges(b)):
             continue
         pairs.append((a.id, mid, b.id))
     return pairs
@@ -403,7 +397,7 @@ def bias_correct(sim: QuantSimModel, mode: str = "empirical", feed=None) -> Grap
     if mode not in ("empirical", "analytic_then_empirical"):
         raise EncodingError(f"unknown bias correction mode {mode!r}")
     graph = sim.graph
-    targets = [nid for nid in graph.topo_order() if graph.nodes[nid].kind in MAC_KINDS]
+    targets = [nid for nid, node in graph.nodes.items() if node.kind in MAC_KINDS]
 
     # Analytic shifts wait until the float means are taken.
     shifts: dict[str, np.ndarray] = {}
@@ -597,7 +591,7 @@ def adaround(
 
     out = model.copy()
     frozen: dict[str, QuantizerSpec] = {}
-    targets = [nid for nid in out.topo_order() if out.nodes[nid].kind in MAC_KINDS]
+    targets = [nid for nid, node in out.nodes.items() if node.kind in MAC_KINDS]
     known: list[dict] = [{} for _ in batches]  # per batch, the float values later passes read
 
     for nid in targets:

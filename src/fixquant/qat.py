@@ -139,14 +139,12 @@ def backward(sim: QuantSimModel, tape: Tape, gy_out: np.ndarray) -> dict[str, di
 
     # Nodes at or after a MAC node: only their gradients reach a parameter,
     # so a MAC node whose input is not one skips its input gradient.
-    order, after_mac = graph.topo_order(), set()
-    for nid in order:
-        node = graph.nodes[nid]
+    after_mac = set()
+    for nid, node in graph.nodes.items():
         if node.kind in MAC_KINDS or not after_mac.isdisjoint(node.inputs):
             after_mac.add(nid)
 
-    for nid in reversed(order):
-        node = graph.nodes[nid]
+    for nid, node in reversed(graph.nodes.items()):
         gy = grads_y.get(nid)
         if gy is None or node.kind == "input":
             continue

@@ -346,9 +346,7 @@ def create_quantsim(
     param_q: dict[str, QuantizerSpec] = {}
     act_q: dict[str, QuantizerSpec] = {}
 
-    for nid in graph.topo_order():
-        node = graph.nodes[nid]
-
+    for nid, node in graph.nodes.items():
         for pname in node.weights:
             rule = config.resolve_param(node.kind, pname)
             if rule["is_quantized"]:

@@ -238,7 +238,7 @@ class TestBitOps:
             mp.setattr(tc, "conv2d", counted(tc.conv2d))
             mp.setattr(tc, "linear", counted(tc.linear))
             sim.forward(x)
-        mac_nodes = [nid for nid in sim.graph.topo_order() if sim.graph.nodes[nid].kind in MAC_KINDS]
+        mac_nodes = [nid for nid in list(sim.graph.nodes) if sim.graph.nodes[nid].kind in MAC_KINDS]
         assert len(macs) == len(mac_nodes) > 0
         groups = find_layer_groups(sim)
         group_of = {nid: g.group_id for g in groups for nid in g.node_ids}

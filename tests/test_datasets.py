@@ -91,6 +91,21 @@ def test_blob_size_checked(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("tensor, offset, error", [
+    ("y", 0, "x starts at float 0, not 10"),  # y reads x's first floats
+    ("x", 1, "x starts at float 1, not 0"),  # float 0 unread, x overlaps y
+])
+def test_blob_entries_must_tile_the_blob(tmp_path, tensor, offset, error):
+    rng = np.random.default_rng(0)
+    save_dataset(Dataset(rng.normal(size=(10, 2)), rng.normal(size=10), metric="mse"), tmp_path / "d")
+    meta, _ = dataset_paths(tmp_path / "d")
+    doc = json.loads(meta.read_text())
+    doc["tensors"][tensor]["offset"] = offset
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=error):
+        load_dataset(tmp_path / "d")
+
+
 def test_iter_batches_covers_everything():
     x = np.arange(10).reshape(10, 1).astype(float)
     chunks = list(iter_batches(x, batch_size=4))

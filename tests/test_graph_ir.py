@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixquant import toys
 from fixquant.errors import GraphError, ModelFormatError, ShapeError
@@ -99,7 +101,7 @@ class TestGraphValidation:
 
     def test_topo_order_respects_edges(self):
         g = toys.three_group_model(seed=0)
-        order = g.topo_order()
+        order = list(g.nodes)
         pos = {nid: i for i, nid in enumerate(order)}
         for node in g.nodes.values():
             for src in node.inputs:
@@ -152,13 +154,79 @@ def branching_graph(seed=0):
     )
 
 
+def kahn(nodes):
+    """Reference order: Kahn's algorithm, insertion order among ready nodes."""
+    index = {n.id: i for i, n in enumerate(nodes)}
+    inputs = {n.id: n.inputs for n in nodes}
+    pending = {nid: len(ins) for nid, ins in inputs.items()}
+    ready = sorted((nid for nid, d in pending.items() if d == 0), key=index.get)
+    out = []
+    while ready:
+        nid = ready.pop(0)
+        out.append(nid)
+        for cid, ins in inputs.items():
+            pending[cid] -= ins.count(nid)
+            if nid in ins and pending[cid] == 0:
+                ready.append(cid)
+        ready.sort(key=index.get)
+    return out
+
+
+def two_in_two_out_nodes():
+    return [
+        Node("i1", "input"),
+        Node("i2", "input"),
+        Node("r1", "relu", ["i1"]),
+        Node("r2", "relu6", ["i2"]),
+        Node("s", "add", ["r1", "r2"]),
+        Node("d", "add", ["s", "s"]),
+        Node("o1", "output", ["d"]),
+        Node("o2", "output", ["r1"]),
+    ]
+
+
+class TestNodeOrder:
+    x = np.random.default_rng(1).normal(size=(2, 3, 6, 6))
+
+    @pytest.mark.parametrize("build, x", [
+        (toys.three_group_model, np.random.default_rng(2).normal(size=(4, 8))),
+        (branching_graph, x),
+    ])
+    def test_a_shuffled_node_list_is_kept_run_and_saved_in_topological_order(self, build, x, tmp_path):
+        ordered = build(seed=0)
+        nodes = list(build(seed=0).nodes.values())
+        shuffled = [nodes[i] for i in np.random.default_rng(3).permutation(len(nodes))]
+        assert [n.id for n in shuffled] != list(ordered.nodes)
+        g = GraphModel(shuffled, name=ordered.name)
+        pos = {nid: i for i, nid in enumerate(g.nodes)}
+        assert all(pos[src] < pos[node.id] for node in g.nodes.values() for src in node.inputs)
+        assert list(g.nodes) == kahn(shuffled)
+        assert list(GraphModel(list(g.nodes.values())).nodes) == list(g.nodes)  # an ordered list keeps its order
+        assert list(g.evaluate_all(x)) == list(g.nodes)
+        assert g.forward(x).tobytes() == ordered.forward(x).tobytes()
+        batch = {"in": array_key(x)}
+        assert value_keys(g, batch) == value_keys(ordered, batch)
+        save_model(g, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.model.json").read_text())
+        assert [e["id"] for e in manifest["nodes"]] == list(load_model(tmp_path / "m").nodes) == list(g.nodes)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(perm=st.sampled_from([two_in_two_out_nodes(), list(branching_graph().nodes.values())]).flatmap(st.permutations))
+    def test_the_order_is_kahns_with_insertion_order_among_ready_nodes(self, perm):
+        g = GraphModel(perm)
+        order = kahn(perm)
+        assert list(g.nodes) == order
+        assert g.input_ids == [nid for nid in order if g.nodes[nid].kind == "input"]
+        assert g.output_ids == [nid for nid in order if g.nodes[nid].kind == "output"]
+
+
 class TestResumedPasses:
     x = np.random.default_rng(1).normal(size=(2, 3, 6, 6))
 
     def test_a_stop_computes_only_what_it_depends_on_as_the_full_pass_does(self):
         g = branching_graph()
         full = g.evaluate_all(self.x)
-        order = g.topo_order()
+        order = list(g.nodes)
         assert order == ["in", "a", "ra", "b", "s", "c", "mp", "ap", "fc", "out"]
 
         def upstream(nid):
@@ -184,7 +252,7 @@ class TestResumedPasses:
         real = graph_ir.eval_kind
         monkeypatch.setattr(graph_ir, "eval_kind", lambda k, *a: ran.append(k) or real(k, *a))
         values = g.evaluate_all(self.x, activation=lambda nid, y: mapped.append(nid) or y + 1.0, known=known)
-        rest = [nid for nid in g.topo_order() if nid not in known]
+        rest = [nid for nid in list(g.nodes) if nid not in known]
         assert mapped == rest  # only the nodes known lacks run, and only they are mapped
         assert ran == [g.nodes[nid].kind for nid in rest]
         assert all(values[nid] is v for nid, v in known.items())
@@ -226,7 +294,7 @@ class TestResumedPasses:
     def test_a_streamed_pass_drops_each_value_once_its_last_consumer_has_run(self):
         g = branching_graph()
         full = g.evaluate_all(self.x)
-        order = g.topo_order()
+        order = list(g.nodes)
         assert list(full) == order  # without stream every value is kept
         last = {src: nid for nid in order for src in g.nodes[nid].inputs}
         refs = {}  # the caller holds the input, so only computed values are tracked
@@ -391,6 +459,20 @@ class TestSaveLoad:
         blob = (tmp_path / "m.weights.bin").read_bytes()
         (tmp_path / "m.weights.bin").write_bytes(blob + b"\x00" * 4)
         with pytest.raises(ModelFormatError):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("offset, error", [(0, "starts at float 0, not 3"), (7, "starts at float 7, not 6")])
+    def test_blob_entries_must_tile_the_blob(self, tmp_path, offset, error):
+        # fc0.bias at 0 overlaps fc0.weight; at 7 it leaves float 6 unread
+        # and overlaps fc1.weight. The sizes still add up to the blob's.
+        save_model(toys.mlp([2, 3, 2]), tmp_path / "m")
+        path = tmp_path / "m.model.json"
+        manifest = json.loads(path.read_text())
+        fc0 = next(n for n in manifest["nodes"] if n["id"] == "fc0")
+        assert fc0["tensors"] == {"bias": {"offset": 6, "shape": [3]}, "weight": {"offset": 0, "shape": [3, 2]}}
+        fc0["tensors"]["bias"]["offset"] = offset
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError, match=error):
             load_model(tmp_path / "m")
 
     def test_missing_manifest(self, tmp_path):

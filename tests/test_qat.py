@@ -108,7 +108,7 @@ class TestTapeForward:
         x = np.random.default_rng(16).normal(size=(2, 3, 6, 6))
         tape = forward_with_tape(sim, x)
         full = sim.evaluate_all(x)
-        assert list(tape.raw) == list(tape.values) == list(full) == model.topo_order()
+        assert list(tape.raw) == list(tape.values) == list(full) == list(model.nodes)
         for nid, y in tape.raw.items():
             assert sim.quantize_output(nid, y).tobytes() == tape.values[nid].tobytes() == full[nid].tobytes()
 
@@ -656,7 +656,7 @@ def _conv_chain_sgd_oracle(model, x, t, epochs, bs, lr, decay_every, seed):
     shuffle stream and learning-rate schedule, and the float32 value snap
     applied to stored weights. Returns {conv id: (weight, bias)} and, per
     step, {conv id: (weight gradient, bias gradient)}."""
-    chain = [model.nodes[nid] for nid in model.topo_order() if model.nodes[nid].kind in ("conv2d", "relu")]
+    chain = [model.nodes[nid] for nid in list(model.nodes) if model.nodes[nid].kind in ("conv2d", "relu")]
     assert {n.kind for n in model.nodes.values()} == {"input", "conv2d", "relu", "output"}
     params = {n.id: (n.weights["weight"].copy(), n.weights["bias"].copy()) for n in chain if n.kind == "conv2d"}
     rng, steps = np.random.default_rng(seed), []
