@@ -117,7 +117,6 @@ def find_layer_groups(sim: QuantSimModel) -> list[QuantizerGroup]:
     the list is sorted by group id.
     """
     graph = sim.graph
-    consumers = graph.consumers()
     rep = {nid: nid for nid in graph.nodes}  # node -> its group's representative
 
     def union(a: str, b: str) -> None:
@@ -127,10 +126,9 @@ def find_layer_groups(sim: QuantSimModel) -> list[QuantizerGroup]:
                 rep[nid] = ra
 
     for nid, node in graph.nodes.items():
-        if node.kind in MAC_KINDS:
-            cons = consumers[nid]
-            if len(cons) == 1 and graph.nodes[cons[0]].kind in ("relu", "relu6"):
-                union(nid, cons[0])
+        reader = graph.sole_reader(nid)
+        if node.kind in MAC_KINDS and reader is not None and reader.kind in ("relu", "relu6"):
+            union(nid, reader.id)
         if node.kind in ("add", "concat"):
             for a in node.inputs[1:]:
                 union(node.inputs[0], a)

@@ -4,8 +4,10 @@ A model is a list of nodes, given in any order that has no cycle. Each
 node has a unique id, a kind from the supported set, input edges naming
 producer nodes, kind-specific attributes, and (for linear / conv2d /
 batchnorm) named weight tensors. A node produces exactly one tensor, named
-by the node id. A ``GraphModel`` keeps its nodes in topological order,
-fixed once when it is built, and every pass walks them in that order.
+by the node id. A ``GraphModel`` fixes its nodes' topological order and
+each node's readers when it is built, and every pass reads both. A node
+holds its attrs in manifest form, as save and load give them back (a
+tuple becomes a list); attrs that JSON cannot hold are a GraphError.
 
 On disk a model is two files:
 
@@ -89,6 +91,12 @@ class Node:
             if name not in self.weights:
                 raise GraphError(f"{self.kind} node {self.id!r} is missing tensor {name!r}")
         self.weights = {k: tc.f32(v) for k, v in self.weights.items()}
+        try:  # manifest form: what save followed by load gives back (the usual empty attrs need no round trip)
+            self.attrs = json.loads(json.dumps(self.attrs)) if self.attrs != {} else {}
+        except (TypeError, ValueError) as e:
+            raise GraphError(f"node {self.id!r} attrs are not JSON values: {e}") from None
+        if not isinstance(self.attrs, dict):
+            raise GraphError(f"node {self.id!r} attrs must be an object, got {self.attrs!r:.80}")
 
     def set_weight(self, name: str, value) -> None:
         if name not in self.weights:
@@ -102,9 +110,11 @@ class GraphModel:
     The order is Kahn's algorithm with insertion order among ready nodes:
     again and again, the first given node whose inputs are all placed is
     placed next, so a list already in order keeps it. ``nodes`` (id ->
-    node), ``input_ids`` and ``output_ids`` follow that order. The
-    structure (nodes and edges) is fixed at construction; to change it,
-    build a new ``GraphModel``. Weights and attributes may change.
+    node), ``input_ids`` and ``output_ids`` follow that order, and
+    ``readers`` maps each node id to the distinct nodes that read its
+    value, as a tuple in that order. The structure (nodes and edges) and
+    with it ``readers`` are fixed at construction; to change them, build
+    a new ``GraphModel``. Weights and attributes may change.
     """
 
     def __init__(self, nodes: list[Node], name: str = "model"):
@@ -136,35 +146,28 @@ class GraphModel:
                     raise GraphError(f"node {node.id!r} references unknown producer {src!r}")
                 if self.nodes[src].kind == "output":
                     raise GraphError(f"output node {src!r} cannot feed node {node.id!r}")
-        rest, placed = list(self.nodes.values()), {}
+        rest, placed, self.readers = list(self.nodes.values()), {}, {}
         while rest:
             i = next((i for i, n in enumerate(rest) if all(s in placed for s in n.inputs)), None)
             if i is None:
                 raise GraphError("graph contains a cycle")
             node = rest.pop(i)
             placed[node.id] = node
+            self.readers[node.id] = ()
+            for s in set(node.inputs):
+                self.readers[s] += (node.id,)
         self.nodes = placed
         self.input_ids = [nid for nid, n in placed.items() if n.kind == "input"]
         self.output_ids = [nid for nid, n in placed.items() if n.kind == "output"]
 
-    def consumers(self) -> dict[str, list[str]]:
-        cons: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for node in self.nodes.values():
-            for src in set(node.inputs):
-                cons[src].append(node.id)
-        return cons
+    def sole_reader(self, nid: str) -> Node | None:
+        """The node that reads ``nid``'s value if it is the only one, else None."""
+        rs = self.readers[nid]
+        return self.nodes[rs[0]] if len(rs) == 1 else None
 
     def copy(self) -> "GraphModel":
-        nodes = [
-            Node(
-                id=n.id,
-                kind=n.kind,
-                inputs=list(n.inputs),
-                attrs=json.loads(json.dumps(n.attrs)),
-                weights={k: v.copy() for k, v in n.weights.items()},
-            )
-            for n in self.nodes.values()
-        ]
+        """A deep copy: ``Node`` copies the weights and attrs it is given."""
+        nodes = [Node(n.id, n.kind, list(n.inputs), n.attrs, n.weights) for n in self.nodes.values()]
         return GraphModel(nodes, name=self.name)
 
     # -- evaluation ------------------------------------------------------
@@ -205,10 +208,10 @@ class GraphModel:
         feed = self.normalize_inputs(inputs)
         values: dict[str, np.ndarray] = dict(known or {})
         order = self.nodes.values()
-        unread: dict[str, int] = {}  # per value some node reads, its readers without a value
-        for node in self.nodes.values() if stream else ():
-            for s in set(node.inputs):
-                unread[s] = unread.get(s, 0) + (node.id not in values)
+        unread = {s: len(rs) for s, rs in self.readers.items() if rs} if stream else {}  # readers without a value
+        for r in values.keys() & self.nodes.keys() if stream else ():  # a known reader has read its inputs
+            for s in set(self.nodes[r].inputs):
+                unread[s] -= 1
         for s in [s for s in values if unread.get(s) == 0 and s != stop]:
             del values[s]
         if stop is not None and stop not in self.nodes:

@@ -110,28 +110,28 @@ def fold_batch_norms(model: GraphModel) -> GraphModel:
 def fold_batch_norms_detailed(model: GraphModel) -> tuple[GraphModel, dict]:
     """Fold every batchnorm that directly follows a linear/conv2d layer.
 
-    A batchnorm is foldable when its single input is a MAC layer whose
-    output feeds only that batchnorm. Others are left in place and listed
-    in the report. Returns (new model, {"folded": [...], "skipped": [...]}).
+    A batchnorm is foldable when its single input is a MAC layer, or a
+    batchnorm folded into one, whose output feeds only that batchnorm.
+    Others are left in place and listed in the report. Returns (new model,
+    {"folded": [...], "skipped": [...]}).
     """
     out = model.copy()
-    consumers = out.consumers()
+    into: dict[str, str] = {}  # folded batchnorm -> the layer that now produces its value
     report = {"folded": [], "skipped": []}
-    for nid, node in list(out.nodes.items()):
+    for nid, node in out.nodes.items():
         if node.kind != "batchnorm":
             continue
-        src = out.nodes[node.inputs[0]]
-        if src.kind not in MAC_KINDS or consumers[src.id] != [nid]:
+        p = node.inputs[0]
+        src = out.nodes[into.get(p, p)]
+        if src.kind not in MAC_KINDS or out.readers[p] != (nid,):
             report["skipped"].append(nid)
             continue
         _fold_into(src, node)
-        for cid in consumers[nid]:
-            cons = out.nodes[cid]
-            cons.inputs = [src.id if x == nid else x for x in cons.inputs]
-        del out.nodes[nid]
+        into[nid] = src.id
         report["folded"].append({"layer": src.id, "batchnorm": nid})
-        consumers = out.consumers()
-    return GraphModel(list(out.nodes.values()), name=out.name), report
+    for node in out.nodes.values():
+        node.inputs = [into.get(s, s) for s in node.inputs]
+    return GraphModel([n for n in out.nodes.values() if n.id not in into], name=out.name), report
 
 
 def replace_relu6_with_relu(model: GraphModel) -> GraphModel:
@@ -199,26 +199,14 @@ def _scale_output_channels(node, s: np.ndarray) -> None:
 
 def _find_pairs(model: GraphModel) -> list[tuple[str, Optional[str], str]]:
     """(layer1, optional relu between, layer2) chains eligible for scaling."""
-    consumers = model.consumers()
     pairs = []
     for nid, a in model.nodes.items():
-        if a.kind not in MAC_KINDS:
+        mid, b = None, model.sole_reader(nid) if a.kind in MAC_KINDS else None
+        if b is not None and b.kind == "relu":
+            mid, b = b.id, model.sole_reader(b.id)
+        if b is None or b.kind not in MAC_KINDS or len(_out_channel_ranges(a)) != len(_in_channel_ranges(b)):
             continue
-        cons = consumers[nid]
-        if len(cons) != 1:
-            continue
-        mid = None
-        b = model.nodes[cons[0]]
-        if b.kind == "relu":
-            if len(consumers[b.id]) != 1:
-                continue
-            mid = b.id
-            b = model.nodes[consumers[b.id][0]]
-        if b.kind not in MAC_KINDS:
-            continue
-        if len(_out_channel_ranges(a)) != len(_in_channel_ranges(b)):
-            continue
-        pairs.append((a.id, mid, b.id))
+        pairs.append((nid, mid, b.id))
     return pairs
 
 

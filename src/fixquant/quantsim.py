@@ -303,7 +303,6 @@ def _qdq_state(spec: QuantizerSpec | None):
 
 def _supergroup_suppressed(graph: GraphModel, config: SimConfig) -> set[str]:
     """Node ids whose outputs are internal to a configured supergroup chain."""
-    consumers = graph.consumers()
     suppressed: set[str] = set()
     for pattern in config.supergroups:
         for nid, node in graph.nodes.items():
@@ -311,10 +310,10 @@ def _supergroup_suppressed(graph: GraphModel, config: SimConfig) -> set[str]:
                 continue
             chain = [node]
             for want in pattern[1:]:
-                cons = consumers[chain[-1].id]
-                if len(cons) != 1 or graph.nodes[cons[0]].kind != want:
+                reader = graph.sole_reader(chain[-1].id)
+                if reader is None or reader.kind != want:
                     break
-                chain.append(graph.nodes[cons[0]])
+                chain.append(reader)
             else:
                 suppressed.update(n.id for n in chain[:-1])
     return suppressed
@@ -339,9 +338,7 @@ def create_quantsim(
     config = config or SimConfig.default()
     graph = model.copy()
     suppressed = _supergroup_suppressed(graph, config)
-    feeds_output = {
-        src for node in graph.nodes.values() if node.kind == "output" for src in node.inputs
-    }
+    feeds_output = {graph.nodes[oid].inputs[0] for oid in graph.output_ids}
 
     param_q: dict[str, QuantizerSpec] = {}
     act_q: dict[str, QuantizerSpec] = {}

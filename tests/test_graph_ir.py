@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixquant import toys
+from fixquant import graph_ir, toys
+from fixquant.amp import find_layer_groups
 from fixquant.errors import GraphError, ModelFormatError, ShapeError
 from fixquant.graph_ir import (
     GraphModel,
@@ -22,6 +23,8 @@ from fixquant.graph_ir import (
     write_csv,
     write_json,
 )
+from fixquant.ptq import CLEReport, cross_layer_scale, fold_batch_norms_detailed
+from fixquant.quantsim import create_quantsim
 
 
 def tiny_graph():
@@ -63,6 +66,23 @@ class TestNodeValidation:
         with pytest.raises(GraphError):
             n.set_weight("scale", [1.0])
 
+    def test_attrs_a_manifest_cannot_hold_are_a_graph_error_naming_the_node(self):
+        w = {"weight": np.ones((2, 1, 3, 3)), "bias": np.zeros(2)}
+        with pytest.raises(GraphError, match="node 'c' attrs are not JSON values"):
+            Node("c", "conv2d", ["in"], attrs={"stride": np.int64(1)}, weights=w)
+
+    def test_attrs_must_be_an_object(self):
+        with pytest.raises(GraphError, match="node 'r' attrs must be an object"):
+            Node("r", "relu", ["in"], attrs=None)
+
+    def test_attrs_are_held_as_a_save_and_load_gives_them_back(self, tmp_path):
+        g = GraphModel([Node("in", "input"), Node("mp", "maxpool", ["in"], attrs={"kernel": (2, 2)}),
+                        Node("out", "output", ["mp"])])
+        assert g.nodes["mp"].attrs == {"kernel": [2, 2]}
+        save_model(g, tmp_path / "m")
+        batch = {"in": array_key(np.zeros((1, 1, 4, 4)))}
+        assert value_keys(g, batch) == value_keys(g.copy(), batch) == value_keys(load_model(tmp_path / "m"), batch)
+
 
 class TestGraphValidation:
     def test_duplicate_ids(self):
@@ -99,7 +119,7 @@ class TestGraphValidation:
                 ]
             )
 
-    def test_topo_order_respects_edges(self):
+    def test_every_node_comes_after_its_inputs(self):
         g = toys.three_group_model(seed=0)
         order = list(g.nodes)
         pos = {nid: i for i, nid in enumerate(order)}
@@ -339,10 +359,9 @@ def _keys(g, x, states):
 
 
 def _downstream(g, nid):
-    cons, out = g.consumers(), set()
-    stack = [nid]
+    out, stack = set(), [nid]
     while stack:
-        for c in cons[stack.pop()]:
+        for c in g.readers[stack.pop()]:
             if c not in out:
                 out.add(c)
                 stack.append(c)
@@ -576,3 +595,144 @@ def test_read_json_accepts_an_untagged_object_only_without_a_format(tmp_path):
     p.write_text("[1]")
     with pytest.raises(ModelFormatError):
         read_json(p, None, "config")
+
+
+# ---------------------------------------------------------------------------
+# Properties over random graphs
+
+RANDOM_KINDS = ["conv2d", "batchnorm", "relu", "depthwise", "strided", "add", "relu6", "concat", "maxpool", "avgpool"]
+
+
+@st.composite
+def random_graphs(draw):
+    """A DAG of at most 10 nodes on 2x3x8x8 inputs: drawn kinds, edges, one
+    or two outputs and node order; weights from a drawn seed. A batchnorm
+    reads the last node, and a conv is followed by up to two of them, so
+    folds, chains and shared producers are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = {"in": (3, 8)}  # node id -> (channels, side) of its value
+    nodes = [Node("in", "input")]
+
+    def batchnorm():
+        c, side = shape[nodes[-1].id]
+        w = {"gamma": rng.uniform(0.5, 1.5, c), "beta": rng.normal(0, 0.1, c),
+             "mean": rng.normal(0, 0.1, c), "var": rng.uniform(0.5, 1.5, c)}
+        nodes.append(Node(f"n{len(nodes)}", "batchnorm", [nodes[-1].id], weights=w))
+        shape[nodes[-1].id] = (c, side)
+
+    size = draw(st.integers(2, 7))
+    while len(nodes) < size:
+        kind = draw(st.sampled_from(RANDOM_KINDS))
+        if kind == "batchnorm":
+            batchnorm()
+            continue
+        src = list(shape)[-1 - draw(st.just(0) | st.integers(0, len(shape) - 1))]  # half the time the last
+        (c, side), inputs, attrs, w = shape[src], [src], {}, {}
+        if kind in ("conv2d", "depthwise", "strided"):
+            groups, stride = c if kind == "depthwise" else 1, 2 if kind == "strided" else 1
+            c_out = c if kind == "depthwise" else int(rng.integers(2, 5))
+            fan_in = c // groups * 9
+            w = {"weight": rng.normal(0, fan_in**-0.5, (c_out, c // groups, 3, 3)), "bias": rng.normal(0, 0.1, c_out)}
+            attrs = {"stride": stride, "padding": 1, "groups": groups}
+            kind, c, side = "conv2d", c_out, (side - 1) // stride + 1
+        elif kind in ("add", "concat"):
+            mates = [m for m, (c2, side2) in shape.items() if side2 == side and (kind == "concat" or c2 == c)]
+            inputs.append(draw(st.sampled_from(mates)))  # may be src again
+            if kind == "concat":
+                attrs, c = {"axis": 1}, c + shape[inputs[1]][0]
+        elif kind.endswith("pool") and side >= 2:
+            attrs, side = {"kernel": 2}, side // 2
+        elif kind.endswith("pool"):
+            kind = "relu"  # a 1x1 map has no 2x2 window
+        nodes.append(Node(f"n{len(nodes)}", kind, inputs, attrs, w))
+        shape[nodes[-1].id] = (c, side)
+        for _ in range(draw(st.integers(0, 2)) if kind == "conv2d" else 0):
+            batchnorm()
+    outs = draw(st.lists(st.sampled_from(list(shape)[1:]), min_size=1, max_size=2, unique=True))
+    nodes += [Node(f"out{j}", "output", [src]) for j, src in enumerate(outs)]
+    return GraphModel(draw(st.permutations(nodes)))
+
+
+RANDOM_X = np.random.default_rng(5).normal(size=(2, 3, 8, 8))
+random_graph_settings = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def _brute_readers(g):
+    """Each node's distinct readers in the graph's order, by scanning every node's inputs."""
+    return {nid: tuple(r for r, n in g.nodes.items() if nid in n.inputs) for nid in g.nodes}
+
+
+def _upstream(g, ids):
+    """``ids`` and every node they depend on."""
+    out, stack = set(), list(ids)
+    while stack:
+        nid = stack.pop()
+        if nid not in out:
+            out.add(nid)
+            stack.extend(g.nodes[nid].inputs)
+    return out
+
+
+def _same_outputs(g, a, b):
+    return all(a[oid].tobytes() == b[oid].tobytes() for oid in g.output_ids)
+
+
+class TestRandomGraphs:
+    @random_graph_settings
+    @given(g=random_graphs())
+    def test_readers_are_each_nodes_distinct_readers_in_order(self, g):
+        brute = _brute_readers(g)
+        assert g.readers == brute
+        for nid, rs in brute.items():
+            assert g.sole_reader(nid) is (g.nodes[rs[0]] if len(rs) == 1 else None)
+
+    @random_graph_settings
+    @given(g=random_graphs())
+    def test_a_streamed_pass_gives_the_keep_all_outputs(self, g):
+        assert _same_outputs(g, g.evaluate_all(RANDOM_X, stream=True), g.evaluate_all(RANDOM_X))
+
+    @random_graph_settings
+    @given(g=random_graphs())
+    def test_a_pass_stopped_anywhere_then_resumed_is_the_full_pass_and_runs_no_node_twice(self, g):
+        full = g.evaluate_all(RANDOM_X)
+        by_attrs = {id(n.attrs): nid for nid, n in g.nodes.items()}  # each node holds its own attrs dict
+        real = graph_ir.eval_kind
+        for stop in g.nodes:
+            ran = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph_ir, "eval_kind", lambda k, attrs, *a: ran.append(by_attrs[id(attrs)]) or real(k, attrs, *a))
+                part = g.evaluate_all(RANDOM_X, stop=stop, stream=True)
+                whole = g.evaluate_all(RANDOM_X, known=part)
+                again = g.evaluate_all(RANDOM_X, known=whole, stop=stop, stream=True)  # runs nothing
+            assert _same_outputs(g, whole, full)
+            assert all(whole[nid].tobytes() == full[nid].tobytes() for nid in whole)
+            assert again[stop] is whole[stop]
+            assert sorted(ran) == sorted(set(ran)) == sorted(_upstream(g, [stop, *g.output_ids]) - {"in"}), stop
+
+    @random_graph_settings
+    @given(g=random_graphs())
+    def test_the_fold_takes_the_batchnorms_a_rule_names_and_equalization_keeps_the_forward(self, g):
+        readers, into = _brute_readers(g), {}  # folded batchnorm -> the conv holding it
+        for nid, node in g.nodes.items():
+            p = node.inputs[0] if node.kind == "batchnorm" else None
+            if p is not None and (g.nodes[p].kind == "conv2d" or p in into) and readers[p] == (nid,):
+                into[nid] = into.get(p, p)
+        folded, report = fold_batch_norms_detailed(g)
+        assert report["folded"] == [{"layer": layer, "batchnorm": bn} for bn, layer in into.items()]
+        assert report["skipped"] == [nid for nid, n in g.nodes.items() if n.kind == "batchnorm" and nid not in into]
+        assert list(folded.nodes) == [nid for nid in g.nodes if nid not in into]
+        ref = g.outputs(g.evaluate_all(RANDOM_X))
+        for model in (folded, cross_layer_scale(folded, CLEReport())):
+            got = model.forward(RANDOM_X)
+            for oid in g.output_ids:
+                a, b = (got, ref) if len(g.output_ids) == 1 else (got[oid], ref[oid])
+                assert float(np.max(np.abs(a - b))) <= 1e-5
+
+    @random_graph_settings
+    @given(g=random_graphs())
+    def test_layer_groups_hold_each_enabled_quantizer_once(self, g):
+        sim = create_quantsim(g)
+        enabled = [k for k, q in sim.param_quantizers.items() if q.enabled]
+        enabled += [k for k, q in sim.activation_quantizers.items() if q.enabled]
+        grouped = [k for grp in find_layer_groups(sim) for k in grp.param_keys + grp.activation_keys]
+        assert sorted(grouped) == sorted(enabled)
